@@ -64,35 +64,30 @@ def run_background(spec: BackgroundSpec, coupling: Optional[Fraction] = None) ->
                     report.results.extend(t_report.equations)
                 if not t_report.reproduced:
                     report.error = "hypotheses hold but the field equations fail"
+        if report.error is None:
+            for point in spec.eval_points:
+                values = evaluate_report_at_points(report, point)
+                report.evaluations.append(
+                    {"point": {k: str(v) for k, v in point.items()}, "values": values}
+                )
     except Exception as exc:  # noqa: BLE001 - carried into the report per background
         report.error = f"{type(exc).__name__}: {exc}"
-    if report.error is None:
-        for point in spec.eval_points:
-            values = evaluate_report_at_points(report, point)
-            report.evaluations.append(
-                {"point": {k: str(v) for k, v in point.items()}, "values": values}
-            )
     return report
 
 
 def run(manifest: Manifest, only: Optional[str] = None, coupling: Optional[Fraction] = None):
-    """Verify each background; returns (reports, exit code).
+    """Verify each background in manifest order; returns (reports, exit code).
 
-    Backgrounds are independent and verified concurrently; the report
-    list stays in manifest order regardless of completion order.
+    Backgrounds run one after another: the work is pure Python under the
+    interpreter lock, so threads would not overlap it, and backgrounds
+    share metrics whose curvature caches fill lazily.
     """
     specs = manifest.backgrounds
     if only is not None:
         specs = [s for s in specs if s.name == only]
         if not specs:
             raise ManifestError(f"no background named {only!r} in the manifest")
-    if len(specs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(4, len(specs))) as pool:
-            reports = list(pool.map(lambda s: run_background(s, coupling), specs))
-    else:
-        reports = [run_background(spec, coupling) for spec in specs]
+    reports = [run_background(spec, coupling) for spec in specs]
     if any(r.error for r in reports):
         code = EXIT_ERROR
     elif all(r.passed for r in reports):

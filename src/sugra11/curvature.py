@@ -82,7 +82,7 @@ def _compute_curvature(m: ChartMetric) -> CurvatureData:
                     if not bracket.is_zero():
                         total = total + ginv * bracket
                 if not total.is_zero():
-                    total = total * _half()
+                    total = total * Fraction(1, 2)
                 gamma[k][i][j] = total
                 gamma[k][j][i] = total
 
@@ -118,10 +118,6 @@ def _compute_curvature(m: ChartMetric) -> CurvatureData:
     frozen_gamma = tuple(tuple(tuple(row) for row in plane) for plane in gamma)
     frozen_ric = tuple(tuple(row) for row in ric)
     return CurvatureData(m, frozen_gamma, frozen_ric)
-
-
-def _half():
-    return Fraction(1, 2)
 
 
 def hessian(m: ChartMetric, f: Polynomial) -> Matrix:
@@ -235,9 +231,3 @@ def is_totally_ricci_isotropic(m: ChartMetric):
 
 def matrix_is_zero(mat: Matrix) -> bool:
     return all(entry.is_zero() for row in mat for entry in row)
-
-
-def matrix_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(
-        tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )

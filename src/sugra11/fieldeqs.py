@@ -17,6 +17,19 @@ that the type decomposition of Lambda^4(E + L) provides (star F,
 1/2 F^F, |F|^2, the typed gauge system, and the HH/VV/HV Einstein
 blocks).  A block-law mismatch is an engine bug and raises
 EngineInconsistency instead of failing the background.
+
+The decomposition is one table, ``TYPES``: each of the five flux types is
+(fiber piece t, base piece b, fiber degree q), and alpha_t and theta lack
+a factor.  The block laws read it with an absent factor taken as the unit
+0-form 1 (|1|^2 = 1, star 1 = vol, no contractions).  For a constant warp f
+
+    |F|^2     = sum |t|^2 |b|^2 f^(-2q)
+    star F    = sum (-1)^q f^(6-2q) star_t(t) ^ star_b(b)
+    HH brace  = sum |t|^2 (|b|^2 g_ij - 3 C_b) f^(-2q)
+    VV brace  = sum |b|^2 (|t|^2 gt_ij - 3 C_t) f^(-2q)
+
+with C the contraction matrix <i_j ., i_k .> on the factor.  The direct
+11-dimensional side never reads the table.
 """
 
 from __future__ import annotations
@@ -38,6 +51,7 @@ from .exterior import (
 )
 from .metric import (
     ChartMetric,
+    contraction_matrix,
     hodge_star,
     inner_product_forms,
     norm_sq,
@@ -49,19 +63,18 @@ from .report import CheckResult, EngineInconsistency
 
 Matrix = Tuple[Tuple[Polynomial, ...], ...]
 
-FIBER_PIECES = ("alpha_t", "beta_t", "gamma_t", "varpi_t")
-BASE_PIECES = ("nu", "delta", "epsilon", "theta")
-PAIRINGS = (("beta_t", "nu"), ("gamma_t", "delta"), ("varpi_t", "epsilon"))
-_DEGREES = {
-    "alpha_t": 4,
-    "beta_t": 3,
-    "gamma_t": 2,
-    "varpi_t": 1,
-    "nu": 1,
-    "delta": 2,
-    "epsilon": 3,
-    "theta": 4,
-}
+# (fiber piece, base piece, fiber degree q); None marks an absent factor
+TYPES = (
+    ("alpha_t", None, 4),
+    ("beta_t", "nu", 3),
+    ("gamma_t", "delta", 2),
+    ("varpi_t", "epsilon", 1),
+    (None, "theta", 0),
+)
+FIBER_PIECES = tuple(t for t, _, _ in TYPES if t)
+BASE_PIECES = tuple(b for _, b, _ in TYPES if b)
+PAIRINGS = tuple((t, b) for t, b, _ in TYPES if t and b)
+_DEGREES = {**{t: q for t, _, q in TYPES if t}, **{b: 4 - q for _, b, q in TYPES if b}}
 
 
 class AnsatzError(ValueError):
@@ -155,6 +168,17 @@ def _constant_warp(pc: ProductChart) -> Optional[Fraction]:
     return pc.warping.constant_value() if pc.warping.is_constant() else None
 
 
+def _typed_pieces(pc: ProductChart, a: FluxAnsatz):
+    """(t, b, q) for each type the ansatz carries; an absent factor is the unit 0-form."""
+    unit = Polynomial.constant(1)
+    for t, b, q in TYPES:
+        if any(a.piece(name) is None for name in (t, b) if name):
+            continue
+        fiber = a.piece(t) if t else DifferentialForm.function(pc.fiber_chart, unit)
+        base = a.piece(b) if b else DifferentialForm.function(pc.base_chart, unit)
+        yield fiber, base, q
+
+
 # ---------------------------------------------------------------------------
 # |F|^2 two ways
 # ---------------------------------------------------------------------------
@@ -165,19 +189,10 @@ def flux_norm_sq(bg: Background) -> Tuple[Polynomial, Polynomial]:
     f = _constant_warp(bg.product)
     if f is None:
         return direct, direct
-    a = bg.ansatz
     gt, g = bg.product.fiber, bg.product.base
     block = Polynomial.zero()
-    if a.alpha_t is not None:
-        block = block + norm_sq(gt, a.alpha_t) * f ** (-8)
-    if a.beta_t is not None:
-        block = block + norm_sq(gt, a.beta_t) * norm_sq(g, a.nu) * f ** (-6)
-    if a.gamma_t is not None:
-        block = block + norm_sq(gt, a.gamma_t) * norm_sq(g, a.delta) * f ** (-4)
-    if a.varpi_t is not None:
-        block = block + norm_sq(gt, a.varpi_t) * norm_sq(g, a.epsilon) * f ** (-2)
-    if a.theta is not None:
-        block = block + norm_sq(g, a.theta)
+    for t, b, q in _typed_pieces(bg.product, bg.ansatz):
+        block = block + norm_sq(gt, t) * norm_sq(g, b) * f ** (-2 * q)
     if direct != block:
         raise EngineInconsistency("norm block law failed: " f"{direct} != {block}")
     return direct, block
@@ -242,25 +257,11 @@ def star_flux_block(bg: Background) -> DifferentialForm:
     f = _constant_warp(pc)
     if f is None:
         raise AnsatzError("block star formula needs a constant warping function")
-    a = bg.ansatz
     gt, g = pc.fiber, pc.base
-    vol_base = volume_form(g)
-    vol_fiber = volume_form(gt)
     total = DifferentialForm.zero(pc.chart, 7)
-    if a.alpha_t is not None:
-        total = total + wedge(pc.lift(hodge_star(gt, a.alpha_t)), pc.lift(vol_base)) * f ** (-2)
-    if a.beta_t is not None:
-        total = total - wedge(pc.lift(hodge_star(gt, a.beta_t)), pc.lift(hodge_star(g, a.nu)))
-    if a.gamma_t is not None:
-        total = total + wedge(
-            pc.lift(hodge_star(gt, a.gamma_t)), pc.lift(hodge_star(g, a.delta))
-        ) * f ** 2
-    if a.varpi_t is not None:
-        total = total - wedge(
-            pc.lift(hodge_star(gt, a.varpi_t)), pc.lift(hodge_star(g, a.epsilon))
-        ) * f ** 4
-    if a.theta is not None:
-        total = total + wedge(pc.lift(hodge_star(g, a.theta)), pc.lift(vol_fiber)) * f ** 6
+    for t, b, q in _typed_pieces(pc, bg.ansatz):
+        piece = wedge(pc.lift(hodge_star(gt, t)), pc.lift(hodge_star(g, b)))
+        total = total + piece * ((-1) ** q * f ** (6 - 2 * q))
     return total
 
 
@@ -399,29 +400,17 @@ def check_einstein(bg: Background) -> CheckResult:
 
 
 def einstein_residual_matrix(bg: Background) -> Matrix:
+    """Ric_ab + 1/2 <i_a F, i_b F> - 1/6 h_ab |F|^2 on the 11-dimensional chart."""
     h = bg.metric
     n = h.dim
     ric = ricci(h)
     norm, _ = flux_norm_sq(bg)
-    sixth = Fraction(1, 6)
-    half = Fraction(1, 2)
-    contractions = [
-        interior_product(VectorField.coordinate(h.chart, h.chart.coordinates[i]), bg.flux)
+    sixth_norm = norm * Fraction(1, 6)
+    pairs = contraction_matrix(h, bg.flux)
+    return tuple(
+        tuple(ric[i][j] + pairs[i][j] * Fraction(1, 2) - h.g[i][j] * sixth_norm for j in range(n))
         for i in range(n)
-    ]
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if j < i:
-                row.append(rows[j][i])
-                continue
-            entry = ric[i][j] + inner_product_forms(h, contractions[i], contractions[j]) * half
-            if not norm.is_zero() and not h.g[i][j].is_zero():
-                entry = entry - h.g[i][j] * norm * sixth
-            row.append(entry)
-        rows.append(row)
-    return tuple(tuple(row) for row in rows)
+    )
 
 
 def split_einstein(bg: Background) -> CheckResult:
@@ -439,113 +428,49 @@ def split_einstein(bg: Background) -> CheckResult:
     nb, nf = g.dim, gt.dim
     direct = einstein_residual_matrix(bg)
 
-    norms: Dict[str, Polynomial] = {}
-    for name in FIBER_PIECES:
-        form = a.piece(name)
-        if form is not None:
-            norms[name] = norm_sq(gt, form)
-    for name in BASE_PIECES:
-        form = a.piece(name)
-        if form is not None:
-            norms[name] = norm_sq(g, form)
+    # the HH and VV braces, one type at a time (see the module docstring)
+    hh_brace = [[Polynomial.zero()] * nb for _ in range(nb)]
+    vv_brace = [[Polynomial.zero()] * nf for _ in range(nf)]
+    for t, b, q in _typed_pieces(pc, a):
+        t_sq, b_sq, w = norm_sq(gt, t), norm_sq(g, b), f ** (-2 * q)
+        for brace, outer, inner, m, c in (
+            (hh_brace, t_sq, b_sq, g, contraction_matrix(g, b)),
+            (vv_brace, b_sq, t_sq, gt, contraction_matrix(gt, t)),
+        ):
+            for i in range(m.dim):
+                for j in range(m.dim):
+                    brace[i][j] = brace[i][j] + outer * (inner * m.g[i][j] - 3 * c[i][j]) * w
 
-    base_vectors = [VectorField.coordinate(g.chart, c) for c in g.chart.coordinates]
-    fiber_vectors = [VectorField.coordinate(gt.chart, c) for c in gt.chart.coordinates]
-
-    # HH block
     ric_g = ricci(g)
     hess_f = hessian(g, pc.warping)
-    hh = []
-    for i in range(nb):
-        row = []
-        for j in range(nb):
-            brace = Polynomial.zero()
-            g_ij = g.g[i][j]
-            if a.alpha_t is not None:
-                brace = brace + norms["alpha_t"] * g_ij * f ** (-8)
-            if a.beta_t is not None:
-                nu_i = a.nu.components.get((i,), Polynomial.zero())
-                nu_j = a.nu.components.get((j,), Polynomial.zero())
-                brace = brace + norms["beta_t"] * (
-                    norms["nu"] * g_ij - 3 * nu_i * nu_j
-                ) * f ** (-6)
-            if a.gamma_t is not None:
-                pair = inner_product_forms(
-                    g,
-                    interior_product(base_vectors[i], a.delta),
-                    interior_product(base_vectors[j], a.delta),
-                )
-                brace = brace + norms["gamma_t"] * (norms["delta"] * g_ij - 3 * pair) * f ** (-4)
-            if a.varpi_t is not None:
-                pair = inner_product_forms(
-                    g,
-                    interior_product(base_vectors[i], a.epsilon),
-                    interior_product(base_vectors[j], a.epsilon),
-                )
-                brace = brace + norms["varpi_t"] * (norms["epsilon"] * g_ij - 3 * pair) * f ** (-2)
-            if a.theta is not None:
-                pair = inner_product_forms(
-                    g,
-                    interior_product(base_vectors[i], a.theta),
-                    interior_product(base_vectors[j], a.theta),
-                )
-                brace = brace + norms["theta"] * g_ij - 3 * pair
-            entry = ric_g[i][j] - hess_f[i][j] * Fraction(nf, 1) * f ** (-1) - brace * Fraction(1, 6)
-            row.append(entry)
-        hh.append(tuple(row))
-    hh_matrix: Matrix = tuple(hh)
+    hh_matrix: Matrix = tuple(
+        tuple(
+            ric_g[i][j]
+            - hess_f[i][j] * Fraction(nf, 1) * f ** (-1)
+            - hh_brace[i][j] * Fraction(1, 6)
+            for j in range(nb)
+        )
+        for i in range(nb)
+    )
 
-    # VV block
     ric_gt = ricci(gt)
     lap_f = laplace_beltrami(g, pc.warping)
     grad_f_sq = grad_norm_sq(g, pc.warping)
     fhat = lap_f * f ** (-1) + grad_f_sq * Fraction(nf - 1, 1) * f ** (-2)
-    vv = []
-    for i in range(nf):
-        row = []
-        for j in range(nf):
-            gt_ij = gt.g[i][j]
-            brace = Polynomial.zero()
-            if a.alpha_t is not None:
-                pair = inner_product_forms(
-                    gt,
-                    interior_product(fiber_vectors[i], a.alpha_t),
-                    interior_product(fiber_vectors[j], a.alpha_t),
-                )
-                brace = brace + (norms["alpha_t"] * gt_ij - 3 * pair) * f ** (-8)
-            if a.beta_t is not None:
-                pair = inner_product_forms(
-                    gt,
-                    interior_product(fiber_vectors[i], a.beta_t),
-                    interior_product(fiber_vectors[j], a.beta_t),
-                )
-                brace = brace + norms["nu"] * (norms["beta_t"] * gt_ij - 3 * pair) * f ** (-6)
-            if a.gamma_t is not None:
-                pair = inner_product_forms(
-                    gt,
-                    interior_product(fiber_vectors[i], a.gamma_t),
-                    interior_product(fiber_vectors[j], a.gamma_t),
-                )
-                brace = brace + norms["delta"] * (norms["gamma_t"] * gt_ij - 3 * pair) * f ** (-4)
-            if a.varpi_t is not None:
-                vt_i = a.varpi_t.components.get((i,), Polynomial.zero())
-                vt_j = a.varpi_t.components.get((j,), Polynomial.zero())
-                brace = brace + norms["epsilon"] * (
-                    norms["varpi_t"] * gt_ij - 3 * vt_i * vt_j
-                ) * f ** (-2)
-            if a.theta is not None:
-                brace = brace + norms["theta"] * gt_ij
-            entry = (
-                ric_gt[i][j]
-                - gt_ij * fhat * f ** 2
-                - brace * Fraction(1, 6) * f ** 2
-            )
-            row.append(entry)
-        vv.append(tuple(row))
-    vv_matrix: Matrix = tuple(vv)
+    vv_matrix: Matrix = tuple(
+        tuple(
+            ric_gt[i][j]
+            - gt.g[i][j] * fhat * f ** 2
+            - vv_brace[i][j] * Fraction(1, 6) * f ** 2
+            for j in range(nf)
+        )
+        for i in range(nf)
+    )
 
     # HV block: 1/2 <i_X F, i_Zt F> expanded by type, with the exact
     # 1/p! pairing normalization restored on every term
+    base_vectors = [VectorField.coordinate(g.chart, c) for c in g.chart.coordinates]
+    fiber_vectors = [VectorField.coordinate(gt.chart, c) for c in gt.chart.coordinates]
     hv = []
     for i in range(nb):
         row = []

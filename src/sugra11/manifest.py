@@ -16,11 +16,18 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from .exterior import Chart, DifferentialForm
-from .fieldeqs import BASE_PIECES, FIBER_PIECES, Background, FluxAnsatz, assemble_flux
-from .metric import ChartMetric, make_metric
+from .exterior import Chart, ChartError, DegreeError, DifferentialForm
+from .fieldeqs import (
+    BASE_PIECES,
+    FIBER_PIECES,
+    AnsatzError,
+    Background,
+    FluxAnsatz,
+    assemble_flux,
+)
+from .metric import ChartMetric, MetricError, make_metric
 from .polyring import Polynomial, PolynomialGrammarError, parse_polynomial
-from .product import ProductChart, build_product
+from .product import NonPolynomialDivision, ProductChart, build_product
 
 KNOWN_CHECKS = ("closedness", "maxwell", "einstein", "norms", "split", "case")
 FLUX_KEYS = FIBER_PIECES + BASE_PIECES
@@ -104,7 +111,10 @@ def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
             raise ManifestError(f"{source}: chart entries need 'name' and 'coordinates'")
         if name in charts:
             raise ManifestError(f"duplicate chart {name!r}")
-        charts[name] = Chart(name, tuple(coords))
+        try:
+            charts[name] = Chart(name, tuple(coords))
+        except ChartError as exc:
+            raise ManifestError(f"chart {name!r}: {exc}") from exc
 
     metrics: Dict[str, ChartMetric] = {}
     metric_refs: Dict[str, dict] = {}
@@ -126,13 +136,23 @@ def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
         signature = entry.get("signature")
         if signature is None:
             raise ManifestError(f"metric {name!r}: a signature declaration is mandatory")
-        signature = (int(signature[0]), int(signature[1]))
+        if not (
+            isinstance(signature, list)
+            and len(signature) == 2
+            and all(isinstance(k, int) for k in signature)
+        ):
+            raise ManifestError(
+                f"metric {name!r}: signature must be a list of two integers, got {signature!r}"
+            )
         sqrt_abs_det = (
             _poly(entry["sqrt_abs_det"], f"metric {name!r}") if "sqrt_abs_det" in entry else None
         )
         if name in metrics:
             raise ManifestError(f"duplicate metric {name!r}")
-        metrics[name] = make_metric(chart, g, g_inv, signature, sqrt_abs_det)
+        try:
+            metrics[name] = make_metric(chart, g, g_inv, tuple(signature), sqrt_abs_det)
+        except MetricError as exc:
+            raise ManifestError(f"metric {name!r}: {exc}") from exc
         metric_refs[name] = {"chart": chart_ref}
 
     forms: Dict[str, DifferentialForm] = {}
@@ -152,8 +172,13 @@ def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
                 raise ManifestError(
                     f"form {name!r} term {i}: {len(indices)} indices for degree {degree}"
                 )
+            if len(set(indices)) != len(indices):
+                raise ManifestError(f"form {name!r} term {i}: repeated index in {indices!r}")
             coeff = _poly(term.get("coeff", "1"), f"form {name!r} term {i}")
-            total = total + DifferentialForm.monomial(chart, tuple(indices), coeff)
+            try:
+                total = total + DifferentialForm.monomial(chart, tuple(indices), coeff)
+            except (ChartError, DegreeError) as exc:
+                raise ManifestError(f"form {name!r} term {i}: {exc}") from exc
         if name in forms:
             raise ManifestError(f"duplicate form {name!r}")
         forms[name] = total
@@ -171,7 +196,10 @@ def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
         warping = _poly(entry.get("warping", "1"), f"product {name!r} warping")
         if name in products:
             raise ManifestError(f"duplicate product {name!r}")
-        products[name] = build_product(metrics[base_ref], metrics[fiber_ref], warping)
+        try:
+            products[name] = build_product(metrics[base_ref], metrics[fiber_ref], warping)
+        except (ChartError, MetricError, NonPolynomialDivision) as exc:
+            raise ManifestError(f"product {name!r}: {exc}") from exc
         product_refs[name] = {"base": base_ref, "fiber": fiber_ref}
 
     backgrounds: List[BackgroundSpec] = []
@@ -213,8 +241,10 @@ def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
         eval_points = []
         for pt in entry.get("eval_points", []):
             eval_points.append({k: _fraction(v, f"background {name!r} eval point") for k, v in pt.items()})
-        ansatz = FluxAnsatz(c=coupling, **pieces)
-        background = assemble_flux(pc, ansatz)
+        try:
+            background = assemble_flux(pc, FluxAnsatz(c=coupling, **pieces))
+        except (AnsatzError, ChartError, DegreeError) as exc:
+            raise ManifestError(f"background {name!r}: {exc}") from exc
         backgrounds.append(
             BackgroundSpec(
                 name=name,

@@ -11,6 +11,11 @@ Sign conventions are fixed once and used everywhere:
     i.e. the 1/p! contraction of components with p inverse metrics.
   * The star is defined by  a ^ star(b) = <a, b> vol  against the chart
     orientation, with vol = sqrt|det g| dx^1^...^dx^n.
+  * The contraction matrix of a p-form a is C_jk = <i_j a, i_k a>, the
+    pairing of its contractions with the coordinate fields d_j, d_k; it
+    is the stress-energy term of the Einstein equation and of every
+    Einstein block law, and ``contraction_matrix`` is its one
+    implementation.
 
 On a negative-definite factor this star differs from the
 Euclidean-signature star by (-1)^p on p-forms, which shows up as
@@ -27,7 +32,15 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Sequence, Tuple
 
-from .exterior import Chart, ChartError, DegreeError, DifferentialForm, VectorField, _sort_with_sign
+from .exterior import (
+    Chart,
+    ChartError,
+    DegreeError,
+    DifferentialForm,
+    VectorField,
+    _sort_with_sign,
+    interior_product,
+)
 from .polyring import NotAPerfectSquare, Polynomial, poly_sqrt
 
 CONVENTION_NOTES = (
@@ -369,6 +382,26 @@ def inner_product_forms(m: ChartMetric, a: DifferentialForm, b: DifferentialForm
             if not minor.is_zero():
                 total = total + pa * pb * minor
     return total
+
+
+def contraction_matrix(m: ChartMetric, a: DifferentialForm) -> Matrix:
+    """The symmetric matrix <i_j a, i_k a> over the coordinate fields d_j, d_k.
+
+    The n interior products are built once and only the upper triangle is
+    paired.  For a 1-form the entries are the degree-0 pairings a_j a_k; a
+    0-form has no contractions, so its matrix is zero.
+    """
+    if a.chart != m.chart:
+        raise ChartError("chart mismatch")
+    n = m.dim
+    rows = [[Polynomial.zero()] * n for _ in range(n)]
+    if a.degree > 0:
+        fields = [VectorField.coordinate(m.chart, c) for c in m.chart.coordinates]
+        cuts = [interior_product(v, a) for v in fields]
+        for j in range(n):
+            for k in range(j, n):
+                rows[j][k] = rows[k][j] = inner_product_forms(m, cuts[j], cuts[k])
+    return _as_matrix(rows)
 
 
 def norm_sq(m: ChartMetric, a: DifferentialForm) -> Polynomial:

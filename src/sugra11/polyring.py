@@ -19,6 +19,7 @@ coordinates meet.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple
@@ -103,11 +104,6 @@ class Polynomial:
         if self.variables:
             raise ValueError(f"not a constant polynomial: {self}")
         return self.terms.get((), _ZERO)
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(exp) for exp in self.terms)
 
     # -- variable alignment ---------------------------------------------
 
@@ -445,12 +441,6 @@ def _fraction_sqrt(q: Fraction) -> Fraction | None:
 
 
 def _isqrt_exact(n: int) -> int | None:
-    r = int(n ** 0.5)
-    for cand in (r - 1, r, r + 1, r + 2):
-        if cand >= 0 and cand * cand == n:
-            return cand
-    import math
-
     r = math.isqrt(n)
     return r if r * r == n else None
 

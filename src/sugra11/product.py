@@ -25,7 +25,7 @@ from typing import Tuple
 
 from .curvature import grad_norm_sq, hessian, laplace_beltrami, ricci
 from .exterior import Chart, ChartError, DifferentialForm, lift_to_product, wedge
-from .metric import ChartMetric, make_metric
+from .metric import ChartMetric, MetricError, make_metric
 from .polyring import Polynomial, poly_divexact
 
 Matrix = Tuple[Tuple[Polynomial, ...], ...]
@@ -73,7 +73,7 @@ def build_product(
     if isinstance(warping, (int, Fraction)):
         warping = Polynomial.constant(warping)
     if warping.is_zero():
-        raise ValueError("warping function must be nonzero")
+        raise MetricError("warping function must be nonzero")
     overlap = set(base.chart.coordinates) & set(fiber.chart.coordinates)
     if overlap:
         raise ChartError(f"base and fiber share coordinates: {sorted(overlap)}")

@@ -47,6 +47,7 @@ from .fieldeqs import (
 )
 from .metric import (
     ChartMetric,
+    contraction_matrix,
     hodge_star,
     inner_product_forms,
     make_metric,
@@ -133,10 +134,6 @@ def _du(fiber: ChartMetric, u_name: str = "u") -> DifferentialForm:
     return DifferentialForm.coordinate_differential(fiber.chart, u_name)
 
 
-def _base_ricci_residual(base: ChartMetric) -> Matrix:
-    return ricci(base)
-
-
 # ---------------------------------------------------------------------------
 # family builders (one per flux shape)
 # ---------------------------------------------------------------------------
@@ -162,7 +159,7 @@ def build_alpha_background(
     cond = CheckResult("alpha_family_conditions")
     cond.residuals["laplacian_vs_theta_norm"] = laplace_beltrami(rho, H) - norm_sq(rho, theta_n)
     cond.residuals["rho_ricci_flat"] = ricci(rho)
-    cond.residuals["base_ricci_flat"] = _base_ricci_residual(base)
+    cond.residuals["base_ricci_flat"] = ricci(base)
     cond.residuals["d_theta_n"] = ext_d(theta_n)
     cond.residuals["d_star_theta_n"] = ext_d(hodge_star(rho, theta_n))
     return FamilyBuild(bg, cond, {"alpha_t": alpha_t})
@@ -195,7 +192,7 @@ def build_beta_nu_background(
     )
     cond.residuals["nu_unit_length"] = norm_sq(base, nu) + P1
     cond.residuals["rho_ricci_flat"] = ricci(rho)
-    cond.residuals["base_ricci_flat"] = _base_ricci_residual(base)
+    cond.residuals["base_ricci_flat"] = ricci(base)
     cond.residuals["d_omega_n"] = ext_d(omega_n)
     cond.residuals["d_star_omega_n"] = ext_d(hodge_star(rho, omega_n))
     return FamilyBuild(bg, cond, {"beta_t": beta_t, "nu": nu})
@@ -236,7 +233,7 @@ def build_varpi_epsilon_background(
     cond.residuals["epsilon_norm_plus_two"] = norm_sq(base, epsilon) + Polynomial.constant(2)
     cond.residuals["varpi_null"] = norm_sq(fiber, varpi_t)
     cond.residuals["rho_ricci_flat"] = ricci(rho)
-    cond.residuals["base_ricci_flat"] = _base_ricci_residual(base)
+    cond.residuals["base_ricci_flat"] = ricci(base)
     cond.residuals["d_epsilon"] = ext_d(epsilon)
     cond.residuals["d_star_epsilon"] = ext_d(hodge_star(base, epsilon))
     return FamilyBuild(bg, cond, {"varpi_t": varpi_t, "epsilon": epsilon})
@@ -279,7 +276,7 @@ def build_alpha_beta_nu_background(
         - norm_sq(base, nu) * norm_sq(rho, omega2)
     )
     cond.residuals["rho_ricci_flat"] = ricci(rho)
-    cond.residuals["base_ricci_flat"] = _base_ricci_residual(base)
+    cond.residuals["base_ricci_flat"] = ricci(base)
     cond.residuals["d_omega3_n"] = ext_d(omega3_n)
     cond.residuals["d_nu"] = ext_d(nu)
     case = check_special_case(bg, 6 if not omega2.is_zero() else 1)
@@ -309,23 +306,25 @@ class TheoremReport:
         return self.equations is not None and all(r.passed for r in self.equations)
 
 
-def _fiber_ricci_identity(
-    gt: ChartMetric, source: Matrix
-) -> Matrix:
-    ric = ricci(gt)
+def _ricci_identity(m: ChartMetric, *sources: Tuple[object, Matrix]) -> Matrix:
+    """Ric_m minus the sum of coefficient * matrix over the sources."""
+    ric = ricci(m)
     return tuple(
-        tuple(ric[i][j] - source[i][j] for j in range(gt.dim)) for i in range(gt.dim)
+        tuple(ric[i][j] - sum((c * s[i][j] for c, s in sources), P0) for j in range(m.dim))
+        for i in range(m.dim)
     )
 
 
-def _contraction_matrix(gt: ChartMetric, form: DifferentialForm, scale: Fraction) -> Matrix:
-    vectors = [VectorField.coordinate(gt.chart, c) for c in gt.chart.coordinates]
-    cuts = [interior_product(v, form) for v in vectors]
-    n = gt.dim
-    return tuple(
-        tuple(inner_product_forms(gt, cuts[i], cuts[j]) * scale for j in range(n))
-        for i in range(n)
-    )
+def _theta_identities(g: ChartMetric, gt: ChartMetric, theta: DifferentialForm):
+    """(|theta|^2, base identity, fiber identity) for a base-only flux theta:
+
+        Ric_g  = 1/6 |theta|^2 g - 1/2 <i_a theta, i_b theta>
+        Ric_gt = 1/6 |theta|^2 gt
+    """
+    theta_norm = norm_sq(g, theta)
+    sixth = theta_norm * Fraction(1, 6)
+    base = _ricci_identity(g, (sixth, g.g), (Fraction(-1, 2), contraction_matrix(g, theta)))
+    return theta_norm, base, _ricci_identity(gt, (sixth, gt.g))
 
 
 def check_theorem_conditions(bg: Background, shape: str) -> TheoremReport:
@@ -358,8 +357,9 @@ def check_theorem_conditions(bg: Background, shape: str) -> TheoremReport:
         hyp.residuals["alpha_null"] = norm_sq(gt, a.alpha_t)
         hyp.residuals["d_alpha_t"] = ext_d(a.alpha_t)
         hyp.residuals["d_star_alpha_t"] = ext_d(hodge_star(gt, a.alpha_t))
-        source = _contraction_matrix(gt, a.alpha_t, Fraction(-1, 2))
-        hyp.residuals["fiber_ricci_identity"] = _fiber_ricci_identity(gt, source)
+        hyp.residuals["fiber_ricci_identity"] = _ricci_identity(
+            gt, (Fraction(-1, 2), contraction_matrix(gt, a.alpha_t))
+        )
 
     elif shape == "beta_nu":
         hyp.residuals["nu_unit_length"] = norm_sq(g, a.nu) + P1
@@ -368,8 +368,9 @@ def check_theorem_conditions(bg: Background, shape: str) -> TheoremReport:
         hyp.residuals["beta_null"] = norm_sq(gt, a.beta_t)
         hyp.residuals["d_beta_t"] = ext_d(a.beta_t)
         hyp.residuals["d_star_beta_t"] = ext_d(hodge_star(gt, a.beta_t))
-        source = _contraction_matrix(gt, a.beta_t, Fraction(1, 2))
-        hyp.residuals["fiber_ricci_identity"] = _fiber_ricci_identity(gt, source)
+        hyp.residuals["fiber_ricci_identity"] = _ricci_identity(
+            gt, (Fraction(1, 2), contraction_matrix(gt, a.beta_t))
+        )
 
     elif shape == "varpi_epsilon":
         hyp.residuals["epsilon_norm_plus_two"] = norm_sq(g, a.epsilon) + Polynomial.constant(2)
@@ -378,15 +379,9 @@ def check_theorem_conditions(bg: Background, shape: str) -> TheoremReport:
         hyp.residuals["d_star_varpi_t"] = ext_d(hodge_star(gt, a.varpi_t))
         hyp.residuals["d_epsilon"] = ext_d(a.epsilon)
         hyp.residuals["d_star_epsilon"] = ext_d(hodge_star(g, a.epsilon))
-        n = gt.dim
-        varpi_sq = tuple(
-            tuple(
-                a.varpi_t.components.get((i,), P0) * a.varpi_t.components.get((j,), P0)
-                for j in range(n)
-            )
-            for i in range(n)
+        hyp.residuals["fiber_ricci_identity"] = _ricci_identity(
+            gt, (1, contraction_matrix(gt, a.varpi_t))
         )
-        hyp.residuals["fiber_ricci_identity"] = _fiber_ricci_identity(gt, varpi_sq)
 
     elif shape == "alpha_beta_nu":
         hyp.residuals["d_nu"] = ext_d(a.nu)
@@ -406,14 +401,11 @@ def check_theorem_conditions(bg: Background, shape: str) -> TheoremReport:
         else:
             hyp.residuals["coupling_must_be_nonzero"] = P1
             hyp.notes.append("d star nu = 0: the stated shape needs a nonzero coupling")
-        nu_norm = norm_sq(g, a.nu)
-        alpha_part = _contraction_matrix(gt, a.alpha_t, Fraction(-1, 2))
-        beta_part = _contraction_matrix(gt, a.beta_t, Fraction(-1, 2))
-        source = tuple(
-            tuple(alpha_part[i][j] + beta_part[i][j] * nu_norm for j in range(gt.dim))
-            for i in range(gt.dim)
+        hyp.residuals["fiber_ricci_identity"] = _ricci_identity(
+            gt,
+            (Fraction(-1, 2), contraction_matrix(gt, a.alpha_t)),
+            (norm_sq(g, a.nu) * Fraction(-1, 2), contraction_matrix(gt, a.beta_t)),
         )
-        hyp.residuals["fiber_ricci_identity"] = _fiber_ricci_identity(gt, source)
         n = gt.dim
         vectors = [VectorField.coordinate(gt.chart, c) for c in gt.chart.coordinates]
         orth = {
@@ -425,33 +417,13 @@ def check_theorem_conditions(bg: Background, shape: str) -> TheoremReport:
         hyp.residuals["alpha_beta_orthogonality"] = orth
 
     elif shape == "theta":
-        theta_norm = norm_sq(g, a.theta)
+        theta_norm, base_identity, fiber_einstein = _theta_identities(g, gt, a.theta)
         hyp.residuals["theta_norm_constant"] = ext_d(
             DifferentialForm.function(g.chart, theta_norm)
         )
         hyp.residuals["d_theta"] = ext_d(a.theta)
         hyp.residuals["d_star_theta"] = ext_d(hodge_star(g, a.theta))
-        vectors = [VectorField.coordinate(g.chart, c) for c in g.chart.coordinates]
-        cuts = [interior_product(v, a.theta) for v in vectors]
-        nb = g.dim
-        base_identity = tuple(
-            tuple(
-                ricci(g)[i][j]
-                - theta_norm * g.g[i][j] * Fraction(1, 6)
-                + inner_product_forms(g, cuts[i], cuts[j]) * Fraction(1, 2)
-                for j in range(nb)
-            )
-            for i in range(nb)
-        )
         hyp.residuals["base_ricci_identity"] = base_identity
-        nf = gt.dim
-        fiber_einstein = tuple(
-            tuple(
-                ricci(gt)[i][j] - theta_norm * gt.g[i][j] * Fraction(1, 6)
-                for j in range(nf)
-            )
-            for i in range(nf)
-        )
         hyp.residuals["fiber_einstein"] = fiber_einstein
 
     equations = None
@@ -485,26 +457,7 @@ def check_base_flux_via_one_form(
     )
     equivalence_ok = eta_side == theta_side
 
-    theta_norm = norm_sq(base, theta)
-    nb = base.dim
-    vectors = [VectorField.coordinate(base.chart, c) for c in base.chart.coordinates]
-    cuts = [interior_product(v, theta) for v in vectors]
-    ric_g = ricci(base)
-    base_identity = tuple(
-        tuple(
-            ric_g[i][j]
-            - theta_norm * base.g[i][j] * Fraction(1, 6)
-            + inner_product_forms(base, cuts[i], cuts[j]) * Fraction(1, 2)
-            for j in range(nb)
-        )
-        for i in range(nb)
-    )
-    nf = fiber.dim
-    ric_gt = ricci(fiber)
-    fiber_einstein = tuple(
-        tuple(ric_gt[i][j] - theta_norm * fiber.g[i][j] * Fraction(1, 6) for j in range(nf))
-        for i in range(nf)
-    )
+    theta_norm, base_identity, fiber_einstein = _theta_identities(base, fiber, theta)
 
     pc = build_product(base, fiber, 1)
     bg = (

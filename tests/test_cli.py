@@ -209,3 +209,59 @@ def test_cli_eval_flag(capsys):
     assert code == EXIT_FAIL
     out = capsys.readouterr().out
     assert "eval einstein:einstein_residual[10,10] = 1/2" in out
+
+
+# -- bad input exits 2 with one line ----------------------------------------------------
+
+def _wrong_inverse(doc):
+    doc["metrics"][1]["inverse"][0][0] = "7"
+    return "metric 'g_walker'"
+
+
+def _duplicate_coordinate(doc):
+    doc["charts"][0]["coordinates"][1] = "y1"
+    return "chart 'base5'"
+
+
+def _scalar_signature(doc):
+    doc["metrics"][0]["signature"] = 5
+    return "metric 'g_base'"
+
+
+def _repeated_index(doc):
+    doc["forms"][0]["terms"][0]["indices"] = ["u", "u", "x3", "x4"]
+    return "form 'du_theta' term 0"
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_wrong_inverse, _duplicate_coordinate, _scalar_signature, _repeated_index]
+)
+def test_bad_manifest_entry_exits_2_with_one_line(tmp_path, capsys, corrupt):
+    doc = json.loads((MANIFESTS / "solution1.json").read_text())
+    entry = corrupt(doc)
+    with pytest.raises(ManifestError, match=entry):
+        parse_manifest_dict(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--manifest", str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {entry}") and captured.err.count("\n") == 1
+
+
+def test_bad_eval_point_is_that_background_error(tmp_path, capsys):
+    doc = json.loads((MANIFESTS / "solution4_literal.json").read_text())
+    bad = doc["backgrounds"][0]
+    bad["eval_points"] = [{"x1": "1"}]  # misses x2 and y1
+    good = dict(bad, name="no_eval")
+    del good["eval_points"]
+    doc["backgrounds"] = [bad, good]
+    reports, code = run(parse_manifest_dict(doc))
+    assert code == EXIT_ERROR
+    assert "misses a variable" in reports[0].error
+    assert reports[1].error is None and reports[1].results
+    path = tmp_path / "eval.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--manifest", str(path)]) == EXIT_ERROR
+    out = capsys.readouterr().out
+    assert "background no_eval" in out and "summary: 0 passed, 1 failed, 1 errored" in out

@@ -7,8 +7,10 @@ import pytest
 
 from sugra11.curvature import is_totally_ricci_isotropic
 from sugra11.exterior import Chart, DifferentialForm, wedge
+import sugra11.fieldeqs as fieldeqs
 from sugra11.fieldeqs import (
     AnsatzError,
+    Background,
     FluxAnsatz,
     assemble_flux,
     check_closedness,
@@ -21,6 +23,7 @@ from sugra11.fieldeqs import (
 from sugra11.metric import make_metric, norm_sq
 from sugra11.polyring import Polynomial
 from sugra11.product import build_product
+from sugra11.report import EngineInconsistency
 from sugra11.solutions import (
     build_alpha_background,
     build_alpha_beta_nu_background,
@@ -410,3 +413,37 @@ def test_alpha_beta_nu_family_corrected_instance_passes():
     assert check_closedness(build.background).passed
     assert check_maxwell(build.background).passed
     assert check_einstein(build.background).passed
+
+
+# -- the audits catch a wrong direct side ------------------------------------------------
+
+def alpha_family_background():
+    rho = rho_flat()
+    return build_alpha_background(
+        rho, dform(rho.chart, "x2", "x3", "x4"), quadratic_H(Fraction(1, 8))
+    ).background
+
+
+@pytest.mark.parametrize("block, where", [("HH", (0, 0)), ("VV", (5, 5)), ("HV", (0, 5))])
+def test_split_einstein_names_the_block_whose_direct_entry_is_off(monkeypatch, block, where):
+    original = fieldeqs.einstein_residual_matrix
+
+    def perturbed(bg):
+        rows = [list(row) for row in original(bg)]
+        rows[where[0]][where[1]] = rows[where[0]][where[1]] + P1
+        return tuple(tuple(row) for row in rows)
+
+    monkeypatch.setattr(fieldeqs, "einstein_residual_matrix", perturbed)
+    with pytest.raises(EngineInconsistency, match=f"{block} block law failed"):
+        split_einstein(alpha_family_background())
+
+
+def test_flux_term_missing_from_the_ansatz_trips_the_block_laws():
+    bg = alpha_family_background()
+    pc = bg.product
+    extra = pc.lift(dform(pc.base_chart, "y1", "y2", "y3", "y4"))
+    tampered = Background(pc, bg.flux + extra, bg.ansatz)
+    with pytest.raises(EngineInconsistency, match="norm block law"):
+        flux_norm_sq(tampered)
+    with pytest.raises(EngineInconsistency):
+        check_maxwell(tampered)

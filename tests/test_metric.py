@@ -8,13 +8,16 @@ import pytest
 from sugra11.exterior import (
     Chart,
     DifferentialForm,
+    VectorField,
     exterior_derivative as d,
+    interior_product,
     wedge,
 )
 from sugra11.metric import (
     InverseMismatch,
     MetricError,
     NonPolynomialInverse,
+    contraction_matrix,
     flat,
     hodge_star,
     inner_product_forms,
@@ -270,3 +273,26 @@ def test_star_nu_and_its_derivative_under_convention():
     expected = DifferentialForm.monomial(M5, ("y2", "y3", "y4", "y5"), -Polynomial.variable("y1"))
     assert star_nu == expected
     assert d(star_nu) == volume_form(G5) * Fraction(-1)
+
+
+# -- contraction matrix -------------------------------------------------------------
+
+def test_contraction_matrix_matches_pairwise_inner_products():
+    rng = random.Random(23)
+    m = walker_metric(H_EXAMPLE)  # g and g_inv both off-diagonal
+    fields = [VectorField.coordinate(m.chart, c) for c in m.chart.coordinates]
+    for degree in (1, 2, 3, 4):
+        form = random_form(rng, m.chart, degree, terms=3)
+        ref = [interior_product(v, form) for v in fields]
+        assert contraction_matrix(m, form) == tuple(
+            tuple(inner_product_forms(m, ref[j], ref[k]) for k in range(m.dim))
+            for j in range(m.dim)
+        )
+    # a 1-form pairs its components; a 0-form has no contractions
+    one = random_form(rng, m.chart, 1, terms=2)
+    c = one.components
+    assert contraction_matrix(m, one) == tuple(
+        tuple(c.get((j,), P0) * c.get((k,), P0) for k in range(m.dim)) for j in range(m.dim)
+    )
+    zero_form = DifferentialForm.function(m.chart, H_EXAMPLE)
+    assert all(e.is_zero() for row in contraction_matrix(m, zero_form) for e in row)

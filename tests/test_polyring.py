@@ -125,6 +125,13 @@ def test_poly_sqrt_cases():
     assert poly_sqrt(Polynomial.constant(Fraction(9, 4))) == Polynomial.constant(Fraction(3, 2))
 
 
+def test_poly_sqrt_of_coefficients_beyond_float_range():
+    root = 10 ** 400 * x + 1
+    assert poly_sqrt(root * root) == root
+    with pytest.raises(NotAPerfectSquare):
+        poly_sqrt(root * root + 1)
+
+
 @settings(max_examples=30, deadline=None)
 @given(polynomials(max_terms=3, max_exp=2))
 def test_poly_sqrt_recovers_squares(p):
