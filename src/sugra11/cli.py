@@ -35,7 +35,16 @@ EXIT_FAIL = 1
 EXIT_ERROR = 2
 
 
-def run_background(spec: BackgroundSpec, coupling: Optional[Fraction] = None) -> VerificationReport:
+def run_background(
+    spec: BackgroundSpec,
+    coupling: Optional[Fraction] = None,
+    eval_point: Optional[Dict[str, Fraction]] = None,
+) -> VerificationReport:
+    """Run spec's checks, then its eval_points and the CLI's eval_point.
+
+    Any exception, an evaluation point that misses a variable included,
+    becomes this report's error; the other backgrounds are not affected.
+    """
     report = VerificationReport(background=spec.name)
     report.convention_notes.extend(CONVENTION_NOTES)
     bg = spec.background
@@ -70,12 +79,19 @@ def run_background(spec: BackgroundSpec, coupling: Optional[Fraction] = None) ->
                 report.evaluations.append(
                     {"point": {k: str(v) for k, v in point.items()}, "values": values}
                 )
+            if eval_point is not None:
+                report.point_values = evaluate_report_at_points(report, eval_point)
     except Exception as exc:  # noqa: BLE001 - carried into the report per background
         report.error = f"{type(exc).__name__}: {exc}"
     return report
 
 
-def run(manifest: Manifest, only: Optional[str] = None, coupling: Optional[Fraction] = None):
+def run(
+    manifest: Manifest,
+    only: Optional[str] = None,
+    coupling: Optional[Fraction] = None,
+    eval_point: Optional[Dict[str, Fraction]] = None,
+):
     """Verify each background in manifest order; returns (reports, exit code).
 
     Backgrounds run one after another: the work is pure Python under the
@@ -87,7 +103,7 @@ def run(manifest: Manifest, only: Optional[str] = None, coupling: Optional[Fract
         specs = [s for s in specs if s.name == only]
         if not specs:
             raise ManifestError(f"no background named {only!r} in the manifest")
-    reports = [run_background(spec, coupling) for spec in specs]
+    reports = [run_background(spec, coupling, eval_point) for spec in specs]
     if any(r.error for r in reports):
         code = EXIT_ERROR
     elif all(r.passed for r in reports):
@@ -117,7 +133,7 @@ def evaluate_report_at_points(
     return values
 
 
-def render_text(reports: List[VerificationReport], eval_point=None) -> str:
+def render_text(reports: List[VerificationReport]) -> str:
     lines = []
     for report in reports:
         lines.append(f"background {report.background}")
@@ -134,8 +150,8 @@ def render_text(reports: List[VerificationReport], eval_point=None) -> str:
             point_str = ", ".join(f"{k}={v}" for k, v in record["point"].items())
             for key, value in record["values"].items():
                 lines.append(f"  eval[{point_str}] {key} = {value}")
-        if eval_point is not None and not report.error:
-            for key, value in evaluate_report_at_points(report, eval_point).items():
+        if report.point_values is not None:
+            for key, value in report.point_values.items():
                 lines.append(f"  eval {key} = {value}")
     passed = sum(1 for r in reports if r.passed and not r.error)
     failed = sum(1 for r in reports if not r.passed and not r.error)
@@ -147,7 +163,8 @@ def render_text(reports: List[VerificationReport], eval_point=None) -> str:
     return "\n".join(lines)
 
 
-def render_json(reports: List[VerificationReport], eval_point=None) -> str:
+def render_json(reports: List[VerificationReport], with_eval: bool = False) -> str:
+    """The JSON report; with_eval adds the CLI point's values per background."""
     doc = {
         "schema": 1,
         "backgrounds": [r.to_dict() for r in reports],
@@ -157,11 +174,9 @@ def render_json(reports: List[VerificationReport], eval_point=None) -> str:
             "errored": sum(1 for r in reports if r.error),
         },
     }
-    if eval_point is not None:
+    if with_eval:
         doc["evaluations"] = {
-            r.background: evaluate_report_at_points(r, eval_point)
-            for r in reports
-            if not r.error
+            r.background: r.point_values for r in reports if r.point_values is not None
         }
     return json.dumps(doc, indent=2)
 
@@ -212,12 +227,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         manifest = parse_manifest(args.manifest)
         coupling = _parse_set(args.set_spec) if args.set_spec else None
         eval_point = _parse_point(args.eval_spec) if args.eval_spec else None
-        reports, code = run(manifest, only=args.only, coupling=coupling)
+        reports, code = run(manifest, only=args.only, coupling=coupling, eval_point=eval_point)
         fmt = args.format or manifest.report_format
         text = (
-            render_json(reports, eval_point)
+            render_json(reports, with_eval=eval_point is not None)
             if fmt == "json"
-            else render_text(reports, eval_point)
+            else render_text(reports)
         )
         print(text)
         return code

@@ -73,10 +73,50 @@ def _poly(text, where: str) -> Polynomial:
 
 
 def _fraction(text, where: str) -> Fraction:
+    if not (isinstance(text, str) or _is_int(text)):
+        raise ManifestError(f"{where}: bad rational {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ManifestError(f"{where}: bad rational {text!r}") from exc
+
+
+_JSON_TYPES = {list: "a list", dict: "an object", str: "a string"}
+
+
+def _is_int(value) -> bool:
+    """A JSON integer; true and false are bools, not integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _expect(value, kind: type, where: str):
+    """value itself if it has the JSON type kind, else a ManifestError naming where."""
+    if not isinstance(value, kind):
+        raise ManifestError(f"{where} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
+def _strings(value, where: str) -> list:
+    for i, item in enumerate(_expect(value, list, where)):
+        _expect(item, str, f"{where} item {i}")
+    return value
+
+
+def _entries(raw: dict, section: str, source: str):
+    """(name, entry) for each object of a top-level list; every entry needs a name."""
+    for i, entry in enumerate(_expect(raw.get(section, []), list, f"{source}: {section}")):
+        entry = _expect(entry, dict, f"{source}: {section} entry {i}")
+        name = entry.get("name")
+        if not isinstance(name, str) or not name:
+            raise ManifestError(f"{source}: {section} entry {i} needs a string 'name'")
+        yield name, entry
+
+
+def _ref(value, table: dict, where: str):
+    """The entry value names in table, else a ManifestError naming where."""
+    if not isinstance(value, str) or value not in table:
+        raise ManifestError(f"{where} {value!r}")
+    return table[value]
 
 
 def parse_manifest(path) -> Manifest:
@@ -95,7 +135,7 @@ def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
     if schema != 1:
         raise ManifestError(f"{source}: unsupported schema {schema!r}")
 
-    settings = raw.get("settings", {})
+    settings = _expect(raw.get("settings", {}), dict, f"{source}: settings")
     coupling = _fraction(settings.get("c", "1"), "settings.c")
     if coupling == 0:
         raise ManifestError("settings.c must be nonzero")
@@ -104,11 +144,10 @@ def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
         raise ManifestError(f"settings.format must be 'text' or 'json', got {report_format!r}")
 
     charts: Dict[str, Chart] = {}
-    for entry in raw.get("charts", []):
-        name = entry.get("name")
-        coords = entry.get("coordinates")
-        if not name or not coords:
-            raise ManifestError(f"{source}: chart entries need 'name' and 'coordinates'")
+    for name, entry in _entries(raw, "charts", source):
+        coords = _strings(entry.get("coordinates"), f"chart {name!r}: coordinates")
+        if not coords:
+            raise ManifestError(f"chart {name!r}: coordinates must not be empty")
         if name in charts:
             raise ManifestError(f"duplicate chart {name!r}")
         try:
@@ -118,14 +157,11 @@ def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
 
     metrics: Dict[str, ChartMetric] = {}
     metric_refs: Dict[str, dict] = {}
-    for entry in raw.get("metrics", []):
-        name = entry.get("name")
+    for name, entry in _entries(raw, "metrics", source):
         chart_ref = entry.get("chart")
-        if chart_ref not in charts:
-            raise ManifestError(f"metric {name!r}: unresolved chart reference {chart_ref!r}")
-        chart = charts[chart_ref]
+        chart = _ref(chart_ref, charts, f"metric {name!r}: unresolved chart reference")
         lower = entry.get("lower_triangular")
-        if not lower or len(lower) != chart.dim:
+        if not isinstance(lower, list) or len(lower) != chart.dim:
             raise ManifestError(
                 f"metric {name!r}: lower_triangular must have {chart.dim} rows"
             )
@@ -139,7 +175,7 @@ def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
         if not (
             isinstance(signature, list)
             and len(signature) == 2
-            and all(isinstance(k, int) for k in signature)
+            and all(_is_int(k) for k in signature)
         ):
             raise ManifestError(
                 f"metric {name!r}: signature must be a list of two integers, got {signature!r}"
@@ -156,18 +192,15 @@ def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
         metric_refs[name] = {"chart": chart_ref}
 
     forms: Dict[str, DifferentialForm] = {}
-    for entry in raw.get("forms", []):
-        name = entry.get("name")
-        chart_ref = entry.get("chart")
-        if chart_ref not in charts:
-            raise ManifestError(f"form {name!r}: unresolved chart reference {chart_ref!r}")
-        chart = charts[chart_ref]
+    for name, entry in _entries(raw, "forms", source):
+        chart = _ref(entry.get("chart"), charts, f"form {name!r}: unresolved chart reference")
         degree = entry.get("degree")
-        if not isinstance(degree, int) or degree < 0:
+        if not _is_int(degree) or degree < 0:
             raise ManifestError(f"form {name!r}: bad degree {degree!r}")
         total = DifferentialForm.zero(chart, degree)
-        for i, term in enumerate(entry.get("terms", [])):
-            indices = term.get("indices", [])
+        for i, term in enumerate(_expect(entry.get("terms", []), list, f"form {name!r} terms")):
+            term = _expect(term, dict, f"form {name!r} term {i}")
+            indices = _strings(term.get("indices", []), f"form {name!r} term {i} indices")
             if len(indices) != degree:
                 raise ManifestError(
                     f"form {name!r} term {i}: {len(indices)} indices for degree {degree}"
@@ -185,52 +218,44 @@ def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
 
     products: Dict[str, ProductChart] = {}
     product_refs: Dict[str, dict] = {}
-    for entry in raw.get("products", []):
-        name = entry.get("name")
+    for name, entry in _entries(raw, "products", source):
         base_ref = entry.get("base")
         fiber_ref = entry.get("fiber")
-        if base_ref not in metrics:
-            raise ManifestError(f"product {name!r}: unresolved base metric {base_ref!r}")
-        if fiber_ref not in metrics:
-            raise ManifestError(f"product {name!r}: unresolved fiber metric {fiber_ref!r}")
+        base = _ref(base_ref, metrics, f"product {name!r}: unresolved base metric")
+        fiber = _ref(fiber_ref, metrics, f"product {name!r}: unresolved fiber metric")
         warping = _poly(entry.get("warping", "1"), f"product {name!r} warping")
         if name in products:
             raise ManifestError(f"duplicate product {name!r}")
         try:
-            products[name] = build_product(metrics[base_ref], metrics[fiber_ref], warping)
+            products[name] = build_product(base, fiber, warping)
         except (ChartError, MetricError, NonPolynomialDivision) as exc:
             raise ManifestError(f"product {name!r}: {exc}") from exc
         product_refs[name] = {"base": base_ref, "fiber": fiber_ref}
 
     backgrounds: List[BackgroundSpec] = []
-    raw_backgrounds = raw.get("backgrounds", [])
-    if not raw_backgrounds:
-        raise ManifestError(f"{source}: manifest declares no backgrounds")
     seen = set()
-    for entry in raw_backgrounds:
-        name = entry.get("name")
-        if not name or name in seen:
-            raise ManifestError(f"missing or duplicate background name {name!r}")
+    for name, entry in _entries(raw, "backgrounds", source):
+        if name in seen:
+            raise ManifestError(f"duplicate background name {name!r}")
         seen.add(name)
         product_ref = entry.get("product")
-        if product_ref not in products:
-            raise ManifestError(f"background {name!r}: unresolved product {product_ref!r}")
-        pc = products[product_ref]
-        flux_entry = entry.get("flux", {})
+        pc = _ref(product_ref, products, f"background {name!r}: unresolved product")
         pieces = {}
         flux_refs = {}
-        for key, ref in flux_entry.items():
+        for key, ref in _expect(entry.get("flux", {}), dict, f"background {name!r}: flux").items():
             if key not in FLUX_KEYS:
                 raise ManifestError(f"background {name!r}: unknown flux piece {key!r}")
-            if ref not in forms:
-                raise ManifestError(f"background {name!r}: unresolved form {ref!r}")
-            pieces[key] = forms[ref]
+            pieces[key] = _ref(ref, forms, f"background {name!r}: unresolved form")
             flux_refs[key] = ref
-        checks = list(entry.get("checks", []))
+        checks = list(_strings(entry.get("checks", []), f"background {name!r}: checks"))
         if not checks:
             raise ManifestError(f"background {name!r}: at least one check is required")
         case = entry.get("case")
+        if case is not None and not _is_int(case):
+            raise ManifestError(f"background {name!r}: case must be an integer, got {case!r}")
         theorem = entry.get("theorem")
+        if theorem is not None:
+            _expect(theorem, str, f"background {name!r}: theorem")
         for check in checks:
             if check not in KNOWN_CHECKS and check != "theorem":
                 raise ManifestError(f"background {name!r}: unknown check {check!r}")
@@ -239,7 +264,9 @@ def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
         if "theorem" in checks and not theorem:
             raise ManifestError(f"background {name!r}: check 'theorem' needs a 'theorem' shape")
         eval_points = []
-        for pt in entry.get("eval_points", []):
+        where = f"background {name!r}: eval_points"
+        for i, pt in enumerate(_expect(entry.get("eval_points", []), list, where)):
+            pt = _expect(pt, dict, f"{where} item {i}")
             eval_points.append({k: _fraction(v, f"background {name!r} eval point") for k, v in pt.items()})
         try:
             background = assemble_flux(pc, FluxAnsatz(c=coupling, **pieces))
@@ -259,6 +286,8 @@ def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
             )
         )
 
+    if not backgrounds:
+        raise ManifestError(f"{source}: manifest declares no backgrounds")
     return Manifest(
         charts=charts,
         metrics=metrics,
@@ -274,12 +303,12 @@ def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
 
 def _symmetric_from_lower(lower, chart: Chart, where: str):
     n = chart.dim
-    if len(lower) != n:
+    if len(_expect(lower, list, where)) != n:
         raise ManifestError(f"{where}: expected {n} rows")
     zero = Polynomial.zero()
     g = [[zero] * n for _ in range(n)]
     for i, row in enumerate(lower):
-        if len(row) != i + 1:
+        if len(_expect(row, list, f"{where} row {i}")) != i + 1:
             raise ManifestError(f"{where}: row {i} must have {i + 1} entries")
         for j, text in enumerate(row):
             p = _poly(text, f"{where} entry ({i},{j})")

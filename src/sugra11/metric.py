@@ -17,6 +17,20 @@ Sign conventions are fixed once and used everywhere:
     Einstein block law, and ``contraction_matrix`` is its one
     implementation.
 
+Every pairing and star above is a sum of Gram minors det g_inv[I, J].
+Each ``ChartMetric`` keeps one table of them, created with the metric and
+living as long as it; ``_gram_minor`` is the only code that reads or
+fills it.  The key is one int built from the row and column bitmasks;
+g_inv is symmetric, so a minor and its transpose share an entry.  A miss
+is a Laplace expansion along its first row over (p-1)-minors taken from
+the same table, so each minor is computed once per metric and process,
+whichever of ``hodge_star``, ``inner_product_forms`` or
+``contraction_matrix`` asks.  A factor metric and the 11-dimensional
+product metric have separate tables: the block-law audits, which work on
+the factors, never read an entry of the direct computation and stay
+independent checks.  ``poly_det`` is left to ``make_metric`` (det g and
+its cofactors).
+
 On a negative-definite factor this star differs from the
 Euclidean-signature star by (-1)^p on p-forms, which shows up as
 recorded sign deviations next to values quoted from positive-definite
@@ -144,6 +158,7 @@ class ChartMetric:
         self.det_sign = det_sign
         self.sqrt_abs_det = sqrt_abs_det
         self._curvature = None  # lazily filled by the curvature module
+        self._minors: Dict[int, Polynomial] = {}  # read and filled by _gram_minor only
 
     @property
     def dim(self) -> int:
@@ -355,8 +370,42 @@ def vector_inner(m: ChartMetric, a: VectorField, b: VectorField) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 def _gram_minor(m: ChartMetric, rows: Tuple[int, ...], cols: Tuple[int, ...]) -> Polynomial:
-    sub = tuple(tuple(m.g_inv[r][c] for c in cols) for r in rows)
-    return poly_det(sub)
+    """det g_inv[rows, cols] for increasing index tuples of equal length,
+    from the metric's table of minors (see the module docstring)."""
+    rmask = sum(1 << r for r in rows)
+    cmask = sum(1 << c for c in cols)
+    return _mask_minor(m._minors, m.g_inv, m.dim, rmask, cmask)
+
+
+def _mask_minor(
+    table: Dict[int, Polynomial], g_inv: Matrix, n: int, rmask: int, cmask: int
+) -> Polynomial:
+    # g_inv is symmetric, so a minor and its transpose share one key
+    key = (rmask << n) | cmask if rmask <= cmask else (cmask << n) | rmask
+    hit = table.get(key)
+    if hit is not None:
+        return hit
+    if not rmask:
+        table[key] = value = Polynomial.constant(1)
+        return value
+    low = rmask & -rmask
+    row = g_inv[low.bit_length() - 1]
+    rest = rmask ^ low
+    total = Polynomial.zero()
+    negative = False
+    cols = cmask
+    while cols:
+        bit = cols & -cols
+        cols ^= bit
+        entry = row[bit.bit_length() - 1]
+        if not entry.is_zero():
+            sub = _mask_minor(table, g_inv, n, rest, cmask ^ bit)
+            if not sub.is_zero():
+                term = entry * sub
+                total = total - term if negative else total + term
+        negative = not negative
+    table[key] = value = Polynomial.zero() if total.is_zero() else total
+    return value
 
 
 def inner_product_forms(m: ChartMetric, a: DifferentialForm, b: DifferentialForm) -> Polynomial:

@@ -101,6 +101,8 @@ class VerificationReport:
     convention_notes: List[str] = field(default_factory=list)
     evaluations: List[dict] = field(default_factory=list)
     error: str | None = None
+    # residual values at the CLI's --eval point; None when there is none or on error
+    point_values: Dict[str, str] | None = None
 
     @property
     def passed(self) -> bool:

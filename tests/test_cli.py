@@ -233,8 +233,38 @@ def _repeated_index(doc):
     return "form 'du_theta' term 0"
 
 
+def _scalar_term(doc):
+    doc["forms"][0]["terms"] = [5]
+    return "form 'du_theta' term 0"
+
+
+def _string_checks(doc):
+    doc["backgrounds"][0]["checks"] = "maxwell"
+    return "background 'solution1': checks"
+
+
+def _string_coordinates(doc):
+    doc["charts"][0]["coordinates"] = "y1"
+    return "chart 'base5': coordinates"
+
+
+def _string_case(doc):
+    doc["backgrounds"][0]["case"] = "6"
+    return "background 'solution1': case"
+
+
 @pytest.mark.parametrize(
-    "corrupt", [_wrong_inverse, _duplicate_coordinate, _scalar_signature, _repeated_index]
+    "corrupt",
+    [
+        _wrong_inverse,
+        _duplicate_coordinate,
+        _scalar_signature,
+        _repeated_index,
+        _scalar_term,
+        _string_checks,
+        _string_coordinates,
+        _string_case,
+    ],
 )
 def test_bad_manifest_entry_exits_2_with_one_line(tmp_path, capsys, corrupt):
     doc = json.loads((MANIFESTS / "solution1.json").read_text())
@@ -265,3 +295,25 @@ def test_bad_eval_point_is_that_background_error(tmp_path, capsys):
     assert main(["--manifest", str(path)]) == EXIT_ERROR
     out = capsys.readouterr().out
     assert "background no_eval" in out and "summary: 0 passed, 1 failed, 1 errored" in out
+
+
+def test_eval_point_missing_a_variable_is_that_background_error(tmp_path, capsys):
+    doc = json.loads((MANIFESTS / "solution4_literal.json").read_text())
+    failing = doc["backgrounds"][0]
+    # no residual, so nothing to evaluate and no variable to miss
+    closed = dict(failing, name="closed_only", checks=["closedness"])
+    doc["backgrounds"] = [failing, closed]
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--manifest", str(path), "--eval", "x1=1"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    out = captured.out
+    error = "ERROR: ManifestError: evaluation point misses a variable"
+    assert f"background {failing['name']}\n  {error}" in out
+    assert "background closed_only\n  closedness: PASS" in out
+    assert "summary: 1 passed, 0 failed, 1 errored" in out
+    assert main(["--manifest", str(path), "--eval", "x1=1", "--format", "json"]) == EXIT_ERROR
+    report = json.loads(capsys.readouterr().out)
+    assert [b["verdict"] for b in report["backgrounds"]] == ["error", "pass"]
+    assert report["evaluations"] == {"closed_only": {}}

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -17,6 +18,7 @@ from sugra11.metric import (
     InverseMismatch,
     MetricError,
     NonPolynomialInverse,
+    _gram_minor,
     contraction_matrix,
     flat,
     hodge_star,
@@ -24,6 +26,7 @@ from sugra11.metric import (
     is_null,
     make_metric,
     norm_sq,
+    poly_det,
     sharp,
     volume_form,
 )
@@ -296,3 +299,113 @@ def test_contraction_matrix_matches_pairwise_inner_products():
     )
     zero_form = DifferentialForm.function(m.chart, H_EXAMPLE)
     assert all(e.is_zero() for row in contraction_matrix(m, zero_form) for e in row)
+
+
+# -- the table of Gram minors ---------------------------------------------------------
+
+D5 = Chart("D5", ("a", "b", "c", "e", "f"))
+
+
+def _matmul(x, y):
+    n = len(x)
+    return [[sum((x[i][k] * y[k][j] for k in range(n)), P0) for j in range(n)] for i in range(n)]
+
+
+def _transpose(x):
+    return [list(row) for row in zip(*x)]
+
+
+def dense_metric(chart, shift):
+    """g = J^T D J for a unit upper-triangular polynomial J and a constant
+    diagonal D, so both g and g_inv = K D^-1 K^T, K = J^-1, are dense and
+    polynomial; K = sum_k (I - J)^k because I - J is nilpotent.  J has a
+    coordinate on its superdiagonal and constants above it."""
+    n = chart.dim
+    xs = [Polynomial.variable(c) for c in chart.coordinates]
+    eye = [[P1 if i == j else P0 for j in range(n)] for i in range(n)]
+
+    def above(i, j):
+        return xs[(i + shift) % n] if j == i + 1 else Polynomial.constant(i + j + shift)
+
+    jac = [[P1 if i == j else (above(i, j) if i < j else P0) for j in range(n)] for i in range(n)]
+    nil = [[-jac[i][j] if i != j else P0 for j in range(n)] for i in range(n)]
+    inv_jac, power = eye, eye
+    for _ in range(n - 1):
+        power = _matmul(power, nil)
+        inv_jac = [[inv_jac[i][j] + power[i][j] for j in range(n)] for i in range(n)]
+    values = (1, -1, -2, -1, -2)[:n]
+    g = _matmul(_matmul(_transpose(jac), diag(*values)), jac)
+    d_inv = diag(*(Fraction(1, v) for v in values))
+    g_inv = _matmul(_matmul(inv_jac, d_inv), _transpose(inv_jac))
+    return make_metric(chart, g, g_inv, signature=(1, n - 1))
+
+
+def _submatrix_det(m, rows, cols):
+    return poly_det(tuple(tuple(m.g_inv[r][c] for c in cols) for r in rows))
+
+
+def test_gram_minor_table_matches_poly_det_and_its_transpose():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    m = dense_metric(D5, 1)  # one table for every example, so later ones also read hits
+    n = m.dim
+    assert all(not e.is_zero() for row in m.g_inv for e in row)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def check(data):
+        p = data.draw(st.integers(0, n))
+        subset = st.sets(st.integers(0, n - 1), min_size=p, max_size=p).map(sorted).map(tuple)
+        rows, cols = data.draw(subset), data.draw(subset)
+        minor = _gram_minor(m, rows, cols)
+        assert minor == _submatrix_det(m, rows, cols)
+        assert _gram_minor(m, cols, rows) == minor
+
+    check()
+
+
+def _reference_inner(m, a, b):
+    """<a, b> = sum_{I,J} a_I b_J det g_inv[I, J], one poly_det per minor."""
+    total = P0
+    for ia, pa in a.components.items():
+        for ib, pb in b.components.items():
+            total = total + pa * pb * _submatrix_det(m, ia, ib)
+    return total
+
+
+def _reference_star(m, a):
+    """star(a) = sum_R (sum_C a_C det g_inv[R, C]) sgn(R R^c) sqrt|det g| dx^(R^c)."""
+    n, p = m.dim, a.degree
+    out = DifferentialForm.zero(m.chart, n - p)
+    for rows in combinations(range(n), p):
+        rest = tuple(i for i in range(n) if i not in rows)
+        order = rows + rest
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if order[i] > order[j])
+        coeff = P0
+        for cols, pa in a.components.items():
+            coeff = coeff + pa * _submatrix_det(m, rows, cols)
+        coeff = coeff * m.sqrt_abs_det * Fraction((-1) ** inversions)
+        out = out + DifferentialForm(m.chart, n - p, {rest: coeff})
+    return out
+
+
+def test_star_and_inner_product_on_a_dense_metric_match_poly_det_reference():
+    rng = random.Random(31)
+    m = dense_metric(D5, 2)
+    for p in range(m.dim + 1):
+        a = random_form(rng, m.chart, p, terms=2)
+        b = random_form(rng, m.chart, p, terms=2)
+        assert inner_product_forms(m, a, b) == _reference_inner(m, a, b)
+        assert hodge_star(m, a) == _reference_star(m, a)
+
+
+def test_each_metric_has_its_own_minor_table():
+    first, second = dense_metric(D5, 1), dense_metric(D5, 3)
+    assert first.g_inv != second.g_inv
+    rows, cols = (0, 2), (1, 3)
+    one = _gram_minor(first, rows, cols)
+    two = _gram_minor(second, rows, cols)
+    assert one == _submatrix_det(first, rows, cols)
+    assert two == _submatrix_det(second, rows, cols)
+    assert one != two
