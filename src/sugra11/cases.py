@@ -48,6 +48,13 @@ def _require_shape(ansatz: FluxAnsatz, case: int):
         raise CaseShapeError(
             f"case {case} expects pieces {sorted(allowed)}, ansatz has {sorted(present)}"
         )
+    # cases 8 and 9 read an absent piece as zero; the others read all of theirs
+    missing = set() if case in (8, 9) else allowed - present
+    if missing:
+        raise CaseShapeError(
+            f"case {case} needs pieces {sorted(missing)} that the ansatz lacks "
+            f"(it has {sorted(present)})"
+        )
 
 
 def proportionality_to_volume(m: ChartMetric, top_form: DifferentialForm):

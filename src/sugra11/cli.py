@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .cases import check_special_case
+from .cases import CaseShapeError, check_special_case
 from .fieldeqs import (
     check_closedness,
     check_einstein,
@@ -44,6 +44,7 @@ def run_background(
 
     Any exception, an evaluation point that misses a variable included,
     becomes this report's error; the other backgrounds are not affected.
+    A case that does not fit the flux is reported by its message alone.
     """
     report = VerificationReport(background=spec.name)
     report.convention_notes.extend(CONVENTION_NOTES)
@@ -81,6 +82,8 @@ def run_background(
                 )
             if eval_point is not None:
                 report.point_values = evaluate_report_at_points(report, eval_point)
+    except CaseShapeError as exc:  # a case that does not fit the flux: the message says why
+        report.error = str(exc)
     except Exception as exc:  # noqa: BLE001 - carried into the report per background
         report.error = f"{type(exc).__name__}: {exc}"
     return report

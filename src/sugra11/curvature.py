@@ -21,7 +21,7 @@ from typing import Dict, Tuple
 
 from .exterior import VectorField
 from .metric import ChartMetric
-from .polyring import Polynomial
+from .polyring import Polynomial, sum_of_products
 
 Matrix = Tuple[Tuple[Polynomial, ...], ...]
 
@@ -73,16 +73,15 @@ def _compute_curvature(m: ChartMetric) -> CurvatureData:
     for k in range(n):
         for i in range(n):
             for j in range(i, n):
-                total = zero
+                products = []
                 for l in range(n):
                     ginv = m.g_inv[k][l]
                     if ginv.is_zero():
                         continue
                     bracket = dpart(i, j, l) + dpart(j, i, l) - dpart(l, i, j)
                     if not bracket.is_zero():
-                        total = total + ginv * bracket
-                if not total.is_zero():
-                    total = total * Fraction(1, 2)
+                        products.append((1, ginv, bracket))
+                total = sum_of_products(products) * Fraction(1, 2)
                 gamma[k][i][j] = total
                 gamma[k][j][i] = total
 
@@ -99,19 +98,21 @@ def _compute_curvature(m: ChartMetric) -> CurvatureData:
             c = contracted[i]
             if not c.is_zero():
                 total = total - c.partial(names[j])
+            products = []
             for l in range(n):
                 g_lij = gamma[l][i][j]
                 if not g_lij.is_zero():
                     cl = contracted[l]
                     if not cl.is_zero():
-                        total = total + cl * g_lij
+                        products.append((1, cl, g_lij))
                 for k in range(n):
                     a = gamma[k][j][l]
                     if a.is_zero():
                         continue
                     b = gamma[l][i][k]
                     if not b.is_zero():
-                        total = total - a * b
+                        products.append((-1, a, b))
+            total = total + sum_of_products(products)
             ric[i][j] = total
             ric[j][i] = total
 

@@ -34,7 +34,7 @@ with C the contraction matrix <i_j ., i_k .> on the factor.  The direct
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
@@ -111,6 +111,8 @@ class Background:
     product: ProductChart
     flux: DifferentialForm
     ansatz: FluxAnsatz
+    # the direct Einstein residual, lazily filled by _direct_einstein
+    _einstein: Optional[Matrix] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def metric(self) -> ChartMetric:
@@ -395,8 +397,17 @@ def check_maxwell(bg: Background) -> CheckResult:
 def check_einstein(bg: Background) -> CheckResult:
     """Full symmetric residual matrix of the stress-energy identity."""
     result = CheckResult("einstein")
-    result.residuals["einstein_residual"] = einstein_residual_matrix(bg)
+    result.residuals["einstein_residual"] = _direct_einstein(bg)
     return result
+
+
+def _direct_einstein(bg: Background) -> Matrix:
+    """einstein_residual_matrix(bg), built once per background and kept on it."""
+    cached = bg._einstein
+    if cached is None:
+        cached = einstein_residual_matrix(bg)
+        object.__setattr__(bg, "_einstein", cached)
+    return cached
 
 
 def einstein_residual_matrix(bg: Background) -> Matrix:
@@ -426,7 +437,7 @@ def split_einstein(bg: Background) -> CheckResult:
     a = bg.ansatz
     g, gt = pc.base, pc.fiber
     nb, nf = g.dim, gt.dim
-    direct = einstein_residual_matrix(bg)
+    direct = _direct_einstein(bg)
 
     # the HH and VV braces, one type at a time (see the module docstring)
     hh_brace = [[Polynomial.zero()] * nb for _ in range(nb)]

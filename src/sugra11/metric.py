@@ -55,7 +55,7 @@ from .exterior import (
     _sort_with_sign,
     interior_product,
 )
-from .polyring import NotAPerfectSquare, Polynomial, poly_sqrt
+from .polyring import NotAPerfectSquare, Polynomial, poly_sqrt, sum_of_products
 
 CONVENTION_NOTES = (
     "Riemannian factors are negative definite; the Hodge dual on such a factor "
@@ -93,7 +93,7 @@ def _as_matrix(rows: Sequence[Sequence[Polynomial]]) -> Matrix:
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n = len(a)
     return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(n)), Polynomial.zero()) for j in range(n))
+        tuple(sum_of_products((1, a[i][k], b[k][j]) for k in range(n)) for j in range(n))
         for i in range(n)
     )
 
@@ -391,8 +391,8 @@ def _mask_minor(
     low = rmask & -rmask
     row = g_inv[low.bit_length() - 1]
     rest = rmask ^ low
-    total = Polynomial.zero()
-    negative = False
+    products = []
+    sign = 1
     cols = cmask
     while cols:
         bit = cols & -cols
@@ -401,9 +401,9 @@ def _mask_minor(
         if not entry.is_zero():
             sub = _mask_minor(table, g_inv, n, rest, cmask ^ bit)
             if not sub.is_zero():
-                term = entry * sub
-                total = total - term if negative else total + term
-        negative = not negative
+                products.append((sign, entry, sub))
+        sign = -sign
+    total = sum_of_products(products)
     table[key] = value = Polynomial.zero() if total.is_zero() else total
     return value
 

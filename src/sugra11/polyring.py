@@ -1,11 +1,16 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a map from exponent vectors to nonzero Fraction
+A polynomial is a map from exponent vectors to nonzero rational
 coefficients, together with an ordered tuple of variable names.  All
 arithmetic is exact; there is no floating point anywhere.  Zero testing
 (``is_zero``) is the primitive every residual check in this package
 reduces to, so results are always kept in canonical form:
 
+  * a coefficient is a plain ``int`` when it is integral and a
+    ``Fraction`` only when it is not (``_coefficient``, applied by the
+    constructor, is the one place that decides), and never a float:
+    every division goes through ``Fraction``, and ``constant_value`` and
+    ``evaluate`` return ``Fraction``,
   * no zero coefficients are stored,
   * variable tuples are sorted by name and pruned to the variables that
     actually occur, so equality is structural,
@@ -15,6 +20,10 @@ Mixing polynomials over different variable sets is allowed: operands are
 silently promoted to the union of their variable lists (sorted by name),
 which is the common case on product charts where base and fiber
 coordinates meet.
+
+``sum_of_products`` is the one multiply-accumulate kernel: a sum of
+signed products lands in a single term map and becomes one canonical
+polynomial, instead of a chain of partial sums that each re-canonicalize.
 """
 
 from __future__ import annotations
@@ -22,11 +31,11 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple
+from operator import add
+from typing import Dict, Iterable, Mapping, Tuple, Union
 
 Exponent = Tuple[int, ...]
-
-_ZERO = Fraction(0)
+Coefficient = Union[int, Fraction]
 
 
 class NotAPerfectSquare(ValueError):
@@ -41,22 +50,36 @@ def _grlex_key(exp: Exponent):
     return (sum(exp), exp)
 
 
+def _coefficient(value) -> Coefficient:
+    """The stored form of a rational: an int when integral, else a Fraction."""
+    if type(value) is int:
+        return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, int):  # an int subclass such as bool, as the operators accept
+        return int(value)
+    raise TypeError(f"polynomial coefficients are int or Fraction, not {type(value).__name__}")
+
+
 class Polynomial:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial with int or non-integral Fraction coefficients."""
 
     __slots__ = ("variables", "terms", "_hash")
 
-    def __init__(self, variables: Iterable[str] = (), terms: Mapping[Exponent, Fraction] | None = None):
+    def __init__(
+        self, variables: Iterable[str] = (), terms: Mapping[Exponent, Coefficient] | None = None
+    ):
         varlist = tuple(variables)
-        clean: Dict[Exponent, Fraction] = {}
+        clean: Dict[Exponent, Coefficient] = {}
         if terms:
-            for exp, coeff in terms.items():
-                c = Fraction(coeff)
-                if c != 0:
+            for exp, c in terms.items():
+                if type(c) is not int:
+                    c = _coefficient(c)
+                if c:
                     clean[tuple(exp)] = c
         # prune variables that never occur with a positive exponent
         if varlist and clean:
-            used = [any(exp[i] for exp in clean) for i in range(len(varlist))]
+            used = [any(column) for column in zip(*clean)]
             if not all(used):
                 keep = [i for i, u in enumerate(used) if u]
                 varlist = tuple(varlist[i] for i in keep)
@@ -84,12 +107,12 @@ class Polynomial:
         return _P_ZERO
 
     @staticmethod
-    def constant(value) -> "Polynomial":
-        return Polynomial((), {(): Fraction(value)})
+    def constant(value: Coefficient) -> "Polynomial":
+        return Polynomial((), {(): value})
 
     @staticmethod
     def variable(name: str) -> "Polynomial":
-        return Polynomial((name,), {(1,): Fraction(1)})
+        return Polynomial((name,), {(1,): 1})
 
     # -- predicates ----------------------------------------------------
 
@@ -103,7 +126,7 @@ class Polynomial:
         """The value of a constant polynomial (0 for the zero polynomial)."""
         if self.variables:
             raise ValueError(f"not a constant polynomial: {self}")
-        return self.terms.get((), _ZERO)
+        return Fraction(self.terms.get((), 0))
 
     # -- variable alignment ---------------------------------------------
 
@@ -117,14 +140,15 @@ class Polynomial:
 
     def __add__(self, other) -> "Polynomial":
         other = _coerce(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         varlist, a, b = self._aligned(other)
         out = dict(a)
+        get = out.get
         for exp, c in b.items():
-            s = out.get(exp, _ZERO) + c
-            if s:
-                out[exp] = s
-            elif exp in out:
-                del out[exp]
+            out[exp] = get(exp, 0) + c
         return Polynomial(varlist, out)
 
     __radd__ = __add__
@@ -140,24 +164,10 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if q == 0:
+            if not other or not self.terms:
                 return _P_ZERO
-            return Polynomial(self.variables, {e: c * q for e, c in self.terms.items()})
-        other = _coerce(other)
-        if self.is_zero() or other.is_zero():
-            return _P_ZERO
-        varlist, a, b = self._aligned(other)
-        out: Dict[Exponent, Fraction] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(key, _ZERO) + ca * cb
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        return Polynomial(varlist, out)
+            return Polynomial(self.variables, {e: c * other for e, c in self.terms.items()})
+        return sum_of_products([(1, self, _coerce(other))])
 
     __rmul__ = __mul__
 
@@ -194,13 +204,12 @@ class Polynomial:
         if var not in self.variables:
             return _P_ZERO
         i = self.variables.index(var)
-        out: Dict[Exponent, Fraction] = {}
+        out: Dict[Exponent, Coefficient] = {}
         for exp, c in self.terms.items():
             k = exp[i]
             if k == 0:
                 continue
-            newexp = exp[:i] + (k - 1,) + exp[i + 1:]
-            out[newexp] = out.get(newexp, _ZERO) + c * k
+            out[exp[:i] + (k - 1,) + exp[i + 1:]] = c * k
         return Polynomial(self.variables, out)
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
@@ -210,7 +219,7 @@ class Polynomial:
             if v not in point:
                 raise KeyError(f"no value supplied for variable {v!r}")
             vals.append(Fraction(point[v]))
-        total = _ZERO
+        total = Fraction(0)
         for exp, c in self.terms.items():
             term = c
             for val, k in zip(vals, exp):
@@ -235,7 +244,7 @@ class Polynomial:
 
     # -- leading data (graded lex) -----------------------------------------
 
-    def leading(self) -> Tuple[Exponent, Fraction]:
+    def leading(self) -> Tuple[Exponent, Coefficient]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         exp = max(self.terms, key=_grlex_key)
@@ -272,7 +281,34 @@ class Polynomial:
 _P_ZERO = Polynomial()
 
 
-def _remap(p: Polynomial, union: Tuple[str, ...]) -> Dict[Exponent, Fraction]:
+def sum_of_products(products: Iterable[Tuple[int, Polynomial, Polynomial]]) -> Polynomial:
+    """The sum of sign * a * b over (sign, a, b) triples, sign +1 or -1.
+
+    Every product is accumulated into one term map over the union of the
+    operands' variables, and one canonical polynomial is built at the end.
+    """
+    products = [t for t in products if t[1].terms and t[2].terms]
+    if not products:
+        return _P_ZERO
+    varsets = {p.variables for _, a, b in products for p in (a, b)}
+    if len(varsets) == 1:
+        (union,) = varsets
+    else:
+        union = tuple(sorted(set().union(*varsets)))
+    out: Dict[Exponent, Coefficient] = {}
+    get = out.get
+    for sign, a, b in products:
+        b_items = _remap(b, union).items()
+        for ea, ca in _remap(a, union).items():
+            if sign < 0:
+                ca = -ca
+            for eb, cb in b_items:
+                key = tuple(map(add, ea, eb))
+                out[key] = get(key, 0) + ca * cb
+    return Polynomial(union, out)
+
+
+def _remap(p: Polynomial, union: Tuple[str, ...]) -> Dict[Exponent, Coefficient]:
     if p.variables == union:
         return p.terms
     pos = [union.index(v) for v in p.variables]
@@ -316,15 +352,18 @@ def parse_polynomial(text: str) -> Polynomial:
             raise PolynomialGrammarError(f"unexpected character {m.group('bad')!r} in {text!r}")
         if m.group("rat"):
             num, den = m.group("rat").split("/")
+            if not int(den):
+                raise PolynomialGrammarError(f"zero denominator in {text!r}")
             tokens.append(("num", Fraction(int(num), int(den))))
         elif m.group("int"):
-            tokens.append(("num", Fraction(int(m.group("int")))))
+            tokens.append(("num", int(m.group("int"))))
         elif m.group("name"):
             tokens.append(("name", m.group("name")))
         else:
             tokens.append(("op", m.group("op")))
 
-    result = _P_ZERO
+    # monomial, as sorted (name, exponent) pairs with exponent > 0 -> coefficient
+    terms: Dict[Tuple[Tuple[str, int], ...], Coefficient] = {}
     i = 0
     n = len(tokens)
     sign = 1
@@ -342,7 +381,7 @@ def parse_polynomial(text: str) -> Polynomial:
             i += 1
             continue
         # parse one term
-        coeff = Fraction(1)
+        coeff: Coefficient = 1
         factors: Dict[str, int] = {}
         saw_anything = False
         while i < n:
@@ -371,17 +410,23 @@ def parse_polynomial(text: str) -> Polynomial:
                 raise PolynomialGrammarError(f"unexpected token {val!r} in {text!r}")
         if not saw_anything:
             raise PolynomialGrammarError(f"empty term in {text!r}")
-        term = Polynomial.constant(sign * coeff)
-        for name, k in factors.items():
-            term = term * Polynomial.variable(name) ** k
-        result = result + term
+        monomial = tuple(sorted((name, k) for name, k in factors.items() if k))
+        terms[monomial] = terms.get(monomial, 0) + sign * coeff
         sign = 1
         expect_term = False
     if expect_term and n:
         raise PolynomialGrammarError(f"dangling sign in {text!r}")
     if n == 0:
         raise PolynomialGrammarError("empty polynomial literal")
-    return result
+    names = sorted({name for monomial in terms for name, _ in monomial})
+    position = {name: j for j, name in enumerate(names)}
+    out: Dict[Exponent, Coefficient] = {}
+    for monomial, c in terms.items():
+        exp = [0] * len(names)
+        for name, k in monomial:
+            exp[position[name]] = k
+        out[tuple(exp)] = c
+    return Polynomial(names, out)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +461,7 @@ def poly_sqrt(p: Polynomial) -> Polynomial:
         if any(k < 0 for k in diff) or _grlex_key(diff) >= prev_key:
             raise NotAPerfectSquare(f"{p} is not a perfect square")
         prev_key = _grlex_key(diff)
-        root = root + Polynomial(p.variables, {diff: r_coeff / (2 * c)})
+        root = root + Polynomial(p.variables, {diff: Fraction(r_coeff) / (2 * c)})
         remainder = p - root * root
     return root
 
@@ -430,7 +475,7 @@ def _pad(exp: Exponent, varlist: Tuple[str, ...], target: Tuple[str, ...]) -> Ex
     return tuple(out)
 
 
-def _fraction_sqrt(q: Fraction) -> Fraction | None:
+def _fraction_sqrt(q: Coefficient) -> Fraction | None:
     if q < 0:
         return None
     num = _isqrt_exact(q.numerator)
@@ -447,6 +492,7 @@ def _isqrt_exact(n: int) -> int | None:
 
 def poly_divexact(num: Polynomial, den: Polynomial) -> Polynomial:
     """Exact polynomial division; raises ValueError when den does not divide num."""
+    num, den = _coerce(num), _coerce(den)
     if den.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if num.is_zero():
@@ -458,7 +504,7 @@ def poly_divexact(num: Polynomial, den: Polynomial) -> Polynomial:
     d_terms = _remap(den, varlist)
     d_lead = max(d_terms, key=_grlex_key)
     d_lead_coeff = d_terms[d_lead]
-    out: Dict[Exponent, Fraction] = {}
+    out: Dict[Exponent, Coefficient] = {}
     current = Polynomial(varlist, n_terms)
     while not current.is_zero():
         c_exp, c_coeff = current.leading()
@@ -466,7 +512,7 @@ def poly_divexact(num: Polynomial, den: Polynomial) -> Polynomial:
         q_exp = tuple(a - b for a, b in zip(c_exp, d_lead))
         if any(k < 0 for k in q_exp):
             raise ValueError(f"{den} does not divide {num}")
-        q_coeff = c_coeff / d_lead_coeff
+        q_coeff = Fraction(c_coeff) / d_lead_coeff
         out[q_exp] = q_coeff
         current = current - Polynomial(varlist, {q_exp: q_coeff}) * Polynomial(varlist, d_terms)
     return Polynomial(varlist, out)

@@ -5,6 +5,7 @@ the test asserts the biconditional: case residuals all zero if and only
 if the direct closedness and gauge residuals are all zero.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -323,3 +324,17 @@ def test_case_shape_mismatch_raises():
         check_special_case(bg, 1)
     with pytest.raises(CaseShapeError):
         check_special_case(bg, 10)
+
+
+@pytest.mark.parametrize("case, missing", [(6, "['beta_t', 'nu']"), (7, "['theta']")])
+def test_case_names_the_pieces_the_ansatz_lacks(case, missing):
+    pc, base, fiber = line_product()
+    if case == 6:
+        alpha_t = wedge(mono(fiber.chart, ("u",)), mono(fiber.chart, ("x2", "x3", "x4")))
+        flux = FluxAnsatz(alpha_t=alpha_t)
+    else:
+        flux = FluxAnsatz(varpi_t=mono(fiber.chart, ("u",)),
+                          epsilon=mono(base.chart, ("z1", "z2", "t")))
+    bg = assemble_flux(pc, flux)
+    with pytest.raises(CaseShapeError, match=rf"case {case} needs pieces {re.escape(missing)}"):
+        check_special_case(bg, case)

@@ -253,6 +253,11 @@ def _string_case(doc):
     return "background 'solution1': case"
 
 
+def _zero_denominator(doc):
+    doc["forms"][0]["terms"][0]["coeff"] = "1/0"
+    return "form 'du_theta' term 0"
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -264,6 +269,7 @@ def _string_case(doc):
         _string_checks,
         _string_coordinates,
         _string_case,
+        _zero_denominator,
     ],
 )
 def test_bad_manifest_entry_exits_2_with_one_line(tmp_path, capsys, corrupt):
@@ -317,3 +323,16 @@ def test_eval_point_missing_a_variable_is_that_background_error(tmp_path, capsys
     report = json.loads(capsys.readouterr().out)
     assert [b["verdict"] for b in report["backgrounds"]] == ["error", "pass"]
     assert report["evaluations"] == {"closed_only": {}}
+
+
+def test_case_missing_flux_pieces_is_that_background_error(tmp_path, capsys):
+    doc = json.loads((MANIFESTS / "solution1.json").read_text())
+    doc["backgrounds"][0]["checks"] = ["case"]
+    doc["backgrounds"][0]["case"] = 6  # needs alpha_t, beta_t and nu; solution1 has alpha_t
+    path = tmp_path / "case6.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--manifest", str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "  ERROR: case 6 needs pieces ['beta_t', 'nu']" in captured.out
+    assert "Error" not in captured.out and "Traceback" not in captured.out

@@ -447,3 +447,29 @@ def test_flux_term_missing_from_the_ansatz_trips_the_block_laws():
         flux_norm_sq(tampered)
     with pytest.raises(EngineInconsistency):
         check_maxwell(tampered)
+
+
+def test_einstein_then_split_builds_the_direct_matrix_once(monkeypatch):
+    def literal_background():
+        rho = rho_flat()
+        omega3 = DifferentialForm.monomial(rho.chart, ("x2", "x3", "x4"), Polynomial.variable("x2"))
+        H = (Polynomial.variable("x1") ** 4 + Polynomial.variable("x2") ** 4) * Fraction(1, 12)
+        return build_alpha_beta_nu_background(rho, omega3, H).background
+
+    alone_einstein = check_einstein(literal_background())
+    alone_split = split_einstein(literal_background())
+    original = fieldeqs.einstein_residual_matrix
+    calls = []
+
+    def counted(bg):
+        calls.append(bg)
+        return original(bg)
+
+    monkeypatch.setattr(fieldeqs, "einstein_residual_matrix", counted)
+    bg = literal_background()
+    einstein = check_einstein(bg)
+    split = split_einstein(bg)
+    assert len(calls) == 1 and calls[0] is bg
+    assert not einstein.passed and not split.passed
+    assert einstein.residuals == alone_einstein.residuals
+    assert split.residuals == alone_split.residuals

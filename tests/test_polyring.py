@@ -13,6 +13,7 @@ from sugra11.polyring import (
     parse_polynomial,
     poly_divexact,
     poly_sqrt,
+    sum_of_products,
 )
 
 x = Polynomial.variable("x")
@@ -68,6 +69,63 @@ def test_quadratic_potential_built_by_add_and_scale():
         h = h + Polynomial.variable(f"x{i}") ** 2 * Fraction(1, 8)
     assert h == parse_polynomial("1/8*x1^2 + 1/8*x2^2 + 1/8*x3^2 + 1/8*x4^2")
     assert h.evaluate({"x1": 1, "x2": 1, "x3": 1, "x4": 1}) == Fraction(1, 2)
+
+
+# -- coefficient store: int when integral, Fraction otherwise, never float ------
+
+def assert_canonical(p):
+    for c in p.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (p, c)
+        assert c != 0
+
+
+signed_products = st.lists(
+    st.tuples(st.sampled_from((1, -1)), polynomials(max_terms=3), polynomials(max_terms=3)),
+    max_size=4,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomials(), polynomials(), rationals(), st.integers(-9, 9), st.integers(0, 3),
+       signed_products)
+def test_every_operation_stores_canonical_coefficients(p, q, r, k, n, products):
+    results = [p + q, p - q, -p, p * q, p * r, p * k, k * p, p ** n, p.partial("x"),
+               p.substitute({"x": q, "y": Polynomial.constant(r)}),
+               poly_divexact(p * q, q) if not q.is_zero() else p,
+               poly_sqrt(q * q), parse_polynomial(str(p)), sum_of_products(products)]
+    if r:
+        results.append(poly_divexact(p, Polynomial.constant(r)))
+    for result in results:
+        assert_canonical(result)
+    value = p.evaluate({"x": r, "y": k, "z": 1})
+    assert type(value) is Fraction
+    assert type(Polynomial.constant(k).constant_value()) is Fraction
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_products, rationals(), rationals(), rationals())
+def test_sum_of_products_is_the_sequential_sum(products, vx, vy, vz):
+    total = Polynomial.zero()
+    for sign, a, b in products:
+        total = total + a * b if sign > 0 else total - a * b
+    fused = sum_of_products(products)
+    assert fused == total
+    # a * b goes through the kernel too, so also compare values at a point
+    pt = {"x": vx, "y": vy, "z": vz}
+    assert fused.evaluate(pt) == sum(s * a.evaluate(pt) * b.evaluate(pt) for s, a, b in products)
+
+
+def test_divexact_with_integer_coefficients_is_exact():
+    assert poly_divexact(2 * x, 4) == x * Fraction(1, 2)
+    assert poly_divexact(2 * x, 4).terms == {(1,): Fraction(1, 2)}
+    assert poly_divexact(2 * x * y, 4 * y).terms == {(1,): Fraction(1, 2)}
+
+
+def test_float_coefficients_are_refused():
+    with pytest.raises(TypeError):
+        Polynomial.constant(0.5)
+    with pytest.raises(TypeError):
+        Polynomial(("x",), {(1,): 2.0})
 
 
 # -- calculus ----------------------------------------------------------------
@@ -159,7 +217,7 @@ def test_parse_basic_grammar():
 
 
 def test_parse_errors():
-    for bad in ("", "x +", "x ^ y", "@", "x^1/2"):
+    for bad in ("", "x +", "x ^ y", "@", "x^1/2", "1/0*x", "x^3/0"):
         with pytest.raises(PolynomialGrammarError):
             parse_polynomial(bad)
 
