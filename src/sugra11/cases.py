@@ -84,12 +84,8 @@ def check_special_case(bg: Background, case: int, c: Optional[Fraction] = None) 
     if case not in CASE_SHAPES:
         raise CaseShapeError(f"unknown case {case}")
     _require_shape(bg.ansatz, case)
-    f = bg.product.warping
-    if not f.is_constant():
-        raise CaseShapeError("case condition systems are stated for constant warping")
-    fval = f.constant_value()
     handler = _HANDLERS[case]
-    return handler(bg, fval, c if c is not None else bg.ansatz.c)
+    return handler(bg, bg.product.warping, c if c is not None else bg.ansatz.c)
 
 
 def _zero_on(chart_metric: ChartMetric, degree: int) -> DifferentialForm:

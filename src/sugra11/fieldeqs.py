@@ -18,10 +18,14 @@ that the type decomposition of Lambda^4(E + L) provides (star F,
 blocks).  A block-law mismatch is an engine bug and raises
 EngineInconsistency instead of failing the background.
 
+The warp f of a product is a nonzero rational constant (build_product
+refuses any other), so every block law below is stated for a constant f
+and every audit runs on every background.
+
 The decomposition is one table, ``TYPES``: each of the five flux types is
 (fiber piece t, base piece b, fiber degree q), and alpha_t and theta lack
 a factor.  The block laws read it with an absent factor taken as the unit
-0-form 1 (|1|^2 = 1, star 1 = vol, no contractions).  For a constant warp f
+0-form 1 (|1|^2 = 1, star 1 = vol, no contractions):
 
     |F|^2     = sum |t|^2 |b|^2 f^(-2q)
     star F    = sum (-1)^q f^(6-2q) star_t(t) ^ star_b(b)
@@ -38,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from .curvature import grad_norm_sq, hessian, laplace_beltrami, ricci
+from .curvature import ricci
 from .exterior import (
     ChartError,
     DegreeError,
@@ -166,10 +170,6 @@ def type_project(pc: ProductChart, form: DifferentialForm, fiber_degree: int) ->
     return DifferentialForm(form.chart, form.degree, comps)
 
 
-def _constant_warp(pc: ProductChart) -> Optional[Fraction]:
-    return pc.warping.constant_value() if pc.warping.is_constant() else None
-
-
 def _typed_pieces(pc: ProductChart, a: FluxAnsatz):
     """(t, b, q) for each type the ansatz carries; an absent factor is the unit 0-form."""
     unit = Polynomial.constant(1)
@@ -188,9 +188,7 @@ def _typed_pieces(pc: ProductChart, a: FluxAnsatz):
 def flux_norm_sq(bg: Background) -> Tuple[Polynomial, Polynomial]:
     """(direct <F,F>_h, block formula); the two are asserted equal."""
     direct = norm_sq(bg.metric, bg.flux)
-    f = _constant_warp(bg.product)
-    if f is None:
-        return direct, direct
+    f = bg.product.warping
     gt, g = bg.product.fiber, bg.product.base
     block = Polynomial.zero()
     for t, b, q in _typed_pieces(bg.product, bg.ansatz):
@@ -254,11 +252,9 @@ def check_closedness(bg: Background) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def star_flux_block(bg: Background) -> DifferentialForm:
-    """star F from the factor-star block formula (constant warp only)."""
+    """star F from the factor-star block formula."""
     pc = bg.product
-    f = _constant_warp(pc)
-    if f is None:
-        raise AnsatzError("block star formula needs a constant warping function")
+    f = pc.warping
     gt, g = pc.fiber, pc.base
     total = DifferentialForm.zero(pc.chart, 7)
     for t, b, q in _typed_pieces(pc, bg.ansatz):
@@ -300,9 +296,7 @@ def half_flux_wedge_flux_block(bg: Background) -> DifferentialForm:
 def typed_gauge_system(bg: Background) -> Dict[str, DifferentialForm]:
     """LHS - RHS of the four type components of d star F = 1/2 F^F."""
     pc = bg.product
-    f = _constant_warp(pc)
-    if f is None:
-        raise AnsatzError("typed gauge system needs a constant warping function")
+    f = pc.warping
     a = bg.ansatz
     gt, g = pc.fiber, pc.base
 
@@ -371,22 +365,19 @@ def check_maxwell(bg: Background) -> CheckResult:
     result = CheckResult("maxwell")
     result.residuals["d_star_F_minus_half_FF"] = residual
 
-    if _constant_warp(pc) is not None:
-        block_star = star_flux_block(bg)
-        if block_star != star_f_direct:
-            raise EngineInconsistency("star F block law failed")
-        block_ff = half_flux_wedge_flux_block(bg)
-        if block_ff != half_ff_direct:
-            raise EngineInconsistency("1/2 F^F block law failed")
-        typed = typed_gauge_system(bg)
-        recombined = DifferentialForm.zero(pc.chart, 8)
-        for fiber_deg, key in ((3, "type_3_5"), (4, "type_4_4"), (5, "type_5_3"), (6, "type_6_2")):
-            t = typed[key]
-            if t != type_project(pc, residual, fiber_deg):
-                raise EngineInconsistency(f"typed gauge block {key} does not match the projection")
-            recombined = recombined + t
-        if recombined != residual:
-            raise EngineInconsistency("typed gauge system does not recombine to the residual")
+    if star_flux_block(bg) != star_f_direct:
+        raise EngineInconsistency("star F block law failed")
+    if half_flux_wedge_flux_block(bg) != half_ff_direct:
+        raise EngineInconsistency("1/2 F^F block law failed")
+    typed = typed_gauge_system(bg)
+    recombined = DifferentialForm.zero(pc.chart, 8)
+    for fiber_deg, key in ((3, "type_3_5"), (4, "type_4_4"), (5, "type_5_3"), (6, "type_6_2")):
+        t = typed[key]
+        if t != type_project(pc, residual, fiber_deg):
+            raise EngineInconsistency(f"typed gauge block {key} does not match the projection")
+        recombined = recombined + t
+    if recombined != residual:
+        raise EngineInconsistency("typed gauge system does not recombine to the residual")
     return result
 
 
@@ -427,13 +418,8 @@ def einstein_residual_matrix(bg: Background) -> Matrix:
 def split_einstein(bg: Background) -> CheckResult:
     """HH/VV/HV block formulas, each asserted equal to the direct block."""
     pc = bg.product
-    f = _constant_warp(pc)
+    f = pc.warping
     result = CheckResult("einstein_blocks")
-    if f is None:
-        result.skipped = True
-        result.notes.append("skipped: block formulas need a constant warping function")
-        return result
-
     a = bg.ansatz
     g, gt = pc.base, pc.fiber
     nb, nf = g.dim, gt.dim
@@ -452,29 +438,15 @@ def split_einstein(bg: Background) -> CheckResult:
                 for j in range(m.dim):
                     brace[i][j] = brace[i][j] + outer * (inner * m.g[i][j] - 3 * c[i][j]) * w
 
+    # the warp terms (Hess f, Lap f, |grad f|^2) vanish for a constant f
     ric_g = ricci(g)
-    hess_f = hessian(g, pc.warping)
     hh_matrix: Matrix = tuple(
-        tuple(
-            ric_g[i][j]
-            - hess_f[i][j] * Fraction(nf, 1) * f ** (-1)
-            - hh_brace[i][j] * Fraction(1, 6)
-            for j in range(nb)
-        )
+        tuple(ric_g[i][j] - hh_brace[i][j] * Fraction(1, 6) for j in range(nb))
         for i in range(nb)
     )
-
     ric_gt = ricci(gt)
-    lap_f = laplace_beltrami(g, pc.warping)
-    grad_f_sq = grad_norm_sq(g, pc.warping)
-    fhat = lap_f * f ** (-1) + grad_f_sq * Fraction(nf - 1, 1) * f ** (-2)
     vv_matrix: Matrix = tuple(
-        tuple(
-            ric_gt[i][j]
-            - gt.g[i][j] * fhat * f ** 2
-            - vv_brace[i][j] * Fraction(1, 6) * f ** 2
-            for j in range(nf)
-        )
+        tuple(ric_gt[i][j] - vv_brace[i][j] * Fraction(1, 6) * f ** 2 for j in range(nf))
         for i in range(nf)
     )
 

@@ -13,8 +13,14 @@ The block Ricci formulas
     fhat = Lap_g(f)/f + (dim_fiber - 1) g(grad f, grad f)/f^2
 
 serve as an independent oracle against the direct curvature computation
-of the assembled metric.  All divisions must stay polynomial; when f
-does not divide, the oracle refuses rather than approximate.
+of the assembled metric.
+
+The warping f is a nonzero rational constant: build_product is the one
+place that decides this, refusing any other f, and ProductChart.warping
+holds it as a Fraction.  A non-constant f would need the coefficient
+ring localized at f.  The oracle keeps the general formulas above, with
+the constant wrapped as a polynomial, so it stays independent of the
+assembly.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ class NonPolynomialDivision(ValueError):
 class ProductChart:
     base: ChartMetric
     fiber: ChartMetric
-    warping: Polynomial
+    warping: Fraction
     chart: Chart
     assembled: ChartMetric
 
@@ -67,19 +73,18 @@ def build_product(
     base: ChartMetric,
     fiber: ChartMetric,
     warping: Polynomial | int | Fraction = 1,
-    assembled_inverse=None,
 ) -> ProductChart:
     """Assemble h = g + f^2 gt on the union chart, base coordinates first."""
-    if isinstance(warping, (int, Fraction)):
+    if not isinstance(warping, Polynomial):
         warping = Polynomial.constant(warping)
-    if warping.is_zero():
-        raise MetricError("warping function must be nonzero")
+    if not warping.is_constant():
+        raise NonPolynomialDivision(f"warping must be a nonzero constant, got {warping}")
+    warping = warping.constant_value()
+    if warping == 0:
+        raise MetricError("warping must be a nonzero constant, got 0")
     overlap = set(base.chart.coordinates) & set(fiber.chart.coordinates)
     if overlap:
         raise ChartError(f"base and fiber share coordinates: {sorted(overlap)}")
-    extraneous = set(warping.variables) - set(base.chart.coordinates)
-    if extraneous:
-        raise ChartError(f"warping function uses non-base variables: {sorted(extraneous)}")
 
     chart = Chart(
         f"{base.chart.name}x{fiber.chart.name}",
@@ -89,30 +94,18 @@ def build_product(
     n = nb + nf
     zero = Polynomial.zero()
     f_sq = warping * warping
+    inv_f_sq = 1 / f_sq
 
     g = [[zero] * n for _ in range(n)]
+    g_inv = [[zero] * n for _ in range(n)]
     for i in range(nb):
         for j in range(nb):
             g[i][j] = base.g[i][j]
+            g_inv[i][j] = base.g_inv[i][j]
     for i in range(nf):
         for j in range(nf):
             g[nb + i][nb + j] = fiber.g[i][j] * f_sq
-
-    if assembled_inverse is not None:
-        g_inv = assembled_inverse
-    elif warping.is_constant():
-        inv_f_sq = Fraction(1) / f_sq.constant_value()
-        g_inv = [[zero] * n for _ in range(n)]
-        for i in range(nb):
-            for j in range(nb):
-                g_inv[i][j] = base.g_inv[i][j]
-        for i in range(nf):
-            for j in range(nf):
-                g_inv[nb + i][nb + j] = fiber.g_inv[i][j] * inv_f_sq
-    else:
-        raise NonPolynomialDivision(
-            "non-constant warping needs an explicitly supplied polynomial inverse"
-        )
+            g_inv[nb + i][nb + j] = fiber.g_inv[i][j] * inv_f_sq
 
     plus = base.signature[0] + fiber.signature[0]
     minus = base.signature[1] + fiber.signature[1]
@@ -126,7 +119,7 @@ def warped_ricci_oracle(pc: ProductChart) -> Matrix:
     nb, nf = pc.base.dim, pc.fiber.dim
     n = nb + nf
     zero = Polynomial.zero()
-    f = pc.warping
+    f = Polynomial.constant(pc.warping)
 
     ric_base = ricci(pc.base)
     ric_fiber = ricci(pc.fiber)

@@ -8,7 +8,7 @@ every residual it reports is identically zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .exterior import DifferentialForm, VectorField
 from .polyring import Polynomial
@@ -33,32 +33,29 @@ def residual_is_zero(value) -> bool:
     raise TypeError(f"unknown residual type {type(value)!r}")
 
 
-def residual_entries(name: str, value) -> List[Tuple[str, str]]:
-    """Flatten a residual into (label, polynomial-string) pairs, nonzero only."""
-    out: List[Tuple[str, str]] = []
+def residual_entries(name: str, value) -> Iterator[Tuple[str, Polynomial]]:
+    """Flatten a residual into (label, polynomial) pairs, nonzero only."""
     if isinstance(value, Polynomial):
         if not value.is_zero():
-            out.append((name, str(value)))
+            yield name, value
     elif isinstance(value, DifferentialForm):
         names = value.chart.coordinates
         for idx in sorted(value.components):
-            label = name + "[" + "^".join(f"d{names[i]}" for i in idx) + "]"
-            out.append((label, str(value.components[idx])))
+            yield name + "[" + "^".join(f"d{names[i]}" for i in idx) + "]", value.components[idx]
     elif isinstance(value, VectorField):
         names = value.chart.coordinates
         for i in sorted(value.components):
-            out.append((f"{name}[d/d{names[i]}]", str(value.components[i])))
+            yield f"{name}[d/d{names[i]}]", value.components[i]
     elif isinstance(value, tuple):
         for i, row in enumerate(value):
             for j, entry in enumerate(row):
                 if not entry.is_zero():
-                    out.append((f"{name}[{i},{j}]", str(entry)))
+                    yield f"{name}[{i},{j}]", entry
     elif isinstance(value, dict):
         for k, v in value.items():
-            out.extend(residual_entries(f"{name}.{k}", v))
+            yield from residual_entries(f"{name}.{k}", v)
     else:
         raise TypeError(f"unknown residual type {type(value)!r}")
-    return out
 
 
 @dataclass
@@ -68,23 +65,24 @@ class CheckResult:
     name: str
     residuals: Dict[str, object] = field(default_factory=dict)
     notes: List[str] = field(default_factory=list)
-    skipped: bool = False
 
     @property
     def passed(self) -> bool:
         return all(residual_is_zero(v) for v in self.residuals.values())
 
     def nonzero_entries(self) -> List[Tuple[str, str]]:
-        out = []
-        for k, v in self.residuals.items():
-            out.extend(residual_entries(k, v))
-        return out
+        """(label, polynomial string) for every nonzero residual entry."""
+        return [
+            (where, str(poly))
+            for k, v in self.residuals.items()
+            for where, poly in residual_entries(k, v)
+        ]
 
     def to_dict(self) -> dict:
         return {
             "check": self.name,
             "verdict": "pass" if self.passed else "fail",
-            "skipped": self.skipped,
+            "skipped": False,  # schema 1 keeps the key; no check is ever skipped
             "nonzero_residuals": [
                 {"where": where, "value": value} for where, value in self.nonzero_entries()
             ],
@@ -106,7 +104,7 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return self.error is None and all(r.passed for r in self.results if not r.skipped)
+        return self.error is None and all(r.passed for r in self.results)
 
     def to_dict(self) -> dict:
         return {

@@ -347,7 +347,7 @@ def check_theorem_conditions(bg: Background, shape: str) -> TheoremReport:
             f"theorem shape {shape!r} expects exactly pieces {expected_pieces}, "
             f"ansatz has {a.present()}"
         )
-    if not pc.warping.is_constant() or pc.warping.constant_value() != 1:
+    if pc.warping != 1:
         raise ValueError("the structural statements are for the direct product (f = 1)")
 
     if shape != "theta":

@@ -258,6 +258,11 @@ def _zero_denominator(doc):
     return "form 'du_theta' term 0"
 
 
+def _nonconstant_warping(doc):
+    doc["products"][0]["warping"] = "y1"
+    return "product 'X11': warping must be a nonzero constant, got y1"
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -270,6 +275,7 @@ def _zero_denominator(doc):
         _string_coordinates,
         _string_case,
         _zero_denominator,
+        _nonconstant_warping,
     ],
 )
 def test_bad_manifest_entry_exits_2_with_one_line(tmp_path, capsys, corrupt):

@@ -338,7 +338,7 @@ def test_split_einstein_blocks_match_direct_full_ansatz():
     for f in (1, 2):
         bg = full_ansatz_background(f=f)
         result = split_einstein(bg)
-        assert not result.skipped
+        assert set(result.residuals) == {"hh_block", "vv_block", "hv_block"}
 
 
 def test_split_einstein_blocks_match_direct_random():

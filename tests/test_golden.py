@@ -1,13 +1,17 @@
-"""The CLI's bytes on the bundled manifests and the README --eval example.
+"""The CLI's bytes on the bundled manifests and the README --eval example,
+the bytes the two scripts print, and the README library example.
 
 tests/golden/cases.json lists each invocation with its exit code and
-standard error; <name>.stdout holds its standard output.  Verdicts,
+standard error; <name>.stdout holds its standard output, and
+<script>.stdout holds what scripts/<script>.py prints.  Verdicts,
 residual strings and evaluated values must not change under an engine
 refactoring, so any difference here is a regression unless the output
 format itself was meant to change.
 """
 
 import json
+import re
+import runpy
 from pathlib import Path
 
 import pytest
@@ -27,3 +31,15 @@ def test_cli_output_matches_golden_bytes(case, capsys, monkeypatch):
     assert code == case["exit"]
     assert captured.err == case["stderr"]
     assert captured.out == (GOLDEN / f"{case['name']}.stdout").read_text()
+
+
+@pytest.mark.parametrize("script", ["verify_solution_families", "hodge_convention_table"])
+def test_script_output_matches_golden_bytes(script, capsys):
+    runpy.run_path(str(ROOT / "scripts" / f"{script}.py"), run_name="__main__")
+    assert capsys.readouterr().out == (GOLDEN / f"{script}.stdout").read_text()
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    (example,) = re.findall(r"^```python\n(.*?)^```$", readme, re.S | re.M)
+    exec(compile(example, "README.md", "exec"), {})

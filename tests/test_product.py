@@ -7,7 +7,7 @@ import pytest
 
 from sugra11.curvature import ricci
 from sugra11.exterior import Chart, ChartError, wedge
-from sugra11.metric import hodge_star, inner_product_forms, make_metric, volume_form
+from sugra11.metric import MetricError, hodge_star, inner_product_forms, make_metric, volume_form
 from sugra11.polyring import Polynomial
 from sugra11.product import (
     NonPolynomialDivision,
@@ -51,10 +51,15 @@ def test_shared_coordinates_rejected():
         build_product(G5, other, 1)
 
 
-def test_nonconstant_warping_needs_inverse():
+def test_warping_must_be_a_nonzero_constant():
+    gt = flat_lorentz6()
     f = Polynomial.variable("y1") + 2
-    with pytest.raises(NonPolynomialDivision):
-        build_product(G5, flat_lorentz6(), f)
+    with pytest.raises(NonPolynomialDivision, match=r"warping must be a nonzero constant, got y1 \+ 2"):
+        build_product(G5, gt, f)
+    with pytest.raises(MetricError, match="warping must be a nonzero constant, got 0"):
+        build_product(G5, gt, 0)
+    pc = build_product(G5, gt, Polynomial.constant(Fraction(1, 2)))
+    assert type(pc.warping) is Fraction and pc.warping == Fraction(1, 2)
 
 
 def test_constant_warp_scaling_of_norms():
