@@ -66,55 +66,37 @@ def _compute_curvature(m: ChartMetric) -> CurvatureData:
                     dg[(l, i, j)] = p
                     dg[(l, j, i)] = p
 
-    def dpart(l, i, j):
-        return dg.get((l, i, j), zero)
+    # Christoffel symbols of the first kind, times 2, nonzero only:
+    # (l, i, j) -> d_i g_jl + d_j g_il - d_l g_ij for i <= j
+    first = {}
+    for l in range(n):
+        for i in range(n):
+            for j in range(i, n):
+                bracket = dg.get((i, j, l), zero) + dg.get((j, i, l), zero) - dg.get((l, i, j), zero)
+                if not bracket.is_zero():
+                    first[l, i, j] = bracket
 
     gamma = [[[zero] * n for _ in range(n)] for _ in range(n)]
     for k in range(n):
         for i in range(n):
             for j in range(i, n):
-                products = []
-                for l in range(n):
-                    ginv = m.g_inv[k][l]
-                    if ginv.is_zero():
-                        continue
-                    bracket = dpart(i, j, l) + dpart(j, i, l) - dpart(l, i, j)
-                    if not bracket.is_zero():
-                        products.append((1, ginv, bracket))
-                total = sum_of_products(products) * Fraction(1, 2)
+                total = sum_of_products(
+                    (1, m.g_inv[k][l], first[l, i, j]) for l in range(n) if (l, i, j) in first
+                ) * Fraction(1, 2)
                 gamma[k][i][j] = total
                 gamma[k][j][i] = total
 
     ric = [[zero] * n for _ in range(n)]
-    # precompute contracted symbols Gamma^k_{ki}
-    contracted = [sum((gamma[k][k][i] for k in range(n)), zero) for i in range(n)]
+    contracted = [sum((gamma[k][k][i] for k in range(n)), zero) for i in range(n)]  # Gamma^k_ki
     for i in range(n):
         for j in range(i, n):
-            total = zero
-            for k in range(n):
-                g_kij = gamma[k][i][j]
-                if not g_kij.is_zero():
-                    total = total + g_kij.partial(names[k])
-            c = contracted[i]
-            if not c.is_zero():
-                total = total - c.partial(names[j])
-            products = []
-            for l in range(n):
-                g_lij = gamma[l][i][j]
-                if not g_lij.is_zero():
-                    cl = contracted[l]
-                    if not cl.is_zero():
-                        products.append((1, cl, g_lij))
-                for k in range(n):
-                    a = gamma[k][j][l]
-                    if a.is_zero():
-                        continue
-                    b = gamma[l][i][k]
-                    if not b.is_zero():
-                        products.append((-1, a, b))
-            total = total + sum_of_products(products)
-            ric[i][j] = total
-            ric[j][i] = total
+            products = [(1, contracted[l], gamma[l][i][j]) for l in range(n)]
+            products += [(-1, gamma[k][j][l], gamma[l][i][k]) for l in range(n) for k in range(n)
+                         if not gamma[k][j][l].is_zero()]
+            total = sum((gamma[k][i][j].partial(names[k]) for k in range(n)), zero)
+            ric[i][j] = ric[j][i] = (
+                total - contracted[i].partial(names[j]) + sum_of_products(products)
+            )
 
     frozen_gamma = tuple(tuple(tuple(row) for row in plane) for plane in gamma)
     frozen_ric = tuple(tuple(row) for row in ric)
@@ -126,95 +108,48 @@ def hessian(m: ChartMetric, f: Polynomial) -> Matrix:
     n = m.dim
     names = m.chart.coordinates
     gamma = christoffel(m)
-    df = [f.partial(names[k]) for k in range(n)]
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            entry = df[j].partial(names[i])
-            for k in range(n):
-                gk = gamma[k][i][j]
-                if not gk.is_zero() and not df[k].is_zero():
-                    entry = entry - gk * df[k]
-            row.append(entry)
-        rows.append(tuple(row))
-    return tuple(rows)
+    df = [f.partial(v) for v in names]
+    return tuple(
+        tuple(
+            df[j].partial(names[i]) - sum_of_products((1, gamma[k][i][j], df[k]) for k in range(n))
+            for j in range(n)
+        )
+        for i in range(n)
+    )
 
 
 def laplace_beltrami(m: ChartMetric, f: Polynomial) -> Polynomial:
     """Delta f = g^ij (d_i d_j f - Gamma^k_ij d_k f), exactly."""
     hess = hessian(m, f)
-    total = Polynomial.zero()
-    n = m.dim
-    for i in range(n):
-        for j in range(n):
-            gij = m.g_inv[i][j]
-            if not gij.is_zero() and not hess[i][j].is_zero():
-                total = total + gij * hess[i][j]
-    return total
+    return sum_of_products((1, m.g_inv[i][j], hess[i][j]) for i in range(m.dim) for j in range(m.dim))
 
 
 def gradient(m: ChartMetric, f: Polynomial) -> VectorField:
     """sharp(df)."""
-    names = m.chart.coordinates
-    comps: Dict[int, Polynomial] = {}
-    for i in range(m.dim):
-        di = f.partial(names[i])
-        if di.is_zero():
-            continue
-        for j in range(m.dim):
-            entry = m.g_inv[i][j]
-            if entry.is_zero():
-                continue
-            comps[j] = comps.get(j, Polynomial.zero()) + di * entry
-    return VectorField(m.chart, comps)
+    df = [f.partial(v) for v in m.chart.coordinates]
+    n = m.dim
+    return VectorField(
+        m.chart, {j: sum_of_products((1, df[i], m.g_inv[i][j]) for i in range(n)) for j in range(n)}
+    )
 
 
 def grad_norm_sq(m: ChartMetric, f: Polynomial) -> Polynomial:
-    """g(grad f, grad f) = g^ij d_i f d_j f."""
-    names = m.chart.coordinates
-    total = Polynomial.zero()
-    for i in range(m.dim):
-        di = f.partial(names[i])
-        if di.is_zero():
-            continue
-        for j in range(m.dim):
-            dj = f.partial(names[j])
-            entry = m.g_inv[i][j]
-            if not dj.is_zero() and not entry.is_zero():
-                total = total + di * dj * entry
-    return total
+    """g(grad f, grad f) = g^ij d_i f d_j f = df(grad f)."""
+    grad = gradient(m, f)
+    return sum_of_products((1, f.partial(v), grad.component(j)) for j, v in enumerate(m.chart.coordinates))
 
 
 def ricci_endomorphism_square(m: ChartMetric) -> Matrix:
     """(Ric g^-1 Ric)_ab, the matrix of h(ric(X_a), ric(X_b))."""
     ric = ricci(m)
     n = m.dim
-    zero = Polynomial.zero()
     # first contract: T_a^d = Ric_ac g^cd
-    t = [[zero] * n for _ in range(n)]
-    for a in range(n):
-        for dd in range(n):
-            total = zero
-            for c in range(n):
-                r = ric[a][c]
-                if not r.is_zero():
-                    g = m.g_inv[c][dd]
-                    if not g.is_zero():
-                        total = total + r * g
-            t[a][dd] = total
-    out = [[zero] * n for _ in range(n)]
+    t = [[sum_of_products((1, ric[a][c], m.g_inv[c][d]) for c in range(n)) for d in range(n)]
+         for a in range(n)]
+    out = [[Polynomial.zero()] * n for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
-            total = zero
-            for dd in range(n):
-                x = t[a][dd]
-                if not x.is_zero():
-                    y = ric[dd][b]
-                    if not y.is_zero():
-                        total = total + x * y
-            out[a][b] = total
-            out[b][a] = total
+            out[a][b] = out[b][a] = sum_of_products((1, t[a][d], ric[d][b]) for d in range(n))
     return tuple(tuple(row) for row in out)
 
 

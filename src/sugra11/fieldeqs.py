@@ -365,20 +365,31 @@ def check_maxwell(bg: Background) -> CheckResult:
     result = CheckResult("maxwell")
     result.residuals["d_star_F_minus_half_FF"] = residual
 
-    if star_flux_block(bg) != star_f_direct:
-        raise EngineInconsistency("star F block law failed")
-    if half_flux_wedge_flux_block(bg) != half_ff_direct:
-        raise EngineInconsistency("1/2 F^F block law failed")
+    _audit("star F block law failed", star_f_direct, star_flux_block(bg))
+    _audit("1/2 F^F block law failed", half_ff_direct, half_flux_wedge_flux_block(bg))
     typed = typed_gauge_system(bg)
     recombined = DifferentialForm.zero(pc.chart, 8)
     for fiber_deg, key in ((3, "type_3_5"), (4, "type_4_4"), (5, "type_5_3"), (6, "type_6_2")):
         t = typed[key]
-        if t != type_project(pc, residual, fiber_deg):
-            raise EngineInconsistency(f"typed gauge block {key} does not match the projection")
+        _audit(f"typed gauge block {key} does not match the projection",
+               type_project(pc, residual, fiber_deg), t)
         recombined = recombined + t
-    if recombined != residual:
-        raise EngineInconsistency("typed gauge system does not recombine to the residual")
+    _audit("typed gauge system does not recombine to the residual", residual, recombined)
     return result
+
+
+def _audit(law: str, direct: DifferentialForm, block: DifferentialForm) -> None:
+    """Raise EngineInconsistency naming the first component where block differs from direct."""
+    if block == direct:
+        return
+    zero = Polynomial.zero()
+    names = direct.chart.coordinates
+    for idx in sorted(direct.components.keys() | block.components.keys()):
+        d, b = direct.components.get(idx, zero), block.components.get(idx, zero)
+        if d != b:
+            where = "^".join(f"d{names[i]}" for i in idx) or "1"
+            raise EngineInconsistency(f"{law} at {where}: direct {d}, block {b}")
+    raise EngineInconsistency(f"{law}: direct {direct!r}, block {block!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -491,18 +502,15 @@ def split_einstein(bg: Background) -> CheckResult:
         hv.append(tuple(row))
     hv_matrix: Matrix = tuple(hv)
 
-    for i in range(nb):
-        for j in range(nb):
-            if hh_matrix[i][j] != direct[i][j]:
-                raise EngineInconsistency(f"HH block law failed at ({i},{j})")
-    for i in range(nf):
-        for j in range(nf):
-            if vv_matrix[i][j] != direct[nb + i][nb + j]:
-                raise EngineInconsistency(f"VV block law failed at ({i},{j})")
-    for i in range(nb):
-        for j in range(nf):
-            if hv_matrix[i][j] != direct[i][nb + j]:
-                raise EngineInconsistency(f"HV block law failed at ({i},{j})")
+    for label, block, rows, cols in (("HH", hh_matrix, 0, 0), ("VV", vv_matrix, nb, nb),
+                                     ("HV", hv_matrix, 0, nb)):
+        for i, row in enumerate(block):
+            for j, entry in enumerate(row):
+                d = direct[rows + i][cols + j]
+                if entry != d:
+                    raise EngineInconsistency(
+                        f"{label} block law failed at ({i},{j}): direct {d}, block {entry}"
+                    )
 
     result.residuals["hh_block"] = hh_matrix
     result.residuals["vv_block"] = vv_matrix

@@ -26,7 +26,7 @@ from .fieldeqs import (
     assemble_flux,
 )
 from .metric import ChartMetric, MetricError, make_metric
-from .polyring import Polynomial, PolynomialGrammarError, parse_polynomial
+from .polyring import ExponentOverflow, Polynomial, PolynomialGrammarError, parse_polynomial
 from .product import NonPolynomialDivision, ProductChart, build_product
 
 KNOWN_CHECKS = ("closedness", "maxwell", "einstein", "norms", "split", "case")
@@ -68,7 +68,7 @@ def _poly(text, where: str) -> Polynomial:
         raise ManifestError(f"{where}: polynomial literals must be strings, got {text!r}")
     try:
         return parse_polynomial(text)
-    except PolynomialGrammarError as exc:
+    except (PolynomialGrammarError, ExponentOverflow) as exc:
         raise ManifestError(f"{where}: bad polynomial {text!r}: {exc}") from exc
 
 

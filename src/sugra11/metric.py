@@ -164,12 +164,6 @@ class ChartMetric:
     def dim(self) -> int:
         return self.chart.dim
 
-    def entry(self, i: int, j: int) -> Polynomial:
-        return self.g[i][j]
-
-    def inv_entry(self, i: int, j: int) -> Polynomial:
-        return self.g_inv[i][j]
-
     @property
     def inv_neighbors(self) -> Tuple[Tuple[int, ...], ...]:
         """For each index, the indices it pairs with under g_inv (sparsity)."""

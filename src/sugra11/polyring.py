@@ -1,29 +1,28 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a map from exponent vectors to nonzero rational
-coefficients, together with an ordered tuple of variable names.  All
-arithmetic is exact; there is no floating point anywhere.  Zero testing
-(``is_zero``) is the primitive every residual check in this package
-reduces to, so results are always kept in canonical form:
+A polynomial maps monomials to nonzero rational coefficients.  There is
+no floating point anywhere.  Zero testing (``is_zero``) is what every
+residual check reduces to, so results are always canonical: no zero
+coefficient is stored, and a coefficient is an ``int`` when integral and
+a ``Fraction`` only when not (``_coefficient`` decides; every division
+goes through ``Fraction``; ``constant_value`` and ``evaluate`` return
+``Fraction``).
 
-  * a coefficient is a plain ``int`` when it is integral and a
-    ``Fraction`` only when it is not (``_coefficient``, applied by the
-    constructor, is the one place that decides), and never a float:
-    every division goes through ``Fraction``, and ``constant_value`` and
-    ``evaluate`` return ``Fraction``,
-  * no zero coefficients are stored,
-  * variable tuples are sorted by name and pruned to the variables that
-    actually occur, so equality is structural,
-  * terms are ordered graded-lexicographically when printed.
+A monomial is one packed ``int`` (Monagan and Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007).  One registry per process gives each variable name a field of
+``FIELD_BITS`` bits the first time the name is seen, so every polynomial
+shares one variable order and a product of monomials is the sum of their
+keys.  The top bit of a field is a guard: an exponent must stay below
+``EXPONENT_LIMIT`` (2^31), so a sum of two never carries into the next
+field, and each product is checked once for a set guard bit.  An exponent
+at or above the limit raises ``ExponentOverflow``; nothing wraps.
+``variables``, printing (graded lex over sorted names), equality, hashing
+and ``leading`` read exponents by sorted name, so none depends on the
+order in which names were registered.
 
-Mixing polynomials over different variable sets is allowed: operands are
-silently promoted to the union of their variable lists (sorted by name),
-which is the common case on product charts where base and fiber
-coordinates meet.
-
-``sum_of_products`` is the one multiply-accumulate kernel: a sum of
-signed products lands in a single term map and becomes one canonical
-polynomial, instead of a chain of partial sums that each re-canonicalize.
+``sum_of_products`` is the one multiply-accumulate kernel: signed
+products land in a single term map and become one canonical polynomial.
 """
 
 from __future__ import annotations
@@ -31,11 +30,21 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import add
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from functools import reduce
+from operator import or_
+from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 Exponent = Tuple[int, ...]
 Coefficient = Union[int, Fraction]
+
+FIELD_BITS = 32
+EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)
+_FIELD = (1 << FIELD_BITS) - 1
+
+# the variable registry: name -> bit offset of its field, in order of first sight
+_OFFSETS: Dict[str, int] = {}
+_SORTED: List[str] = []  # registered names, sorted
+_GUARD = 0  # the guard bits of every registered field
 
 
 class NotAPerfectSquare(ValueError):
@@ -46,8 +55,48 @@ class PolynomialGrammarError(ValueError):
     """Raised when a polynomial literal cannot be parsed."""
 
 
-def _grlex_key(exp: Exponent):
+class ExponentOverflow(ValueError):
+    """Raised when an exponent reaches EXPONENT_LIMIT."""
+
+
+def _offset(name: str) -> int:
+    """The bit offset of name's exponent field, registering the name on first sight."""
+    off = _OFFSETS.get(name)
+    if off is None:
+        global _GUARD
+        off = _OFFSETS[name] = len(_OFFSETS) * FIELD_BITS
+        _GUARD |= 1 << (off + FIELD_BITS - 1)
+        _SORTED.append(name)
+        _SORTED.sort()
+    return off
+
+
+def _pack(pairs: Iterable[Tuple[str, int]]) -> int:
+    """The packed monomial of (name, exponent) pairs."""
+    key = 0
+    for name, k in pairs:
+        if k:
+            if not 0 < k < EXPONENT_LIMIT:
+                raise ExponentOverflow(f"exponent {k} of {name} is outside 0 .. 2^{FIELD_BITS - 1}-1")
+            key += k << _offset(name)
+    return key
+
+
+def _exponents(key: int, names: Iterable[str]) -> Exponent:
+    return tuple(key >> _OFFSETS[v] & _FIELD for v in names)
+
+
+def _grlex_key(key: int):
+    exp = _exponents(key, _SORTED)
     return (sum(exp), exp)
+
+
+def _check_guard(p: "Polynomial") -> "Polynomial":
+    over = reduce(or_, p.terms, 0) & _GUARD
+    if over:
+        name = next(v for v, off in _OFFSETS.items() if over >> off & _FIELD)
+        raise ExponentOverflow(f"exponent of {name} reaches 2^{FIELD_BITS - 1} in a product")
+    return p
 
 
 def _coefficient(value) -> Coefficient:
@@ -62,40 +111,23 @@ def _coefficient(value) -> Coefficient:
 
 
 class Polynomial:
-    """Immutable sparse polynomial with int or non-integral Fraction coefficients."""
+    """Immutable sparse polynomial with int or non-integral Fraction coefficients.
 
-    __slots__ = ("variables", "terms", "_hash")
+    ``terms`` maps packed monomials to coefficients; the public constructor
+    takes exponent tuples over ``variables`` and packs them once.
+    """
+
+    __slots__ = ("terms", "_variables", "_hash")
 
     def __init__(
         self, variables: Iterable[str] = (), terms: Mapping[Exponent, Coefficient] | None = None
     ):
         varlist = tuple(variables)
-        clean: Dict[Exponent, Coefficient] = {}
-        if terms:
-            for exp, c in terms.items():
-                if type(c) is not int:
-                    c = _coefficient(c)
-                if c:
-                    clean[tuple(exp)] = c
-        # prune variables that never occur with a positive exponent
-        if varlist and clean:
-            used = [any(column) for column in zip(*clean)]
-            if not all(used):
-                keep = [i for i, u in enumerate(used) if u]
-                varlist = tuple(varlist[i] for i in keep)
-                clean = {tuple(exp[i] for i in keep): c for exp, c in clean.items()}
-        elif not clean:
-            varlist = ()
-        if list(varlist) != sorted(varlist):
-            order = sorted(range(len(varlist)), key=lambda i: varlist[i])
-            remapped = {}
-            for exp, c in clean.items():
-                remapped[tuple(exp[i] for i in order)] = c
-            varlist = tuple(sorted(varlist))
-            clean = remapped
-        object.__setattr__(self, "variables", varlist)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+        packed: Dict[int, Coefficient] = {}
+        for exp, c in (terms or {}).items():
+            key = _pack(zip(varlist, exp))
+            packed[key] = packed.get(key, 0) + _coefficient(c)
+        _set_terms(self, _canonical(packed).terms)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Polynomial is immutable")
@@ -108,65 +140,63 @@ class Polynomial:
 
     @staticmethod
     def constant(value: Coefficient) -> "Polynomial":
-        return Polynomial((), {(): value})
+        return _canonical({0: _coefficient(value)})
 
     @staticmethod
     def variable(name: str) -> "Polynomial":
-        return Polynomial((name,), {(1,): 1})
+        return _wrap({1 << _offset(name): 1})
 
     # -- predicates ----------------------------------------------------
+
+    @property
+    def variables(self) -> Tuple[str, ...]:
+        """The sorted names that occur with a positive exponent."""
+        try:
+            return self._variables
+        except AttributeError:
+            support = reduce(or_, self.terms, 0)
+            names = tuple(v for v in _SORTED if support >> _OFFSETS[v] & _FIELD)
+            object.__setattr__(self, "_variables", names)
+            return names
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return not self.variables
+        terms = self.terms
+        return not terms or (len(terms) == 1 and 0 in terms)
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (0 for the zero polynomial)."""
-        if self.variables:
+        if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return Fraction(self.terms.get((), 0))
-
-    # -- variable alignment ---------------------------------------------
-
-    def _aligned(self, other: "Polynomial"):
-        if self.variables == other.variables:
-            return self.variables, self.terms, other.terms
-        union = tuple(sorted(set(self.variables) | set(other.variables)))
-        return union, _remap(self, union), _remap(other, union)
+        return Fraction(self.terms.get(0, 0))
 
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other) -> "Polynomial":
-        other = _coerce(other)
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
-        varlist, a, b = self._aligned(other)
-        out = dict(a)
-        get = out.get
-        for exp, c in b.items():
-            out[exp] = get(exp, 0) + c
-        return Polynomial(varlist, out)
+        if type(other) is not Polynomial:
+            other = _coerce(other)
+        return _combine(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.variables, {e: -c for e, c in self.terms.items()})
+        return _wrap({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        return self + (-_coerce(other))
+        if type(other) is not Polynomial:
+            other = _coerce(other)
+        return _combine(self, other, -1)
 
     def __rsub__(self, other) -> "Polynomial":
-        return _coerce(other) + (-self)
+        return _combine(_coerce(other), self, -1)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             if not other or not self.terms:
                 return _P_ZERO
-            return Polynomial(self.variables, {e: c * other for e, c in self.terms.items()})
+            return _canonical({e: c * other for e, c in self.terms.items()})
         return sum_of_products([(1, self, _coerce(other))])
 
     __rmul__ = __mul__
@@ -179,8 +209,9 @@ class Polynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:
@@ -188,41 +219,44 @@ class Polynomial:
             other = Polynomial.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
+        return self.terms == other.terms
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.variables, frozenset(self.terms.items())))
+        try:
+            return self._hash
+        except AttributeError:
+            names = self.variables
+            h = hash((names, frozenset((_exponents(e, names), c) for e, c in self.terms.items())))
             object.__setattr__(self, "_hash", h)
-        return h
+            return h
 
     # -- calculus ---------------------------------------------------------
 
     def partial(self, var: str) -> "Polynomial":
         """Formal partial derivative; zero when var does not occur."""
-        if var not in self.variables:
+        off = _OFFSETS.get(var)
+        if off is None:
             return _P_ZERO
-        i = self.variables.index(var)
-        out: Dict[Exponent, Coefficient] = {}
-        for exp, c in self.terms.items():
-            k = exp[i]
-            if k == 0:
-                continue
-            out[exp[:i] + (k - 1,) + exp[i + 1:]] = c * k
-        return Polynomial(self.variables, out)
+        one = 1 << off
+        out: Dict[int, Coefficient] = {}
+        for e, c in self.terms.items():
+            k = e >> off & _FIELD
+            if k:
+                out[e - one] = c * k
+        return _canonical(out)
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
         """Exact value at a rational point covering all variables."""
+        names = self.variables
         vals = []
-        for v in self.variables:
+        for v in names:
             if v not in point:
                 raise KeyError(f"no value supplied for variable {v!r}")
             vals.append(Fraction(point[v]))
         total = Fraction(0)
-        for exp, c in self.terms.items():
+        for e, c in self.terms.items():
             term = c
-            for val, k in zip(vals, exp):
+            for val, k in zip(vals, _exponents(e, names)):
                 if k:
                     term *= val ** k
             total += term
@@ -230,10 +264,11 @@ class Polynomial:
 
     def substitute(self, assignments: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Substitute polynomials for a subset of the variables."""
+        names = self.variables
         out = _P_ZERO
-        for exp, c in self.terms.items():
+        for e, c in self.terms.items():
             term = Polynomial.constant(c)
-            for v, k in zip(self.variables, exp):
+            for v, k in zip(names, _exponents(e, names)):
                 if not k:
                     continue
                 repl = assignments.get(v)
@@ -245,22 +280,24 @@ class Polynomial:
     # -- leading data (graded lex) -----------------------------------------
 
     def leading(self) -> Tuple[Exponent, Coefficient]:
+        """(exponents over ``variables``, coefficient) of the grlex-leading term."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms, key=_grlex_key)
-        return exp, self.terms[exp]
+        key = max(self.terms, key=_grlex_key)
+        return _exponents(key, self.variables), self.terms[key]
 
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        names = self.variables
         pieces = []
-        for exp in sorted(self.terms, key=_grlex_key, reverse=True):
-            coeff = self.terms[exp]
+        for e in sorted(self.terms, key=_grlex_key, reverse=True):
+            coeff = self.terms[e]
             factors = [
                 v if k == 1 else f"{v}^{k}"
-                for v, k in zip(self.variables, exp)
+                for v, k in zip(names, _exponents(e, names))
                 if k
             ]
             if not factors:
@@ -278,47 +315,68 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-_P_ZERO = Polynomial()
+_new = object.__new__
+_set_terms = Polynomial.terms.__set__
+
+
+def _wrap(terms: Dict[int, Coefficient]) -> Polynomial:
+    """The polynomial of a canonical packed term map, taken without a copy."""
+    p = _new(Polynomial)
+    _set_terms(p, terms)
+    return p
+
+
+def _canonical(terms: Mapping[int, Coefficient]) -> Polynomial:
+    """The polynomial of a packed term map: zeros dropped, integral Fractions made int."""
+    clean: Dict[int, Coefficient] = {}
+    for e, c in terms.items():
+        if type(c) is not int:
+            c = _coefficient(c)
+        if c:
+            clean[e] = c
+    return _wrap(clean) if clean else _P_ZERO
+
+
+def _combine(a: Polynomial, b: Polynomial, sign: int) -> Polynomial:
+    """a + sign * b for sign +1 or -1."""
+    if not b.terms:
+        return a
+    if not a.terms:
+        return b if sign > 0 else -b
+    out = dict(a.terms)
+    get = out.get
+    for e, c in b.terms.items():
+        s = get(e, 0) + c if sign > 0 else get(e, 0) - c
+        if type(s) is not int:
+            s = _coefficient(s)
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+    return _wrap(out) if out else _P_ZERO
+
+
+_P_ZERO = _wrap({})
 
 
 def sum_of_products(products: Iterable[Tuple[int, Polynomial, Polynomial]]) -> Polynomial:
     """The sum of sign * a * b over (sign, a, b) triples, sign +1 or -1.
 
-    Every product is accumulated into one term map over the union of the
-    operands' variables, and one canonical polynomial is built at the end.
+    Every product is accumulated into one term map, where the product of
+    two monomials is the sum of their packed keys, and one canonical
+    polynomial is built at the end.
     """
-    products = [t for t in products if t[1].terms and t[2].terms]
-    if not products:
-        return _P_ZERO
-    varsets = {p.variables for _, a, b in products for p in (a, b)}
-    if len(varsets) == 1:
-        (union,) = varsets
-    else:
-        union = tuple(sorted(set().union(*varsets)))
-    out: Dict[Exponent, Coefficient] = {}
+    out: Dict[int, Coefficient] = {}
     get = out.get
     for sign, a, b in products:
-        b_items = _remap(b, union).items()
-        for ea, ca in _remap(a, union).items():
+        b_items = b.terms.items()
+        for ea, ca in a.terms.items():
             if sign < 0:
                 ca = -ca
             for eb, cb in b_items:
-                key = tuple(map(add, ea, eb))
+                key = ea + eb
                 out[key] = get(key, 0) + ca * cb
-    return Polynomial(union, out)
-
-
-def _remap(p: Polynomial, union: Tuple[str, ...]) -> Dict[Exponent, Coefficient]:
-    if p.variables == union:
-        return p.terms
-    pos = [union.index(v) for v in p.variables]
-    out = {}
-    for exp, c in p.terms.items():
-        new = [0] * len(union)
-        for i, k in zip(pos, exp):
-            new[i] = k
-        out[tuple(new)] = c
-    return out
+    return _check_guard(_canonical(out))
 
 
 def _coerce(value) -> Polynomial:
@@ -344,7 +402,8 @@ def parse_polynomial(text: str) -> Polynomial:
 
     Terms are separated by ``+``/``-``; each term is
     ``[coef][*]var[^exp][*var[^exp]...]`` with ``coef`` an integer or
-    ``int/int``.  Whitespace is insignificant.
+    ``int/int``.  Whitespace is insignificant.  An exponent at or above
+    ``EXPONENT_LIMIT`` raises ``ExponentOverflow``.
     """
     tokens = []
     for m in _TOKEN.finditer(text):
@@ -362,8 +421,7 @@ def parse_polynomial(text: str) -> Polynomial:
         else:
             tokens.append(("op", m.group("op")))
 
-    # monomial, as sorted (name, exponent) pairs with exponent > 0 -> coefficient
-    terms: Dict[Tuple[Tuple[str, int], ...], Coefficient] = {}
+    terms: Dict[int, Coefficient] = {}  # packed monomial -> coefficient
     i = 0
     n = len(tokens)
     sign = 1
@@ -410,28 +468,30 @@ def parse_polynomial(text: str) -> Polynomial:
                 raise PolynomialGrammarError(f"unexpected token {val!r} in {text!r}")
         if not saw_anything:
             raise PolynomialGrammarError(f"empty term in {text!r}")
-        monomial = tuple(sorted((name, k) for name, k in factors.items() if k))
-        terms[monomial] = terms.get(monomial, 0) + sign * coeff
+        key = _pack(factors.items())
+        terms[key] = terms.get(key, 0) + sign * coeff
         sign = 1
         expect_term = False
     if expect_term and n:
         raise PolynomialGrammarError(f"dangling sign in {text!r}")
     if n == 0:
         raise PolynomialGrammarError("empty polynomial literal")
-    names = sorted({name for monomial in terms for name, _ in monomial})
-    position = {name: j for j, name in enumerate(names)}
-    out: Dict[Exponent, Coefficient] = {}
-    for monomial, c in terms.items():
-        exp = [0] * len(names)
-        for name, k in monomial:
-            exp[position[name]] = k
-        out[tuple(exp)] = c
-    return Polynomial(names, out)
+    return _canonical(terms)
 
 
 # ---------------------------------------------------------------------------
 # derived operations
 # ---------------------------------------------------------------------------
+
+def _quotient_key(a: int, b: int) -> int | None:
+    """The monomial a / b, or None when b does not divide a.
+
+    A field of a below the one of b borrows from the field above and sets
+    its own guard bit (or makes the top field negative).
+    """
+    q = a - b
+    return None if q < 0 or q & _GUARD else q
+
 
 def poly_sqrt(p: Polynomial) -> Polynomial:
     """Polynomial square root with positive leading coefficient.
@@ -440,39 +500,25 @@ def poly_sqrt(p: Polynomial) -> Polynomial:
     """
     if p.is_zero():
         return _P_ZERO
-    lead_exp, lead_coeff = p.leading()
-    if lead_coeff < 0 or any(k % 2 for k in lead_exp):
+    lead = max(p.terms, key=_grlex_key)
+    c = _fraction_sqrt(p.terms[lead])
+    if c is None or any(k % 2 for k in _grlex_key(lead)[1]):
         raise NotAPerfectSquare(f"{p} is not a perfect square")
-    c = _fraction_sqrt(lead_coeff)
-    if c is None:
-        raise NotAPerfectSquare(f"{p} is not a perfect square")
-    half_exp = tuple(k // 2 for k in lead_exp)
-    root = Polynomial(p.variables, {half_exp: c})
+    half = lead >> 1  # every field is even, so this halves each one
+    root = _canonical({half: c})
     # peel one grlex-leading remainder term per step; the new root term must be
     # strictly grlex-below the previous one or no square root exists
-    prev_key = _grlex_key(half_exp)
+    prev_key = _grlex_key(half)
     remainder = p - root * root
     while not remainder.is_zero():
-        r_exp, r_coeff = remainder.leading()
-        diff = tuple(
-            a - b
-            for a, b in zip(_pad(r_exp, remainder.variables, p.variables), half_exp)
-        )
-        if any(k < 0 for k in diff) or _grlex_key(diff) >= prev_key:
+        r_exp = max(remainder.terms, key=_grlex_key)
+        diff = _quotient_key(r_exp, half)
+        if diff is None or _grlex_key(diff) >= prev_key:
             raise NotAPerfectSquare(f"{p} is not a perfect square")
         prev_key = _grlex_key(diff)
-        root = root + Polynomial(p.variables, {diff: Fraction(r_coeff) / (2 * c)})
+        root = root + _canonical({diff: Fraction(remainder.terms[r_exp]) / (2 * c)})
         remainder = p - root * root
     return root
-
-
-def _pad(exp: Exponent, varlist: Tuple[str, ...], target: Tuple[str, ...]) -> Exponent:
-    if varlist == target:
-        return exp
-    out = [0] * len(target)
-    for v, k in zip(varlist, exp):
-        out[target.index(v)] = k
-    return tuple(out)
 
 
 def _fraction_sqrt(q: Coefficient) -> Fraction | None:
@@ -499,24 +545,17 @@ def poly_divexact(num: Polynomial, den: Polynomial) -> Polynomial:
         return _P_ZERO
     if den.is_constant():
         return num * (Fraction(1) / den.constant_value())
-    varlist = tuple(sorted(set(num.variables) | set(den.variables)))
-    n_terms = dict(_remap(num, varlist))
-    d_terms = _remap(den, varlist)
-    d_lead = max(d_terms, key=_grlex_key)
-    d_lead_coeff = d_terms[d_lead]
-    out: Dict[Exponent, Coefficient] = {}
-    current = Polynomial(varlist, n_terms)
+    d_lead = max(den.terms, key=_grlex_key)
+    d_lead_coeff = den.terms[d_lead]
+    out: Dict[int, Coefficient] = {}
+    current = num
     while not current.is_zero():
-        c_exp, c_coeff = current.leading()
-        c_exp = _pad(c_exp, current.variables, varlist)
-        q_exp = tuple(a - b for a, b in zip(c_exp, d_lead))
-        if any(k < 0 for k in q_exp):
+        c_exp = max(current.terms, key=_grlex_key)
+        q_exp = _quotient_key(c_exp, d_lead)
+        if q_exp is None:
             raise ValueError(f"{den} does not divide {num}")
-        q_coeff = Fraction(c_coeff) / d_lead_coeff
+        q_coeff = Fraction(current.terms[c_exp]) / d_lead_coeff
         out[q_exp] = q_coeff
-        current = current - Polynomial(varlist, {q_exp: q_coeff}) * Polynomial(varlist, d_terms)
-    return Polynomial(varlist, out)
+        current = current - _canonical({q_exp: q_coeff}) * den
+    return _canonical(out)
 
-
-ZERO = _P_ZERO
-ONE = Polynomial.constant(1)

@@ -258,6 +258,11 @@ def _zero_denominator(doc):
     return "form 'du_theta' term 0"
 
 
+def _exponent_past_the_limit(doc):
+    doc["forms"][0]["terms"][0]["coeff"] = "x2^2147483648"
+    return "form 'du_theta' term 0: bad polynomial"
+
+
 def _nonconstant_warping(doc):
     doc["products"][0]["warping"] = "y1"
     return "product 'X11': warping must be a nonzero constant, got y1"
@@ -275,6 +280,7 @@ def _nonconstant_warping(doc):
         _string_coordinates,
         _string_case,
         _zero_denominator,
+        _exponent_past_the_limit,
         _nonconstant_warping,
     ],
 )

@@ -434,8 +434,34 @@ def test_split_einstein_names_the_block_whose_direct_entry_is_off(monkeypatch, b
         return tuple(tuple(row) for row in rows)
 
     monkeypatch.setattr(fieldeqs, "einstein_residual_matrix", perturbed)
-    with pytest.raises(EngineInconsistency, match=f"{block} block law failed"):
+    with pytest.raises(EngineInconsistency, match=f"{block} block law failed") as exc:
         split_einstein(alpha_family_background())
+    # the block-local position, then the perturbed direct entry and the block entry
+    entry = original(alpha_family_background())[where[0]][where[1]]
+    assert str(exc.value).endswith(f"at (0,0): direct {entry + P1}, block {entry}")
+
+
+def test_star_flux_audit_shows_the_first_differing_component_and_both_values(monkeypatch):
+    original = fieldeqs.star_flux_block
+    x1 = Polynomial.variable("x1")
+
+    def perturbed(bg):
+        block = original(bg)
+        idx = min(block.components)
+        return DifferentialForm(block.chart, block.degree,
+                                {**block.components, idx: block.components[idx] + x1})
+
+    monkeypatch.setattr(fieldeqs, "star_flux_block", perturbed)
+    bg = alpha_family_background()
+    star_f = original(bg)
+    idx = min(star_f.components)
+    where = "^".join(f"d{bg.product.chart.coordinates[i]}" for i in idx)
+    value = star_f.components[idx]
+    with pytest.raises(EngineInconsistency) as exc:
+        check_maxwell(bg)
+    assert str(exc.value) == (
+        f"star F block law failed at {where}: direct {value}, block {value + x1}"
+    )
 
 
 def test_flux_term_missing_from_the_ansatz_trips_the_block_laws():

@@ -1,12 +1,20 @@
 """Exact polynomial arithmetic: ring laws, calculus, parsing, square roots."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sugra11.cli import main
 from sugra11.polyring import (
+    EXPONENT_LIMIT,
+    ExponentOverflow,
     NotAPerfectSquare,
     Polynomial,
     PolynomialGrammarError,
@@ -15,6 +23,8 @@ from sugra11.polyring import (
     poly_sqrt,
     sum_of_products,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 x = Polynomial.variable("x")
 y = Polynomial.variable("y")
@@ -117,8 +127,9 @@ def test_sum_of_products_is_the_sequential_sum(products, vx, vy, vz):
 
 def test_divexact_with_integer_coefficients_is_exact():
     assert poly_divexact(2 * x, 4) == x * Fraction(1, 2)
-    assert poly_divexact(2 * x, 4).terms == {(1,): Fraction(1, 2)}
-    assert poly_divexact(2 * x * y, 4 * y).terms == {(1,): Fraction(1, 2)}
+    for q in (poly_divexact(2 * x, 4), poly_divexact(2 * x * y, 4 * y)):
+        assert q == x * Fraction(1, 2)
+        assert [type(c) for c in q.terms.values()] == [Fraction]
 
 
 def test_float_coefficients_are_refused():
@@ -233,3 +244,100 @@ def test_unused_variables_are_pruned():
     assert p.variables == ("x",)
     assert p == x
     assert hash(p) == hash(x)
+
+
+# -- packed monomials --------------------------------------------------------
+
+def test_products_and_sums_over_disjoint_variable_sets():
+    a = parse_polynomial("2*x1^2 - x2")
+    b = parse_polynomial("y1*y2 + 3")
+    assert a * b == parse_polynomial("2*x1^2*y1*y2 - x2*y1*y2 + 6*x1^2 - 3*x2")
+    assert (a * b).variables == ("x1", "x2", "y1", "y2")
+    assert str(a + b) == "2*x1^2 + y1*y2 - x2 + 3"
+    assert (a + b) - b == a and (a + b).variables == ("x1", "x2", "y1", "y2")
+    assert (a * b).partial("y1") == a * parse_polynomial("y2")
+    assert (a * b).partial("z") == Polynomial.zero()
+    pt = {"x1": 2, "x2": -1, "y1": Fraction(1, 3), "y2": 5}
+    assert (a * b).evaluate(pt) == a.evaluate(pt) * b.evaluate(pt)
+    assert poly_divexact(a * b, b) == a
+    assert poly_sqrt(a * a * b * b) in (a * b, -(a * b))
+
+
+def test_exponent_at_the_field_limit_raises_instead_of_wrapping():
+    top = x ** (EXPONENT_LIMIT - 1)
+    assert top.leading() == ((EXPONENT_LIMIT - 1,), 1)
+    assert (top * y).variables == ("x", "y")
+    with pytest.raises(ExponentOverflow):
+        x ** EXPONENT_LIMIT
+    with pytest.raises(ExponentOverflow):
+        top * x
+    with pytest.raises(ExponentOverflow):
+        top * top  # 2^32 - 2 still fits the field, so only the guard bit shows it
+    with pytest.raises(ExponentOverflow):
+        sum_of_products([(1, y, y), (-1, top, x + 1)])
+    for text in (f"x^{EXPONENT_LIMIT}", f"x^{EXPONENT_LIMIT - 1}*x", f"y + x^{2 ** 64}"):
+        with pytest.raises(ExponentOverflow):
+            parse_polynomial(text)
+    with pytest.raises(ExponentOverflow):
+        Polynomial(("x",), {(EXPONENT_LIMIT,): 1})
+    with pytest.raises(ExponentOverflow):
+        Polynomial(("x",), {(-1,): 1})
+
+
+def test_manifest_product_past_the_exponent_limit_is_that_background_error(tmp_path, capsys):
+    doc = json.loads((ROOT / "manifests" / "solution1.json").read_text())
+    doc["forms"][0]["terms"][0]["coeff"] = f"x2^{EXPONENT_LIMIT - 1}"  # |F|^2 squares it
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--manifest", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "  ERROR: ExponentOverflow: exponent of x2 reaches 2^31 in a product\n" in captured.out
+    assert "Traceback" not in captured.out
+
+
+REGISTRY_PROBE = """
+import contextlib, io, json, random, sys
+from sugra11.cli import main
+from sugra11.polyring import Polynomial, parse_polynomial
+
+names = ["u", "v", "x", "y", "z"] + [f"x{i}" for i in range(1, 5)] + [f"y{i}" for i in range(1, 6)]
+if sys.argv[1] == "reverse":
+    names.reverse()
+elif sys.argv[1] == "shuffled":
+    random.Random(5).shuffle(names)
+if sys.argv[1] != "default":
+    for name in names:  # the first sight of a name fixes its field
+        Polynomial.variable(name)
+texts = ["3*x^2*y - 1/2*y^3 + z - 7", "x1*y1^2 - 2*u*v + x4^3*y5", "y2*x3 - x3*y2 + v^2"]
+out = []
+for text in texts:
+    p = parse_polynomial(text)
+    built = sum((Polynomial.variable(n) * Polynomial.variable(n) for n in sorted(set(names))),
+                Polynomial.zero())
+    out.append([str(p), hash(p), repr(p.leading()), list(p.variables), str(p * built),
+                p == parse_polynomial(str(p)), p * built == built * p, hash(p * built)])
+for manifest in ("solution4_literal", "solution2"):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["--manifest", f"manifests/{manifest}.json"])
+    out.append([code, buf.getvalue()])
+print(json.dumps(out))
+"""
+
+
+def test_output_equality_and_hash_do_not_depend_on_the_registration_order():
+    env = dict(os.environ, PYTHONHASHSEED="0",
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    runs = {
+        order: json.loads(subprocess.run(
+            [sys.executable, "-c", REGISTRY_PROBE, order], cwd=ROOT, env=env,
+            capture_output=True, text=True, check=True, timeout=300,
+        ).stdout)
+        for order in ("default", "reverse", "shuffled")
+    }
+    assert runs["reverse"] == runs["default"] and runs["shuffled"] == runs["default"]
+    *polys, (code, report), _ = runs["default"]
+    assert all(row[5] and row[6] for row in polys)
+    assert polys[2][0] == "v^2"  # y2*x3 cancels against x3*y2
+    assert code == 1 and report == (ROOT / "tests" / "golden" / "solution4_literal.text.stdout").read_text()
