@@ -1,12 +1,15 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial maps monomials to nonzero rational coefficients.  There is
-no floating point anywhere.  Zero testing (``is_zero``) is what every
-residual check reduces to, so results are always canonical: no zero
-coefficient is stored, and a coefficient is an ``int`` when integral and
-a ``Fraction`` only when not (``_coefficient`` decides; every division
-goes through ``Fraction``; ``constant_value`` and ``evaluate`` return
-``Fraction``).
+A polynomial stores ``int`` numerators over one positive ``int``
+denominator ``den`` shared by all its terms, the content/primitive-part
+form of Geddes, Czapor and Labahn, "Algorithms for Computer Algebra"
+(1992), ch. 2.  There is no floating point anywhere.  Zero testing
+(``is_zero``) is what every residual check reduces to, so results are
+always canonical (``_canonical`` is the one normaliser): no zero numerator
+is stored, ``gcd(den, every numerator) == 1``, and the zero polynomial has
+no terms and ``den == 1``.  Coefficients go in as ``int`` or ``Fraction``
+(floats are refused) and come out of ``leading`` as an ``int`` when
+integral; ``constant_value`` and ``evaluate`` return ``Fraction``.
 
 A monomial is one packed ``int`` (Monagan and Pearce, "Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors", CASC
@@ -22,7 +25,8 @@ and ``leading`` read exponents by sorted name, so none depends on the
 order in which names were registered.
 
 ``sum_of_products`` is the one multiply-accumulate kernel: signed
-products land in a single term map and become one canonical polynomial.
+products, scaled to the lcm of their denominators, land in a single
+``int`` term map and become one canonical polynomial.
 """
 
 from __future__ import annotations
@@ -111,13 +115,14 @@ def _coefficient(value) -> Coefficient:
 
 
 class Polynomial:
-    """Immutable sparse polynomial with int or non-integral Fraction coefficients.
+    """Immutable sparse polynomial: int numerators over one positive int ``den``.
 
-    ``terms`` maps packed monomials to coefficients; the public constructor
-    takes exponent tuples over ``variables`` and packs them once.
+    ``terms`` maps packed monomials to nonzero numerators; the public
+    constructor takes exponent tuples over ``variables`` and int or Fraction
+    coefficients, and packs them once.
     """
 
-    __slots__ = ("terms", "_variables", "_hash")
+    __slots__ = ("terms", "den", "_variables", "_hash")
 
     def __init__(
         self, variables: Iterable[str] = (), terms: Mapping[Exponent, Coefficient] | None = None
@@ -127,7 +132,9 @@ class Polynomial:
         for exp, c in (terms or {}).items():
             key = _pack(zip(varlist, exp))
             packed[key] = packed.get(key, 0) + _coefficient(c)
-        _set_terms(self, _canonical(packed).terms)
+        p = _rational(packed)
+        _set_terms(self, p.terms)
+        _set_den(self, p.den)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Polynomial is immutable")
@@ -140,7 +147,7 @@ class Polynomial:
 
     @staticmethod
     def constant(value: Coefficient) -> "Polynomial":
-        return _canonical({0: _coefficient(value)})
+        return _rational({0: _coefficient(value)})
 
     @staticmethod
     def variable(name: str) -> "Polynomial":
@@ -170,7 +177,7 @@ class Polynomial:
         """The value of a constant polynomial (0 for the zero polynomial)."""
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return Fraction(self.terms.get(0, 0))
+        return Fraction(self.terms.get(0, 0), self.den)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -182,7 +189,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return _wrap({e: -c for e, c in self.terms.items()})
+        return _wrap({e: -c for e, c in self.terms.items()}, self.den)
 
     def __sub__(self, other) -> "Polynomial":
         if type(other) is not Polynomial:
@@ -196,7 +203,8 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             if not other or not self.terms:
                 return _P_ZERO
-            return _canonical({e: c * other for e, c in self.terms.items()})
+            num, den = _coefficient(other).as_integer_ratio()
+            return _canonical({e: c * num for e, c in self.terms.items()}, self.den * den)
         return sum_of_products([(1, self, _coerce(other))])
 
     __rmul__ = __mul__
@@ -219,14 +227,15 @@ class Polynomial:
             other = Polynomial.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
         try:
             return self._hash
         except AttributeError:
             names = self.variables
-            h = hash((names, frozenset((_exponents(e, names), c) for e, c in self.terms.items())))
+            monomials = frozenset((_exponents(e, names), c) for e, c in self.terms.items())
+            h = hash((names, self.den, monomials))
             object.__setattr__(self, "_hash", h)
             return h
 
@@ -238,21 +247,21 @@ class Polynomial:
         if off is None:
             return _P_ZERO
         one = 1 << off
-        out: Dict[int, Coefficient] = {}
+        out: Dict[int, int] = {}
         for e, c in self.terms.items():
             k = e >> off & _FIELD
             if k:
                 out[e - one] = c * k
-        return _canonical(out)
+        return _canonical(out, self.den)
 
-    def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
-        """Exact value at a rational point covering all variables."""
+    def evaluate(self, point: Mapping[str, Coefficient]) -> Fraction:
+        """Exact value at a rational (int or Fraction, never float) point covering all variables."""
         names = self.variables
         vals = []
         for v in names:
             if v not in point:
                 raise KeyError(f"no value supplied for variable {v!r}")
-            vals.append(Fraction(point[v]))
+            vals.append(Fraction(_coefficient(point[v])))
         total = Fraction(0)
         for e, c in self.terms.items():
             term = c
@@ -260,14 +269,14 @@ class Polynomial:
                 if k:
                     term *= val ** k
             total += term
-        return total
+        return total / self.den
 
     def substitute(self, assignments: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Substitute polynomials for a subset of the variables."""
         names = self.variables
         out = _P_ZERO
         for e, c in self.terms.items():
-            term = Polynomial.constant(c)
+            term = Polynomial.constant(Fraction(c, self.den))
             for v, k in zip(names, _exponents(e, names)):
                 if not k:
                     continue
@@ -284,7 +293,7 @@ class Polynomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         key = max(self.terms, key=_grlex_key)
-        return _exponents(key, self.variables), self.terms[key]
+        return _exponents(key, self.variables), _coefficient(Fraction(self.terms[key], self.den))
 
     # -- printing ----------------------------------------------------------
 
@@ -292,9 +301,10 @@ class Polynomial:
         if not self.terms:
             return "0"
         names = self.variables
+        den = self.den
         pieces = []
         for e in sorted(self.terms, key=_grlex_key, reverse=True):
-            coeff = self.terms[e]
+            coeff = self.terms[e] if den == 1 else Fraction(self.terms[e], den)
             factors = [
                 v if k == 1 else f"{v}^{k}"
                 for v, k in zip(names, _exponents(e, names))
@@ -317,24 +327,39 @@ class Polynomial:
 
 _new = object.__new__
 _set_terms = Polynomial.terms.__set__
+_set_den = Polynomial.den.__set__
 
 
-def _wrap(terms: Dict[int, Coefficient]) -> Polynomial:
-    """The polynomial of a canonical packed term map, taken without a copy."""
+def _wrap(terms: Dict[int, int], den: int = 1) -> Polynomial:
+    """The polynomial of canonical packed numerators over den, taken without a copy."""
     p = _new(Polynomial)
     _set_terms(p, terms)
+    _set_den(p, den)
     return p
 
 
-def _canonical(terms: Mapping[int, Coefficient]) -> Polynomial:
-    """The polynomial of a packed term map: zeros dropped, integral Fractions made int."""
-    clean: Dict[int, Coefficient] = {}
-    for e, c in terms.items():
-        if type(c) is not int:
-            c = _coefficient(c)
-        if c:
-            clean[e] = c
-    return _wrap(clean) if clean else _P_ZERO
+def _canonical(terms: Dict[int, int], den: int = 1) -> Polynomial:
+    """The polynomial of packed int numerators over den > 0, taken without a copy.
+
+    Zeros are dropped and the gcd of den and the numerators is divided out.
+    """
+    if 0 in terms.values():
+        terms = {e: c for e, c in terms.items() if c}
+    if not terms:
+        return _P_ZERO
+    if den != 1:
+        g = math.gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {e: c // g for e, c in terms.items()}
+    return _wrap(terms, den)
+
+
+def _rational(coefficients: Mapping[int, Coefficient]) -> Polynomial:
+    """The polynomial of a packed map to int or Fraction coefficients."""
+    den = math.lcm(*(c.denominator for c in coefficients.values()))
+    numerators = {e: c.numerator * (den // c.denominator) for e, c in coefficients.items()}
+    return _canonical(numerators, den)
 
 
 def _combine(a: Polynomial, b: Polynomial, sign: int) -> Polynomial:
@@ -343,17 +368,18 @@ def _combine(a: Polynomial, b: Polynomial, sign: int) -> Polynomial:
         return a
     if not a.terms:
         return b if sign > 0 else -b
-    out = dict(a.terms)
+    den, b_den = a.den, b.den
+    if den == b_den:
+        out = dict(a.terms)
+    else:
+        g = math.gcd(den, b_den)
+        out = {e: c * (b_den // g) for e, c in a.terms.items()}
+        sign *= den // g
+        den = den // g * b_den
     get = out.get
     for e, c in b.terms.items():
-        s = get(e, 0) + c if sign > 0 else get(e, 0) - c
-        if type(s) is not int:
-            s = _coefficient(s)
-        if s:
-            out[e] = s
-        else:
-            del out[e]
-    return _wrap(out) if out else _P_ZERO
+        out[e] = get(e, 0) + c * sign
+    return _canonical(out, den)
 
 
 _P_ZERO = _wrap({})
@@ -362,21 +388,30 @@ _P_ZERO = _wrap({})
 def sum_of_products(products: Iterable[Tuple[int, Polynomial, Polynomial]]) -> Polynomial:
     """The sum of sign * a * b over (sign, a, b) triples, sign +1 or -1.
 
-    Every product is accumulated into one term map, where the product of
-    two monomials is the sum of their packed keys, and one canonical
-    polynomial is built at the end.
+    Every product is scaled to a common denominator, the lcm of the
+    ``a.den * b.den`` seen so far, and accumulated into one int term map,
+    where the product of two monomials is the sum of their packed keys; one
+    canonical polynomial is built at the end.
     """
-    out: Dict[int, Coefficient] = {}
+    out: Dict[int, int] = {}
     get = out.get
+    den = 1
     for sign, a, b in products:
+        d = a.den * b.den
+        if d != den:
+            if den % d:  # raise the common denominator to lcm(den, d)
+                f = d // math.gcd(den, d)
+                for key in out:
+                    out[key] *= f
+                den *= f
+            sign *= den // d
         b_items = b.terms.items()
         for ea, ca in a.terms.items():
-            if sign < 0:
-                ca = -ca
+            ca *= sign
             for eb, cb in b_items:
                 key = ea + eb
                 out[key] = get(key, 0) + ca * cb
-    return _check_guard(_canonical(out))
+    return _check_guard(_canonical(out, den))
 
 
 def _coerce(value) -> Polynomial:
@@ -402,8 +437,9 @@ def parse_polynomial(text: str) -> Polynomial:
 
     Terms are separated by ``+``/``-``; each term is
     ``[coef][*]var[^exp][*var[^exp]...]`` with ``coef`` an integer or
-    ``int/int``.  Whitespace is insignificant.  An exponent at or above
-    ``EXPONENT_LIMIT`` raises ``ExponentOverflow``.
+    ``int/int``; a ``*`` must be followed by an unsigned factor, so
+    ``x*-y`` is refused.  Whitespace is insignificant.  An exponent at or
+    above ``EXPONENT_LIMIT`` raises ``ExponentOverflow``.
     """
     tokens = []
     for m in _TOKEN.finditer(text):
@@ -459,7 +495,8 @@ def parse_polynomial(text: str) -> Polynomial:
                 factors[val] = factors.get(val, 0) + exp
                 saw_anything = True
             elif kind == "op" and val == "*":
-                if not saw_anything:
+                # an unsigned factor must follow, so x*-y is refused rather than read as x - y
+                if not saw_anything or i + 1 == n or tokens[i + 1][0] == "op":
                     raise PolynomialGrammarError(f"dangling '*' in {text!r}")
                 i += 1
             elif kind == "op" and val in "+-":
@@ -476,7 +513,7 @@ def parse_polynomial(text: str) -> Polynomial:
         raise PolynomialGrammarError(f"dangling sign in {text!r}")
     if n == 0:
         raise PolynomialGrammarError("empty polynomial literal")
-    return _canonical(terms)
+    return _rational(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +538,11 @@ def poly_sqrt(p: Polynomial) -> Polynomial:
     if p.is_zero():
         return _P_ZERO
     lead = max(p.terms, key=_grlex_key)
-    c = _fraction_sqrt(p.terms[lead])
+    c = _fraction_sqrt(Fraction(p.terms[lead], p.den))
     if c is None or any(k % 2 for k in _grlex_key(lead)[1]):
         raise NotAPerfectSquare(f"{p} is not a perfect square")
     half = lead >> 1  # every field is even, so this halves each one
-    root = _canonical({half: c})
+    root = _rational({half: c})
     # peel one grlex-leading remainder term per step; the new root term must be
     # strictly grlex-below the previous one or no square root exists
     prev_key = _grlex_key(half)
@@ -516,12 +553,12 @@ def poly_sqrt(p: Polynomial) -> Polynomial:
         if diff is None or _grlex_key(diff) >= prev_key:
             raise NotAPerfectSquare(f"{p} is not a perfect square")
         prev_key = _grlex_key(diff)
-        root = root + _canonical({diff: Fraction(remainder.terms[r_exp]) / (2 * c)})
+        root = root + _rational({diff: Fraction(remainder.terms[r_exp], remainder.den) / (2 * c)})
         remainder = p - root * root
     return root
 
 
-def _fraction_sqrt(q: Coefficient) -> Fraction | None:
+def _fraction_sqrt(q: Fraction) -> Fraction | None:
     if q < 0:
         return None
     num = _isqrt_exact(q.numerator)
@@ -546,16 +583,16 @@ def poly_divexact(num: Polynomial, den: Polynomial) -> Polynomial:
     if den.is_constant():
         return num * (Fraction(1) / den.constant_value())
     d_lead = max(den.terms, key=_grlex_key)
-    d_lead_coeff = den.terms[d_lead]
-    out: Dict[int, Coefficient] = {}
+    d_lead_coeff = Fraction(den.terms[d_lead], den.den)
+    out: Dict[int, Fraction] = {}
     current = num
     while not current.is_zero():
         c_exp = max(current.terms, key=_grlex_key)
         q_exp = _quotient_key(c_exp, d_lead)
         if q_exp is None:
             raise ValueError(f"{den} does not divide {num}")
-        q_coeff = Fraction(current.terms[c_exp]) / d_lead_coeff
+        q_coeff = Fraction(current.terms[c_exp], current.den) / d_lead_coeff
         out[q_exp] = q_coeff
-        current = current - _canonical({q_exp: q_coeff}) * den
-    return _canonical(out)
+        current = current - _rational({q_exp: q_coeff}) * den
+    return _rational(out)
 

@@ -263,6 +263,11 @@ def _exponent_past_the_limit(doc):
     return "form 'du_theta' term 0: bad polynomial"
 
 
+def _signed_factor(doc):
+    doc["forms"][0]["terms"][0]["coeff"] = "x2*-x3"
+    return "form 'du_theta' term 0: bad polynomial"
+
+
 def _nonconstant_warping(doc):
     doc["products"][0]["warping"] = "y1"
     return "product 'X11': warping must be a nonzero constant, got y1"
@@ -281,6 +286,7 @@ def _nonconstant_warping(doc):
         _string_case,
         _zero_denominator,
         _exponent_past_the_limit,
+        _signed_factor,
         _nonconstant_warping,
     ],
 )

@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic: ring laws, calculus, parsing, square roots."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -81,12 +82,14 @@ def test_quadratic_potential_built_by_add_and_scale():
     assert h.evaluate({"x1": 1, "x2": 1, "x3": 1, "x4": 1}) == Fraction(1, 2)
 
 
-# -- coefficient store: int when integral, Fraction otherwise, never float ------
+# -- coefficient store: int numerators over one positive int den, never float ----
 
 def assert_canonical(p):
     for c in p.terms.values():
-        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (p, c)
-        assert c != 0
+        assert type(c) is int and c != 0, (p, c)
+    assert type(p.den) is int and p.den > 0, (p, p.den)
+    assert math.gcd(p.den, *p.terms.values()) == 1, (p, p.den)
+    assert p.terms or p.den == 1, (p, p.den)
 
 
 signed_products = st.lists(
@@ -129,7 +132,21 @@ def test_divexact_with_integer_coefficients_is_exact():
     assert poly_divexact(2 * x, 4) == x * Fraction(1, 2)
     for q in (poly_divexact(2 * x, 4), poly_divexact(2 * x * y, 4 * y)):
         assert q == x * Fraction(1, 2)
-        assert [type(c) for c in q.terms.values()] == [Fraction]
+        assert list(q.terms.values()) == [1] and q.den == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomials(), rationals().filter(bool), signed_products)
+def test_equal_polynomials_built_by_different_routes_are_stored_identically(p, r, products):
+    total = Polynomial.zero()
+    for sign, a, b in products:
+        total = total + a * b if sign > 0 else total - a * b
+    half = Fraction(1, 2)
+    for a, b in (((p * r) * (1 / r), p),
+                 (p * half + p * half, p),
+                 (parse_polynomial(str(p)), p),
+                 (sum_of_products(products), total)):
+        assert (a.terms, a.den, hash(a)) == (b.terms, b.den, hash(b))
 
 
 def test_float_coefficients_are_refused():
@@ -137,6 +154,8 @@ def test_float_coefficients_are_refused():
         Polynomial.constant(0.5)
     with pytest.raises(TypeError):
         Polynomial(("x",), {(1,): 2.0})
+    with pytest.raises(TypeError):
+        (x * x).evaluate({"x": 0.1})
 
 
 # -- calculus ----------------------------------------------------------------
@@ -228,7 +247,8 @@ def test_parse_basic_grammar():
 
 
 def test_parse_errors():
-    for bad in ("", "x +", "x ^ y", "@", "x^1/2", "1/0*x", "x^3/0"):
+    for bad in ("", "x +", "x ^ y", "@", "x^1/2", "1/0*x", "x^3/0",
+                "x*-y", "2*-3", "x^2*-x", "x*+y", "x * - y", "x*", "x**2"):
         with pytest.raises(PolynomialGrammarError):
             parse_polynomial(bad)
 
