@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .exterior import VectorField
-from .metric import ChartMetric
+from .exterior import DifferentialForm, VectorField, exterior_derivative
+from .metric import ChartMetric, sharp
 from .polyring import Polynomial, sum_of_products
 
 Matrix = Tuple[Tuple[Polynomial, ...], ...]
@@ -126,11 +126,7 @@ def laplace_beltrami(m: ChartMetric, f: Polynomial) -> Polynomial:
 
 def gradient(m: ChartMetric, f: Polynomial) -> VectorField:
     """sharp(df)."""
-    df = [f.partial(v) for v in m.chart.coordinates]
-    n = m.dim
-    return VectorField(
-        m.chart, {j: sum_of_products((1, df[i], m.g_inv[i][j]) for i in range(n)) for j in range(n)}
-    )
+    return sharp(m, exterior_derivative(DifferentialForm.function(m.chart, f)))
 
 
 def grad_norm_sq(m: ChartMetric, f: Polynomial) -> Polynomial:

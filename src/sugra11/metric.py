@@ -17,19 +17,25 @@ Sign conventions are fixed once and used everywhere:
     Einstein block law, and ``contraction_matrix`` is its one
     implementation.
 
-Every pairing and star above is a sum of Gram minors det g_inv[I, J].
-Each ``ChartMetric`` keeps one table of them, created with the metric and
-living as long as it; ``_gram_minor`` is the only code that reads or
-fills it.  The key is one int built from the row and column bitmasks;
-g_inv is symmetric, so a minor and its transpose share an entry.  A miss
-is a Laplace expansion along its first row over (p-1)-minors taken from
-the same table, so each minor is computed once per metric and process,
-whichever of ``hodge_star``, ``inner_product_forms`` or
-``contraction_matrix`` asks.  A factor metric and the 11-dimensional
-product metric have separate tables: the block-law audits, which work on
-the factors, never read an entry of the direct computation and stay
-independent checks.  ``poly_det`` is left to ``make_metric`` (det g and
-its cofactors).
+Every pairing, star and raised index above is a sum of Gram minors
+det g_inv[R, C].  There is one determinant routine, ``_mask_minor``: a
+table keyed by one int built from the row and column bitmasks, where a
+miss is a Laplace expansion along the lowest row over minors from the same
+table.  Each ``ChartMetric`` keeps one table of the minors of its
+symmetric g_inv (a minor and its transpose share an entry), living as long
+as the metric; ``_gram_minor`` is the only code that reads or fills it.
+``poly_det`` is the same expansion over a fresh table, and ``make_metric``
+takes det g from it and, with no inverse supplied, the cofactors from one
+table over the symmetric g.
+
+One kernel raises indices: ``_raise`` maps each row set R to
+sum_C a_C det g_inv[R, C].  ``hodge_star`` places it on the complements of
+R, ``inner_product_forms`` pairs it with the other form, and ``sharp`` is
+its 1-form case, so each minor is computed once per metric and process,
+whichever of them (or ``contraction_matrix``) asks.  A factor metric and
+the 11-dimensional product metric have separate tables: the block-law
+audits, which work on the factors, never read an entry of the direct
+computation and stay independent checks.
 
 On a negative-definite factor this star differs from the
 Euclidean-signature star by (-1)^p on p-forms, which shows up as
@@ -44,7 +50,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from .exterior import (
     Chart,
@@ -110,33 +116,18 @@ def _is_identity(m: Matrix) -> bool:
 
 
 def poly_det(m: Matrix) -> Polynomial:
-    """Exact determinant by expansion over column subsets (memoized)."""
+    """Exact determinant of a square matrix, from a table of its minors.
+
+    The expansion from the full minor removes the lowest row at each step,
+    so every visited minor has a suffix {k..n-1} as its row set.  Two
+    visited minors that are transposes of each other would need equal
+    suffix row sets and hence be the same minor, so the key that
+    ``_mask_minor`` shares between a minor and its transpose stays exact
+    for a non-symmetric matrix.
+    """
     n = len(m)
-    cache: Dict[Tuple[int, int], Polynomial] = {}
-
-    def rec(row: int, cols: int) -> Polynomial:
-        if row == n:
-            return Polynomial.constant(1)
-        key = (row, cols)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        total = Polynomial.zero()
-        sign = 1
-        for j in range(n):
-            bit = 1 << j
-            if not (cols & bit):
-                continue
-            entry = m[row][j]
-            if not entry.is_zero():
-                sub = rec(row + 1, cols & ~bit)
-                term = entry * sub
-                total = total + (term if sign > 0 else -term)
-            sign = -sign
-        cache[key] = total
-        return total
-
-    return rec(0, (1 << n) - 1)
+    full = (1 << n) - 1
+    return _mask_minor({}, m, n, full, full)
 
 
 class ChartMetric:
@@ -159,23 +150,15 @@ class ChartMetric:
         self.sqrt_abs_det = sqrt_abs_det
         self._curvature = None  # lazily filled by the curvature module
         self._minors: Dict[int, Polynomial] = {}  # read and filled by _gram_minor only
+        n = chart.dim
+        # for each index, the indices it pairs with under g_inv (sparsity)
+        self.inv_neighbors = tuple(
+            frozenset(i for i in range(n) if not g_inv[i][j].is_zero()) for j in range(n)
+        )
 
     @property
     def dim(self) -> int:
         return self.chart.dim
-
-    @property
-    def inv_neighbors(self) -> Tuple[Tuple[int, ...], ...]:
-        """For each index, the indices it pairs with under g_inv (sparsity)."""
-        cached = getattr(self, "_inv_neighbors", None)
-        if cached is None:
-            n = self.dim
-            cached = tuple(
-                tuple(i for i in range(n) if not self.g_inv[i][j].is_zero())
-                for j in range(n)
-            )
-            self._inv_neighbors = cached
-        return cached
 
 
 def make_metric(
@@ -208,20 +191,15 @@ def make_metric(
             raise NonPolynomialInverse(
                 "no inverse supplied and det is non-constant; supply a polynomial inverse"
             )
-        d = det.constant_value()
-        inv = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                # cofactor expansion: inv[i][j] = C_ji / det
-                minor = [
-                    [g[r][c] for c in range(n) if c != i]
-                    for r in range(n)
-                    if r != j
-                ]
-                cof = poly_det(_as_matrix(minor)) * ((-1) ** (i + j))
-                row.append(cof * (Fraction(1) / d))
-            inv.append(row)
+        # inv[i][j] = C_ji / det, the cofactors from one table over the symmetric g
+        scale = Fraction(1) / det.constant_value()
+        full = (1 << n) - 1
+        cofactors: Dict[int, Polynomial] = {}
+        inv = [
+            [_mask_minor(cofactors, g, n, full ^ (1 << j), full ^ (1 << i)) * ((-1) ** (i + j) * scale)
+             for j in range(n)]
+            for i in range(n)
+        ]
         g_inv = _as_matrix(inv)
     else:
         g_inv = _as_matrix(g_inv_rows)
@@ -324,14 +302,7 @@ def sharp(m: ChartMetric, a: DifferentialForm) -> VectorField:
         raise ChartError("chart mismatch")
     if a.degree != 1:
         raise DegreeError("sharp expects a 1-form")
-    out: Dict[int, Polynomial] = {}
-    for (i,), poly in a.components.items():
-        for j in range(m.dim):
-            entry = m.g_inv[i][j]
-            if entry.is_zero():
-                continue
-            out[j] = out.get(j, Polynomial.zero()) + poly * entry
-    return VectorField(m.chart, out)
+    return VectorField(m.chart, {j: v for (j,), v in _raise(m, a).items()})
 
 
 def flat(m: ChartMetric, v: VectorField) -> DifferentialForm:
@@ -372,9 +343,14 @@ def _gram_minor(m: ChartMetric, rows: Tuple[int, ...], cols: Tuple[int, ...]) ->
 
 
 def _mask_minor(
-    table: Dict[int, Polynomial], g_inv: Matrix, n: int, rmask: int, cmask: int
+    table: Dict[int, Polynomial], mat: Matrix, n: int, rmask: int, cmask: int
 ) -> Polynomial:
-    # g_inv is symmetric, so a minor and its transpose share one key
+    """det mat[rmask, cmask], read from or added to ``table``.
+
+    A minor and its transpose share one key, which is exact when ``mat`` is
+    symmetric or, as in ``poly_det``, no two minors in the table are
+    transposes of each other.
+    """
     key = (rmask << n) | cmask if rmask <= cmask else (cmask << n) | rmask
     hit = table.get(key)
     if hit is not None:
@@ -383,7 +359,7 @@ def _mask_minor(
         table[key] = value = Polynomial.constant(1)
         return value
     low = rmask & -rmask
-    row = g_inv[low.bit_length() - 1]
+    row = mat[low.bit_length() - 1]
     rest = rmask ^ low
     products = []
     sign = 1
@@ -393,7 +369,7 @@ def _mask_minor(
         cols ^= bit
         entry = row[bit.bit_length() - 1]
         if not entry.is_zero():
-            sub = _mask_minor(table, g_inv, n, rest, cmask ^ bit)
+            sub = _mask_minor(table, mat, n, rest, cmask ^ bit)
             if not sub.is_zero():
                 products.append((sign, entry, sub))
         sign = -sign
@@ -402,29 +378,36 @@ def _mask_minor(
     return value
 
 
+def _raise(
+    m: ChartMetric, a: DifferentialForm, rows: Iterable[Tuple[int, ...]] | None = None
+) -> Dict[Tuple[int, ...], Polynomial]:
+    """{R: sum_C a_C det g_inv[R, C]} over the given row sets, or over every
+    row set when ``rows`` is None.
+
+    A pair (R, C) is skipped unless every r in R pairs with some c in C under
+    g_inv and every c in C pairs with some r in R: otherwise the minor has a
+    zero row or column.
+    """
+    neighbors = m.inv_neighbors
+    products: Dict[Tuple[int, ...], list] = {}
+    for cols, pa in a.components.items():
+        reach = frozenset().union(*(neighbors[c] for c in cols))
+        for r in combinations(sorted(reach), a.degree) if rows is None else rows:
+            if reach.issuperset(r) and all(not neighbors[c].isdisjoint(r) for c in cols):
+                minor = _gram_minor(m, r, cols)
+                if not minor.is_zero():
+                    products.setdefault(r, []).append((1, pa, minor))
+    return {r: sum_of_products(terms) for r, terms in products.items()}
+
+
 def inner_product_forms(m: ChartMetric, a: DifferentialForm, b: DifferentialForm) -> Polynomial:
-    """<a, b> as the sum of Gram minors of g_inv over component pairs."""
+    """<a, b> = sum_R b_R (sum_C a_C det g_inv[R, C])."""
     if a.chart != m.chart or b.chart != m.chart:
         raise ChartError("chart mismatch")
     if a.degree != b.degree:
         raise DegreeError(f"degree mismatch: {a.degree} vs {b.degree}")
-    if a.degree == 0:
-        pa = a.components.get((), Polynomial.zero())
-        pb = b.components.get((), Polynomial.zero())
-        return pa * pb
-    neighbors = m.inv_neighbors
-    total = Polynomial.zero()
-    for ia, pa in a.components.items():
-        row_sets = [set(neighbors[i]) for i in ia]
-        for ib, pb in b.components.items():
-            # the minor vanishes unless every row index can pair some column
-            bset = set(ib)
-            if any(not (rs & bset) for rs in row_sets):
-                continue
-            minor = _gram_minor(m, ia, ib)
-            if not minor.is_zero():
-                total = total + pa * pb * minor
-    return total
+    raised = _raise(m, a, b.components)
+    return sum_of_products((1, b.components[r], v) for r, v in raised.items())
 
 
 def contraction_matrix(m: ChartMetric, a: DifferentialForm) -> Matrix:
@@ -471,31 +454,8 @@ def hodge_star(m: ChartMetric, a: DifferentialForm) -> DifferentialForm:
         # only identically-zero forms carry degree > dim
         return DifferentialForm.zero(m.chart, 0)
     out: Dict[Tuple[int, ...], Polynomial] = {}
-    s = m.sqrt_abs_det
-    full = tuple(range(n))
-    neighbors = m.inv_neighbors
-    # only row sets drawn from the columns' g_inv-neighbors give nonzero minors
-    contributions: Dict[Tuple[int, ...], Polynomial] = {}
-    for cols, pa in a.components.items():
-        candidates = sorted(set().union(*(neighbors[c] for c in cols))) if cols else []
-        for rows in combinations(candidates, p):
-            col_ok = all(any(r in neighbors[c] for r in rows) for c in cols)
-            if not col_ok:
-                continue
-            minor = _gram_minor(m, rows, cols)
-            if minor.is_zero():
-                continue
-            term = pa * minor
-            prev = contributions.get(rows)
-            contributions[rows] = term if prev is None else prev + term
-    for rows, coeff in contributions.items():
-        if coeff.is_zero():
-            continue
-        complement = tuple(i for i in full if i not in rows)
+    for rows, coeff in _raise(m, a).items():
+        complement = tuple(i for i in range(n) if i not in rows)
         _, sign = _sort_with_sign(rows + complement)
-        term = coeff * s
-        if sign < 0:
-            term = -term
-        prev = out.get(complement)
-        out[complement] = term if prev is None else prev + term
+        out[complement] = sum_of_products([(sign, coeff, m.sqrt_abs_det)])
     return DifferentialForm(m.chart, n - p, out)

@@ -233,9 +233,12 @@ class Polynomial:
         try:
             return self._hash
         except AttributeError:
-            names = self.variables
-            monomials = frozenset((_exponents(e, names), c) for e, c in self.terms.items())
-            h = hash((names, self.den, monomials))
+            if self.is_constant():  # equal to its int or Fraction value, so hashed as it
+                h = hash(self.constant_value())
+            else:
+                names = self.variables
+                monomials = frozenset((_exponents(e, names), c) for e, c in self.terms.items())
+                h = hash((names, self.den, monomials))
             object.__setattr__(self, "_hash", h)
             return h
 
@@ -438,8 +441,12 @@ def parse_polynomial(text: str) -> Polynomial:
     Terms are separated by ``+``/``-``; each term is
     ``[coef][*]var[^exp][*var[^exp]...]`` with ``coef`` an integer or
     ``int/int``; a ``*`` must be followed by an unsigned factor, so
-    ``x*-y`` is refused.  Whitespace is insignificant.  An exponent at or
-    above ``EXPONENT_LIMIT`` raises ``ExponentOverflow``.
+    ``x*-y`` is refused.  A number may only open a term, a name must open
+    a term or follow its coefficient or a ``*``, and a sign may not follow
+    a sign, so ``2 3``, ``x 2``, ``x y``, ``--x`` and ``x+-y`` are refused
+    while ``2x``, ``2 x`` and ``-x`` are read.  Whitespace is otherwise
+    insignificant.  An exponent at or above ``EXPONENT_LIMIT`` raises
+    ``ExponentOverflow``.
     """
     tokens = []
     for m in _TOKEN.finditer(text):
@@ -461,30 +468,30 @@ def parse_polynomial(text: str) -> Polynomial:
     i = 0
     n = len(tokens)
     sign = 1
-    expect_term = True
+    signed = False  # a sign was read and no term has followed it yet
     while i < n:
         kind, val = tokens[i]
         if kind == "op" and val in "+-":
-            if not expect_term and val == "-":
-                sign = -1
-            elif not expect_term:
-                sign = 1
-            else:
-                sign = -sign if val == "-" else sign
-            expect_term = True
+            if signed:
+                raise PolynomialGrammarError(f"doubled sign in {text!r}")
+            sign = -1 if val == "-" else 1
+            signed = True
             i += 1
             continue
         # parse one term
         coeff: Coefficient = 1
         factors: Dict[str, int] = {}
-        saw_anything = False
+        prev = None  # the last token of this term: "num", "name" or "*"
         while i < n:
             kind, val = tokens[i]
             if kind == "num":
-                coeff *= val
-                saw_anything = True
+                if prev is not None:
+                    raise PolynomialGrammarError(f"a number may only open a term in {text!r}")
+                coeff = val
                 i += 1
             elif kind == "name":
+                if prev == "name":
+                    raise PolynomialGrammarError(f"juxtaposed factors without '*' in {text!r}")
                 exp = 1
                 i += 1
                 if i < n and tokens[i] == ("op", "^"):
@@ -493,23 +500,23 @@ def parse_polynomial(text: str) -> Polynomial:
                     exp = int(tokens[i + 1][1])
                     i += 2
                 factors[val] = factors.get(val, 0) + exp
-                saw_anything = True
             elif kind == "op" and val == "*":
                 # an unsigned factor must follow, so x*-y is refused rather than read as x - y
-                if not saw_anything or i + 1 == n or tokens[i + 1][0] == "op":
+                if prev is None or i + 1 == n or tokens[i + 1][0] == "op":
                     raise PolynomialGrammarError(f"dangling '*' in {text!r}")
                 i += 1
             elif kind == "op" and val in "+-":
                 break
             else:
                 raise PolynomialGrammarError(f"unexpected token {val!r} in {text!r}")
-        if not saw_anything:
+            prev = val if kind == "op" else kind
+        if prev is None:
             raise PolynomialGrammarError(f"empty term in {text!r}")
         key = _pack(factors.items())
         terms[key] = terms.get(key, 0) + sign * coeff
         sign = 1
-        expect_term = False
-    if expect_term and n:
+        signed = False
+    if signed:
         raise PolynomialGrammarError(f"dangling sign in {text!r}")
     if n == 0:
         raise PolynomialGrammarError("empty polynomial literal")

@@ -268,6 +268,11 @@ def _signed_factor(doc):
     return "form 'du_theta' term 0: bad polynomial"
 
 
+def _juxtaposed_factor(doc):
+    doc["forms"][0]["terms"][0]["coeff"] = "2 3"
+    return "form 'du_theta' term 0: bad polynomial"
+
+
 def _nonconstant_warping(doc):
     doc["products"][0]["warping"] = "y1"
     return "product 'X11': warping must be a nonzero constant, got y1"
@@ -287,6 +292,7 @@ def _nonconstant_warping(doc):
         _zero_denominator,
         _exponent_past_the_limit,
         _signed_factor,
+        _juxtaposed_factor,
         _nonconstant_warping,
     ],
 )

@@ -244,13 +244,26 @@ def test_parse_basic_grammar():
     assert parse_polynomial("2*x*y - y^2") == 2 * x * y - y ** 2
     assert parse_polynomial(" x ^ 2 * y ") == x ** 2 * y
     assert parse_polynomial("0") == Polynomial.zero()
+    # a name may follow its term's coefficient without a '*'
+    assert parse_polynomial("2x") == parse_polynomial("2 x") == 2 * x
+    assert parse_polynomial("x - y") == x - y
 
 
 def test_parse_errors():
     for bad in ("", "x +", "x ^ y", "@", "x^1/2", "1/0*x", "x^3/0",
-                "x*-y", "2*-3", "x^2*-x", "x*+y", "x * - y", "x*", "x**2"):
+                "x*-y", "2*-3", "x^2*-x", "x*+y", "x * - y", "x*", "x**2",
+                # juxtaposed factors and doubled signs
+                "2 3", "x 2", "1/2 3", "x y", "x*2", "--x", "x--y", "x+-y"):
         with pytest.raises(PolynomialGrammarError):
             parse_polynomial(bad)
+
+
+def test_constant_polynomial_hashes_as_the_number_it_equals():
+    for value in (3, 0, Fraction(1, 2)):
+        p = Polynomial.constant(value)
+        assert p == value and hash(p) == hash(value)
+        assert len({p, value}) == 1
+    assert Polynomial.zero() == 0 and hash(Polynomial.zero()) == hash(0)
 
 
 @settings(max_examples=60, deadline=None)
