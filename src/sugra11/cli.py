@@ -25,7 +25,7 @@ from .fieldeqs import (
     flux_norm_sq,
     split_einstein,
 )
-from .manifest import BackgroundSpec, Manifest, ManifestError, parse_manifest
+from .manifest import BackgroundSpec, Manifest, ManifestError, parse_manifest, rational
 from .metric import CONVENTION_NOTES
 from .report import CheckResult, VerificationReport, residual_entries
 from .solutions import check_theorem_conditions
@@ -189,11 +189,8 @@ def _parse_point(spec: str) -> Dict[str, Fraction]:
             continue
         if "=" not in piece:
             raise ManifestError(f"bad point assignment {piece!r}; expected var=value")
-        name, value = piece.split("=", 1)
-        try:
-            point[name.strip()] = Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ManifestError(f"bad rational {value!r} in point spec") from exc
+        name, value = (part.strip() for part in piece.split("=", 1))
+        point[name] = rational(value, f"--eval {name}")
     if not point:
         raise ManifestError("empty evaluation point")
     return point
@@ -202,10 +199,7 @@ def _parse_point(spec: str) -> Dict[str, Fraction]:
 def _parse_set(spec: str) -> Fraction:
     if not spec.startswith("c="):
         raise ManifestError(f"--set expects c=<rational>, got {spec!r}")
-    try:
-        value = Fraction(spec[2:])
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ManifestError(f"bad rational in {spec!r}") from exc
+    value = rational(spec[2:], "--set c")
     if value == 0:
         raise ManifestError("the coupling constant must be nonzero")
     return value

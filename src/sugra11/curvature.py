@@ -159,7 +159,3 @@ def is_totally_ricci_isotropic(m: ChartMetric):
                 names = m.chart.coordinates
                 return False, (names[a], names[b], sq[a][b])
     return True, None
-
-
-def matrix_is_zero(mat: Matrix) -> bool:
-    return all(entry.is_zero() for row in mat for entry in row)

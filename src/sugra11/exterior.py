@@ -215,19 +215,6 @@ class VectorField:
     def component(self, i: int) -> Polynomial:
         return self.components.get(i, Polynomial.zero())
 
-    def __add__(self, other: "VectorField") -> "VectorField":
-        if self.chart != other.chart:
-            raise ChartError("chart mismatch")
-        out = dict(self.components)
-        for i, p in other.components.items():
-            out[i] = out.get(i, Polynomial.zero()) + p
-        return VectorField(self.chart, out)
-
-    def __mul__(self, scalar) -> "VectorField":
-        return VectorField(self.chart, {i: p * scalar for i, p in self.components.items()})
-
-    __rmul__ = __mul__
-
 
 def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
     """Exact wedge product; degree overflow is an error, not a silent zero."""
@@ -321,24 +308,3 @@ def lift_to_product(a: DifferentialForm, target: Chart) -> DifferentialForm:
         new_idx, sign = _sort_with_sign(tuple(mapping[i] for i in idx))
         out[new_idx] = poly if sign > 0 else -poly
     return DifferentialForm(target, a.degree, out)
-
-
-def lie_bracket(a: VectorField, b: VectorField) -> VectorField:
-    """[a, b]^k = a^i d_i b^k - b^i d_i a^k."""
-    if a.chart != b.chart:
-        raise ChartError("chart mismatch")
-    names = a.chart.coordinates
-    out: Dict[int, Polynomial] = {}
-    for k in range(a.chart.dim):
-        total = Polynomial.zero()
-        for i, ai in a.components.items():
-            bk = b.components.get(k)
-            if bk is not None:
-                total = total + ai * bk.partial(names[i])
-        for i, bi in b.components.items():
-            ak = a.components.get(k)
-            if ak is not None:
-                total = total - bi * ak.partial(names[i])
-        if not total.is_zero():
-            out[k] = total
-    return VectorField(a.chart, out)

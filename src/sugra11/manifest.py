@@ -1,17 +1,19 @@
-"""Manifest parsing, validation, and serialization.
+"""Manifest parsing and validation.
 
 A manifest is a JSON document declaring charts, metrics (dense
 lower-triangular polynomial strings with a mandatory signature), forms
 (component terms indexed by coordinate names), warped products, and
 backgrounds (a product reference, a flux ansatz of form references, and
 the list of checks to run).  Every polynomial is a string in the exact
-rational grammar; nothing in the pipeline is floating point.
+rational grammar; nothing in the pipeline is floating point.  The
+parser keeps only what the CLI runs: the resolved backgrounds and the
+report format.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -26,7 +28,13 @@ from .fieldeqs import (
     assemble_flux,
 )
 from .metric import ChartMetric, MetricError, make_metric
-from .polyring import ExponentOverflow, Polynomial, PolynomialGrammarError, parse_polynomial
+from .polyring import (
+    ExponentOverflow,
+    Polynomial,
+    PolynomialGrammarError,
+    parse_polynomial,
+    parse_rational,
+)
 from .product import NonPolynomialDivision, ProductChart, build_product
 
 KNOWN_CHECKS = ("closedness", "maxwell", "einstein", "norms", "split", "case")
@@ -40,27 +48,17 @@ class ManifestError(ValueError):
 @dataclass
 class BackgroundSpec:
     name: str
-    product: ProductChart
     background: Background
     checks: List[str]
     case: Optional[int]
     theorem: Optional[str]
     eval_points: List[Dict[str, Fraction]]
-    flux_refs: Dict[str, str]
-    product_ref: str
 
 
 @dataclass
 class Manifest:
-    charts: Dict[str, Chart]
-    metrics: Dict[str, ChartMetric]
-    forms: Dict[str, DifferentialForm]
-    products: Dict[str, ProductChart]
     backgrounds: List[BackgroundSpec]
-    coupling: Fraction = Fraction(1)
     report_format: str = "text"
-    metric_refs: Dict[str, dict] = field(default_factory=dict)
-    product_refs: Dict[str, dict] = field(default_factory=dict)
 
 
 def _poly(text, where: str) -> Polynomial:
@@ -72,13 +70,16 @@ def _poly(text, where: str) -> Polynomial:
         raise ManifestError(f"{where}: bad polynomial {text!r}: {exc}") from exc
 
 
-def _fraction(text, where: str) -> Fraction:
-    if not (isinstance(text, str) or _is_int(text)):
+def rational(text, where: str) -> Fraction:
+    """A JSON integer, or a string ``[-]int`` or ``[-]int/int``, as a Fraction."""
+    if _is_int(text):
+        return Fraction(text)
+    if not isinstance(text, str):
         raise ManifestError(f"{where}: bad rational {text!r}")
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ManifestError(f"{where}: bad rational {text!r}") from exc
+        return parse_rational(text)
+    except PolynomialGrammarError as exc:
+        raise ManifestError(f"{where}: bad rational {text!r}: {exc}") from exc
 
 
 _JSON_TYPES = {list: "a list", dict: "an object", str: "a string"}
@@ -122,9 +123,11 @@ def _ref(value, table: dict, where: str):
 def parse_manifest(path) -> Manifest:
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ManifestError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, nested too deep, or an int too long
+        raise ManifestError(f"{path}: cannot decode: {exc}") from exc
     return parse_manifest_dict(raw, source=str(path))
 
 
@@ -136,7 +139,7 @@ def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
         raise ManifestError(f"{source}: unsupported schema {schema!r}")
 
     settings = _expect(raw.get("settings", {}), dict, f"{source}: settings")
-    coupling = _fraction(settings.get("c", "1"), "settings.c")
+    coupling = rational(settings.get("c", "1"), "settings.c")
     if coupling == 0:
         raise ManifestError("settings.c must be nonzero")
     report_format = settings.get("format", "text")
@@ -156,10 +159,8 @@ def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
             raise ManifestError(f"chart {name!r}: {exc}") from exc
 
     metrics: Dict[str, ChartMetric] = {}
-    metric_refs: Dict[str, dict] = {}
     for name, entry in _entries(raw, "metrics", source):
-        chart_ref = entry.get("chart")
-        chart = _ref(chart_ref, charts, f"metric {name!r}: unresolved chart reference")
+        chart = _ref(entry.get("chart"), charts, f"metric {name!r}: unresolved chart reference")
         lower = entry.get("lower_triangular")
         if not isinstance(lower, list) or len(lower) != chart.dim:
             raise ManifestError(
@@ -189,7 +190,6 @@ def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
             metrics[name] = make_metric(chart, g, g_inv, tuple(signature), sqrt_abs_det)
         except MetricError as exc:
             raise ManifestError(f"metric {name!r}: {exc}") from exc
-        metric_refs[name] = {"chart": chart_ref}
 
     forms: Dict[str, DifferentialForm] = {}
     for name, entry in _entries(raw, "forms", source):
@@ -217,12 +217,9 @@ def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
         forms[name] = total
 
     products: Dict[str, ProductChart] = {}
-    product_refs: Dict[str, dict] = {}
     for name, entry in _entries(raw, "products", source):
-        base_ref = entry.get("base")
-        fiber_ref = entry.get("fiber")
-        base = _ref(base_ref, metrics, f"product {name!r}: unresolved base metric")
-        fiber = _ref(fiber_ref, metrics, f"product {name!r}: unresolved fiber metric")
+        base = _ref(entry.get("base"), metrics, f"product {name!r}: unresolved base metric")
+        fiber = _ref(entry.get("fiber"), metrics, f"product {name!r}: unresolved fiber metric")
         warping = _poly(entry.get("warping", "1"), f"product {name!r} warping")
         if name in products:
             raise ManifestError(f"duplicate product {name!r}")
@@ -230,7 +227,6 @@ def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
             products[name] = build_product(base, fiber, warping)
         except (ChartError, MetricError, NonPolynomialDivision) as exc:
             raise ManifestError(f"product {name!r}: {exc}") from exc
-        product_refs[name] = {"base": base_ref, "fiber": fiber_ref}
 
     backgrounds: List[BackgroundSpec] = []
     seen = set()
@@ -238,15 +234,12 @@ def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
         if name in seen:
             raise ManifestError(f"duplicate background name {name!r}")
         seen.add(name)
-        product_ref = entry.get("product")
-        pc = _ref(product_ref, products, f"background {name!r}: unresolved product")
+        pc = _ref(entry.get("product"), products, f"background {name!r}: unresolved product")
         pieces = {}
-        flux_refs = {}
         for key, ref in _expect(entry.get("flux", {}), dict, f"background {name!r}: flux").items():
             if key not in FLUX_KEYS:
                 raise ManifestError(f"background {name!r}: unknown flux piece {key!r}")
             pieces[key] = _ref(ref, forms, f"background {name!r}: unresolved form")
-            flux_refs[key] = ref
         checks = list(_strings(entry.get("checks", []), f"background {name!r}: checks"))
         if not checks:
             raise ManifestError(f"background {name!r}: at least one check is required")
@@ -267,7 +260,7 @@ def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
         where = f"background {name!r}: eval_points"
         for i, pt in enumerate(_expect(entry.get("eval_points", []), list, where)):
             pt = _expect(pt, dict, f"{where} item {i}")
-            eval_points.append({k: _fraction(v, f"background {name!r} eval point") for k, v in pt.items()})
+            eval_points.append({k: rational(v, f"background {name!r} eval point") for k, v in pt.items()})
         try:
             background = assemble_flux(pc, FluxAnsatz(c=coupling, **pieces))
         except (AnsatzError, ChartError, DegreeError) as exc:
@@ -275,30 +268,17 @@ def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
         backgrounds.append(
             BackgroundSpec(
                 name=name,
-                product=pc,
                 background=background,
                 checks=checks,
                 case=case,
                 theorem=theorem,
                 eval_points=eval_points,
-                flux_refs=flux_refs,
-                product_ref=product_ref,
             )
         )
 
     if not backgrounds:
         raise ManifestError(f"{source}: manifest declares no backgrounds")
-    return Manifest(
-        charts=charts,
-        metrics=metrics,
-        forms=forms,
-        products=products,
-        backgrounds=backgrounds,
-        coupling=coupling,
-        report_format=report_format,
-        metric_refs=metric_refs,
-        product_refs=product_refs,
-    )
+    return Manifest(backgrounds=backgrounds, report_format=report_format)
 
 
 def _symmetric_from_lower(lower, chart: Chart, where: str):
@@ -315,81 +295,3 @@ def _symmetric_from_lower(lower, chart: Chart, where: str):
             g[i][j] = p
             g[j][i] = p
     return g
-
-
-def serialize_manifest(m: Manifest) -> dict:
-    """Regenerate a manifest document from the resolved objects."""
-
-    def lower_of(metric: ChartMetric):
-        return [
-            [str(metric.g[i][j]) for j in range(i + 1)] for i in range(metric.dim)
-        ]
-
-    def inverse_of(metric: ChartMetric):
-        return [
-            [str(metric.g_inv[i][j]) for j in range(i + 1)] for i in range(metric.dim)
-        ]
-
-    doc = {
-        "schema": 1,
-        "settings": {"c": str(m.coupling), "format": m.report_format},
-        "charts": [
-            {"name": c.name, "coordinates": list(c.coordinates)} for c in m.charts.values()
-        ],
-        "metrics": [
-            {
-                "name": name,
-                "chart": m.metric_refs[name]["chart"],
-                "lower_triangular": lower_of(metric),
-                "inverse": inverse_of(metric),
-                "signature": list(metric.signature),
-                "sqrt_abs_det": str(metric.sqrt_abs_det),
-            }
-            for name, metric in m.metrics.items()
-        ],
-        "forms": [
-            {
-                "name": name,
-                "chart": form.chart.name,
-                "degree": form.degree,
-                "terms": [
-                    {
-                        "indices": [form.chart.coordinates[i] for i in idx],
-                        "coeff": str(form.components[idx]),
-                    }
-                    for idx in sorted(form.components)
-                ],
-            }
-            for name, form in m.forms.items()
-        ],
-        "products": [
-            {
-                "name": name,
-                "base": m.product_refs[name]["base"],
-                "fiber": m.product_refs[name]["fiber"],
-                "warping": str(pc.warping),
-            }
-            for name, pc in m.products.items()
-        ],
-        "backgrounds": [
-            {
-                "name": spec.name,
-                "product": spec.product_ref,
-                "flux": dict(spec.flux_refs),
-                "checks": list(spec.checks),
-                **({"case": spec.case} if spec.case is not None else {}),
-                **({"theorem": spec.theorem} if spec.theorem else {}),
-                **(
-                    {
-                        "eval_points": [
-                            {k: str(v) for k, v in pt.items()} for pt in spec.eval_points
-                        ]
-                    }
-                    if spec.eval_points
-                    else {}
-                ),
-            }
-            for spec in m.backgrounds
-        ],
-    }
-    return doc

@@ -305,31 +305,6 @@ def sharp(m: ChartMetric, a: DifferentialForm) -> VectorField:
     return VectorField(m.chart, {j: v for (j,), v in _raise(m, a).items()})
 
 
-def flat(m: ChartMetric, v: VectorField) -> DifferentialForm:
-    """Lower a vector field to a 1-form with g."""
-    if v.chart != m.chart:
-        raise ChartError("chart mismatch")
-    out: Dict[Tuple[int, ...], Polynomial] = {}
-    for i, poly in v.components.items():
-        for j in range(m.dim):
-            entry = m.g[i][j]
-            if entry.is_zero():
-                continue
-            key = (j,)
-            out[key] = out.get(key, Polynomial.zero()) + poly * entry
-    return DifferentialForm(m.chart, 1, out)
-
-
-def vector_inner(m: ChartMetric, a: VectorField, b: VectorField) -> Polynomial:
-    total = Polynomial.zero()
-    for i, ai in a.components.items():
-        for j, bj in b.components.items():
-            entry = m.g[i][j]
-            if not entry.is_zero():
-                total = total + ai * bj * entry
-    return total
-
-
 # ---------------------------------------------------------------------------
 # inner products of forms, Hodge star, volume
 # ---------------------------------------------------------------------------

@@ -435,6 +435,41 @@ _TOKEN = re.compile(
 )
 
 
+def _tokens(text: str) -> List[Tuple[str, object]]:
+    """(kind, value) pairs: ("num", int or Fraction), ("name", str) or ("op", str)."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        kind, token = m.lastgroup, m.group(m.lastgroup)
+        if kind == "bad":
+            raise PolynomialGrammarError(f"unexpected character {token!r} in {text!r}")
+        if kind in ("rat", "int"):
+            try:
+                parts = [int(part) for part in token.split("/")]
+            except ValueError as exc:  # past the interpreter's limit on int() digits
+                raise PolynomialGrammarError(f"number too long: {len(token)} characters") from exc
+            if kind == "rat" and parts[1] == 0:
+                raise PolynomialGrammarError(f"zero denominator in {text!r}")
+            tokens.append(("num", Fraction(*parts) if kind == "rat" else parts[0]))
+        else:
+            tokens.append((kind, token))
+    return tokens
+
+
+def parse_rational(text: str) -> Fraction:
+    """A coefficient of the grammar below, ``[-]int`` or ``[-]int/int``.
+
+    Decimal and exponent notation are refused: ``Fraction("1e999999999")``
+    would build a billion-digit integer.
+    """
+    tokens = _tokens(text)
+    sign = 1
+    if tokens[:1] == [("op", "-")]:
+        sign, tokens = -1, tokens[1:]
+    if len(tokens) != 1 or tokens[0][0] != "num":
+        raise PolynomialGrammarError("expected int or int/int")
+    return sign * Fraction(tokens[0][1])
+
+
 def parse_polynomial(text: str) -> Polynomial:
     """Parse the manifest polynomial grammar.
 
@@ -448,22 +483,7 @@ def parse_polynomial(text: str) -> Polynomial:
     insignificant.  An exponent at or above ``EXPONENT_LIMIT`` raises
     ``ExponentOverflow``.
     """
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        if m.group("bad"):
-            raise PolynomialGrammarError(f"unexpected character {m.group('bad')!r} in {text!r}")
-        if m.group("rat"):
-            num, den = m.group("rat").split("/")
-            if not int(den):
-                raise PolynomialGrammarError(f"zero denominator in {text!r}")
-            tokens.append(("num", Fraction(int(num), int(den))))
-        elif m.group("int"):
-            tokens.append(("num", int(m.group("int"))))
-        elif m.group("name"):
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("op", m.group("op")))
-
+    tokens = _tokens(text)
     terms: Dict[int, Coefficient] = {}  # packed monomial -> coefficient
     i = 0
     n = len(tokens)

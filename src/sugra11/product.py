@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .curvature import grad_norm_sq, hessian, laplace_beltrami, ricci
-from .exterior import Chart, ChartError, DifferentialForm, lift_to_product, wedge
+from .exterior import Chart, ChartError, DifferentialForm, lift_to_product
 from .metric import ChartMetric, MetricError, make_metric
 from .polyring import Polynomial, poly_divexact
 
@@ -56,14 +56,6 @@ class ProductChart:
     @property
     def fiber_chart(self) -> Chart:
         return self.fiber.chart
-
-    @property
-    def base_indices(self):
-        return range(self.base.dim)
-
-    @property
-    def fiber_indices(self):
-        return range(self.base.dim, self.base.dim + self.fiber.dim)
 
     def lift(self, form: DifferentialForm) -> DifferentialForm:
         return lift_to_product(form, self.chart)
@@ -158,14 +150,3 @@ def _div(num: Polynomial, den: Polynomial) -> Polynomial:
         return poly_divexact(num, den)
     except ValueError as exc:
         raise NonPolynomialDivision(str(exc)) from exc
-
-
-def volume_factorization_residual(pc: ProductChart) -> DifferentialForm:
-    """vol_h - f^dim(fiber) vol_base ^ vol_fiber, identically zero by construction
-    of the orientation convention; kept as an explicit cross-check."""
-    from .metric import volume_form
-
-    lifted_base = pc.lift(volume_form(pc.base))
-    lifted_fiber = pc.lift(volume_form(pc.fiber))
-    expected = wedge(lifted_base, lifted_fiber) * pc.warping ** pc.fiber.dim
-    return volume_form(pc.assembled) - expected

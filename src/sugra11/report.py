@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Tuple
 
-from .exterior import DifferentialForm, VectorField
+from .exterior import DifferentialForm
 from .polyring import Polynomial
 
 
@@ -24,8 +24,6 @@ def residual_is_zero(value) -> bool:
         return value.is_zero()
     if isinstance(value, DifferentialForm):
         return value.is_zero()
-    if isinstance(value, VectorField):
-        return not value.components
     if isinstance(value, tuple):
         return all(residual_is_zero(v) for row in value for v in row)
     if isinstance(value, dict):
@@ -42,10 +40,6 @@ def residual_entries(name: str, value) -> Iterator[Tuple[str, Polynomial]]:
         names = value.chart.coordinates
         for idx in sorted(value.components):
             yield name + "[" + "^".join(f"d{names[i]}" for i in idx) + "]", value.components[idx]
-    elif isinstance(value, VectorField):
-        names = value.chart.coordinates
-        for i in sorted(value.components):
-            yield f"{name}[d/d{names[i]}]", value.components[i]
     elif isinstance(value, tuple):
         for i, row in enumerate(value):
             for j, entry in enumerate(row):

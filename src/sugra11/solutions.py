@@ -33,7 +33,6 @@ from .exterior import (
     VectorField,
     exterior_derivative as ext_d,
     interior_product,
-    lie_bracket,
     lift_to_product,
     wedge,
 )
@@ -433,7 +432,7 @@ def check_theorem_conditions(bg: Background, shape: str) -> TheoremReport:
 
 
 # ---------------------------------------------------------------------------
-# base-only flux: the co-dual 1-form picture and contact structures
+# base-only flux: the co-dual 1-form picture
 # ---------------------------------------------------------------------------
 
 def check_base_flux_via_one_form(
@@ -479,117 +478,3 @@ def check_base_flux_via_one_form(
         "theta": theta,
         "theta_norm": theta_norm,
     }
-
-
-def check_contact_structure(
-    g: ChartMetric,
-    xi: VectorField,
-    eta: DifferentialForm,
-    phi: Matrix,
-) -> CheckResult:
-    """Residuals for an almost contact metric structure (g, xi, eta, phi).
-
-    phi is the endomorphism matrix phi[i][j] = (phi d_j)^i in chart
-    coordinates.  Includes the compatibility residuals, the fundamental
-    2-form data, and the Nijenhuis tensor on coordinate fields.
-    """
-    chart = g.chart
-    n = g.dim
-    if len(phi) != n or any(len(row) != n for row in phi):
-        raise ValueError("phi must be a dim x dim matrix")
-    result = CheckResult("contact_structure")
-
-    eta_xi = sum(
-        (eta.components.get((i,), P0) * xi.component(i) for i in range(n)),
-        Polynomial.zero(),
-    )
-    result.residuals["eta_of_xi_minus_one"] = eta_xi - P1
-
-    # phi^2 + Id - xi (x) eta
-    phi_sq = tuple(
-        tuple(
-            sum((phi[i][k] * phi[k][j] for k in range(n)), Polynomial.zero())
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    comp = tuple(
-        tuple(
-            phi_sq[i][j]
-            + (P1 if i == j else P0)
-            - xi.component(i) * eta.components.get((j,), P0)
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    result.residuals["phi_squared_compatibility"] = comp
-
-    # fundamental 2-form Phi(X, Y) = g(X, phi Y)
-    phi_lower = tuple(
-        tuple(
-            sum((g.g[i][k] * phi[k][j] for k in range(n)), Polynomial.zero())
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    antisym = tuple(
-        tuple(phi_lower[i][j] + phi_lower[j][i] for j in range(n)) for i in range(n)
-    )
-    result.residuals["fundamental_form_antisymmetry"] = antisym
-
-    fundamental = DifferentialForm(
-        chart,
-        2,
-        {
-            (i, j): phi_lower[i][j]
-            for i in range(n)
-            for j in range(i + 1, n)
-            if not phi_lower[i][j].is_zero()
-        },
-    )
-    result.residuals["xi_hook_fundamental"] = interior_product(xi, fundamental)
-    result.residuals["d_fundamental"] = ext_d(fundamental)
-    d_eta = ext_d(eta)
-    result.residuals["d_eta"] = d_eta
-
-    # Nijenhuis tensor on coordinate fields
-    coord_fields = [VectorField.coordinate(chart, c) for c in chart.coordinates]
-    phi_of = [
-        VectorField(chart, {i: phi[i][j] for i in range(n) if not phi[i][j].is_zero()})
-        for j in range(n)
-    ]
-
-    def apply_phi(v: VectorField) -> VectorField:
-        comps: Dict[int, Polynomial] = {}
-        for j, vj in v.components.items():
-            for i in range(n):
-                if phi[i][j].is_zero():
-                    continue
-                comps[i] = comps.get(i, Polynomial.zero()) + phi[i][j] * vj
-        return VectorField(chart, comps)
-
-    nijenhuis: Dict[str, VectorField] = {}
-    names = chart.coordinates
-    for a_idx in range(n):
-        for b_idx in range(a_idx + 1, n):
-            X, Y = coord_fields[a_idx], coord_fields[b_idx]
-            term = lie_bracket(phi_of[a_idx], phi_of[b_idx])
-            term = term + apply_phi(apply_phi(lie_bracket(X, Y)))
-            minus1 = apply_phi(lie_bracket(phi_of[a_idx], Y))
-            minus2 = apply_phi(lie_bracket(X, phi_of[b_idx]))
-            term = term + (minus1 * Fraction(-1)) + (minus2 * Fraction(-1))
-            d_eta_ab = d_eta.components.get((a_idx, b_idx), P0)
-            term = term + xi * d_eta_ab
-            if term.components:
-                nijenhuis[f"({names[a_idx]},{names[b_idx]})"] = term
-    result.residuals["nijenhuis"] = nijenhuis if nijenhuis else Polynomial.zero()
-
-    almost_cosymplectic = (
-        ext_d(fundamental).is_zero() and d_eta.is_zero()
-    )
-    normal = not nijenhuis
-    if almost_cosymplectic:
-        result.notes.append("dPhi = 0 and deta = 0: almost cosymplectic")
-        if normal:
-            result.notes.append("N_phi = 0: cosymplectic")
-    return result

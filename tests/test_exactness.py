@@ -1,10 +1,16 @@
-"""The engine stays exact: no float literal and no float() call in its source."""
+"""The engine stays exact: no float literal and no float() call in its source.
+It also stays lean: every module-level function has a caller."""
 
+import ast
 import io
 import tokenize
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "sugra11"
+import sugra11
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "sugra11"
 
 
 def _float_uses(source: str):
@@ -30,3 +36,43 @@ def test_engine_source_has_no_float_literal_or_call():
     offenders = [f"{path.name}:{line}: {text}"
                  for path in files for line, text in _float_uses(path.read_text())]
     assert offenders == []
+
+
+def _mentions(node) -> Counter:
+    """Every identifier read or bound under node, attribute names included."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def _unreached_functions(engine: dict, callers: list, reached=frozenset()):
+    """module.function for each module-level function of the engine sources
+    that no engine or caller source mentions outside its own definition.
+
+    A name counts wherever it appears, a same-named method or local
+    included, so the scan can miss dead code but never flags live code.
+    """
+    trees = {name: ast.parse(source) for name, source in engine.items()}
+    mentions = Counter()
+    for tree in [*trees.values(), *map(ast.parse, callers)]:
+        mentions += _mentions(tree)
+    return [f"{name}.{fn.name}" for name, tree in trees.items() for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) and fn.name not in reached
+            and mentions[fn.name] == _mentions(fn)[fn.name]]
+
+
+def test_caller_scan_finds_functions_only_their_own_body_mentions():
+    engine = {
+        "a": ("def used():\n    return 1\n\n\n"
+              "def dead(n):\n    return dead(n - 1)\n\n\n"
+              "def exported():\n    pass\n"),
+        "b": "from .a import used\n\nx = used()\n",
+    }
+    assert _unreached_functions(engine, [], {"exported"}) == ["a.dead"]
+    assert _unreached_functions(engine, ["from sugra11.a import dead\ndead(3)\n"], {"exported"}) == []
+
+
+def test_every_engine_function_has_a_caller():
+    engine = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    scripts = [path.read_text() for path in sorted((ROOT / "scripts").glob("*.py"))]
+    assert scripts
+    assert _unreached_functions(engine, scripts, set(sugra11.__all__)) == []

@@ -15,7 +15,6 @@ from sugra11.exterior import (
     VectorField,
     exterior_derivative as d,
     interior_product,
-    lie_bracket,
     lift_to_product,
     wedge,
 )
@@ -242,21 +241,3 @@ def test_component_index_out_of_range_rejected():
 def test_monomial_with_repeated_coordinate_is_zero():
     f = DifferentialForm.monomial(M5, ("y1", "y1"), Polynomial.constant(3))
     assert f.is_zero()
-
-
-# -- lie bracket ----------------------------------------------------------------
-
-def test_lie_bracket_of_coordinate_fields_vanishes():
-    a = VectorField.coordinate(M5, "y1")
-    b = VectorField.coordinate(M5, "y3")
-    assert lie_bracket(a, b).components == {}
-
-
-def test_lie_bracket_antisymmetry():
-    rng = random.Random(9)
-    a = random_vector(rng, M5)
-    b = random_vector(rng, M5)
-    ab = lie_bracket(a, b)
-    ba = lie_bracket(b, a)
-    for i in range(M5.dim):
-        assert ab.component(i) == -ba.component(i)

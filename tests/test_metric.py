@@ -20,7 +20,6 @@ from sugra11.metric import (
     NonPolynomialInverse,
     _gram_minor,
     contraction_matrix,
-    flat,
     hodge_star,
     inner_product_forms,
     is_null,
@@ -145,12 +144,19 @@ def test_sharp_of_du_is_dv_direction():
     assert v.components == {0: P1}  # d/dv
 
 
+def lower(m, v):
+    """The 1-form v_i = sum_j g_ij v^j (flat), the oracle that undoes sharp."""
+    n = m.dim
+    lowered = {(i,): sum((m.g[i][j] * v.component(j) for j in range(n)), P0) for i in range(n)}
+    return DifferentialForm(m.chart, 1, lowered)
+
+
 def test_sharp_flat_inverse_pair_randomized():
     rng = random.Random(2)
     m = walker_metric(H_EXAMPLE)
     for _ in range(10):
         nu = random_form(rng, m.chart, 1)
-        assert flat(m, sharp(m, nu)) == nu
+        assert lower(m, sharp(m, nu)) == nu
 
 
 def test_sharp_of_dt_in_negative_definite_metric():
@@ -159,7 +165,7 @@ def test_sharp_of_dt_in_negative_definite_metric():
     eta = dx(C, "t")
     v = sharp(g, eta)
     assert v.components == {4: -P1}
-    assert flat(g, v) == eta
+    assert lower(g, v) == eta
 
 
 # -- inner products ------------------------------------------------------------------

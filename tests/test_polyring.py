@@ -20,6 +20,7 @@ from sugra11.polyring import (
     Polynomial,
     PolynomialGrammarError,
     parse_polynomial,
+    parse_rational,
     poly_divexact,
     poly_sqrt,
     sum_of_products,
@@ -253,9 +254,20 @@ def test_parse_errors():
     for bad in ("", "x +", "x ^ y", "@", "x^1/2", "1/0*x", "x^3/0",
                 "x*-y", "2*-3", "x^2*-x", "x*+y", "x * - y", "x*", "x**2",
                 # juxtaposed factors and doubled signs
-                "2 3", "x 2", "1/2 3", "x y", "x*2", "--x", "x--y", "x+-y"):
+                "2 3", "x 2", "1/2 3", "x y", "x*2", "--x", "x--y", "x+-y",
+                # past the interpreter's limit on int() digits
+                "1" * 5000):
         with pytest.raises(PolynomialGrammarError):
             parse_polynomial(bad)
+
+
+def test_parse_rational_takes_exactly_the_coefficient_forms():
+    for text, value in (("3", 3), ("-3/4", Fraction(-3, 4)), (" 6 / 4 ", Fraction(3, 2)), ("- 0", 0)):
+        assert parse_rational(text) == value
+    for bad in ("", "-", "+1", "--1", "1/0", "0.5", "1e999999999", "1e5", "x", "2x", "1/2/3",
+                "1" * 5000):
+        with pytest.raises(PolynomialGrammarError):
+            parse_rational(bad)
 
 
 def test_constant_polynomial_hashes_as_the_number_it_equals():

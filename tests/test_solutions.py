@@ -1,4 +1,4 @@
-"""Structural theorem checkers and the base-flux / contact constructions."""
+"""Structural theorem checkers and the base-flux construction."""
 
 import random
 from fractions import Fraction
@@ -9,7 +9,6 @@ from sugra11.curvature import is_totally_ricci_isotropic
 from sugra11.exterior import (
     Chart,
     DifferentialForm,
-    VectorField,
     exterior_derivative as ext_d,
 )
 from sugra11.metric import make_metric
@@ -20,7 +19,6 @@ from sugra11.solutions import (
     build_beta_nu_background,
     build_varpi_epsilon_background,
     check_base_flux_via_one_form,
-    check_contact_structure,
     check_theorem_conditions,
     flat_negative_metric,
     standard_base,
@@ -29,7 +27,6 @@ from sugra11.solutions import (
 from test_exterior import random_polynomial
 from test_metric import diag
 
-P0 = Polynomial.zero()
 P1 = Polynomial.constant(1)
 
 
@@ -194,50 +191,3 @@ def test_base_flux_unit_one_form_obstruction_is_one_sixth():
     # the closure side is perfectly fine: the obstruction is Einstein-only
     closure = out["closure"]
     assert closure.passed
-
-
-# -- contact structures ---------------------------------------------------------------
-
-def flat_contact_data():
-    chart = Chart("c5", ("z1", "z2", "z3", "z4", "t"))
-    g = make_metric(chart, diag(-1, -1, -1, -1, -1), signature=(0, 5))
-    xi = VectorField.coordinate(chart, "t")
-    return chart, g, xi
-
-
-def standard_phi(chart):
-    # J on the z-block: z1 -> z2, z2 -> -z1, z3 -> z4, z4 -> -z3; phi(t) = 0
-    rows = [[P0] * 5 for _ in range(5)]
-    rows[1][0] = P1
-    rows[0][1] = -P1
-    rows[3][2] = P1
-    rows[2][3] = -P1
-    return tuple(tuple(r) for r in rows)
-
-
-def test_flat_cosymplectic_structure_passes():
-    chart, g, xi = flat_contact_data()
-    eta = mono(chart, ("t",))
-    result = check_contact_structure(g, xi, eta, standard_phi(chart))
-    assert result.passed
-    assert any("cosymplectic" in n for n in result.notes)
-
-
-def test_contact_structure_detects_broken_phi():
-    chart, g, xi = flat_contact_data()
-    eta = mono(chart, ("t",))
-    zero_phi = tuple(tuple(P0 for _ in range(5)) for _ in range(5))
-    result = check_contact_structure(g, xi, eta, zero_phi)
-    assert not result.passed
-    comp = result.residuals["phi_squared_compatibility"]
-    assert not comp[0][0].is_zero()
-
-
-def test_contact_structure_nijenhuis_detects_perturbation():
-    chart, g, xi = flat_contact_data()
-    eta = mono(chart, ("t",))
-    rows = [list(r) for r in standard_phi(chart)]
-    rows[1][0] = P1 + Polynomial.variable("z3") * Polynomial.variable("z3")
-    # restore phi^2 = -Id + eta x xi approximately broken: expect failures
-    result = check_contact_structure(g, xi, eta, tuple(tuple(r) for r in rows))
-    assert not result.passed
