@@ -6,6 +6,7 @@ and the field-equation checkers report residuals that are identically
 zero exactly when a background solves the equations.
 """
 
+from .curvature import grad_norm_sq, hessian, laplace_beltrami, ricci
 from .exterior import (
     Chart,
     DifferentialForm,
@@ -35,7 +36,7 @@ from .metric import (
     volume_form,
 )
 from .polyring import Polynomial, parse_polynomial, poly_sqrt
-from .product import ProductChart, build_product, warped_ricci_oracle
+from .product import ProductChart, build_product
 from .report import CheckResult, VerificationReport
 
 __all__ = [
@@ -56,17 +57,20 @@ __all__ = [
     "check_maxwell",
     "exterior_derivative",
     "flux_norm_sq",
+    "grad_norm_sq",
+    "hessian",
     "hodge_star",
     "inner_product_forms",
     "interior_product",
     "is_null",
+    "laplace_beltrami",
     "lift_to_product",
     "make_metric",
     "norm_sq",
     "parse_polynomial",
     "poly_sqrt",
+    "ricci",
     "split_einstein",
     "volume_form",
-    "warped_ricci_oracle",
     "wedge",
 ]

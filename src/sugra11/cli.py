@@ -27,8 +27,8 @@ from .fieldeqs import (
 )
 from .manifest import BackgroundSpec, Manifest, ManifestError, parse_manifest, rational
 from .metric import CONVENTION_NOTES
+from .polyring import format_rational
 from .report import CheckResult, VerificationReport, residual_entries
-from .solutions import check_theorem_conditions
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -68,6 +68,8 @@ def run_background(
             elif check == "case":
                 report.results.append(check_special_case(bg, spec.case, c=coupling))
             elif check == "theorem":
+                from .solutions import check_theorem_conditions  # only this check needs it
+
                 t_report = check_theorem_conditions(bg, spec.theorem)
                 report.results.append(t_report.hypotheses)
                 if t_report.equations is not None:
@@ -130,7 +132,7 @@ def evaluate_report_at_points(
                     raise ManifestError(
                         f"evaluation point misses a variable for {where}: {exc}"
                     ) from exc
-                values[f"{result.name}:{where}"] = str(value)
+                values[f"{result.name}:{where}"] = format_rational(value)
     return values
 
 

@@ -9,28 +9,33 @@ calibrated once against the Walker identity: for
 h = 2 dv du + rho + H (du)^2 with rho Ricci-flat, A = 0 and H
 v-independent, the only nonzero entry is Ric_uu = -1/2 Delta H.
 
+Christoffel symbols and Ricci are built from nonzero entries only:
+d_l g_ij for the variables each entry contains, first-kind symbols from
+those, raised through ``ChartMetric.inv_neighbors``, and the Gamma Gamma
+sums over the nonzero Gamma^l_ik.  The code reads no product or block
+structure, so the 11-dimensional Ricci stays independent of the block-law
+audits; tests/oracles.py keeps the dense loops as its reference.
+
 CurvatureData is computed once per metric and memoized on the metric
 object; metrics are immutable so the cache never invalidates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .exterior import DifferentialForm, VectorField, exterior_derivative
+from .exterior import DifferentialForm, Frozen, VectorField, exterior_derivative
 from .metric import ChartMetric, sharp
 from .polyring import Polynomial, sum_of_products
 
 Matrix = Tuple[Tuple[Polynomial, ...], ...]
 
 
-@dataclass(frozen=True)
-class CurvatureData:
-    metric: ChartMetric
-    christoffel: Tuple[Tuple[Tuple[Polynomial, ...], ...], ...]  # [k][i][j]
-    ricci: Matrix
+class CurvatureData(Frozen):
+    """CurvatureData(christoffel, ricci): Gamma^k_ij as [k][i][j] and Ric_ij, dense."""
+
+    __slots__ = ("christoffel", "ricci")
 
 
 def curvature(m: ChartMetric) -> CurvatureData:
@@ -52,55 +57,74 @@ def ricci(m: ChartMetric) -> Matrix:
 def _compute_curvature(m: ChartMetric) -> CurvatureData:
     n = m.dim
     names = m.chart.coordinates
+    index = {v: k for k, v in enumerate(names)}
     zero = Polynomial.zero()
 
-    dg: Dict[Tuple[int, int, int], Polynomial] = {}  # (l, i, j) -> d_l g_ij
+    dg: Dict[Tuple[int, int, int], Polynomial] = {}  # (l, i, j) -> d_l g_ij, nonzero only
     for i in range(n):
         for j in range(i, n):
             entry = m.g[i][j]
-            if entry.is_zero():
-                continue
-            for l in range(n):
-                p = entry.partial(names[l])
-                if not p.is_zero():
-                    dg[(l, i, j)] = p
-                    dg[(l, j, i)] = p
+            for v in entry.variables:
+                if v in index:
+                    dg[index[v], i, j] = dg[index[v], j, i] = entry.partial(v)
 
-    # Christoffel symbols of the first kind, times 2, nonzero only:
-    # (l, i, j) -> d_i g_jl + d_j g_il - d_l g_ij for i <= j
+    # Christoffel symbols of the first kind, times 2:
+    # (l, i, j) -> d_i g_jl + d_j g_il - d_l g_ij for i <= j, formed only
+    # where a nonzero d_a g_bc enters, that is at (a, {b, c}) and (c, {a, b})
     first = {}
-    for l in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                bracket = dg.get((i, j, l), zero) + dg.get((j, i, l), zero) - dg.get((l, i, j), zero)
-                if not bracket.is_zero():
-                    first[l, i, j] = bracket
+    for a, b, c in dg:
+        for l, i, j in ((a, min(b, c), max(b, c)), (c, min(a, b), max(a, b))):
+            if (l, i, j) not in first:
+                first[l, i, j] = (
+                    dg.get((i, j, l), zero) + dg.get((j, i, l), zero) - dg.get((l, i, j), zero)
+                )
 
-    gamma = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for k in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                total = sum_of_products(
-                    (1, m.g_inv[k][l], first[l, i, j]) for l in range(n) if (l, i, j) in first
-                ) * Fraction(1, 2)
-                gamma[k][i][j] = total
-                gamma[k][j][i] = total
+    # Gamma^k_ij = 1/2 g^kl [l, i, j], over the k that pair with l under g_inv
+    raised: Dict[Tuple[int, int, int], list] = {}
+    for (l, i, j), bracket in first.items():
+        if not bracket.is_zero():
+            for k in m.inv_neighbors[l]:
+                raised.setdefault((k, i, j), []).append((1, m.g_inv[k][l], bracket))
+    gamma: Dict[Tuple[int, int, int], Polynomial] = {}  # (k, i, j) -> Gamma^k_ij, nonzero only
+    for (k, i, j), terms in raised.items():
+        value = sum_of_products(terms) * Fraction(1, 2)
+        if not value.is_zero():
+            gamma[k, i, j] = gamma[k, j, i] = value
+
+    contracted: Dict[int, Polynomial] = {}  # i -> Gamma^k_ki
+    by_upper_last: Dict[Tuple[int, int], list] = {}  # (k, l) -> [(j, Gamma^k_jl)]
+    for (k, i, j), value in gamma.items():
+        if k == i:
+            contracted[j] = contracted.get(j, zero) + value
+        by_upper_last.setdefault((k, j), []).append((i, value))
+    contracted = {i: c for i, c in contracted.items() if not c.is_zero()}
+
+    # for i <= j: d_k Gamma^k_ij - d_j Gamma^k_ki, and the Gamma Gamma products
+    linear: Dict[Tuple[int, int], Polynomial] = {}
+    products: Dict[Tuple[int, int], list] = {}
+    for (l, i, k), value in gamma.items():
+        if i <= k:
+            d = value.partial(names[l])
+            if not d.is_zero():
+                linear[i, k] = linear.get((i, k), zero) + d
+            if l in contracted:
+                products.setdefault((i, k), []).append((1, contracted[l], value))
+        for j, other in by_upper_last.get((k, l), ()):  # Gamma^k_jl Gamma^l_ik
+            if i <= j:
+                products.setdefault((i, j), []).append((-1, other, value))
+    for i, c in contracted.items():
+        for v in c.variables:
+            if v in index and i <= index[v]:
+                linear[i, index[v]] = linear.get((i, index[v]), zero) - c.partial(v)
 
     ric = [[zero] * n for _ in range(n)]
-    contracted = [sum((gamma[k][k][i] for k in range(n)), zero) for i in range(n)]  # Gamma^k_ki
-    for i in range(n):
-        for j in range(i, n):
-            products = [(1, contracted[l], gamma[l][i][j]) for l in range(n)]
-            products += [(-1, gamma[k][j][l], gamma[l][i][k]) for l in range(n) for k in range(n)
-                         if not gamma[k][j][l].is_zero()]
-            total = sum((gamma[k][i][j].partial(names[k]) for k in range(n)), zero)
-            ric[i][j] = ric[j][i] = (
-                total - contracted[i].partial(names[j]) + sum_of_products(products)
-            )
+    for i, j in linear.keys() | products.keys():
+        ric[i][j] = ric[j][i] = linear.get((i, j), zero) + sum_of_products(products.get((i, j), ()))
 
-    frozen_gamma = tuple(tuple(tuple(row) for row in plane) for plane in gamma)
-    frozen_ric = tuple(tuple(row) for row in ric)
-    return CurvatureData(m, frozen_gamma, frozen_ric)
+    frozen_gamma = tuple(
+        tuple(tuple(gamma.get((k, i, j), zero) for j in range(n)) for i in range(n)) for k in range(n)
+    )
+    return CurvatureData(frozen_gamma, tuple(tuple(row) for row in ric))
 
 
 def hessian(m: ChartMetric, f: Polynomial) -> Matrix:

@@ -13,7 +13,6 @@ keeps the bookkeeping of mixed base/fiber wedges auditable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple
 
@@ -30,17 +29,40 @@ class DegreeError(ValueError):
     """Degree out of range for the requested operation."""
 
 
-@dataclass(frozen=True)
-class Chart:
-    """Named coordinate chart; the listed order fixes the orientation."""
+class Frozen:
+    """An immutable record: ``__init__`` sets the slots once, in their
+    declared order, and any later assignment raises."""
 
-    name: str
-    coordinates: Tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(set(self.coordinates)) != len(self.coordinates):
-            raise ChartError(f"duplicate coordinates in chart {self.name!r}")
-        object.__setattr__(self, "coordinates", tuple(self.coordinates))
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Chart(Frozen):
+    """Named coordinate chart; the listed order fixes the orientation.
+
+    Two charts are equal, and hash alike, when name and coordinates agree."""
+
+    __slots__ = ("name", "coordinates")
+
+    def __init__(self, name: str, coordinates: Iterable[str]):
+        coordinates = tuple(coordinates)
+        if len(set(coordinates)) != len(coordinates):
+            raise ChartError(f"duplicate coordinates in chart {name!r}")
+        super().__init__(name, coordinates)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Chart:
+            return NotImplemented
+        return self is other or (self.name == other.name and self.coordinates == other.coordinates)
+
+    def __hash__(self):
+        return hash((self.name, self.coordinates))
 
     @property
     def dim(self) -> int:
@@ -71,7 +93,7 @@ def _sort_with_sign(indices: Iterable[int]) -> Tuple[Index, int]:
     return tuple(seq), sign
 
 
-class DifferentialForm:
+class DifferentialForm(Frozen):
     """Degree-p form: strictly increasing index tuples -> polynomials."""
 
     __slots__ = ("chart", "degree", "components")
@@ -93,12 +115,10 @@ class DifferentialForm:
                     raise ValueError(f"index tuple {idx} is not strictly increasing")
                 if not poly.is_zero():
                     clean[idx] = poly
+        # set directly rather than through Frozen.__init__: forms are built in the inner loops
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "components", clean)
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("DifferentialForm is immutable")
 
     # -- constructors ---------------------------------------------------
 
@@ -190,23 +210,17 @@ class DifferentialForm:
         return f"DifferentialForm<{self.chart.name}, deg {self.degree}: {self}>"
 
 
-@dataclass(frozen=True)
-class VectorField:
+class VectorField(Frozen):
     """Polynomial vector field on a chart, sparse over coordinate indices."""
 
-    chart: Chart
-    components: Mapping[int, Polynomial]
+    __slots__ = ("chart", "components")
 
-    def __post_init__(self):
-        clean = {
-            int(i): p
-            for i, p in dict(self.components).items()
-            if not p.is_zero()
-        }
+    def __init__(self, chart: Chart, components: Mapping[int, Polynomial]):
+        clean = {int(i): p for i, p in components.items() if not p.is_zero()}
         for i in clean:
-            if i < 0 or i >= self.chart.dim:
+            if i < 0 or i >= chart.dim:
                 raise ChartError(f"vector component index {i} out of range")
-        object.__setattr__(self, "components", clean)
+        super().__init__(chart, clean)
 
     @staticmethod
     def coordinate(chart: Chart, coordinate: str) -> "VectorField":

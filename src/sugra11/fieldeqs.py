@@ -38,7 +38,6 @@ with C the contraction matrix <i_j ., i_k .> on the factor.  The direct
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
@@ -47,6 +46,7 @@ from .exterior import (
     ChartError,
     DegreeError,
     DifferentialForm,
+    Frozen,
     VectorField,
     exterior_derivative as ext_d,
     interior_product,
@@ -85,19 +85,14 @@ class AnsatzError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FluxAnsatz:
-    """Factor-chart pieces of the flux 4-form; absent pieces are None."""
+class FluxAnsatz(Frozen):
+    """Factor-chart pieces of the flux 4-form, by keyword; absent pieces are None."""
 
-    alpha_t: Optional[DifferentialForm] = None
-    beta_t: Optional[DifferentialForm] = None
-    gamma_t: Optional[DifferentialForm] = None
-    varpi_t: Optional[DifferentialForm] = None
-    nu: Optional[DifferentialForm] = None
-    delta: Optional[DifferentialForm] = None
-    epsilon: Optional[DifferentialForm] = None
-    theta: Optional[DifferentialForm] = None
-    c: Fraction = Fraction(1)
+    __slots__ = FIBER_PIECES + BASE_PIECES + ("c",)
+
+    def __init__(self, alpha_t=None, beta_t=None, gamma_t=None, varpi_t=None, nu=None,
+                 delta=None, epsilon=None, theta=None, c: Fraction = Fraction(1)):
+        super().__init__(alpha_t, beta_t, gamma_t, varpi_t, nu, delta, epsilon, theta, c)
 
     def piece(self, name: str) -> Optional[DifferentialForm]:
         return getattr(self, name)
@@ -108,15 +103,15 @@ class FluxAnsatz:
         )
 
 
-@dataclass(frozen=True)
-class Background:
-    """Assembled (product metric, flux 4-form) pair with its provenance."""
+class Background(Frozen):
+    """Background(product, flux, ansatz): the assembled (product metric, flux
+    4-form) pair with its provenance."""
 
-    product: ProductChart
-    flux: DifferentialForm
-    ansatz: FluxAnsatz
-    # the direct Einstein residual, lazily filled by _direct_einstein
-    _einstein: Optional[Matrix] = field(default=None, init=False, repr=False, compare=False)
+    # _einstein: the direct Einstein residual, lazily filled by _direct_einstein
+    __slots__ = ("product", "flux", "ansatz", "_einstein")
+
+    def __init__(self, product: ProductChart, flux: DifferentialForm, ansatz: FluxAnsatz):
+        super().__init__(product, flux, ansatz, None)
 
     @property
     def metric(self) -> ChartMetric:

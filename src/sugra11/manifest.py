@@ -13,12 +13,11 @@ report format.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from .exterior import Chart, ChartError, DegreeError, DifferentialForm
+from .exterior import Chart, ChartError, DegreeError, DifferentialForm, Frozen
 from .fieldeqs import (
     BASE_PIECES,
     FIBER_PIECES,
@@ -45,20 +44,16 @@ class ManifestError(ValueError):
     pass
 
 
-@dataclass
-class BackgroundSpec:
-    name: str
-    background: Background
-    checks: List[str]
-    case: Optional[int]
-    theorem: Optional[str]
-    eval_points: List[Dict[str, Fraction]]
+class BackgroundSpec(Frozen):
+    """BackgroundSpec(name, background, checks, case, theorem, eval_points)."""
+
+    __slots__ = ("name", "background", "checks", "case", "theorem", "eval_points")
 
 
-@dataclass
-class Manifest:
-    backgrounds: List[BackgroundSpec]
-    report_format: str = "text"
+class Manifest(Frozen):
+    """Manifest(backgrounds, report_format): the resolved backgrounds in order."""
+
+    __slots__ = ("backgrounds", "report_format")
 
 
 def _poly(text, where: str) -> Polynomial:
@@ -265,20 +260,11 @@ def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
             background = assemble_flux(pc, FluxAnsatz(c=coupling, **pieces))
         except (AnsatzError, ChartError, DegreeError) as exc:
             raise ManifestError(f"background {name!r}: {exc}") from exc
-        backgrounds.append(
-            BackgroundSpec(
-                name=name,
-                background=background,
-                checks=checks,
-                case=case,
-                theorem=theorem,
-                eval_points=eval_points,
-            )
-        )
+        backgrounds.append(BackgroundSpec(name, background, checks, case, theorem, eval_points))
 
     if not backgrounds:
         raise ManifestError(f"{source}: manifest declares no backgrounds")
-    return Manifest(backgrounds=backgrounds, report_format=report_format)
+    return Manifest(backgrounds, report_format)
 
 
 def _symmetric_from_lower(lower, chart: Chart, where: str):

@@ -313,13 +313,13 @@ class Polynomial:
                 for v, k in zip(names, _exponents(e, names))
                 if k
             ]
+            mag = abs(coeff)
             if not factors:
-                body = str(abs(coeff))
+                body = format_rational(mag)
             else:
-                mag = abs(coeff)
                 body = "*".join(factors)
                 if mag != 1:
-                    body = f"{mag}*{body}"
+                    body = f"{format_rational(mag)}*{body}"
             pieces.append(("- " if coeff < 0 else "+ ") + body)
         text = " ".join(pieces)
         return "-" + text[2:] if text.startswith("- ") else text[2:]
@@ -453,6 +453,25 @@ def _tokens(text: str) -> List[Tuple[str, object]]:
         else:
             tokens.append((kind, token))
     return tokens
+
+
+def _digits(n: int) -> str:
+    """str(n), split by divmod into halves below 2000 bits (about 600 digits),
+    so no str() call meets the interpreter's int-to-str digit limit."""
+    if n.bit_length() <= 2000:
+        return str(n)
+    if n < 0:
+        return "-" + _digits(-n)
+    k = n.bit_length() * 3 // 20  # about half the digits: log10(2) is about 3/10
+    high, low = divmod(n, 10 ** k)
+    return _digits(high) + _digits(low).zfill(k)
+
+
+def format_rational(q: Coefficient) -> str:
+    """str(q) of an int or Fraction, exact at any size."""
+    if isinstance(q, Fraction) and q.denominator != 1:
+        return f"{_digits(q.numerator)}/{_digits(q.denominator)}"
+    return _digits(int(q))
 
 
 def parse_rational(text: str) -> Fraction:

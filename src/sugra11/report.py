@@ -7,7 +7,6 @@ every residual it reports is identically zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Tuple
 
 from .exterior import DifferentialForm
@@ -52,13 +51,15 @@ def residual_entries(name: str, value) -> Iterator[Tuple[str, Polynomial]]:
         raise TypeError(f"unknown residual type {type(value)!r}")
 
 
-@dataclass
 class CheckResult:
     """Named residuals for one equation-level check."""
 
-    name: str
-    residuals: Dict[str, object] = field(default_factory=dict)
-    notes: List[str] = field(default_factory=list)
+    __slots__ = ("name", "residuals", "notes")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.residuals: Dict[str, object] = {}
+        self.notes: List[str] = []
 
     @property
     def passed(self) -> bool:
@@ -84,17 +85,19 @@ class CheckResult:
         }
 
 
-@dataclass
 class VerificationReport:
     """All check results for one background, plus convention notes."""
 
-    background: str
-    results: List[CheckResult] = field(default_factory=list)
-    convention_notes: List[str] = field(default_factory=list)
-    evaluations: List[dict] = field(default_factory=list)
-    error: str | None = None
-    # residual values at the CLI's --eval point; None when there is none or on error
-    point_values: Dict[str, str] | None = None
+    __slots__ = ("background", "results", "convention_notes", "evaluations", "error", "point_values")
+
+    def __init__(self, background: str):
+        self.background = background
+        self.results: List[CheckResult] = []
+        self.convention_notes: List[str] = []
+        self.evaluations: List[dict] = []
+        self.error: str | None = None
+        # residual values at the CLI's --eval point; None when there is none or on error
+        self.point_values: Dict[str, str] | None = None
 
     @property
     def passed(self) -> bool:

@@ -20,7 +20,6 @@ that instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -30,6 +29,7 @@ from .exterior import (
     Chart,
     ChartError,
     DifferentialForm,
+    Frozen,
     VectorField,
     exterior_derivative as ext_d,
     interior_product,
@@ -122,11 +122,11 @@ def standard_base(names=("y1", "y2", "y3", "y4", "y5")) -> ChartMetric:
     return flat_negative_metric(Chart("base5", tuple(names)))
 
 
-@dataclass
-class FamilyBuild:
-    background: Background
-    conditions: CheckResult
-    derived: Dict[str, object]
+class FamilyBuild(Frozen):
+    """FamilyBuild(background, conditions, derived): a built background, its
+    characterizing conditions and the derived forms by name."""
+
+    __slots__ = ("background", "conditions", "derived")
 
 
 def _du(fiber: ChartMetric, u_name: str = "u") -> DifferentialForm:
@@ -291,11 +291,11 @@ def build_alpha_beta_nu_background(
 THEOREM_SHAPES = ("alpha", "beta_nu", "varpi_epsilon", "alpha_beta_nu", "theta")
 
 
-@dataclass
-class TheoremReport:
-    shape: str
-    hypotheses: CheckResult
-    equations: Optional[List[CheckResult]]
+class TheoremReport(Frozen):
+    """TheoremReport(shape, hypotheses, equations); equations is None when
+    the hypotheses fail."""
+
+    __slots__ = ("shape", "hypotheses", "equations")
 
     @property
     def reproduced(self) -> bool:

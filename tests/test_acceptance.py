@@ -34,7 +34,7 @@ from sugra11.fieldeqs import (
 )
 from sugra11.metric import hodge_star, inner_product_forms, make_metric, norm_sq, volume_form
 from sugra11.polyring import Polynomial
-from sugra11.product import build_product, warped_ricci_oracle
+from sugra11.product import build_product
 from sugra11.solutions import (
     append_line_factor,
     build_alpha_background,
@@ -47,6 +47,7 @@ from sugra11.solutions import (
     walker_metric_from_rho,
 )
 
+from oracles import warped_ricci_oracle
 from test_cases import mono, quadratic_H, rho_flat
 from test_exterior import random_form, random_polynomial, random_vector
 from test_fieldeqs import full_ansatz_background

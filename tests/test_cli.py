@@ -1,6 +1,9 @@
 """Manifest parsing, batch runs, exit codes, spot evaluation."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,8 +18,12 @@ from sugra11.cli import (
     run,
 )
 from sugra11.manifest import ManifestError, parse_manifest, parse_manifest_dict
+from sugra11.polyring import format_rational
 
-MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
+from test_polyring import from_decimal
+
+ROOT = Path(__file__).resolve().parent.parent
+MANIFESTS = ROOT / "manifests"
 
 
 def load(name):
@@ -387,3 +394,52 @@ def test_case_missing_flux_pieces_is_that_background_error(tmp_path, capsys):
     assert captured.err == ""
     assert "  ERROR: case 6 needs pieces ['beta_t', 'nu']" in captured.out
     assert "Error" not in captured.out and "Traceback" not in captured.out
+
+
+def test_residual_past_the_int_digit_limit_is_printed_in_full(tmp_path, capsys):
+    doc = json.loads((MANIFESTS / "solution1.json").read_text())
+    doc["forms"][0]["terms"][0]["coeff"] = "3" * 2500
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    (report,), _ = run(parse_manifest_dict(doc))
+    residual = report.results[-1].residuals["einstein_residual"][10][10]
+    assert residual.is_constant() and len(format_rational(residual.constant_value())) > 4300
+    point = "x1=1,x2=0,x3=0,x4=0,y1=0,y2=0,y3=0,y4=0,y5=0,u=0,v=0"
+    assert main(["--manifest", str(path), "--eval", point]) == EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.err == "" and "Traceback" not in captured.out
+    printed = {}
+    for line in captured.out.splitlines():
+        if "einstein_residual[10,10] = " in line:
+            where, value = line.split(" = ")
+            printed[where.split()[0]] = from_decimal(value)
+    assert printed == {"residual": residual.constant_value(), "eval": residual.constant_value()}
+
+
+IMPORT_PROBE = """
+import json, sys
+bare = set(sys.modules)
+import sugra11.cli
+imported = set(sys.modules) - bare
+from sugra11.manifest import parse_manifest_dict
+doc = json.loads(open("manifests/solution1.json").read())
+doc["backgrounds"][0]["checks"] = ["theorem"]
+doc["backgrounds"][0]["theorem"] = "alpha"
+report = sugra11.cli.run_background(parse_manifest_dict(doc).backgrounds[0])
+print(json.dumps({"imported": sorted(imported), "theorem_passed": report.passed,
+                  "solutions_after_theorem": "sugra11.solutions" in sys.modules}))
+"""
+
+
+def test_a_request_imports_only_what_it_runs():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = json.loads(subprocess.run([sys.executable, "-c", IMPORT_PROBE], cwd=ROOT, env=env,
+                                    capture_output=True, text=True, check=True, timeout=120).stdout)
+    imported = set(out["imported"])
+    assert "sugra11.cli" in imported
+    assert "dataclasses" not in imported
+    assert "sugra11.solutions" not in imported  # the theorem branch imports it
+    # perfbench/tracer.py finds sugra11.cases.check_special_case in sys.modules
+    # when it installs, before any request runs: cases stays an eager import
+    assert "sugra11.cases" in imported
+    assert out["theorem_passed"] and out["solutions_after_theorem"]

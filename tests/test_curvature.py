@@ -15,8 +15,10 @@ from sugra11.curvature import (
 from sugra11.exterior import Chart, VectorField
 from sugra11.metric import make_metric
 from sugra11.polyring import Polynomial
+from sugra11.product import build_product
 
-from test_metric import H_EXAMPLE, diag, walker_metric
+from oracles import dense_christoffel_ricci
+from test_metric import H_EXAMPLE, dense_metric, diag, walker_metric
 
 P0 = Polynomial.zero()
 P1 = Polynomial.constant(1)
@@ -263,3 +265,40 @@ def test_flat_metric_is_trivially_ricci_isotropic():
     m = make_metric(Chart("F4", ("a", "b", "c", "e")), diag(-1, -1, -1, -1))
     ok, witness = is_totally_ricci_isotropic(m)
     assert ok and witness is None
+
+
+def _assert_matches_dense_reference(m):
+    gamma, ric = dense_christoffel_ricci(m)
+    assert christoffel(m) == gamma
+    assert ricci(m) == ric
+
+
+def test_curvature_matches_the_dense_reference_on_dense_metrics():
+    # g = J^T D J: every entry of g and g_inv is nonzero, and so is most of Gamma
+    for shift in range(3):
+        m = dense_metric(Chart(f"D5r{shift}", ("a", "b", "c", "e", "f")), shift)
+        assert all(not e.is_zero() for row in m.g for e in row)
+        _assert_matches_dense_reference(m)
+
+
+def test_curvature_matches_the_dense_reference_on_a_walker_metric():
+    u, v = Polynomial.variable("u"), Polynomial.variable("v")
+    H = H_EXAMPLE * u + Polynomial.variable("x1") ** 3 * v * v + Polynomial.variable("x2") * u * v
+    m = walker_metric(H)
+    ric = ricci(m)
+    u_at = m.chart.index_of("u")
+    # v-dependent H: the Walker identity does not apply, so more than Ric_uu is nonzero
+    assert any(not ric[i][j].is_zero() for i in range(6) for j in range(6) if (i, j) != (u_at, u_at))
+    _assert_matches_dense_reference(m)
+
+
+def test_curvature_matches_the_dense_reference_on_an_assembled_product():
+    y1 = Polynomial.variable("y1")
+    g = [list(row) for row in diag(-1, -1, -1, -1, -1)]
+    g[0][1] = g[1][0] = -y1  # -(A^T A) with A = I + y1 E_12: curved
+    g[1][1] = -(y1 * y1) - P1
+    base = make_metric(Chart("B5d", ("y1", "y2", "y3", "y4", "y5")), g, signature=(0, 5))
+    fiber = walker_metric(H_EXAMPLE * Polynomial.variable("u") + Polynomial.variable("x1") ** 3)
+    pc = build_product(base, fiber, 2)
+    assert not matrix_is_zero(ricci(pc.base)) and not matrix_is_zero(ricci(pc.fiber))
+    _assert_matches_dense_reference(pc.assembled)

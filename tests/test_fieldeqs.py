@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from sugra11.curvature import is_totally_ricci_isotropic
-from sugra11.exterior import Chart, DifferentialForm, wedge
+from sugra11.curvature import curvature, is_totally_ricci_isotropic
+from sugra11.exterior import Chart, ChartError, DifferentialForm, VectorField, wedge
 import sugra11.fieldeqs as fieldeqs
 from sugra11.fieldeqs import (
     AnsatzError,
@@ -499,3 +499,28 @@ def test_einstein_then_split_builds_the_direct_matrix_once(monkeypatch):
     assert not einstein.passed and not split.passed
     assert einstein.residuals == alone_einstein.residuals
     assert split.residuals == alone_split.residuals
+
+
+def test_records_keep_value_equality_and_stay_immutable():
+    chart = Chart("c3", ("a", "b", "c"))
+    twin = Chart("c3", ["a", "b", "c"])
+    assert chart == twin and hash(chart) == hash(twin) and twin.coordinates == ("a", "b", "c")
+    assert chart != Chart("c3", ("a", "c", "b")) and chart != Chart("d3", ("a", "b", "c"))
+    assert len({chart, twin}) == 1
+    with pytest.raises(ChartError, match="duplicate coordinates"):
+        Chart("dup", ("a", "a"))
+
+    bg = full_ansatz_background()
+    records = [
+        (chart, "name"),
+        (VectorField.coordinate(chart, "a"), "components"),
+        (curvature(bg.metric), "ricci"),
+        (bg.product, "warping"),
+        (bg.ansatz, "theta"),
+        (bg, "flux"),
+    ]
+    for record, attr in records:
+        with pytest.raises(AttributeError):
+            setattr(record, attr, None)
+        with pytest.raises(AttributeError):
+            record.new_attribute = 1

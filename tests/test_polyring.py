@@ -19,6 +19,7 @@ from sugra11.polyring import (
     NotAPerfectSquare,
     Polynomial,
     PolynomialGrammarError,
+    format_rational,
     parse_polynomial,
     parse_rational,
     poly_divexact,
@@ -282,6 +283,28 @@ def test_constant_polynomial_hashes_as_the_number_it_equals():
 @given(polynomials())
 def test_str_round_trips_through_parser(p):
     assert parse_polynomial(str(p)) == p
+
+
+def from_decimal(text):
+    """The int of a decimal string, read 1000 digits at a time, below the
+    interpreter's str-to-int digit limit."""
+    sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return sign * value
+
+
+def test_str_is_exact_past_the_int_digit_limit():
+    q = Fraction(10 ** 4999 + 7, 10 ** 4999 + 3)  # coprime, 5000 digits each
+    text = "1" + "0" * 4998 + "7/1" + "0" * 4998 + "3"
+    assert str(Polynomial.constant(q)) == text == format_rational(q)
+    assert str(1 - q * x) == f"-{text}*x + 1"
+    big = 7 ** 20000  # 16902 digits
+    assert from_decimal(str(Polynomial.constant(big))) == big
+    assert str(Polynomial.constant(-big)) == "-" + format_rational(big)
+    assert format_rational(Fraction(-big, 3)) == f"-{format_rational(big)}/3"
 
 
 def test_unused_variables_are_pruned():
