@@ -15,14 +15,13 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .exterior import Chart, ChartError, DegreeError, DifferentialForm, Frozen
 from .fieldeqs import (
     BASE_PIECES,
     FIBER_PIECES,
     AnsatzError,
-    Background,
     FluxAnsatz,
     assemble_flux,
 )

@@ -21,7 +21,7 @@ that instance.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .cases import check_special_case, proportionality_to_volume
 from .curvature import laplace_beltrami, ricci

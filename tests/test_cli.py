@@ -421,8 +421,9 @@ import json, sys
 bare = set(sys.modules)
 import sugra11.cli
 imported = set(sys.modules) - bare
+from pathlib import Path
 from sugra11.manifest import parse_manifest_dict
-doc = json.loads(open("manifests/solution1.json").read())
+doc = json.loads(Path("manifests/solution1.json").read_text())
 doc["backgrounds"][0]["checks"] = ["theorem"]
 doc["backgrounds"][0]["theorem"] = "alpha"
 report = sugra11.cli.run_background(parse_manifest_dict(doc).backgrounds[0])
