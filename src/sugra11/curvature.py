@@ -9,6 +9,10 @@ calibrated once against the Walker identity: for
 h = 2 dv du + rho + H (du)^2 with rho Ricci-flat, A = 0 and H
 v-independent, the only nonzero entry is Ric_uu = -1/2 Delta H.
 
+The two terms with the contracted symbols Gamma^k_ki vanish on every
+ChartMetric and are not computed: g and g_inv are both polynomial, so
+det g is a nonzero constant and Gamma^k_ki = 1/2 d_i log|det g| = 0.
+
 Christoffel symbols and Ricci are built from nonzero entries only:
 d_l g_ij for the variables each entry contains, first-kind symbols from
 those, raised through ``ChartMetric.inv_neighbors``, and the Gamma Gamma
@@ -91,15 +95,11 @@ def _compute_curvature(m: ChartMetric) -> CurvatureData:
         if not value.is_zero():
             gamma[k, i, j] = gamma[k, j, i] = value
 
-    contracted: Dict[int, Polynomial] = {}  # i -> Gamma^k_ki
     by_upper_last: Dict[Tuple[int, int], list] = {}  # (k, l) -> [(j, Gamma^k_jl)]
     for (k, i, j), value in gamma.items():
-        if k == i:
-            contracted[j] = contracted.get(j, zero) + value
         by_upper_last.setdefault((k, j), []).append((i, value))
-    contracted = {i: c for i, c in contracted.items() if not c.is_zero()}
 
-    # for i <= j: d_k Gamma^k_ij - d_j Gamma^k_ki, and the Gamma Gamma products
+    # for i <= j: d_k Gamma^k_ij and the products -Gamma^k_jl Gamma^l_ik
     linear: Dict[Tuple[int, int], Polynomial] = {}
     products: Dict[Tuple[int, int], list] = {}
     for (l, i, k), value in gamma.items():
@@ -107,15 +107,9 @@ def _compute_curvature(m: ChartMetric) -> CurvatureData:
             d = value.partial(names[l])
             if not d.is_zero():
                 linear[i, k] = linear.get((i, k), zero) + d
-            if l in contracted:
-                products.setdefault((i, k), []).append((1, contracted[l], value))
         for j, other in by_upper_last.get((k, l), ()):  # Gamma^k_jl Gamma^l_ik
             if i <= j:
                 products.setdefault((i, j), []).append((-1, other, value))
-    for i, c in contracted.items():
-        for v in c.variables:
-            if v in index and i <= index[v]:
-                linear[i, index[v]] = linear.get((i, index[v]), zero) - c.partial(v)
 
     ric = [[zero] * n for _ in range(n)]
     for i, j in linear.keys() | products.keys():

@@ -25,15 +25,25 @@ and every audit runs on every background.
 The decomposition is one table, ``TYPES``: each of the five flux types is
 (fiber piece t, base piece b, fiber degree q), and alpha_t and theta lack
 a factor.  The block laws read it with an absent factor taken as the unit
-0-form 1 (|1|^2 = 1, star 1 = vol, no contractions):
+0-form 1 (|1|^2 = 1, star 1 = vol, no contractions), and with
+s_q = (-1)^q f^(6-2q):
 
-    |F|^2     = sum |t|^2 |b|^2 f^(-2q)
-    star F    = sum (-1)^q f^(6-2q) star_t(t) ^ star_b(b)
-    HH brace  = sum |t|^2 (|b|^2 g_ij - 3 C_b) f^(-2q)
-    VV brace  = sum |b|^2 (|t|^2 gt_ij - 3 C_t) f^(-2q)
+    |F|^2     = sum_q |t|^2 |b|^2 f^(-2q)
+    star F    = sum_q s_q star_t(t) ^ star_b(b)
+    d star F  = sum_q s_q (d star_t(t) ^ star_b(b) + (-1)^q star_t(t) ^ d star_b(b))
+    1/2 F^F   = sum_{q <= q'} c (-1)^((4-q)q') (t ^ t') ^ (b ^ b'),  c = 1/2 if q = q' else 1
+    HH brace  = sum_q |t|^2 (|b|^2 g_ij - 3 C_b) f^(-2q)
+    VV brace  = sum_q |b|^2 (|t|^2 gt_ij - 3 C_t) f^(-2q)
+    HV block  = 1/2 sum_q (-1)^q f^(-2q) <t_q, i_Z t_(q+1)> <i_X b_q, b_(q+1)>
 
-with C the contraction matrix <i_j ., i_k .> on the factor.  The direct
-11-dimensional side never reads the table.
+with C the contraction matrix <i_j ., i_k .> on the factor, X a base and
+Z a fiber coordinate field.  The typed gauge system is d star F - 1/2 F^F
+split by fiber degree k: the two d star F terms of type q land in k = 7-q
+and 6-q, a 1/2 F^F term in k = q+q'.  A term whose factor form exceeds its
+chart's dimension vanishes and is skipped.  The HV block takes each
+contraction through its adjoint <i_X a, b> = <a, X_flat ^ b>, so no block
+law calls interior_product.  The direct 11-dimensional side never reads
+the table.
 """
 
 from __future__ import annotations
@@ -47,11 +57,8 @@ from .exterior import (
     DegreeError,
     DifferentialForm,
     Frozen,
-    VectorField,
     exterior_derivative as ext_d,
-    interior_product,
     wedge,
-    wedge_all,
 )
 from .metric import (
     ChartMetric,
@@ -59,7 +66,6 @@ from .metric import (
     hodge_star,
     inner_product_forms,
     norm_sq,
-    volume_form,
 )
 from .polyring import Polynomial
 from .product import ProductChart
@@ -176,6 +182,14 @@ def _typed_pieces(pc: ProductChart, a: FluxAnsatz):
         yield fiber, base, q
 
 
+def _add(terms: Dict[int, DifferentialForm], k: int, form: DifferentialForm) -> None:
+    terms[k] = terms[k] + form if k in terms else form
+
+
+def _lifted(pc: ProductChart, fiber: DifferentialForm, base: DifferentialForm) -> DifferentialForm:
+    return wedge(pc.lift(fiber), pc.lift(base))
+
+
 # ---------------------------------------------------------------------------
 # |F|^2 two ways
 # ---------------------------------------------------------------------------
@@ -253,100 +267,48 @@ def star_flux_block(bg: Background) -> DifferentialForm:
     gt, g = pc.fiber, pc.base
     total = DifferentialForm.zero(pc.chart, 7)
     for t, b, q in _typed_pieces(pc, bg.ansatz):
-        piece = wedge(pc.lift(hodge_star(gt, t)), pc.lift(hodge_star(g, b)))
+        piece = _lifted(pc, hodge_star(gt, t), hodge_star(g, b))
         total = total + piece * ((-1) ** q * f ** (6 - 2 * q))
     return total
 
 
+def _half_flux_wedge_flux_terms(pc: ProductChart, a: FluxAnsatz) -> Dict[int, DifferentialForm]:
+    """{k: the part of 1/2 F^F with k fiber indices}, one term per type pair q <= q'."""
+    pieces = list(_typed_pieces(pc, a))[::-1]
+    terms: Dict[int, DifferentialForm] = {}
+    for n, (t, b, q) in enumerate(pieces):
+        for t2, b2, q2 in pieces[n:]:
+            # a pair whose factor wedge exceeds the factor's dimension vanishes
+            if q + q2 <= pc.fiber.dim and 8 - q - q2 <= pc.base.dim:
+                scale = (-1) ** ((4 - q) * q2) * (Fraction(1, 2) if q == q2 else 1)
+                _add(terms, q + q2, _lifted(pc, wedge(t, t2), wedge(b, b2)) * scale)
+    return terms
+
+
 def half_flux_wedge_flux_block(bg: Background) -> DifferentialForm:
-    """1/2 F^F from the eight-term cross expansion."""
-    pc = bg.product
-    a = bg.ansatz
-
-    def L(name):
-        form = a.piece(name)
-        return None if form is None else pc.lift(form)
-
-    at, bt, gt_, vt = (L(n) for n in FIBER_PIECES)
-    nu, de, ep, th = (L(n) for n in BASE_PIECES)
-    total = DifferentialForm.zero(pc.chart, 8)
-
-    def add(*forms, scale=1):
-        nonlocal total
-        if any(f is None for f in forms):
-            return
-        total = total + wedge_all(*forms) * Fraction(scale)
-
-    add(at, gt_, de)
-    add(at, vt, ep)
-    add(bt, gt_, de, nu)
-    add(at, th)
-    add(bt, vt, ep, nu)
-    add(gt_, gt_, de, de, scale=Fraction(1, 2))
-    add(bt, th, nu)
-    add(gt_, vt, ep, de)
+    """1/2 F^F as the sum of its typed cross terms."""
+    total = DifferentialForm.zero(bg.product.chart, 8)
+    for term in _half_flux_wedge_flux_terms(bg.product, bg.ansatz).values():
+        total = total + term
     return total
 
 
-def typed_gauge_system(bg: Background) -> Dict[str, DifferentialForm]:
-    """LHS - RHS of the four type components of d star F = 1/2 F^F."""
+def typed_gauge_system(bg: Background) -> Dict[int, DifferentialForm]:
+    """LHS - RHS of d star F = 1/2 F^F by fiber degree k, for the k that occur."""
     pc = bg.product
     f = pc.warping
-    a = bg.ansatz
-    gt, g = pc.fiber, pc.base
-
-    def L(form):
-        return pc.lift(form)
-
-    def star_t(form):
-        return hodge_star(gt, form)
-
-    def star_b(form):
-        return hodge_star(g, form)
-
-    zero8 = DifferentialForm.zero(pc.chart, 8)
-    at, bt, ga, vt = (a.piece(n) for n in FIBER_PIECES)
-    nu, de, ep, th = (a.piece(n) for n in BASE_PIECES)
-
-    def cross(*factors, scale=1):
-        """Lifted wedge of factor forms; zero when any piece is absent."""
-        if any(x is None for x in factors):
-            return zero8
-        return wedge_all(*(L(x) for x in factors)) * Fraction(scale)
-
-    # type (3 fiber, 5 base)
-    t1 = zero8
-    if at is not None:
-        t1 = t1 + wedge(L(ext_d(star_t(at))), L(volume_form(g))) * f ** (-2)
-    if bt is not None:
-        t1 = t1 + wedge(L(star_t(bt)), L(ext_d(star_b(nu))))
-    t1 = t1 - cross(bt, th, nu) - cross(ga, vt, ep, de)
-
-    # type (4 fiber, 4 base)
-    t2 = zero8
-    if ga is not None:
-        t2 = t2 + wedge(L(star_t(ga)), L(ext_d(star_b(de)))) * f ** 2
-    if bt is not None:
-        t2 = t2 - wedge(L(ext_d(star_t(bt))), L(star_b(nu)))
-    t2 = t2 - cross(at, th) - cross(bt, vt, ep, nu) - cross(ga, ga, de, de, scale=Fraction(1, 2))
-
-    # type (5 fiber, 3 base)
-    t3 = zero8
-    if ga is not None:
-        t3 = t3 + wedge(L(ext_d(star_t(ga))), L(star_b(de))) * f ** 2
-    if vt is not None:
-        t3 = t3 + wedge(L(star_t(vt)), L(ext_d(star_b(ep)))) * f ** 4
-    t3 = t3 - cross(at, vt, ep) - cross(bt, ga, de, nu)
-
-    # type (6 fiber, 2 base)
-    t4 = zero8
-    if th is not None:
-        t4 = t4 + wedge(L(volume_form(gt)), L(ext_d(star_b(th)))) * f ** 6
-    if vt is not None:
-        t4 = t4 - wedge(L(ext_d(star_t(vt))), L(star_b(ep))) * f ** 4
-    t4 = t4 - cross(at, ga, de)
-
-    return {"type_3_5": t1, "type_4_4": t2, "type_5_3": t3, "type_6_2": t4}
+    system: Dict[int, DifferentialForm] = {}
+    for t, b, q in _typed_pieces(pc, bg.ansatz):
+        st, sb = hodge_star(pc.fiber, t), hodge_star(pc.base, b)
+        s = (-1) ** q * f ** (6 - 2 * q)
+        # d of each star F term by the Leibniz rule; d of a top-degree form is 0
+        if st.degree < pc.fiber.dim:
+            _add(system, st.degree + 1, _lifted(pc, ext_d(st), sb) * s)
+        if sb.degree < pc.base.dim:
+            _add(system, st.degree, _lifted(pc, st, ext_d(sb)) * (s * (-1) ** st.degree))
+    for k, term in _half_flux_wedge_flux_terms(pc, bg.ansatz).items():
+        _add(system, k, -term)
+    return system
 
 
 def check_maxwell(bg: Background) -> CheckResult:
@@ -364,10 +326,9 @@ def check_maxwell(bg: Background) -> CheckResult:
     _audit("1/2 F^F block law failed", half_ff_direct, half_flux_wedge_flux_block(bg))
     typed = typed_gauge_system(bg)
     recombined = DifferentialForm.zero(pc.chart, 8)
-    for fiber_deg, key in ((3, "type_3_5"), (4, "type_4_4"), (5, "type_5_3"), (6, "type_6_2")):
-        t = typed[key]
-        _audit(f"typed gauge block {key} does not match the projection",
-               type_project(pc, residual, fiber_deg), t)
+    for k, t in sorted(typed.items()):
+        _audit(f"typed gauge block type_{k}_{8 - k} does not match the projection",
+               type_project(pc, residual, k), t)
         recombined = recombined + t
     _audit("typed gauge system does not recombine to the residual", residual, recombined)
     return result
@@ -421,6 +382,11 @@ def einstein_residual_matrix(bg: Background) -> Matrix:
     )
 
 
+def _flats(m: ChartMetric):
+    """The 1-forms g(d_i, .) of the coordinate fields: the rows of g."""
+    return [DifferentialForm(m.chart, 1, {(k,): m.g[i][k] for k in range(m.dim)}) for i in range(m.dim)]
+
+
 def split_einstein(bg: Background) -> CheckResult:
     """HH/VV/HV block formulas, each asserted equal to the direct block."""
     pc = bg.product
@@ -456,46 +422,21 @@ def split_einstein(bg: Background) -> CheckResult:
         for i in range(nf)
     )
 
-    # HV block: 1/2 <i_X F, i_Zt F> expanded by type, with the exact
-    # 1/p! pairing normalization restored on every term
-    base_vectors = [VectorField.coordinate(g.chart, c) for c in g.chart.coordinates]
-    fiber_vectors = [VectorField.coordinate(gt.chart, c) for c in gt.chart.coordinates]
-    hv = []
-    for i in range(nb):
-        row = []
-        for j in range(nf):
-            entry = Polynomial.zero()
-            if a.alpha_t is not None and a.beta_t is not None:
-                nu_i = a.nu.components.get((i,), Polynomial.zero())
-                pair = inner_product_forms(
-                    gt, a.beta_t, interior_product(fiber_vectors[j], a.alpha_t)
-                )
-                entry = entry - nu_i * pair * f ** (-6)
-            if a.beta_t is not None and a.gamma_t is not None:
-                pair_t = inner_product_forms(
-                    gt, a.gamma_t, interior_product(fiber_vectors[j], a.beta_t)
-                )
-                pair_b = inner_product_forms(
-                    g, interior_product(base_vectors[i], a.delta), a.nu
-                )
-                entry = entry + pair_t * pair_b * f ** (-4)
-            if a.gamma_t is not None and a.varpi_t is not None:
-                pair_t = inner_product_forms(
-                    gt, a.varpi_t, interior_product(fiber_vectors[j], a.gamma_t)
-                )
-                pair_b = inner_product_forms(
-                    g, interior_product(base_vectors[i], a.epsilon), a.delta
-                )
-                entry = entry - pair_t * pair_b * f ** (-2)
-            if a.varpi_t is not None and a.theta is not None:
-                vt_j = a.varpi_t.components.get((j,), Polynomial.zero())
-                pair_b = inner_product_forms(
-                    g, interior_product(base_vectors[i], a.theta), a.epsilon
-                )
-                entry = entry + vt_j * pair_b
-            row.append(entry * Fraction(1, 2))
-        hv.append(tuple(row))
-    hv_matrix: Matrix = tuple(hv)
+    # HV block: 1/2 <i_X F, i_Zt F> pairs type q with type q+1, each contraction
+    # taken through its adjoint <i_X a, b> = <a, X_flat ^ b>
+    by_q = {q: (t, b) for t, b, q in _typed_pieces(pc, a)}
+    base_flats, fiber_flats = _flats(g), _flats(gt)
+    hv = [[Polynomial.zero()] * nf for _ in range(nb)]
+    for q, (t, b) in by_q.items():
+        if q + 1 in by_q:
+            t_up, b_up = by_q[q + 1]
+            w = (-1) ** q * f ** (-2 * q) / 2
+            base_pairs = [inner_product_forms(g, b, wedge(x, b_up)) * w for x in base_flats]
+            fiber_pairs = [inner_product_forms(gt, t_up, wedge(z, t)) for z in fiber_flats]
+            for i, x_pair in enumerate(base_pairs):
+                for j, z_pair in enumerate(fiber_pairs):
+                    hv[i][j] = hv[i][j] + x_pair * z_pair
+    hv_matrix: Matrix = tuple(tuple(row) for row in hv)
 
     for label, block, rows, cols in (("HH", hh_matrix, 0, 0), ("VV", vv_matrix, nb, nb),
                                      ("HV", hv_matrix, 0, nb)):

@@ -13,7 +13,7 @@ from sugra11.curvature import (
     ricci,
 )
 from sugra11.exterior import Chart, VectorField
-from sugra11.metric import make_metric
+from sugra11.metric import make_metric, poly_det
 from sugra11.polyring import Polynomial
 from sugra11.product import build_product
 
@@ -281,10 +281,24 @@ def test_curvature_matches_the_dense_reference_on_dense_metrics():
         _assert_matches_dense_reference(m)
 
 
-def test_curvature_matches_the_dense_reference_on_a_walker_metric():
+def _v_dependent_walker():
     u, v = Polynomial.variable("u"), Polynomial.variable("v")
     H = H_EXAMPLE * u + Polynomial.variable("x1") ** 3 * v * v + Polynomial.variable("x2") * u * v
-    m = walker_metric(H)
+    return walker_metric(H)
+
+
+def _curved_product():
+    y1 = Polynomial.variable("y1")
+    g = [list(row) for row in diag(-1, -1, -1, -1, -1)]
+    g[0][1] = g[1][0] = -y1  # -(A^T A) with A = I + y1 E_12: curved
+    g[1][1] = -(y1 * y1) - P1
+    base = make_metric(Chart("B5d", ("y1", "y2", "y3", "y4", "y5")), g, signature=(0, 5))
+    fiber = walker_metric(H_EXAMPLE * Polynomial.variable("u") + Polynomial.variable("x1") ** 3)
+    return build_product(base, fiber, 2)
+
+
+def test_curvature_matches_the_dense_reference_on_a_walker_metric():
+    m = _v_dependent_walker()
     ric = ricci(m)
     u_at = m.chart.index_of("u")
     # v-dependent H: the Walker identity does not apply, so more than Ric_uu is nonzero
@@ -293,12 +307,23 @@ def test_curvature_matches_the_dense_reference_on_a_walker_metric():
 
 
 def test_curvature_matches_the_dense_reference_on_an_assembled_product():
-    y1 = Polynomial.variable("y1")
-    g = [list(row) for row in diag(-1, -1, -1, -1, -1)]
-    g[0][1] = g[1][0] = -y1  # -(A^T A) with A = I + y1 E_12: curved
-    g[1][1] = -(y1 * y1) - P1
-    base = make_metric(Chart("B5d", ("y1", "y2", "y3", "y4", "y5")), g, signature=(0, 5))
-    fiber = walker_metric(H_EXAMPLE * Polynomial.variable("u") + Polynomial.variable("x1") ** 3)
-    pc = build_product(base, fiber, 2)
+    pc = _curved_product()
     assert not matrix_is_zero(ricci(pc.base)) and not matrix_is_zero(ricci(pc.fiber))
     _assert_matches_dense_reference(pc.assembled)
+
+
+def test_contracted_christoffel_symbols_vanish_because_det_g_is_constant():
+    # g and g_inv are polynomial, so det g is a unit of the polynomial ring, a
+    # nonzero constant, and Gamma^k_ki = 1/2 d_i log|det g| is 0: the reason
+    # the curvature module leaves out the Ricci terms built from Gamma^k_ki
+    metrics = [dense_metric(Chart(f"D5r{shift}", ("a", "b", "c", "e", "f")), shift)
+               for shift in range(3)]
+    metrics += [_v_dependent_walker(), _curved_product().assembled]
+    for m in metrics:
+        det = poly_det(m.g)
+        assert det.is_constant() and not det.is_zero()
+        gamma = christoffel(m)
+        assert any(not gamma[k][i][j].is_zero()
+                   for k in range(m.dim) for i in range(m.dim) for j in range(m.dim))
+        for i in range(m.dim):
+            assert sum((gamma[k][k][i] for k in range(m.dim)), P0) == P0

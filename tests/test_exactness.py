@@ -1,5 +1,6 @@
 """The engine stays exact: no float literal and no float() call in its source.
-It also stays lean: every module-level function has a caller."""
+It also stays lean: every module-level function has a caller, and every
+module-level import is used by its module."""
 
 import ast
 import io
@@ -76,3 +77,36 @@ def test_every_engine_function_has_a_caller():
     scripts = [path.read_text() for path in sorted((ROOT / "scripts").glob("*.py"))]
     assert scripts
     assert _unreached_functions(engine, scripts, set(sugra11.__all__)) == []
+
+
+def _unused_imports(source: str):
+    """The names a module-level import binds that the module never mentions.
+
+    ``from __future__`` imports bind nothing the module reads, so they are
+    left out.
+    """
+    tree = ast.parse(source)
+    mentions = _mentions(tree)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    return [name for name in bound if not mentions[name]]
+
+
+def test_import_scan_finds_names_the_module_never_mentions():
+    source = ("from __future__ import annotations\n"
+              "import math\nimport os.path\nimport re as regex\n"
+              "from .a import used, dead, typed, first as renamed\n\n"
+              "def f(x: typed):\n    return used(math.pi) + first\n")
+    assert _unused_imports(source) == ["os", "regex", "dead", "renamed"]
+    assert _unused_imports("import os.path\n\nos.path.join('a')\n") == []
+
+
+def test_every_engine_import_is_mentioned_in_its_module():
+    # __init__ only re-exports, so its imports are its content
+    offenders = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py"))
+                 if path.name != "__init__.py" for name in _unused_imports(path.read_text())]
+    assert offenders == []

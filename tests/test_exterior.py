@@ -196,14 +196,22 @@ def test_lift_reindexes_components():
     assert lifted.component("y1") == Polynomial.variable("y1")
 
 
+# the product chart with x1 and x2 listed in reverse order: lifting must
+# carry the sign of the permutation that sorts the renamed indices
+SWAPPED = Chart("P9s", ("y1", "y2", "y3", "y4", "y5", "x2", "x1", "x3", "x4"))
+
+
 def test_lift_is_natural_for_wedge():
-    rng = random.Random(3)
-    for _ in range(10):
-        a = random_form(rng, N4, 1)
-        b = random_form(rng, N4, 2)
-        lhs = wedge(lift_to_product(a, PROD), lift_to_product(b, PROD))
-        rhs = lift_to_product(wedge(a, b), PROD)
-        assert lhs == rhs
+    x12 = DifferentialForm.monomial(N4, ("x1", "x2"), Polynomial.variable("x3"))
+    for target in (PROD, SWAPPED):
+        assert lift_to_product(x12, target).component("x1", "x2") == Polynomial.variable("x3")
+        rng = random.Random(3)
+        for _ in range(10):
+            a = random_form(rng, N4, 1)
+            b = random_form(rng, N4, 2)
+            lhs = wedge(lift_to_product(a, target), lift_to_product(b, target))
+            rhs = lift_to_product(wedge(a, b), target)
+            assert lhs == rhs
 
 
 def test_lift_chart_mismatch():

@@ -1,12 +1,16 @@
 """Flux assembly, block-law cross-checks, and the three equation residuals."""
 
+import copy
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from sugra11.curvature import curvature, is_totally_ricci_isotropic
 from sugra11.exterior import Chart, ChartError, DifferentialForm, VectorField, wedge
+from sugra11.cli import run
 import sugra11.fieldeqs as fieldeqs
 from sugra11.fieldeqs import (
     AnsatzError,
@@ -20,6 +24,7 @@ from sugra11.fieldeqs import (
     flux_norm_sq,
     split_einstein,
 )
+from sugra11.manifest import parse_manifest_dict
 from sugra11.metric import make_metric, norm_sq
 from sugra11.polyring import Polynomial
 from sugra11.product import build_product
@@ -39,6 +44,7 @@ from test_metric import diag
 
 P0 = Polynomial.zero()
 P1 = Polynomial.constant(1)
+MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
 
 def rho_flat():
@@ -56,10 +62,10 @@ def dform(chart, *names):
     return DifferentialForm.monomial(chart, names, P1)
 
 
-def full_ansatz_background(f=1, monomial=True, seed=0):
+def full_ansatz_background(f=1, monomial=True, seed=0, base_names=("y1", "y2", "y3", "y4", "y5")):
     """All five pieces present, on flat factors, for block-law exercises."""
     rng = random.Random(seed)
-    base = standard_base()
+    base = standard_base(base_names)
     fiber = make_metric(
         Chart("l6", ("w0", "w1", "w2", "w3", "w4", "w5")),
         diag(1, -1, -1, -1, -1, -1),
@@ -218,6 +224,39 @@ def test_maxwell_fails_for_non_coclosed_piece():
     theta_n = DifferentialForm.monomial(rho.chart, ("x2", "x3", "x4"), Polynomial.variable("x2"))
     build = build_alpha_background(rho, theta_n, quadratic_H(Fraction(1, 8)))
     assert not check_maxwell(build.background).passed
+
+
+def test_orientation_reversal_negates_star_f_exactly():
+    # listing y2 before y1 reverses the base orientation and with it vol_h and
+    # star F, while F (built by coordinate name) stays; the engine uses this
+    # symmetry nowhere, so it tests the sign conventions from outside
+    bg = full_ansatz_background(f=2)
+    swapped = full_ansatz_background(f=2, base_names=("y2", "y1", "y3", "y4", "y5"))
+    lift = swapped.product.lift
+    assert swapped.flux == lift(bg.flux)
+    f_wedge_f = wedge(swapped.flux, swapped.flux)
+    assert not f_wedge_f.is_zero()
+    residual = check_maxwell(bg).residuals["d_star_F_minus_half_FF"]
+    swapped_residual = check_maxwell(swapped).residuals["d_star_F_minus_half_FF"]
+    assert swapped_residual == -lift(residual) - f_wedge_f
+
+
+def _verdicts(doc):
+    reports, code = run(parse_manifest_dict(doc))
+    return code, [(r.background, r.error, [(c.name, c.passed) for c in r.results]) for r in reports]
+
+
+@pytest.mark.parametrize("name", ["solution2", "solution3", "solution4_literal", "solution4_corrected"])
+def test_verdicts_survive_swapping_the_first_two_base_coordinates(name):
+    # the bundled bases are flat and diagonal, so swapping y1 and y2 (z1 and
+    # z2) in the chart reverses the orientation without changing a metric row
+    doc = json.loads((MANIFESTS / f"{name}.json").read_text())
+    swapped = copy.deepcopy(doc)
+    (product,) = swapped["products"]
+    base_chart = next(m["chart"] for m in swapped["metrics"] if m["name"] == product["base"])
+    coords = next(c["coordinates"] for c in swapped["charts"] if c["name"] == base_chart)
+    coords[0], coords[1] = coords[1], coords[0]
+    assert _verdicts(swapped) == _verdicts(doc)
 
 
 # -- einstein -----------------------------------------------------------------------------
