@@ -192,6 +192,8 @@ def _parse_point(spec: str) -> Dict[str, Fraction]:
         if "=" not in piece:
             raise ManifestError(f"bad point assignment {piece!r}; expected var=value")
         name, value = (part.strip() for part in piece.split("=", 1))
+        if name in point:
+            raise ManifestError(f"--eval names {name!r} twice")
         point[name] = rational(value, f"--eval {name}")
     if not point:
         raise ManifestError("empty evaluation point")

@@ -114,10 +114,22 @@ def _ref(value, table: dict, where: str):
     return table[value]
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object, refusing a key that it gives twice."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ManifestError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def parse_manifest(path) -> Manifest:
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+    except ManifestError as exc:
+        raise ManifestError(f"{path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ManifestError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # not UTF-8, nested too deep, or an int too long

@@ -18,24 +18,31 @@ Sign conventions are fixed once and used everywhere:
     implementation.
 
 Every pairing, star and raised index above is a sum of Gram minors
-det g_inv[R, C].  There is one determinant routine, ``_mask_minor``: a
-table keyed by one int built from the row and column bitmasks, where a
-miss is a Laplace expansion along the lowest row over minors from the same
-table.  Each ``ChartMetric`` keeps one table of the minors of its
-symmetric g_inv (a minor and its transpose share an entry), living as long
-as the metric; ``_gram_minor`` is the only code that reads or fills it.
-``poly_det`` is the same expansion over a fresh table, and ``make_metric``
-takes det g from it and, with no inverse supplied, the cofactors from one
-table over the symmetric g.
+det g_inv[R, C].  g_inv, and so g, is block diagonal over the connected
+components K of the ``inv_neighbors`` graph (base and fiber of a product;
+{v, u} and interleaved singletons on a Walker fiber).  So det g_inv[R, C]
+is 0 unless R and C meet every K equally often, and is otherwise the
+product of the minors det g_inv[R_K, C_K], signed by grouping R and C by
+block.  An in-block p-minor with |K| - p <= p comes from g by Jacobi's
+complementary-minor identity (Horn and Johnson, Matrix Analysis, 0.8.4),
 
-One kernel raises indices: ``_raise`` maps each row set R to
-sum_C a_C det g_inv[R, C].  ``hodge_star`` places it on the complements of
-R, ``inner_product_forms`` pairs it with the other form, and ``sharp`` is
-its 1-form case, so each minor is computed once per metric and process,
-whichever of them (or ``contraction_matrix``) asks.  A factor metric and
-the 11-dimensional product metric have separate tables: the block-law
-audits, which work on the factors, never read an entry of the direct
-computation and stay independent checks.
+    det g_inv[R, C] = (-1)^(ranks of R and C in K) det g[K - C, K - R] / det g_K,
+
+with det g_K a nonzero constant, as it divides the constant det g.  Each
+``ChartMetric`` keeps a table of minors of g_inv (the Jacobi ones
+included) and one of g, and ``_gram_minor`` alone reads or fills them
+through ``_mask_minor``: a key of one int built from the row and column
+bitmasks, shared by a minor and its transpose, and on a miss a Laplace
+expansion along the lowest row.  ``poly_det`` is that expansion over a
+fresh table; ``make_metric`` takes det g, and the cofactors, from it.
+
+One kernel raises indices: ``_block_raise`` maps a form to
+{R: sum_C a_C det g_inv[R, C]} over every row set, one block at a time,
+and each metric keeps the raises it made, for ``hodge_star``,
+``inner_product_forms``, ``sharp`` and ``contraction_matrix`` alike.  A
+factor metric and the 11-dimensional product metric have separate tables
+and raises: the block-law audits, which work on the factors, never read
+an entry of the direct computation and stay independent checks.
 
 On a negative-definite factor this star differs from the
 Euclidean-signature star by (-1)^p on p-forms, which shows up as
@@ -50,7 +57,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .exterior import (
     Chart,
@@ -59,7 +66,6 @@ from .exterior import (
     DifferentialForm,
     VectorField,
     _sort_with_sign,
-    interior_product,
 )
 from .polyring import NotAPerfectSquare, Polynomial, poly_sqrt, sum_of_products
 
@@ -96,25 +102,6 @@ def _as_matrix(rows: Sequence[Sequence[Polynomial]]) -> Matrix:
     return tuple(tuple(row) for row in rows)
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum_of_products((1, a[i][k], b[k][j]) for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _is_identity(m: Matrix) -> bool:
-    n = len(m)
-    one = Polynomial.constant(1)
-    for i in range(n):
-        for j in range(n):
-            want = one if i == j else Polynomial.zero()
-            if m[i][j] != want:
-                return False
-    return True
-
-
 def poly_det(m: Matrix) -> Polynomial:
     """Exact determinant of a square matrix, from a table of its minors.
 
@@ -149,7 +136,12 @@ class ChartMetric:
         self.det_sign = det_sign
         self.sqrt_abs_det = sqrt_abs_det
         self._curvature = None  # lazily filled by the curvature module
-        self._minors: Dict[int, Polynomial] = {}  # read and filled by _gram_minor only
+        # the minor tables of g_inv and of g, read and filled by _gram_minor only
+        self._minors: Dict[int, Polynomial] = {}
+        self._g_minors: Dict[int, Polynomial] = {}
+        self._blocks = None  # lazily filled by _blocks
+        self._raised: Dict[DifferentialForm, Dict[Tuple[int, ...], Polynomial]] = {}
+        self._columns: Dict[Tuple[int, ...], list] = {}  # filled by _block_column
         n = chart.dim
         # for each index, the indices it pairs with under g_inv (sparsity)
         self.inv_neighbors = tuple(
@@ -195,18 +187,16 @@ def make_metric(
         scale = Fraction(1) / det.constant_value()
         full = (1 << n) - 1
         cofactors: Dict[int, Polynomial] = {}
-        inv = [
-            [_mask_minor(cofactors, g, n, full ^ (1 << j), full ^ (1 << i)) * ((-1) ** (i + j) * scale)
-             for j in range(n)]
-            for i in range(n)
-        ]
-        g_inv = _as_matrix(inv)
+        g_inv = tuple(tuple(_mask_minor(cofactors, g, n, full ^ (1 << j), full ^ (1 << i))
+                            * ((-1) ** (i + j) * scale) for j in range(n)) for i in range(n))
     else:
         g_inv = _as_matrix(g_inv_rows)
         if len(g_inv) != n or any(len(row) != n for row in g_inv):
             raise MetricError("inverse has wrong shape")
 
-    if not _is_identity(_mat_mul(g, g_inv)):
+    one, zero = Polynomial.constant(1), Polynomial.zero()
+    if any(sum_of_products((1, g[i][k], g_inv[k][j]) for k in range(n)) != (one if i == j else zero)
+           for i in range(n) for j in range(n)):
         raise InverseMismatch("g * g_inv is not the identity")
 
     if sqrt_abs_det is not None:
@@ -257,14 +247,7 @@ def _infer_signature(g: Matrix, chart: Chart, det_sign: int) -> Tuple[int, int]:
         if pivot is None:
             # null basis pair: a symmetric matrix with zero diagonal but some
             # off-diagonal entry contributes one plus and one minus
-            found = None
-            for i in idx:
-                for j in idx:
-                    if i != j and a[i][j] != 0:
-                        found = (i, j)
-                        break
-                if found:
-                    break
+            found = next(((i, j) for i in idx for j in idx if i != j and a[i][j] != 0), None)
             if found is None:
                 break
             i, j = found
@@ -302,7 +285,7 @@ def sharp(m: ChartMetric, a: DifferentialForm) -> VectorField:
         raise ChartError("chart mismatch")
     if a.degree != 1:
         raise DegreeError("sharp expects a 1-form")
-    return VectorField(m.chart, {j: v for (j,), v in _raise(m, a).items()})
+    return VectorField(m.chart, {j: v for (j,), v in _raised(m, a).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +293,55 @@ def sharp(m: ChartMetric, a: DifferentialForm) -> VectorField:
 # ---------------------------------------------------------------------------
 
 def _gram_minor(m: ChartMetric, rows: Tuple[int, ...], cols: Tuple[int, ...]) -> Polynomial:
-    """det g_inv[rows, cols] for increasing index tuples of equal length,
-    from the metric's table of minors (see the module docstring)."""
-    rmask = sum(1 << r for r in rows)
-    cmask = sum(1 << c for c in cols)
-    return _mask_minor(m._minors, m.g_inv, m.dim, rmask, cmask)
+    """det g_inv[rows, cols] for increasing index tuples of equal length, by
+    the block rule, from the metric's two tables (see the module docstring)."""
+    n = m.dim
+    rmask, cmask = sum(1 << r for r in rows), sum(1 << c for c in cols)
+    value, parity = None, 0
+    for k in _blocks(m):
+        rk, ck = rmask & k, cmask & k
+        p = rk.bit_count()
+        if p != ck.bit_count():
+            return Polynomial.zero()
+        if not p:
+            continue
+        rmask, cmask = rmask ^ rk, cmask ^ ck
+        # grouping by block: each later-block index ahead of one in K
+        parity += _pairs_below(rk, rmask) + _pairs_below(ck, cmask)
+        key = (rk << n) | ck if rk <= ck else (ck << n) | rk
+        minor = m._minors.get(key)
+        if minor is None and k.bit_count() - p <= p:  # Jacobi, into the g_inv table
+            det_k = _mask_minor(m._g_minors, m.g, n, k, k).constant_value()
+            sign = (-1) ** (_pairs_below(rk, k) + _pairs_below(ck, k))
+            minor = m._minors[key] = _mask_minor(m._g_minors, m.g, n, k ^ ck, k ^ rk) * (sign / det_k)
+        elif minor is None:
+            minor = _mask_minor(m._minors, m.g_inv, n, rk, ck)
+        value = minor if value is None else value * minor
+    if value is None:
+        return Polynomial.constant(1)
+    return -value if parity & 1 else value
+
+
+def _pairs_below(mask: int, others: int) -> int:
+    """The number of pairs x < y with x in ``others`` and y in ``mask``."""
+    count = 0
+    while mask and others:
+        bit = mask & -mask
+        mask ^= bit
+        count += (others & (bit - 1)).bit_count()
+    return count
+
+
+def _blocks(m: ChartMetric) -> Tuple[int, ...]:
+    """Bitmasks of the connected components of ``inv_neighbors``, found once."""
+    if m._blocks is None:
+        blocks: list = []
+        for i, near in enumerate(m.inv_neighbors):
+            block = sum(1 << j for j in near | {i})
+            block |= sum(b for b in blocks if b & block)  # the blocks are disjoint
+            blocks = [b for b in blocks if not b & block] + [block]
+        m._blocks = tuple(blocks)
+    return m._blocks
 
 
 def _mask_minor(
@@ -353,26 +380,49 @@ def _mask_minor(
     return value
 
 
-def _raise(
-    m: ChartMetric, a: DifferentialForm, rows: Iterable[Tuple[int, ...]] | None = None
-) -> Dict[Tuple[int, ...], Polynomial]:
-    """{R: sum_C a_C det g_inv[R, C]} over the given row sets, or over every
-    row set when ``rows`` is None.
+def _raised(m: ChartMetric, a: DifferentialForm) -> Dict[Tuple[int, ...], Polynomial]:
+    """{R: sum_C a_C det g_inv[R, C]} over every row set R, once per form and metric."""
+    hit = m._raised.get(a)
+    return hit if hit is not None else m._raised.setdefault(a, _block_raise(m, a))
 
-    A pair (R, C) is skipped unless every r in R pairs with some c in C under
-    g_inv and every c in C pairs with some r in R: otherwise the minor has a
-    zero row or column.
-    """
-    neighbors = m.inv_neighbors
-    products: Dict[Tuple[int, ...], list] = {}
-    for cols, pa in a.components.items():
-        reach = frozenset().union(*(neighbors[c] for c in cols))
-        for r in combinations(sorted(reach), a.degree) if rows is None else rows:
-            if reach.issuperset(r) and all(not neighbors[c].isdisjoint(r) for c in cols):
-                minor = _gram_minor(m, r, cols)
-                if not minor.is_zero():
-                    products.setdefault(r, []).append((1, pa, minor))
-    return {r: sum_of_products(terms) for r, terms in products.items()}
+
+def _block_raise(m: ChartMetric, a: DifferentialForm) -> Dict[Tuple[int, ...], Polynomial]:
+    """The full raise of ``a``, one g_inv block K at a time: C = S u C_K goes
+    to R = S u R_K with weight det g_inv[R_K, C_K] times the signs that move
+    C_K and R_K past S, and a C without an index in K passes unchanged."""
+    current = a.components
+    for k in _blocks(m):
+        out: Dict[Tuple[int, ...], Polynomial] = {}
+        products: Dict[Tuple[int, ...], list] = {}
+        for cols, coeff in current.items():
+            ck = tuple(c for c in cols if k >> c & 1)
+            if not ck:
+                out[cols] = coeff
+                continue
+            rest = tuple(c for c in cols if not k >> c & 1)
+            _, sign = _sort_with_sign(rest + ck)
+            for rk, minor in _block_column(m, ck):
+                rows, rsign = _sort_with_sign(rest + rk)
+                products.setdefault(rows, []).append((rsign * sign, coeff, minor))
+        out.update((rows, sum_of_products(terms)) for rows, terms in products.items())
+        current = out
+    return current
+
+
+def _block_column(m: ChartMetric, ck: Tuple[int, ...]) -> list:
+    """[(R_K, det g_inv[R_K, C_K])] over the nonzero minors on one block's
+    columns C_K, kept on the metric.  An R_K whose minor has a zero row or
+    column by the sparsity of g_inv is skipped without computing it."""
+    hit = m._columns.get(ck)
+    if hit is None:
+        neighbors = m.inv_neighbors
+        reach = frozenset().union(*(neighbors[c] for c in ck))
+        hit = m._columns[ck] = [
+            (rk, minor) for rk in combinations(sorted(reach), len(ck))
+            if all(not neighbors[c].isdisjoint(rk) for c in ck)
+            for minor in (_gram_minor(m, rk, ck),) if not minor.is_zero()
+        ]
+    return hit
 
 
 def inner_product_forms(m: ChartMetric, a: DifferentialForm, b: DifferentialForm) -> Polynomial:
@@ -381,27 +431,37 @@ def inner_product_forms(m: ChartMetric, a: DifferentialForm, b: DifferentialForm
         raise ChartError("chart mismatch")
     if a.degree != b.degree:
         raise DegreeError(f"degree mismatch: {a.degree} vs {b.degree}")
-    raised = _raise(m, a, b.components)
-    return sum_of_products((1, b.components[r], v) for r, v in raised.items())
+    raised = _raised(m, a)
+    return sum_of_products((1, pb, raised[r]) for r, pb in b.components.items() if r in raised)
 
 
 def contraction_matrix(m: ChartMetric, a: DifferentialForm) -> Matrix:
-    """The symmetric matrix <i_j a, i_k a> over the coordinate fields d_j, d_k.
+    """The symmetric matrix C_jk = <i_j a, i_k a> over the coordinate fields d_j, d_k.
 
-    The n interior products are built once and only the upper triangle is
-    paired.  For a 1-form the entries are the degree-0 pairings a_j a_k; a
-    0-form has no contractions, so its matrix is zero.
+    C = M g with M_jl = sum_A a_(jA) a^(lA) over increasing (p-1)-sets A, a^
+    the full raise of a, each component signed by sorting its indices; only
+    the upper triangle is formed.  A 0-form has no contractions: C = 0.
     """
     if a.chart != m.chart:
         raise ChartError("chart mismatch")
     n = m.dim
     rows = [[Polynomial.zero()] * n for _ in range(n)]
     if a.degree > 0:
-        fields = [VectorField.coordinate(m.chart, c) for c in m.chart.coordinates]
-        cuts = [interior_product(v, a) for v in fields]
+        up: Dict[Tuple[int, ...], list] = {}
+        for idx, value in _raised(m, a).items():
+            for pos, l in enumerate(idx):
+                up.setdefault(idx[:pos] + idx[pos + 1:], []).append((l, pos, value))
+        products: Dict[int, Dict[int, list]] = {j: {} for j in range(n)}
+        for idx, coeff in a.components.items():
+            for pos, j in enumerate(idx):
+                for l, lpos, value in up.get(idx[:pos] + idx[pos + 1:], ()):
+                    products[j].setdefault(l, []).append(((-1) ** (pos + lpos), coeff, value))
         for j in range(n):
+            m_row = [(l, sum_of_products(terms)) for l, terms in products[j].items()]
             for k in range(j, n):
-                rows[j][k] = rows[k][j] = inner_product_forms(m, cuts[j], cuts[k])
+                rows[j][k] = rows[k][j] = sum_of_products(
+                    (1, v, m.g[l][k]) for l, v in m_row if not m.g[l][k].is_zero()
+                )
     return _as_matrix(rows)
 
 
@@ -429,7 +489,7 @@ def hodge_star(m: ChartMetric, a: DifferentialForm) -> DifferentialForm:
         # only identically-zero forms carry degree > dim
         return DifferentialForm.zero(m.chart, 0)
     out: Dict[Tuple[int, ...], Polynomial] = {}
-    for rows, coeff in _raise(m, a).items():
+    for rows, coeff in _raised(m, a).items():
         complement = tuple(i for i in range(n) if i not in rows)
         _, sign = _sort_with_sign(rows + complement)
         out[complement] = sum_of_products([(sign, coeff, m.sqrt_abs_det)])

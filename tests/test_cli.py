@@ -343,6 +343,32 @@ def test_bad_rational_flag_exits_2_with_one_line(capsys, flags, message):
     assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
 
 
+def test_repeated_eval_name_exits_2_with_one_line(capsys):
+    args = ["--manifest", str(MANIFESTS / "solution1.json"), "--eval", "x1=1,y1=0,x1=2"]
+    assert main(args) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --eval names 'x1' twice\n"
+
+
+def test_duplicate_manifest_key_exits_2_naming_it(tmp_path, capsys):
+    # a second "checks" list in a background used to replace the first silently
+    text = (MANIFESTS / "solution1.json").read_text()
+    doc = json.loads(text)
+    dumped = json.dumps(doc)
+    assert dumped.count('"checks": [') == len(doc["backgrounds"])
+    path = tmp_path / "dup.json"
+    path.write_text(dumped.replace('"checks": [', '"checks": ["closedness"], "checks": [', 1))
+    assert main(["--manifest", str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: duplicate key 'checks'\n"
+    # no shipped or golden manifest repeats a key
+    for shipped in sorted(MANIFESTS.glob("*.json")) + sorted((ROOT / "tests" / "golden").glob("*.manifest.json")):
+        if shipped.name != "broken.json":  # not JSON at all
+            parse_manifest(shipped)
+
+
 def test_bad_eval_point_is_that_background_error(tmp_path, capsys):
     doc = json.loads((MANIFESTS / "solution4_literal.json").read_text())
     bad = doc["backgrounds"][0]

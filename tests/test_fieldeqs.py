@@ -24,7 +24,8 @@ from sugra11.fieldeqs import (
     flux_norm_sq,
     split_einstein,
 )
-from sugra11.manifest import parse_manifest_dict
+import sugra11.metric as metric
+from sugra11.manifest import parse_manifest, parse_manifest_dict
 from sugra11.metric import make_metric, norm_sq
 from sugra11.polyring import Polynomial
 from sugra11.product import build_product
@@ -538,6 +539,32 @@ def test_einstein_then_split_builds_the_direct_matrix_once(monkeypatch):
     assert not einstein.passed and not split.passed
     assert einstein.residuals == alone_einstein.residuals
     assert split.residuals == alone_split.residuals
+
+
+def test_maxwell_raises_each_form_once_per_metric(monkeypatch):
+    # star_flux_block and typed_gauge_system star the same factor pieces; the
+    # raise behind each star is kept on the metric, so it runs once
+    golden = Path(__file__).resolve().parent / "golden"
+    spec = parse_manifest(golden / "ladder_mixed_solution4_literal_d1.manifest.json").backgrounds[0]
+    bg = spec.background
+    original = metric._block_raise
+    calls = []
+
+    def counted(m, a):
+        calls.append((m, a))
+        return original(m, a)
+
+    monkeypatch.setattr(metric, "_block_raise", counted)
+    check_maxwell(bg)
+    pc, a = bg.product, bg.ansatz
+    unit = DifferentialForm.function(pc.base_chart, Polynomial.constant(1))
+    raised = {(bg.metric, bg.flux), (pc.fiber, a.alpha_t), (pc.fiber, a.beta_t),
+              (pc.base, a.nu), (pc.base, unit)}
+    assert len(calls) == len(raised) and set(calls) == raised
+    # the Einstein checks pair and contract the same forms: nothing is raised again
+    check_einstein(bg)
+    split_einstein(bg)
+    assert len(calls) == len(raised)
 
 
 def test_records_keep_value_equality_and_stay_immutable():

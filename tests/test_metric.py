@@ -30,6 +30,7 @@ from sugra11.metric import (
     volume_form,
 )
 from sugra11.polyring import Polynomial
+from sugra11.product import build_product
 
 from test_exterior import random_form  # noqa: E402
 
@@ -288,15 +289,17 @@ def test_star_nu_and_its_derivative_under_convention():
 
 def test_contraction_matrix_matches_pairwise_inner_products():
     rng = random.Random(23)
-    m = walker_metric(H_EXAMPLE)  # g and g_inv both off-diagonal
-    fields = [VectorField.coordinate(m.chart, c) for c in m.chart.coordinates]
-    for degree in (1, 2, 3, 4):
-        form = random_form(rng, m.chart, degree, terms=3)
-        ref = [interior_product(v, form) for v in fields]
-        assert contraction_matrix(m, form) == tuple(
-            tuple(inner_product_forms(m, ref[j], ref[k]) for k in range(m.dim))
-            for j in range(m.dim)
-        )
+    # g and g_inv both off-diagonal; then an 11-dimensional product with a dense fiber
+    for m, degrees in ((walker_metric(H_EXAMPLE), (1, 2, 3, 4)), (dense_product(), (3, 4))):
+        fields = [VectorField.coordinate(m.chart, c) for c in m.chart.coordinates]
+        for degree in degrees:
+            form = random_form(rng, m.chart, degree, terms=3)
+            ref = [interior_product(v, form) for v in fields]
+            assert contraction_matrix(m, form) == tuple(
+                tuple(inner_product_forms(m, ref[j], ref[k]) for k in range(m.dim))
+                for j in range(m.dim)
+            )
+    m = walker_metric(H_EXAMPLE)
     # a 1-form pairs its components; a 0-form has no contractions
     one = random_form(rng, m.chart, 1, terms=2)
     c = one.components
@@ -310,6 +313,7 @@ def test_contraction_matrix_matches_pairwise_inner_products():
 # -- the table of Gram minors ---------------------------------------------------------
 
 D5 = Chart("D5", ("a", "b", "c", "e", "f"))
+F6 = Chart("F6", ("p1", "p2", "p3", "p4", "p5", "p6"))
 
 
 def _matmul(x, y):
@@ -339,11 +343,17 @@ def dense_metric(chart, shift):
     for _ in range(n - 1):
         power = _matmul(power, nil)
         inv_jac = [[inv_jac[i][j] + power[i][j] for j in range(n)] for i in range(n)]
-    values = (1, -1, -2, -1, -2)[:n]
+    values = (1, -1, -2, -1, -2, -1)[:n]
     g = _matmul(_matmul(_transpose(jac), diag(*values)), jac)
     d_inv = diag(*(Fraction(1, v) for v in values))
     g_inv = _matmul(_matmul(inv_jac, d_inv), _transpose(inv_jac))
     return make_metric(chart, g, g_inv, signature=(1, n - 1))
+
+
+def dense_product():
+    """G5 x F6 with warping 2 and a dense fiber: g_inv has five singleton
+    blocks and one dense 6-block, whose det g_K = 4^6 det gt is not a unit."""
+    return build_product(G5, dense_metric(F6, 1), 2).assembled
 
 
 def _submatrix_det(m, rows, cols):
@@ -369,6 +379,38 @@ def test_gram_minor_table_matches_poly_det_and_its_transpose():
         assert _gram_minor(m, cols, rows) == minor
 
     check()
+
+
+def test_gram_minor_routes_match_poly_det_for_every_p():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    # every minor of the Walker metric with a v-dependent H, whose g_inv splits
+    # into the interleaved blocks {v, u}, {x1}, ..., {x4}: the block rule, the
+    # grouping sign and (every block has |K| - p <= p) the Jacobi route
+    walker = walker_metric(H_EXAMPLE + Polynomial.variable("v"))
+    for p in range(walker.dim + 1):
+        for rows in combinations(range(walker.dim), p):
+            for cols in combinations(range(walker.dim), p):
+                assert _gram_minor(walker, rows, cols) == _submatrix_det(walker, rows, cols)
+    # one dense block: p-minors with p < |K| - p from the g_inv table, the others from g
+    dense = (dense_metric(D5, 2), dense_metric(F6, 3))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def check(data):
+        m = data.draw(st.sampled_from(dense))
+        p = data.draw(st.integers(0, m.dim))
+        subset = st.sets(st.integers(0, m.dim - 1), min_size=p, max_size=p).map(sorted).map(tuple)
+        rows, cols = data.draw(subset), data.draw(subset)
+        assert _gram_minor(m, rows, cols) == _submatrix_det(m, rows, cols)
+
+    check()
+    for m in dense:  # each route, on each side of |K| - p <= p
+        for p in range(m.dim + 1):
+            rows, cols = tuple(range(p)), tuple(range(m.dim - p, m.dim))
+            assert _gram_minor(m, rows, cols) == _submatrix_det(m, rows, cols)
+    assert all(m._g_minors and m._minors for m in dense + (walker,))
 
 
 def _reference_inner(m, a, b):
@@ -398,10 +440,13 @@ def _reference_star(m, a):
 
 def test_star_and_inner_product_on_a_dense_metric_match_poly_det_reference():
     rng = random.Random(31)
-    # a dense g_inv, and a sparse one (Walker, non-constant H) whose zero
-    # entries let the raising kernel skip pairs
-    for m in (dense_metric(D5, 2), walker_metric(H_EXAMPLE + Polynomial.variable("v"))):
-        for p in range(m.dim + 1):
+    # a dense g_inv, a sparse one (Walker, non-constant H) whose zero entries
+    # let the raising kernel skip pairs, and an 11-dimensional product with a
+    # dense fiber, raised one block at a time
+    for m, degrees in ((dense_metric(D5, 2), range(6)),
+                       (walker_metric(H_EXAMPLE + Polynomial.variable("v")), range(7)),
+                       (dense_product(), (3, 4))):
+        for p in degrees:
             a = random_form(rng, m.chart, p, terms=2)
             b = random_form(rng, m.chart, p, terms=2)
             assert inner_product_forms(m, a, b) == _reference_inner(m, a, b)
