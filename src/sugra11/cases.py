@@ -21,7 +21,7 @@ from typing import Dict, Optional, Tuple
 from .exterior import DifferentialForm, exterior_derivative as ext_d, wedge, wedge_all
 from .fieldeqs import Background, FluxAnsatz
 from .metric import ChartMetric, hodge_star, volume_form
-from .polyring import Polynomial, poly_divexact
+from .polyring import Polynomial
 from .report import CheckResult
 
 CASE_SHAPES: Dict[int, Tuple[str, ...]] = {
@@ -63,20 +63,9 @@ def proportionality_to_volume(m: ChartMetric, top_form: DifferentialForm):
     Returns (c, rest); the form is a constant multiple of the volume form
     exactly when rest is zero.
     """
-    vol = volume_form(m)
-    full = tuple(range(m.dim))
-    coeff = top_form.components.get(full, Polynomial.zero())
-    scale = vol.components[full]
-    try:
-        ratio = poly_divexact(coeff, scale)
-    except ValueError:
-        ratio = None
-    if ratio is not None and ratio.is_constant():
-        c = ratio.constant_value()
-    else:
-        c = Fraction(0)
-    rest = top_form - vol * c
-    return c, rest
+    coeff = top_form.components.get(tuple(range(m.dim)), Polynomial.zero())
+    c = coeff.constant_value() / m.sqrt_abs_det if coeff.is_constant() else Fraction(0)
+    return c, top_form - volume_form(m) * c
 
 
 def check_special_case(bg: Background, case: int, c: Optional[Fraction] = None) -> CheckResult:

@@ -10,8 +10,9 @@ h = 2 dv du + rho + H (du)^2 with rho Ricci-flat, A = 0 and H
 v-independent, the only nonzero entry is Ric_uu = -1/2 Delta H.
 
 The two terms with the contracted symbols Gamma^k_ki vanish on every
-ChartMetric and are not computed: g and g_inv are both polynomial, so
-det g is a nonzero constant and Gamma^k_ki = 1/2 d_i log|det g| = 0.
+ChartMetric and are not computed: det g is a nonzero constant, which
+``metric.make_metric`` establishes for every metric, so
+Gamma^k_ki = 1/2 d_i log|det g| = 0.
 
 Christoffel symbols and Ricci are built from nonzero entries only:
 d_l g_ij for the variables each entry contains, first-kind symbols from

@@ -187,9 +187,9 @@ def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
             raise ManifestError(
                 f"metric {name!r}: signature must be a list of two integers, got {signature!r}"
             )
-        sqrt_abs_det = (
-            _poly(entry["sqrt_abs_det"], f"metric {name!r}") if "sqrt_abs_det" in entry else None
-        )
+        sqrt_abs_det = entry.get("sqrt_abs_det")
+        if sqrt_abs_det is not None:
+            sqrt_abs_det = rational(sqrt_abs_det, f"metric {name!r} sqrt_abs_det")
         if name in metrics:
             raise ManifestError(f"duplicate metric {name!r}")
         try:

@@ -10,7 +10,8 @@ Sign conventions are fixed once and used everywhere:
     <a, b> = sum_{I,J} a_I b_J det(g_inv[I, J]) over increasing tuples,
     i.e. the 1/p! contraction of components with p inverse metrics.
   * The star is defined by  a ^ star(b) = <a, b> vol  against the chart
-    orientation, with vol = sqrt|det g| dx^1^...^dx^n.
+    orientation, with vol = sqrt|det g| dx^1^...^dx^n and sqrt|det g| a
+    positive rational (``ChartMetric.sqrt_abs_det``).
   * The contraction matrix of a p-form a is C_jk = <i_j a, i_k a>, the
     pairing of its contractions with the coordinate fields d_j, d_k; it
     is the stress-energy term of the Einstein equation and of every
@@ -28,7 +29,8 @@ complementary-minor identity (Horn and Johnson, Matrix Analysis, 0.8.4),
 
     det g_inv[R, C] = (-1)^(ranks of R and C in K) det g[K - C, K - R] / det g_K,
 
-with det g_K a nonzero constant, as it divides the constant det g.  Each
+with det g_K a nonzero constant, as it divides det g, which
+``make_metric`` establishes to be a nonzero constant.  Each
 ``ChartMetric`` keeps a table of minors of g_inv (the Jacobi ones
 included) and one of g, and ``_gram_minor`` alone reads or fills them
 through ``_mask_minor``: a key of one int built from the row and column
@@ -50,7 +52,10 @@ recorded sign deviations next to values quoted from positive-definite
 computations (see CONVENTION_NOTES).
 
 Metric inverses must be polynomial; the coefficient ring stays a ring
-and every residual stays exact.
+and every residual stays exact.  ``make_metric`` is the one place that
+validates a metric and so the one place that establishes what follows:
+det g * det g_inv = 1 over the polynomials makes det g a nonzero rational
+constant, and |det g| must be the square of a rational.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ from .exterior import (
     VectorField,
     _sort_with_sign,
 )
-from .polyring import NotAPerfectSquare, Polynomial, poly_sqrt, sum_of_products
+from .polyring import Polynomial, _fraction_sqrt, format_rational, sum_of_products
 
 CONVENTION_NOTES = (
     "Riemannian factors are negative definite; the Hodge dual on such a factor "
@@ -127,7 +132,7 @@ class ChartMetric:
         g_inv: Matrix,
         signature: Tuple[int, int],
         det_sign: int,
-        sqrt_abs_det: Polynomial,
+        sqrt_abs_det: Fraction,
     ):
         self.chart = chart
         self.g = g
@@ -158,12 +163,13 @@ def make_metric(
     g_rows: Sequence[Sequence[Polynomial]],
     g_inv_rows: Sequence[Sequence[Polynomial]] | None = None,
     signature: Tuple[int, int] | None = None,
-    sqrt_abs_det: Polynomial | None = None,
+    sqrt_abs_det: Fraction | int | None = None,
 ) -> ChartMetric:
     """Build and validate a chart metric.
 
     When no inverse is supplied it is computed by adjugate/determinant,
-    which is accepted only for a nonzero constant determinant.
+    which is accepted only for a nonzero constant determinant.  A supplied
+    sqrt_abs_det must be the positive rational whose square is |det g|.
     """
     n = chart.dim
     g = _as_matrix(g_rows)
@@ -199,29 +205,19 @@ def make_metric(
            for i in range(n) for j in range(n)):
         raise InverseMismatch("g * g_inv is not the identity")
 
-    if sqrt_abs_det is not None:
-        sq = sqrt_abs_det * sqrt_abs_det
-        if sq == det:
-            det_sign = 1
-        elif sq == -det:
-            det_sign = -1
-        else:
-            raise VolumeNotPolynomial("supplied sqrt_abs_det does not square to |det g|")
-        if sqrt_abs_det.leading()[1] < 0:
-            raise VolumeNotPolynomial("sqrt_abs_det must have a positive leading coefficient")
-        root = sqrt_abs_det
-    else:
-        try:
-            root = poly_sqrt(det)
-            det_sign = 1
-        except NotAPerfectSquare:
-            try:
-                root = poly_sqrt(-det)
-                det_sign = -1
-            except NotAPerfectSquare:
-                raise VolumeNotPolynomial(
-                    f"|det g| = |{det}| has no polynomial square root"
-                ) from None
+    # g_inv is polynomial, so det g divides 1: a nonzero rational constant
+    det_value = det.constant_value()
+    det_sign = 1 if det_value > 0 else -1
+    root = _fraction_sqrt(abs(det_value))
+    if root is None:
+        raise VolumeNotPolynomial(
+            f"|det g| = {format_rational(abs(det_value))} is not the square of a rational"
+        )
+    if sqrt_abs_det is not None and sqrt_abs_det != root:
+        raise VolumeNotPolynomial(
+            f"supplied sqrt_abs_det {format_rational(sqrt_abs_det)} is not {format_rational(root)},"
+            " the positive square root of |det g|"
+        )
 
     if signature is None:
         signature = _infer_signature(g, chart, det_sign)
@@ -475,7 +471,7 @@ def is_null(m: ChartMetric, a: DifferentialForm) -> bool:
 
 def volume_form(m: ChartMetric) -> DifferentialForm:
     return DifferentialForm(
-        m.chart, m.dim, {tuple(range(m.dim)): m.sqrt_abs_det}
+        m.chart, m.dim, {tuple(range(m.dim)): Polynomial.constant(m.sqrt_abs_det)}
     )
 
 
@@ -492,5 +488,5 @@ def hodge_star(m: ChartMetric, a: DifferentialForm) -> DifferentialForm:
     for rows, coeff in _raised(m, a).items():
         complement = tuple(i for i in range(n) if i not in rows)
         _, sign = _sort_with_sign(rows + complement)
-        out[complement] = sum_of_products([(sign, coeff, m.sqrt_abs_det)])
+        out[complement] = coeff * (sign * m.sqrt_abs_det)
     return DifferentialForm(m.chart, n - p, out)

@@ -8,8 +8,8 @@ form of Geddes, Czapor and Labahn, "Algorithms for Computer Algebra"
 always canonical (``_canonical`` is the one normaliser): no zero numerator
 is stored, ``gcd(den, every numerator) == 1``, and the zero polynomial has
 no terms and ``den == 1``.  Coefficients go in as ``int`` or ``Fraction``
-(floats are refused) and come out of ``leading`` as an ``int`` when
-integral; ``constant_value`` and ``evaluate`` return ``Fraction``.
+(floats are refused); ``constant_value`` and ``evaluate`` return
+``Fraction``.
 
 A monomial is one packed ``int`` (Monagan and Pearce, "Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors", CASC
@@ -20,13 +20,17 @@ keys.  The top bit of a field is a guard: an exponent must stay below
 ``EXPONENT_LIMIT`` (2^31), so a sum of two never carries into the next
 field, and each product is checked once for a set guard bit.  An exponent
 at or above the limit raises ``ExponentOverflow``; nothing wraps.
-``variables``, printing (graded lex over sorted names), equality, hashing
-and ``leading`` read exponents by sorted name, so none depends on the
-order in which names were registered.
+``variables``, printing (graded lex over sorted names), equality and
+hashing read exponents by sorted name, so none depends on the order in
+which names were registered.
 
 ``sum_of_products`` is the one multiply-accumulate kernel: signed
 products, scaled to the lcm of their denominators, land in a single
 ``int`` term map and become one canonical polynomial.
+
+``poly_sqrt`` and ``poly_divexact`` take constants only: a metric with a
+polynomial inverse has a constant determinant (``metric.make_metric``
+establishes it), so no caller needs a polynomial root or quotient.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ _GUARD = 0  # the guard bits of every registered field
 
 
 class NotAPerfectSquare(ValueError):
-    """Raised by poly_sqrt when no polynomial square root exists."""
+    """Raised by poly_sqrt when its argument is not the square of a rational."""
 
 
 class PolynomialGrammarError(ValueError):
@@ -288,15 +292,6 @@ class Polynomial:
                 term = term * factor ** k
             out = out + term
         return out
-
-    # -- leading data (graded lex) -----------------------------------------
-
-    def leading(self) -> Tuple[Exponent, Coefficient]:
-        """(exponents over ``variables``, coefficient) of the grlex-leading term."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        key = max(self.terms, key=_grlex_key)
-        return _exponents(key, self.variables), _coefficient(Fraction(self.terms[key], self.den))
 
     # -- printing ----------------------------------------------------------
 
@@ -566,42 +561,16 @@ def parse_polynomial(text: str) -> Polynomial:
 # derived operations
 # ---------------------------------------------------------------------------
 
-def _quotient_key(a: int, b: int) -> int | None:
-    """The monomial a / b, or None when b does not divide a.
-
-    A field of a below the one of b borrows from the field above and sets
-    its own guard bit (or makes the top field negative).
-    """
-    q = a - b
-    return None if q < 0 or q & _GUARD else q
-
-
 def poly_sqrt(p: Polynomial) -> Polynomial:
-    """Polynomial square root with positive leading coefficient.
+    """The nonnegative rational square root of a constant polynomial.
 
-    Raises NotAPerfectSquare when p has no polynomial square root.
+    Raises NotAPerfectSquare for a non-constant p and for a constant that
+    is not the square of a rational.
     """
-    if p.is_zero():
-        return _P_ZERO
-    lead = max(p.terms, key=_grlex_key)
-    c = _fraction_sqrt(Fraction(p.terms[lead], p.den))
-    if c is None or any(k % 2 for k in _grlex_key(lead)[1]):
-        raise NotAPerfectSquare(f"{p} is not a perfect square")
-    half = lead >> 1  # every field is even, so this halves each one
-    root = _rational({half: c})
-    # peel one grlex-leading remainder term per step; the new root term must be
-    # strictly grlex-below the previous one or no square root exists
-    prev_key = _grlex_key(half)
-    remainder = p - root * root
-    while not remainder.is_zero():
-        r_exp = max(remainder.terms, key=_grlex_key)
-        diff = _quotient_key(r_exp, half)
-        if diff is None or _grlex_key(diff) >= prev_key:
-            raise NotAPerfectSquare(f"{p} is not a perfect square")
-        prev_key = _grlex_key(diff)
-        root = root + _rational({diff: Fraction(remainder.terms[r_exp], remainder.den) / (2 * c)})
-        remainder = p - root * root
-    return root
+    root = _fraction_sqrt(p.constant_value()) if p.is_constant() else None
+    if root is None:
+        raise NotAPerfectSquare(f"{p} is not the square of a rational")
+    return Polynomial.constant(root)
 
 
 def _fraction_sqrt(q: Fraction) -> Fraction | None:
@@ -620,25 +589,10 @@ def _isqrt_exact(n: int) -> int | None:
 
 
 def poly_divexact(num: Polynomial, den: Polynomial) -> Polynomial:
-    """Exact polynomial division; raises ValueError when den does not divide num."""
+    """num / den for a nonzero constant den; raises ValueError for a non-constant den."""
     num, den = _coerce(num), _coerce(den)
+    if not den.is_constant():
+        raise ValueError(f"division by the non-constant polynomial {den}")
     if den.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    if num.is_zero():
-        return _P_ZERO
-    if den.is_constant():
-        return num * (Fraction(1) / den.constant_value())
-    d_lead = max(den.terms, key=_grlex_key)
-    d_lead_coeff = Fraction(den.terms[d_lead], den.den)
-    out: Dict[int, Fraction] = {}
-    current = num
-    while not current.is_zero():
-        c_exp = max(current.terms, key=_grlex_key)
-        q_exp = _quotient_key(c_exp, d_lead)
-        if q_exp is None:
-            raise ValueError(f"{den} does not divide {num}")
-        q_coeff = Fraction(current.terms[c_exp], current.den) / d_lead_coeff
-        out[q_exp] = q_coeff
-        current = current - _rational({q_exp: q_coeff}) * den
-    return _rational(out)
-
+    return num * (1 / den.constant_value())

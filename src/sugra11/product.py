@@ -3,12 +3,20 @@
 A product couples a base (M, g) with a fiber (Mt, gt) through a warping
 function f on the base: h = g + f^2 gt on the union chart, base
 coordinates first.  The orientation convention makes
-vol_h = f^dim(fiber) vol_base ^ vol_fiber.
+vol_h = |f|^dim(fiber) vol_base ^ vol_fiber; h depends on f^2 only, so f
+and -f give the same background.
 
 The warping f is a nonzero rational constant: build_product is the one
 place that decides this, refusing any other f, and ProductChart.warping
 holds it as a Fraction.  A non-constant f would need the coefficient
 ring localized at f.
+
+build_product does not validate h again.  Each factor passed
+``make_metric``, the one place that validates a metric and establishes
+that det g is a nonzero constant with a rational square root, and h is
+block diagonal with blocks g and f^2 gt, so h_inv is block diagonal with
+blocks g_inv and f^-2 gt_inv, det h = det g * f^(2 dim(fiber)) * det gt,
+and every field of the assembled metric is read off the factors.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exterior import Chart, ChartError, DifferentialForm, Frozen, lift_to_product
-from .metric import ChartMetric, MetricError, make_metric
+from .metric import ChartMetric, Matrix, MetricError
 from .polyring import Polynomial
 
 
@@ -63,25 +71,21 @@ def build_product(
         f"{base.chart.name}x{fiber.chart.name}",
         base.chart.coordinates + fiber.chart.coordinates,
     )
-    nb, nf = base.dim, fiber.dim
-    n = nb + nf
-    zero = Polynomial.zero()
     f_sq = warping * warping
-    inv_f_sq = 1 / f_sq
-
-    g = [[zero] * n for _ in range(n)]
-    g_inv = [[zero] * n for _ in range(n)]
-    for i in range(nb):
-        for j in range(nb):
-            g[i][j] = base.g[i][j]
-            g_inv[i][j] = base.g_inv[i][j]
-    for i in range(nf):
-        for j in range(nf):
-            g[nb + i][nb + j] = fiber.g[i][j] * f_sq
-            g_inv[nb + i][nb + j] = fiber.g_inv[i][j] * inv_f_sq
-
-    plus = base.signature[0] + fiber.signature[0]
-    minus = base.signature[1] + fiber.signature[1]
-    sqrt_det = base.sqrt_abs_det * fiber.sqrt_abs_det * warping ** nf
-    assembled = make_metric(chart, g, g_inv, (plus, minus), sqrt_abs_det=sqrt_det)
+    signature = (base.signature[0] + fiber.signature[0], base.signature[1] + fiber.signature[1])
+    sqrt_det = base.sqrt_abs_det * fiber.sqrt_abs_det * abs(warping) ** fiber.dim
+    assembled = ChartMetric(
+        chart,
+        _block_diagonal(base.g, fiber.g, f_sq),
+        _block_diagonal(base.g_inv, fiber.g_inv, 1 / f_sq),
+        signature,
+        base.det_sign * fiber.det_sign,
+        sqrt_det,
+    )
     return ProductChart(base, fiber, warping, chart, assembled)
+
+
+def _block_diagonal(a: Matrix, b: Matrix, scale: Fraction) -> Matrix:
+    """The block-diagonal matrix diag(a, scale * b)."""
+    za, zb = (Polynomial.zero(),) * len(a), (Polynomial.zero(),) * len(b)
+    return tuple(row + zb for row in a) + tuple(za + tuple(e * scale for e in row) for row in b)

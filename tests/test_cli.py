@@ -264,6 +264,16 @@ def _nonconstant_warping(doc):
     return "product 'X11': warping must be a nonzero constant, got y1"
 
 
+def _nonconstant_sqrt_abs_det(doc):
+    doc["metrics"][0]["sqrt_abs_det"] = "y1"
+    return "metric 'g_base' sqrt_abs_det: bad rational 'y1'"
+
+
+def _wrong_sqrt_abs_det(doc):
+    doc["metrics"][0]["sqrt_abs_det"] = "-1"
+    return "metric 'g_base': supplied sqrt_abs_det -1 is not 1, the positive square root of"
+
+
 def _exponent_notation_coupling(doc):
     doc["settings"]["c"] = "1e999999999"
     return "settings.c: bad rational"
@@ -295,6 +305,8 @@ def _long_coefficient(doc):
         _signed_factor,
         _juxtaposed_factor,
         _nonconstant_warping,
+        _nonconstant_sqrt_abs_det,
+        _wrong_sqrt_abs_det,
         _exponent_notation_coupling,
         _exponent_notation_eval_point,
         _long_coefficient,
@@ -311,6 +323,30 @@ def test_bad_manifest_entry_exits_2_with_one_line(tmp_path, capsys, corrupt):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {entry}") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "warping, checks",
+    [("2", ["closedness", "einstein", "norms", "split"]),
+     ("1", ["closedness", "maxwell", "einstein", "norms", "split"])],
+)
+def test_negative_warp_on_an_odd_fiber_reports_as_its_absolute_value(tmp_path, capsys, warping, checks):
+    # solution1 with base and fiber swapped: a 6-dimensional base, a 5-dimensional fiber
+    doc = json.loads((MANIFESTS / "solution1.json").read_text())
+    doc["products"][0].update(base="g_walker", fiber="g_base")
+    doc["backgrounds"][0].update(flux={"theta": "du_theta"}, checks=checks)
+    outputs = []
+    for f in (warping, "-" + warping):
+        doc["products"][0]["warping"] = f
+        path = tmp_path / f"warp{f}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--manifest", str(path)]) == EXIT_PASS
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+    assert outputs[1].count(": PASS\n") == len(checks)
+    assert "summary: 1 passed, 0 failed, 0 errored\n" in outputs[1]
 
 
 @pytest.mark.parametrize(

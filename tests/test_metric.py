@@ -90,7 +90,7 @@ def dx(chart, name):
 def test_walker_metric_validates_with_unit_abs_det():
     m = walker_metric(H_EXAMPLE)
     assert m.det_sign == -1
-    assert m.sqrt_abs_det == P1
+    assert type(m.sqrt_abs_det) is Fraction and m.sqrt_abs_det == 1
 
 
 def test_walker_inverse_computed_by_adjugate_when_omitted():
@@ -131,10 +131,24 @@ def test_supplied_sqrt_abs_det_is_validated():
     from sugra11.metric import VolumeNotPolynomial
 
     C = Chart("CS", ("a", "b"))
-    with pytest.raises(VolumeNotPolynomial):
-        make_metric(C, diag(-1, -1), sqrt_abs_det=Polynomial.constant(2))
-    m = make_metric(C, diag(-1, -1), sqrt_abs_det=Polynomial.constant(1))
-    assert m.det_sign == 1
+    g = diag(-4, Fraction(-1, 9))  # det g = 4/9
+    for wrong in (2, Fraction(-2, 3), Fraction(4, 9)):
+        with pytest.raises(VolumeNotPolynomial, match="is not 2/3, the positive square root"):
+            make_metric(C, g, sqrt_abs_det=wrong)
+    for supplied in (Fraction(2, 3), None):
+        m = make_metric(C, g, sqrt_abs_det=supplied)
+        assert (m.det_sign, m.sqrt_abs_det) == (1, Fraction(2, 3))
+        assert type(m.sqrt_abs_det) is Fraction
+
+
+def test_abs_det_without_a_rational_root_is_refused():
+    from sugra11.metric import VolumeNotPolynomial
+
+    C = Chart("CR", ("a", "b"))
+    with pytest.raises(VolumeNotPolynomial, match=r"\|det g\| = 2 is not the square of a rational"):
+        make_metric(C, diag(-1, -2))
+    m = make_metric(C, diag(2, -8), signature=(1, 1))
+    assert (m.det_sign, m.sqrt_abs_det) == (-1, 4)
 
 
 # -- musicals ----------------------------------------------------------------------

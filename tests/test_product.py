@@ -2,18 +2,29 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from sugra11.curvature import ricci
 from sugra11.exterior import Chart, ChartError, wedge
-from sugra11.metric import MetricError, hodge_star, inner_product_forms, make_metric, volume_form
-from sugra11.polyring import Polynomial
+from sugra11.manifest import parse_manifest
+from sugra11.metric import (
+    MetricError,
+    hodge_star,
+    inner_product_forms,
+    make_metric,
+    poly_det,
+    volume_form,
+)
+from sugra11.polyring import Polynomial, sum_of_products
 from sugra11.product import NonPolynomialDivision, build_product
 
 from oracles import warped_ricci_oracle
 from test_exterior import random_form, random_polynomial
 from test_metric import H_EXAMPLE, diag, walker_metric
+
+ROOT = Path(__file__).resolve().parent.parent
 
 P0 = Polynomial.zero()
 P1 = Polynomial.constant(1)
@@ -28,9 +39,9 @@ def flat_lorentz6():
 
 
 def assert_volume_factorizes(pc):
-    """vol_h == f^nf vol_b ^ vol_f, the orientation convention of a product."""
+    """vol_h == |f|^nf vol_b ^ vol_f, the orientation convention of a product."""
     lifted = wedge(pc.lift(volume_form(pc.base)), pc.lift(volume_form(pc.fiber)))
-    assert volume_form(pc.assembled) == lifted * pc.warping ** pc.fiber.dim
+    assert volume_form(pc.assembled) == lifted * abs(pc.warping) ** pc.fiber.dim
 
 
 def test_direct_product_with_walker_fiber():
@@ -162,3 +173,60 @@ def test_mixed_ricci_block_vanishes():
     for i in range(base.dim):
         for j in range(base.dim, pc.chart.dim):
             assert direct[i][j].is_zero()
+
+
+def _odd_fiber_product(f):
+    """A 6-dimensional Walker base and a 5-dimensional non-diagonal fiber, warped by f."""
+    rng = random.Random(53)
+    fiber = _random_unimodular_metric(rng, Chart("F5n", ("y1", "y2", "y3", "y4", "y5")), False)
+    return build_product(walker_metric(H_EXAMPLE), fiber, f)
+
+
+def test_negative_warp_on_an_odd_fiber_is_the_background_of_its_absolute_value():
+    neg, pos = _odd_fiber_product(-2), _odd_fiber_product(2)
+    assert (neg.warping, pos.warping) == (-2, 2)
+    a, b = neg.assembled, pos.assembled
+    assert (a.g, a.g_inv, a.signature, a.det_sign, a.sqrt_abs_det) == (
+        b.g, b.g_inv, b.signature, b.det_sign, b.sqrt_abs_det)
+    assert a.sqrt_abs_det == 32  # |f|^5
+    assert_volume_factorizes(neg)
+
+
+def _products():
+    """(label, product) over every product of the shipped manifests and of the
+    golden d=2 ladder manifest, and the negative warp on an odd fiber."""
+    paths = sorted((ROOT / "manifests").glob("solution*.json"))
+    paths.append(ROOT / "tests" / "golden" / "ladder_solution4_corrected_d2.manifest.json")
+    for path in paths:
+        for spec in parse_manifest(path).backgrounds:
+            yield f"{path.name}:{spec.name}", spec.background.product
+    yield "negative_warp", _odd_fiber_product(-2)
+
+
+def test_product_built_from_its_factors_equals_the_validated_metric_of_h():
+    """build_product does not validate h again; this checks what that
+    validation checked, and that every field read off the factors is the
+    one make_metric finds for h."""
+    for label, pc in _products():
+        base, fiber, f = pc.base, pc.fiber, pc.warping
+        nb, nf = base.dim, fiber.dim
+        n = nb + nf
+        h = [[P0] * n for _ in range(n)]
+        h_inv = [[P0] * n for _ in range(n)]
+        for i in range(nb):
+            for j in range(nb):
+                h[i][j], h_inv[i][j] = base.g[i][j], base.g_inv[i][j]
+        for i in range(nf):
+            for j in range(nf):
+                h[nb + i][nb + j] = fiber.g[i][j] * f ** 2
+                h_inv[nb + i][nb + j] = fiber.g_inv[i][j] * f ** -2
+        for i in range(n):
+            for j in range(n):
+                entry = sum_of_products((1, h[i][k], h_inv[k][j]) for k in range(n))
+                assert entry == (1 if i == j else 0), (label, i, j)
+        assert poly_det(h) == poly_det(base.g) * f ** (2 * nf) * poly_det(fiber.g), label
+        direct = pc.assembled
+        reference = make_metric(pc.chart, h, h_inv)  # signature inferred independently
+        assert type(direct.sqrt_abs_det) is Fraction
+        for field in ("g", "g_inv", "signature", "det_sign", "sqrt_abs_det", "inv_neighbors"):
+            assert getattr(direct, field) == getattr(reference, field), (label, field)
