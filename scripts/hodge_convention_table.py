@@ -45,7 +45,7 @@ def show(metric, degrees, header):
         for idx in combinations(range(chart.dim), p):
             form = DifferentialForm(chart, p, {idx: Polynomial.constant(1)})
             starred = hodge_star(metric, form)
-            basis = "^".join(f"d{chart.coordinates[i]}" for i in idx) or "1"
+            basis = chart.basis_label(idx) or "1"
             euclid_flip = (-1) ** p if metric.signature[0] == 0 else None
             suffix = (
                 f"   [Euclidean-dual: {'same' if euclid_flip == 1 else 'opposite sign'}]"

@@ -1,11 +1,24 @@
 """Condition systems for the nine restricted flux shapes.
 
-Each case checker evaluates the closed-form conditions equivalent (for
-that flux shape) to closedness plus the gauge equation, as a list of
-named exact residuals.  Shapes whose conditions involve an undetermined
-nonzero constant (cases 3, 6 and 7) extract it from the data when
-possible and record the value; a vanishing constant lands in the
-degenerate branch where the coupled source must vanish on its own.
+Each case evaluates the closed-form conditions equivalent (for that flux
+shape) to closedness plus the gauge equation, as a list of named exact
+residuals.  Most of them are per piece and read ``fieldeqs.TYPES``: a
+fiber piece t needs d t = 0 and d star t = 0 (``d_star_<t>``), and a base
+piece b of type q needs d b = 0 and d(|f|^k star b) = 0 with
+k = dim(fiber) - 2q, the weight ``ProductChart.star_weight`` that the
+product star gives the type (``d_f<k>_star_<b>``, or ``d_star_<b>`` when
+k = 0).  A zero or absent piece imposes nothing.
+
+The rest is written out per case.  Cases 8 and 9 first state their
+obstruction: alpha_t ^ theta = 0, and nu = 0.  In cases 3, 6 and 7 two
+terms of d star F - 1/2 F^F share a fiber degree, so the co-closedness of
+the pieces involved is coupled.  Those pieces keep only d piece = 0
+(delta keeps nothing: its closedness reads gamma_t ^ d delta = 0), and
+the coupled conditions follow.  They involve an undetermined nonzero
+constant, which the case extracts from the data when possible and records;
+a vanishing constant lands in the degenerate branch, where the coupled
+source must vanish on its own.  Case 3 pairs d star F with 1/2 F^F at
+fiber degree 4, which assumes the paper's 6-dimensional fiber.
 
 The extracted constants are convention-sensitive: computed against
 negative-definite factor duals they can differ by sign from values
@@ -19,9 +32,10 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .exterior import DifferentialForm, exterior_derivative as ext_d, wedge, wedge_all
-from .fieldeqs import Background, FluxAnsatz
+from .fieldeqs import FIBER_PIECES, TYPES, Background, FluxAnsatz
 from .metric import ChartMetric, hodge_star, volume_form
 from .polyring import Polynomial
+from .product import ProductChart
 from .report import CheckResult
 
 CASE_SHAPES: Dict[int, Tuple[str, ...]] = {
@@ -35,6 +49,11 @@ CASE_SHAPES: Dict[int, Tuple[str, ...]] = {
     8: ("alpha_t", "theta"),
     9: ("beta_t", "nu", "varpi_t", "epsilon"),
 }
+
+# pieces whose co-closedness a case couples to another piece: they keep only d piece = 0
+_CLOSED_ONLY = {6: ("alpha_t", "nu"), 7: ("varpi_t", "theta")}
+# pieces left out of the per-piece conditions: the coupled delta, and nu = 0 removes beta_t ^ nu
+_LEFT_OUT = {3: ("delta",), 9: ("beta_t", "nu")}
 
 
 class CaseShapeError(ValueError):
@@ -73,47 +92,66 @@ def check_special_case(bg: Background, case: int, c: Optional[Fraction] = None) 
     if case not in CASE_SHAPES:
         raise CaseShapeError(f"unknown case {case}")
     _require_shape(bg.ansatz, case)
-    handler = _HANDLERS[case]
-    return handler(bg, bg.product.warping, c if c is not None else bg.ansatz.c)
-
-
-def _zero_on(chart_metric: ChartMetric, degree: int) -> DifferentialForm:
-    return DifferentialForm.zero(chart_metric.chart, degree)
-
-
-def _case1(bg: Background, f: Fraction, c: Fraction) -> CheckResult:
-    gt = bg.product.fiber
-    at = bg.ansatz.alpha_t
-    result = CheckResult("case_1")
-    result.residuals["d_alpha_t"] = ext_d(at)
-    result.residuals["d_star_alpha_t"] = ext_d(hodge_star(gt, at))
+    result = CheckResult(f"case_{case}")
+    if case in _OBSTRUCTIONS:
+        _OBSTRUCTIONS[case](bg, result)
+    closed_only, left_out = _CLOSED_ONLY.get(case, ()), _LEFT_OUT.get(case, ())
+    for t, b, _ in TYPES:
+        for name in (t, b):
+            form = bg.ansatz.piece(name) if name and name not in left_out else None
+            if form is None or form.is_zero():
+                continue
+            result.residuals[f"d_{name}"] = ext_d(form)
+            if name not in closed_only:
+                label, value = _d_star(bg.product, name, form)
+                result.residuals[label] = value
+    if case in _COUPLED:
+        _COUPLED[case](bg, result, c if c is not None else bg.ansatz.c)
     return result
 
 
-def _case2(bg: Background, f: Fraction, c: Fraction) -> CheckResult:
-    gt, g = bg.product.fiber, bg.product.base
-    a = bg.ansatz
-    result = CheckResult("case_2")
-    result.residuals["d_beta_t"] = ext_d(a.beta_t)
-    result.residuals["d_star_beta_t"] = ext_d(hodge_star(gt, a.beta_t))
-    result.residuals["d_nu"] = ext_d(a.nu)
-    result.residuals["d_star_nu"] = ext_d(hodge_star(g, a.nu))
-    return result
+def _d_star(pc: ProductChart, name: str, form: DifferentialForm):
+    """(label, d(w star form)) for a flux piece: w = 1 on the fiber, and
+    w = star_weight(q) = |f|^k, k = dim(fiber) - 2q, for a base piece of type q."""
+    if name in FIBER_PIECES:
+        return f"d_star_{name}", ext_d(hodge_star(pc.fiber, form))
+    q = 4 - form.degree
+    k = pc.fiber.dim - 2 * q
+    star = hodge_star(pc.base, form)
+    if not k:
+        return f"d_star_{name}", ext_d(star)
+    return f"d_f{k}_star_{name}", ext_d(star * pc.star_weight(q))
 
 
-def _case3(bg: Background, f: Fraction, c: Fraction) -> CheckResult:
-    pc = bg.product
-    gt, g = pc.fiber, pc.base
-    a = bg.ansatz
-    result = CheckResult("case_3")
-    result.residuals["d_gamma_t"] = ext_d(a.gamma_t)
-    result.residuals["d_star_gamma_t"] = ext_d(hodge_star(gt, a.gamma_t))
+def _alpha_t_wedge_theta(bg: Background, result: CheckResult) -> None:
+    pc, at, th = bg.product, bg.ansatz.alpha_t, bg.ansatz.theta
+    both = at is not None and th is not None
+    result.residuals["alpha_t_wedge_theta"] = (
+        wedge(pc.lift(at), pc.lift(th)) if both else DifferentialForm.zero(pc.chart, 8)
+    )
+    if both and not at.is_zero() and not th.is_zero():
+        result.notes.append("both 4-form pieces nonzero: the wedge obstruction cannot vanish")
+
+
+def _nu_must_vanish(bg: Background, result: CheckResult) -> None:
+    nu = bg.ansatz.nu
+    result.residuals["nu_must_vanish"] = (
+        nu if nu is not None else DifferentialForm.zero(bg.product.base_chart, 1)
+    )
+    result.notes.append(
+        "shape reduces by forcing nu = 0; conditions are those of the 1-form/3-form shape"
+    )
+
+
+def _case3(bg: Background, result: CheckResult, c: Fraction) -> None:
+    pc, a = bg.product, bg.ansatz
     # closedness also needs gamma_t ^ d delta = 0
     result.residuals["gamma_t_wedge_d_delta"] = wedge(
         pc.lift(a.gamma_t), pc.lift(ext_d(a.delta))
     )
-    d_f2_star_delta = ext_d(hodge_star(g, a.delta) * (f * f))
-    lhs = wedge(pc.lift(hodge_star(gt, a.gamma_t)), pc.lift(d_f2_star_delta))
+    star_gamma = hodge_star(pc.fiber, a.gamma_t)
+    label, d_w_star_delta = _d_star(pc, "delta", a.delta)
+    lhs = wedge(pc.lift(star_gamma), pc.lift(d_w_star_delta))
     rhs = wedge_all(
         pc.lift(a.gamma_t), pc.lift(a.gamma_t), pc.lift(a.delta), pc.lift(a.delta)
     ) * Fraction(1, 2)
@@ -124,57 +162,25 @@ def _case3(bg: Background, f: Fraction, c: Fraction) -> CheckResult:
         # generic branch: the tensor factorization forces
         # star gamma = c gamma^gamma and d(f^2 star delta) = delta^delta/(2c)
         # for a single nonzero constant c
-        result.residuals["star_gamma_vs_c_gamma_sq"] = (
-            hodge_star(gt, a.gamma_t) - gamma_sq * c
-        )
-        result.residuals["d_f2_star_delta_vs_delta_sq"] = d_f2_star_delta - delta_sq * (
-            Fraction(1, 2) / c
-        )
+        result.residuals["star_gamma_vs_c_gamma_sq"] = star_gamma - gamma_sq * c
+        result.residuals[f"{label}_vs_delta_sq"] = d_w_star_delta - delta_sq * (Fraction(1, 2) / c)
         result.notes.append(f"generic branch checked with c = {c}")
     else:
         result.notes.append(
             "a squared piece vanishes: degenerate branch, the constant split is not forced"
         )
-    return result
 
 
-def _case4(bg: Background, f: Fraction, c: Fraction) -> CheckResult:
-    gt, g = bg.product.fiber, bg.product.base
-    a = bg.ansatz
-    result = CheckResult("case_4")
-    result.residuals["d_varpi_t"] = ext_d(a.varpi_t)
-    result.residuals["d_star_varpi_t"] = ext_d(hodge_star(gt, a.varpi_t))
-    result.residuals["d_epsilon"] = ext_d(a.epsilon)
-    result.residuals["d_f4_star_epsilon"] = ext_d(hodge_star(g, a.epsilon) * f ** 4)
-    return result
-
-
-def _case5(bg: Background, f: Fraction, c: Fraction) -> CheckResult:
-    g = bg.product.base
-    a = bg.ansatz
-    result = CheckResult("case_5")
-    result.residuals["d_theta"] = ext_d(a.theta)
-    result.residuals["d_f6_star_theta"] = ext_d(hodge_star(g, a.theta) * f ** 6)
-    return result
-
-
-def _case6(bg: Background, f: Fraction, c: Fraction) -> CheckResult:
-    pc = bg.product
-    gt, g = pc.fiber, pc.base
-    a = bg.ansatz
-    result = CheckResult("case_6")
-    result.residuals["d_alpha_t"] = ext_d(a.alpha_t)
-    result.residuals["d_beta_t"] = ext_d(a.beta_t)
-    result.residuals["d_nu"] = ext_d(a.nu)
-    result.residuals["d_star_beta_t"] = ext_d(hodge_star(gt, a.beta_t))
-
-    d_star_nu = ext_d(hodge_star(g, a.nu))
-    ratio, rest = proportionality_to_volume(g, d_star_nu)
+def _case6(bg: Background, result: CheckResult, c: Fraction) -> None:
+    pc, a = bg.product, bg.ansatz
+    ratio, rest = proportionality_to_volume(pc.base, _d_star(pc, "nu", a.nu)[1])
     result.residuals["d_star_nu_proportional_to_vol"] = rest
-    extracted = ratio * f * f
-    d_star_alpha = ext_d(hodge_star(gt, a.alpha_t))
+    # d star F of fiber degree dim(fiber) - 3 is
+    # (star_weight(4) d star alpha_t + ratio star beta_t) ^ vol
+    extracted = ratio / pc.star_weight(4)
+    label, d_star_alpha = _d_star(pc, "alpha_t", a.alpha_t)
     if extracted != 0:
-        result.residuals["costar_chain"] = hodge_star(gt, a.beta_t) + d_star_alpha * (
+        result.residuals["costar_chain"] = hodge_star(pc.fiber, a.beta_t) + d_star_alpha * (
             Fraction(1) / extracted
         )
         result.notes.append(
@@ -182,83 +188,31 @@ def _case6(bg: Background, f: Fraction, c: Fraction) -> CheckResult:
             "(negative-definite dual; the Euclidean-signature dual flips its sign)"
         )
     else:
-        result.residuals["d_star_alpha_t"] = d_star_alpha
+        result.residuals[label] = d_star_alpha
         result.notes.append(
             "d star nu = 0: degenerate branch, the 4-form piece must be co-closed on its own"
         )
-    return result
 
 
-def _case7(bg: Background, f: Fraction, c: Fraction) -> CheckResult:
-    pc = bg.product
-    gt, g = pc.fiber, pc.base
-    a = bg.ansatz
-    result = CheckResult("case_7")
-    result.residuals["d_theta"] = ext_d(a.theta)
-    result.residuals["d_epsilon"] = ext_d(a.epsilon)
-    result.residuals["d_varpi_t"] = ext_d(a.varpi_t)
-    result.residuals["d_f4_star_epsilon"] = ext_d(hodge_star(g, a.epsilon) * f ** 4)
-
-    d_star_varpi = ext_d(hodge_star(gt, a.varpi_t))
-    ratio, rest = proportionality_to_volume(gt, d_star_varpi)
+def _case7(bg: Background, result: CheckResult, c: Fraction) -> None:
+    pc, a = bg.product, bg.ansatz
+    ratio, rest = proportionality_to_volume(pc.fiber, _d_star(pc, "varpi_t", a.varpi_t)[1])
     result.residuals["d_star_varpi_proportional_to_vol"] = rest
-    d_f6_star_theta = ext_d(hodge_star(g, a.theta) * f ** 6)
+    # d star F of full fiber degree is, up to sign,
+    # vol_t ^ (d(star_weight(0) star theta) - ratio star_weight(1) star epsilon)
+    label, d_w_star_theta = _d_star(pc, "theta", a.theta)
     if ratio != 0:
-        result.residuals["costar_chain"] = d_f6_star_theta - hodge_star(g, a.epsilon) * (
-            ratio * f ** 4
+        result.residuals["costar_chain"] = d_w_star_theta - hodge_star(pc.base, a.epsilon) * (
+            ratio * pc.star_weight(1)
         )
         result.notes.append(f"extracted coupling constant c = {ratio} from d star varpi = c vol")
     else:
-        result.residuals["d_f6_star_theta"] = d_f6_star_theta
+        result.residuals[label] = d_w_star_theta
         result.notes.append(
             "d star varpi = 0: degenerate branch, the base 4-form must be co-closed on its own"
         )
-    return result
 
 
-def _case8(bg: Background, f: Fraction, c: Fraction) -> CheckResult:
-    pc = bg.product
-    a = bg.ansatz
-    result = CheckResult("case_8")
-    at = a.alpha_t if a.alpha_t is not None else _zero_on(pc.fiber, 4)
-    th = a.theta if a.theta is not None else _zero_on(pc.base, 4)
-    result.residuals["alpha_t_wedge_theta"] = wedge(pc.lift(at), pc.lift(th))
-    if not at.is_zero():
-        result.residuals["d_alpha_t"] = ext_d(at)
-        result.residuals["d_star_alpha_t"] = ext_d(hodge_star(pc.fiber, at))
-    if not th.is_zero():
-        result.residuals["d_theta"] = ext_d(th)
-        result.residuals["d_f6_star_theta"] = ext_d(hodge_star(pc.base, th) * f ** 6)
-    if not at.is_zero() and not th.is_zero():
-        result.notes.append("both 4-form pieces nonzero: the wedge obstruction cannot vanish")
-    return result
-
-
-def _case9(bg: Background, f: Fraction, c: Fraction) -> CheckResult:
-    a = bg.ansatz
-    result = CheckResult("case_9")
-    nu = a.nu if a.nu is not None else _zero_on(bg.product.base, 1)
-    result.residuals["nu_must_vanish"] = nu
-    gt, g = bg.product.fiber, bg.product.base
-    if a.varpi_t is not None:
-        result.residuals["d_varpi_t"] = ext_d(a.varpi_t)
-        result.residuals["d_star_varpi_t"] = ext_d(hodge_star(gt, a.varpi_t))
-        result.residuals["d_epsilon"] = ext_d(a.epsilon)
-        result.residuals["d_f4_star_epsilon"] = ext_d(hodge_star(g, a.epsilon) * f ** 4)
-    result.notes.append(
-        "shape reduces by forcing nu = 0; conditions are those of the 1-form/3-form shape"
-    )
-    return result
-
-
-_HANDLERS = {
-    1: _case1,
-    2: _case2,
-    3: _case3,
-    4: _case4,
-    5: _case5,
-    6: _case6,
-    7: _case7,
-    8: _case8,
-    9: _case9,
-}
+# obstructions come before the per-piece conditions, coupled conditions after them
+_OBSTRUCTIONS = {8: _alpha_t_wedge_theta, 9: _nu_must_vanish}
+_COUPLED = {3: _case3, 6: _case6, 7: _case7}

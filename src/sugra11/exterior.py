@@ -68,6 +68,10 @@ class Chart(Frozen):
     def dim(self) -> int:
         return len(self.coordinates)
 
+    def basis_label(self, idx: Index) -> str:
+        """The basis form of an index tuple as ``dx^dy``; empty for the empty tuple."""
+        return "^".join(f"d{self.coordinates[i]}" for i in idx)
+
     def index_of(self, coordinate: str) -> int:
         try:
             return self.coordinates.index(coordinate)
@@ -199,12 +203,10 @@ class DifferentialForm(Frozen):
     def __str__(self) -> str:
         if not self.components:
             return "0"
-        names = self.chart.coordinates
-        parts = []
-        for idx in sorted(self.components):
-            basis = "^".join(f"d{names[i]}" for i in idx) if idx else "1"
-            parts.append(f"({self.components[idx]}) {basis}")
-        return " + ".join(parts)
+        return " + ".join(
+            f"({self.components[idx]}) {self.chart.basis_label(idx) or '1'}"
+            for idx in sorted(self.components)
+        )
 
     def __repr__(self) -> str:
         return f"DifferentialForm<{self.chart.name}, deg {self.degree}: {self}>"

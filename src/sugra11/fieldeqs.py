@@ -25,12 +25,12 @@ and every audit runs on every background.
 The decomposition is one table, ``TYPES``: each of the five flux types is
 (fiber piece t, base piece b, fiber degree q), and alpha_t and theta lack
 a factor.  The block laws read it with an absent factor taken as the unit
-0-form 1 (|1|^2 = 1, star 1 = vol, no contractions), and with
-s_q = (-1)^q f^(6-2q):
+0-form 1 (|1|^2 = 1, star 1 = vol, no contractions), and with nf the
+fiber dimension and s_q = (-1)^((4-q)(nf-q)) |f|^(nf-2q):
 
     |F|^2     = sum_q |t|^2 |b|^2 f^(-2q)
     star F    = sum_q s_q star_t(t) ^ star_b(b)
-    d star F  = sum_q s_q (d star_t(t) ^ star_b(b) + (-1)^q star_t(t) ^ d star_b(b))
+    d star F  = sum_q s_q (d star_t(t) ^ star_b(b) + (-1)^(nf-q) star_t(t) ^ d star_b(b))
     1/2 F^F   = sum_{q <= q'} c (-1)^((4-q)q') (t ^ t') ^ (b ^ b'),  c = 1/2 if q = q' else 1
     HH brace  = sum_q |t|^2 (|b|^2 g_ij - 3 C_b) f^(-2q)
     VV brace  = sum_q |b|^2 (|t|^2 gt_ij - 3 C_t) f^(-2q)
@@ -38,8 +38,8 @@ s_q = (-1)^q f^(6-2q):
 
 with C the contraction matrix <i_j ., i_k .> on the factor, X a base and
 Z a fiber coordinate field.  The typed gauge system is d star F - 1/2 F^F
-split by fiber degree k: the two d star F terms of type q land in k = 7-q
-and 6-q, a 1/2 F^F term in k = q+q'.  A term whose factor form exceeds its
+split by fiber degree k: the two d star F terms of type q land in k = nf+1-q
+and nf-q, a 1/2 F^F term in k = q+q'.  A term whose factor form exceeds its
 chart's dimension vanishes and is skipped.  The HV block takes each
 contraction through its adjoint <i_X a, b> = <a, X_flat ^ b>, so no block
 law calls interior_product.  The direct 11-dimensional side never reads
@@ -263,13 +263,16 @@ def check_closedness(bg: Background) -> CheckResult:
 def star_flux_block(bg: Background) -> DifferentialForm:
     """star F from the factor-star block formula."""
     pc = bg.product
-    f = pc.warping
-    gt, g = pc.fiber, pc.base
     total = DifferentialForm.zero(pc.chart, 7)
     for t, b, q in _typed_pieces(pc, bg.ansatz):
-        piece = _lifted(pc, hodge_star(gt, t), hodge_star(g, b))
-        total = total + piece * ((-1) ** q * f ** (6 - 2 * q))
+        piece = _lifted(pc, hodge_star(pc.fiber, t), hodge_star(pc.base, b))
+        total = total + piece * _star_scale(pc, q)
     return total
+
+
+def _star_scale(pc: ProductChart, q: int) -> Fraction:
+    """s_q = (-1)^((4-q)(nf-q)) |f|^(nf-2q): star_h(t ^ b) = s_q star_t(t) ^ star_b(b)."""
+    return (-1) ** ((4 - q) * (pc.fiber.dim - q)) * pc.star_weight(q)
 
 
 def _half_flux_wedge_flux_terms(pc: ProductChart, a: FluxAnsatz) -> Dict[int, DifferentialForm]:
@@ -296,11 +299,10 @@ def half_flux_wedge_flux_block(bg: Background) -> DifferentialForm:
 def typed_gauge_system(bg: Background) -> Dict[int, DifferentialForm]:
     """LHS - RHS of d star F = 1/2 F^F by fiber degree k, for the k that occur."""
     pc = bg.product
-    f = pc.warping
     system: Dict[int, DifferentialForm] = {}
     for t, b, q in _typed_pieces(pc, bg.ansatz):
         st, sb = hodge_star(pc.fiber, t), hodge_star(pc.base, b)
-        s = (-1) ** q * f ** (6 - 2 * q)
+        s = _star_scale(pc, q)
         # d of each star F term by the Leibniz rule; d of a top-degree form is 0
         if st.degree < pc.fiber.dim:
             _add(system, st.degree + 1, _lifted(pc, ext_d(st), sb) * s)
@@ -339,11 +341,10 @@ def _audit(law: str, direct: DifferentialForm, block: DifferentialForm) -> None:
     if block == direct:
         return
     zero = Polynomial.zero()
-    names = direct.chart.coordinates
     for idx in sorted(direct.components.keys() | block.components.keys()):
         d, b = direct.components.get(idx, zero), block.components.get(idx, zero)
         if d != b:
-            where = "^".join(f"d{names[i]}" for i in idx) or "1"
+            where = direct.chart.basis_label(idx) or "1"
             raise EngineInconsistency(f"{law} at {where}: direct {d}, block {b}")
     raise EngineInconsistency(f"{law}: direct {direct!r}, block {block!r}")
 

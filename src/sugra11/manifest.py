@@ -35,7 +35,7 @@ from .polyring import (
 )
 from .product import NonPolynomialDivision, ProductChart, build_product
 
-KNOWN_CHECKS = ("closedness", "maxwell", "einstein", "norms", "split", "case")
+KNOWN_CHECKS = ("closedness", "maxwell", "einstein", "norms", "split", "case", "theorem")
 FLUX_KEYS = FIBER_PIECES + BASE_PIECES
 
 
@@ -256,7 +256,7 @@ def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
         if theorem is not None:
             _expect(theorem, str, f"background {name!r}: theorem")
         for check in checks:
-            if check not in KNOWN_CHECKS and check != "theorem":
+            if check not in KNOWN_CHECKS:
                 raise ManifestError(f"background {name!r}: unknown check {check!r}")
         if "case" in checks and case is None:
             raise ManifestError(f"background {name!r}: check 'case' needs a 'case' number")

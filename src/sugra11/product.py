@@ -49,6 +49,12 @@ class ProductChart(Frozen):
     def lift(self, form: DifferentialForm) -> DifferentialForm:
         return lift_to_product(form, self.chart)
 
+    def star_weight(self, q: int) -> Fraction:
+        """|f|^(dim(fiber) - 2q): the factor by which star_h scales a piece with
+        q fiber indices against its factor stars.  vol_h carries |f|^dim(fiber)
+        and raising q fiber indices carries f^(-2q)."""
+        return abs(self.warping) ** (self.fiber.dim - 2 * q)
+
 
 def build_product(
     base: ChartMetric,

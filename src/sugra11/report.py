@@ -36,9 +36,8 @@ def residual_entries(name: str, value) -> Iterator[Tuple[str, Polynomial]]:
         if not value.is_zero():
             yield name, value
     elif isinstance(value, DifferentialForm):
-        names = value.chart.coordinates
         for idx in sorted(value.components):
-            yield name + "[" + "^".join(f"d{names[i]}" for i in idx) + "]", value.components[idx]
+            yield f"{name}[{value.chart.basis_label(idx)}]", value.components[idx]
     elif isinstance(value, tuple):
         for i, row in enumerate(value):
             for j, entry in enumerate(row):

@@ -2,7 +2,9 @@
 
 Every case gets at least one satisfying and one violating fixture, and
 the test asserts the biconditional: case residuals all zero if and only
-if the direct closedness and gauge residuals are all zero.
+if the direct closedness and gauge residuals are all zero.  Each fixture
+runs at every warping in WARPINGS, so the f-weights of the case systems
+are exercised; a coupled fixture scales its pieces by f to stay a solution.
 """
 
 import re
@@ -27,6 +29,16 @@ from sugra11.solutions import (
 
 P0 = Polynomial.zero()
 P1 = Polynomial.constant(1)
+WARPINGS = (1, 2, Fraction(-1, 2))
+
+
+def at_every_warping(fixture):
+    """A test that runs fixture(f) for each f in WARPINGS, under fixture's name."""
+    def run():
+        for f in WARPINGS:
+            fixture(f)
+    run.__name__, run.__doc__ = fixture.__name__, fixture.__doc__
+    return run
 
 
 def rho_flat():
@@ -44,15 +56,15 @@ def mono(chart, names, coeff=None):
     return DifferentialForm.monomial(chart, names, coeff if coeff is not None else P1)
 
 
-def walker_product(H=None, base=None):
+def walker_product(H=None, base=None, f=1):
     fiber = walker_metric_from_rho(rho_flat(), H if H is not None else quadratic_H(Fraction(1, 8)))
-    return build_product(base if base is not None else standard_base(), fiber, 1)
+    return build_product(base if base is not None else standard_base(), fiber, f)
 
 
-def line_product(H=None):
+def line_product(H=None, f=1):
     base = append_line_factor(flat_negative_metric(Chart("p4", ("z1", "z2", "z3", "z4"))))
     fiber = walker_metric_from_rho(rho_flat(), H if H is not None else quadratic_H(Fraction(1, 4)))
-    return build_product(base, fiber, 1), base, fiber
+    return build_product(base, fiber, f), base, fiber
 
 
 def assert_case_matches_direct(bg, case, expect_pass, c=None):
@@ -60,18 +72,20 @@ def assert_case_matches_direct(bg, case, expect_pass, c=None):
     direct = check_closedness(bg).passed and check_maxwell(bg).passed
     assert result.passed == direct, (
         case,
+        bg.product.warping,
         result.passed,
         direct,
         [k for k, v in result.residuals.items()],
     )
-    assert result.passed is expect_pass
+    assert result.passed is expect_pass, (case, bg.product.warping)
     return result
 
 
 # -- case 1: pure fiber 4-form -------------------------------------------------
 
-def test_case1_satisfying_and_violating():
-    pc = walker_product()
+@at_every_warping
+def test_case1_satisfying_and_violating(f):
+    pc = walker_product(f=f)
     du = mono(pc.fiber_chart, ("u",))
     theta3 = mono(pc.fiber_chart, ("x2", "x3", "x4"))
     bg = assemble_flux(pc, FluxAnsatz(alpha_t=wedge(du, theta3)))
@@ -90,8 +104,9 @@ def test_case1_satisfying_and_violating():
 
 # -- case 2 ---------------------------------------------------------------------
 
-def test_case2_satisfying_and_violating():
-    pc, base, fiber = line_product()
+@at_every_warping
+def test_case2_satisfying_and_violating(f):
+    pc, base, fiber = line_product(f=f)
     du = mono(fiber.chart, ("u",))
     omega = mono(fiber.chart, ("x1", "x2")) + mono(fiber.chart, ("x3", "x4"))
     beta_t = wedge(du, omega)
@@ -106,8 +121,9 @@ def test_case2_satisfying_and_violating():
 
 # -- case 3 ---------------------------------------------------------------------
 
-def test_case3_decomposable_branch():
-    pc = walker_product(H=P0)
+@at_every_warping
+def test_case3_decomposable_branch(f):
+    pc = walker_product(H=P0, f=f)
     gamma_t = mono(pc.fiber_chart, ("x1", "x2"))
     delta = mono(pc.base_chart, ("y1", "y2"))
     bg = assemble_flux(pc, FluxAnsatz(gamma_t=gamma_t, delta=delta))
@@ -124,9 +140,10 @@ def test_case3_decomposable_branch():
     assert_case_matches_direct(bg_bad3, 3, False)
 
 
-def test_case3_generic_branch_has_no_real_solution():
+@at_every_warping
+def test_case3_generic_branch_has_no_real_solution(f):
     # with both squares nonzero the constant split is forced and fails here
-    pc = walker_product(H=P0)
+    pc = walker_product(H=P0, f=f)
     gamma_t = mono(pc.fiber_chart, ("v", "u")) + mono(pc.fiber_chart, ("x1", "x2"))
     delta = mono(pc.base_chart, ("y1", "y2")) + mono(pc.base_chart, ("y3", "y4"))
     bg = assemble_flux(pc, FluxAnsatz(gamma_t=gamma_t, delta=delta))
@@ -136,8 +153,9 @@ def test_case3_generic_branch_has_no_real_solution():
 
 # -- case 4 ---------------------------------------------------------------------
 
-def test_case4_satisfying_and_violating():
-    pc, base, fiber = line_product()
+@at_every_warping
+def test_case4_satisfying_and_violating(f):
+    pc, base, fiber = line_product(f=f)
     varpi_t = mono(fiber.chart, ("u",))
     omega_p = mono(base.chart, ("z1", "z2")) + mono(base.chart, ("z3", "z4"))
     epsilon = wedge(omega_p, mono(base.chart, ("t",)))
@@ -151,8 +169,9 @@ def test_case4_satisfying_and_violating():
 
 # -- case 5 ---------------------------------------------------------------------
 
-def test_case5_satisfying_and_violating():
-    pc = walker_product()
+@at_every_warping
+def test_case5_satisfying_and_violating(f):
+    pc = walker_product(f=f)
     theta = mono(pc.base_chart, ("y1", "y2", "y3", "y4"))
     bg = assemble_flux(pc, FluxAnsatz(theta=theta))
     assert_case_matches_direct(bg, 5, True)
@@ -168,16 +187,23 @@ def test_case5_satisfying_and_violating():
 
 # -- case 6 ---------------------------------------------------------------------
 
-def test_case6_coupled_branch_from_computed_pair():
+@at_every_warping
+def test_case6_coupled_branch_from_computed_pair(f):
     rho = rho_flat()
     omega3 = DifferentialForm.monomial(rho.chart, ("x2", "x3", "x4"), Polynomial.variable("x2"))
     H = (Polynomial.variable("x1") ** 4 + Polynomial.variable("x2") ** 4) * Fraction(1, 12)
-    build = build_alpha_beta_nu_background(rho, omega3, H)
-    result = assert_case_matches_direct(build.background, 6, True)
-    assert any("c = -1" in note for note in result.notes)
+    built = build_alpha_beta_nu_background(rho, omega3, H).background
+    a = built.ansatz
+    pc = build_product(built.product.base, built.product.fiber, f)
+    # the chain star beta_t = -d star alpha_t / c with c = (d star nu / vol) f^2
+    beta_t = a.beta_t * (1 / Fraction(f) ** 2)
+    bg = assemble_flux(pc, FluxAnsatz(alpha_t=a.alpha_t, beta_t=beta_t, nu=a.nu))
+    result = assert_case_matches_direct(bg, 6, True)
+    assert any(f"c = {-Fraction(f) ** 2}" in note for note in result.notes)
 
 
-def test_case6_degenerate_branch():
+@at_every_warping
+def test_case6_degenerate_branch(f):
     rho = rho_flat()
     x1, x2 = Polynomial.variable("x1"), Polynomial.variable("x2")
     harmonic3 = DifferentialForm.monomial(rho.chart, ("x1", "x3", "x4"), x1) + DifferentialForm.monomial(
@@ -186,7 +212,7 @@ def test_case6_degenerate_branch():
     base = standard_base()
     nu = DifferentialForm.coordinate_differential(base.chart, "y1")
     fiber = walker_metric_from_rho(rho, quadratic_H(Fraction(1, 8)))
-    pc = build_product(base, fiber, 1)
+    pc = build_product(base, fiber, f)
     du = mono(fiber.chart, ("u",))
     from sugra11.exterior import lift_to_product
 
@@ -197,11 +223,12 @@ def test_case6_degenerate_branch():
     assert any("degenerate" in note for note in result.notes)
 
 
-def test_case6_violating_mismatched_pair():
+@at_every_warping
+def test_case6_violating_mismatched_pair(f):
     rho = rho_flat()
     fiber = walker_metric_from_rho(rho, quadratic_H(Fraction(1, 8)))
     base = standard_base()
-    pc = build_product(base, fiber, 1)
+    pc = build_product(base, fiber, f)
     du = mono(fiber.chart, ("u",))
     omega3 = DifferentialForm.monomial(fiber.chart, ("x2", "x3", "x4"), Polynomial.variable("x2"))
     alpha_t = wedge(du, omega3)
@@ -214,8 +241,9 @@ def test_case6_violating_mismatched_pair():
 
 # -- case 7 ---------------------------------------------------------------------
 
-def test_case7_coupled_branch():
-    pc = walker_product(H=P0)
+@at_every_warping
+def test_case7_coupled_branch(f):
+    pc = walker_product(H=P0, f=f)
     fiber, base = pc.fiber, pc.base
     u, v = Polynomial.variable("u"), Polynomial.variable("v")
     varpi_t = mono(fiber.chart, ("v",), u) + mono(fiber.chart, ("u",), v)  # d(uv)
@@ -224,7 +252,8 @@ def test_case7_coupled_branch():
     assert d_star_varpi == volume_form(fiber) * 2
 
     theta = mono(base.chart, ("y2", "y3", "y4", "y5"), Polynomial.variable("y2"))
-    target = ext_d(hodge_star(base, theta)) * Fraction(1, 2)  # = star epsilon
+    # the chain d(f^6 star theta) = 2 f^4 star epsilon
+    target = ext_d(hodge_star(base, theta)) * (Fraction(f) ** 2 / 2)  # = star epsilon
     epsilon = hodge_star(base, target) * Fraction(-1)  # star star = -1 on base 2-forms
     assert hodge_star(base, epsilon) == target
     assert ext_d(epsilon).is_zero()
@@ -233,8 +262,9 @@ def test_case7_coupled_branch():
     assert any("c = 2" in note for note in result.notes)
 
 
-def test_case7_degenerate_branch():
-    pc = walker_product()
+@at_every_warping
+def test_case7_degenerate_branch(f):
+    pc = walker_product(f=f)
     varpi_t = mono(pc.fiber_chart, ("u",))
     epsilon = mono(pc.base_chart, ("y1", "y2", "y3"))
     theta = mono(pc.base_chart, ("y1", "y2", "y3", "y4"))
@@ -243,13 +273,14 @@ def test_case7_degenerate_branch():
     assert any("degenerate" in note for note in result.notes)
 
 
-def test_case7_violating_scaled_theta():
-    pc = walker_product(H=P0)
+@at_every_warping
+def test_case7_violating_scaled_theta(f):
+    pc = walker_product(H=P0, f=f)
     fiber, base = pc.fiber, pc.base
     u, v = Polynomial.variable("u"), Polynomial.variable("v")
     varpi_t = mono(fiber.chart, ("v",), u) + mono(fiber.chart, ("u",), v)
     theta = mono(base.chart, ("y2", "y3", "y4", "y5"), Polynomial.variable("y2"))
-    target = ext_d(hodge_star(base, theta)) * Fraction(1, 2)
+    target = ext_d(hodge_star(base, theta)) * (Fraction(f) ** 2 / 2)
     epsilon = hodge_star(base, target) * Fraction(-1)
     bg = assemble_flux(
         pc, FluxAnsatz(varpi_t=varpi_t, epsilon=epsilon, theta=theta * Fraction(2))
@@ -259,8 +290,9 @@ def test_case7_violating_scaled_theta():
 
 # -- case 8 ---------------------------------------------------------------------
 
-def test_case8_each_piece_alone_passes():
-    pc = walker_product()
+@at_every_warping
+def test_case8_each_piece_alone_passes(f):
+    pc = walker_product(f=f)
     du = mono(pc.fiber_chart, ("u",))
     alpha_t = wedge(du, mono(pc.fiber_chart, ("x2", "x3", "x4")))
     theta = mono(pc.base_chart, ("y1", "y2", "y3", "y4"))
@@ -274,8 +306,9 @@ def test_case8_each_piece_alone_passes():
     assert_case_matches_direct(bg_theta, 8, True)
 
 
-def test_case8_both_pieces_fail():
-    pc = walker_product()
+@at_every_warping
+def test_case8_both_pieces_fail(f):
+    pc = walker_product(f=f)
     du = mono(pc.fiber_chart, ("u",))
     alpha_t = wedge(du, mono(pc.fiber_chart, ("x2", "x3", "x4")))
     theta = mono(pc.base_chart, ("y1", "y2", "y3", "y4"))
@@ -286,8 +319,9 @@ def test_case8_both_pieces_fail():
 
 # -- case 9 ---------------------------------------------------------------------
 
-def test_case9_reduction_to_varpi_epsilon():
-    pc, base, fiber = line_product()
+@at_every_warping
+def test_case9_reduction_to_varpi_epsilon(f):
+    pc, base, fiber = line_product(f=f)
     du = mono(fiber.chart, ("u",))
     omega = mono(fiber.chart, ("x1", "x2"))
     beta_t = wedge(du, omega)
@@ -301,10 +335,11 @@ def test_case9_reduction_to_varpi_epsilon():
     assert_case_matches_direct(bg, 9, True)
 
 
-def test_case9_nonzero_nu_fails():
+@at_every_warping
+def test_case9_nonzero_nu_fails(f):
     base = standard_base()
     fiber = walker_metric_from_rho(rho_flat(), quadratic_H(Fraction(1, 8)))
-    pc = build_product(base, fiber, 1)
+    pc = build_product(base, fiber, f)
     beta_t = mono(fiber.chart, ("x1", "x2", "x3"))
     nu = mono(base.chart, ("y1",), Polynomial.variable("y1"))
     varpi_t = mono(fiber.chart, ("x4",))

@@ -242,6 +242,27 @@ def test_orientation_reversal_negates_star_f_exactly():
     assert swapped_residual == -lift(residual) - f_wedge_f
 
 
+@pytest.mark.parametrize("f", [2, -2, Fraction(1, 3)])
+def test_block_laws_on_a_six_dimensional_base_and_five_dimensional_fiber(f):
+    # star_h scales a type-q piece by |f|^(dim(fiber) - 2q); on a 5-dimensional
+    # fiber that power is odd, so the fiber dimension and the sign of f both show
+    base = walker_metric_from_rho(rho_flat(), quadratic_H(Fraction(1, 8)))
+    fiber = standard_base()
+    rng = random.Random(17)
+    pieces = {}
+    for t, b, q in fieldeqs.TYPES:  # every type whose pieces fit their factors
+        if q <= fiber.dim and 4 - q <= base.dim:
+            if t:
+                pieces[t] = random_form(rng, fiber.chart, q, terms=2)
+            if b:
+                pieces[b] = random_form(rng, base.chart, 4 - q, terms=2)
+    assert len(pieces) == 8
+    bg = assemble_flux(build_product(base, fiber, f), FluxAnsatz(**pieces))
+    # both checks raise EngineInconsistency if a block law disagrees with the direct side
+    assert not check_maxwell(bg).passed
+    assert not split_einstein(bg).passed
+
+
 def _verdicts(doc):
     reports, code = run(parse_manifest_dict(doc))
     return code, [(r.background, r.error, [(c.name, c.passed) for c in r.results]) for r in reports]
