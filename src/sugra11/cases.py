@@ -18,7 +18,8 @@ the coupled conditions follow.  They involve an undetermined nonzero
 constant, which the case extracts from the data when possible and records;
 a vanishing constant lands in the degenerate branch, where the coupled
 source must vanish on its own.  Case 3 pairs d star F with 1/2 F^F at
-fiber degree 4, which assumes the paper's 6-dimensional fiber.
+fiber degree 4, which needs the paper's 6-dimensional fiber: on another
+fiber it raises CaseShapeError naming the dimension.
 
 The extracted constants are convention-sensitive: computed against
 negative-definite factor duals they can differ by sign from values
@@ -92,6 +93,10 @@ def check_special_case(bg: Background, case: int, c: Optional[Fraction] = None) 
     if case not in CASE_SHAPES:
         raise CaseShapeError(f"unknown case {case}")
     _require_shape(bg.ansatz, case)
+    if case == 3 and bg.product.fiber.dim != 6:
+        raise CaseShapeError(
+            f"case 3 needs a 6-dimensional fiber, got a {bg.product.fiber.dim}-dimensional one"
+        )
     result = CheckResult(f"case_{case}")
     if case in _OBSTRUCTIONS:
         _OBSTRUCTIONS[case](bg, result)

@@ -13,9 +13,9 @@ as exact polynomial residuals, are
     einstein     Ric_ab = -1/2 <i_a F, i_b F> + 1/6 h_ab |F|^2
 
 Each direct computation is cross-checked against the block expansions
-that the type decomposition of Lambda^4(E + L) provides (star F,
-1/2 F^F, |F|^2, the typed gauge system, and the HH/VV/HV Einstein
-blocks).  A block-law mismatch is an engine bug and raises
+that the type decomposition of Lambda^4(E + L) provides (the split of
+dF, star F, 1/2 F^F, |F|^2, the typed gauge system, and the HH/VV/HV
+Einstein blocks).  A block-law mismatch is an engine bug and raises
 EngineInconsistency instead of failing the background.
 
 The warp f of a product is a nonzero rational constant (build_product
@@ -40,10 +40,20 @@ with C the contraction matrix <i_j ., i_k .> on the factor, X a base and
 Z a fiber coordinate field.  The typed gauge system is d star F - 1/2 F^F
 split by fiber degree k: the two d star F terms of type q land in k = nf+1-q
 and nf-q, a 1/2 F^F term in k = q+q'.  A term whose factor form exceeds its
-chart's dimension vanishes and is skipped.  The HV block takes each
-contraction through its adjoint <i_X a, b> = <a, X_flat ^ b>, so no block
-law calls interior_product.  The direct 11-dimensional side never reads
-the table.
+chart's dimension vanishes and is skipped, and so is a type with a zero
+factor, which adds nothing to F.  The HV block takes each contraction
+through its adjoint <i_X a, b> = <a, X_flat ^ b>, so no block law calls
+interior_product.  The direct 11-dimensional side never reads the table.
+
+Closedness is the same split of dF by the Leibniz rule,
+
+    dF = sum_q (d t ^ b + (-1)^q t ^ d b),
+
+with d t ^ b at fiber degree q+1 and t ^ d b at q.  A degree that only one
+term of the table reaches reports the piece it differentiates (d_alpha_t,
+d_beta_t, d_epsilon, d_theta), since t ^ b vanishes exactly when a factor
+does; a degree that two terms reach reports their sum (block_3_2,
+block_2_3).  Every degree is audited against the projection of dF.
 """
 
 from __future__ import annotations
@@ -172,10 +182,12 @@ def type_project(pc: ProductChart, form: DifferentialForm, fiber_degree: int) ->
 
 
 def _typed_pieces(pc: ProductChart, a: FluxAnsatz):
-    """(t, b, q) for each type the ansatz carries; an absent factor is the unit 0-form."""
+    """(t, b, q) for each type that adds to F; an absent factor is the unit 0-form.
+
+    A type with a missing or zero factor adds nothing to F and is skipped."""
     unit = Polynomial.constant(1)
     for t, b, q in TYPES:
-        if any(a.piece(name) is None for name in (t, b) if name):
+        if any(a.piece(name) is None or a.piece(name).is_zero() for name in (t, b) if name):
             continue
         fiber = a.piece(t) if t else DifferentialForm.function(pc.fiber_chart, unit)
         base = a.piece(b) if b else DifferentialForm.function(pc.base_chart, unit)
@@ -212,47 +224,32 @@ def flux_norm_sq(bg: Background) -> Tuple[Polynomial, Polynomial]:
 # ---------------------------------------------------------------------------
 
 def check_closedness(bg: Background) -> CheckResult:
-    """dF and the six-equation component system, with their equivalence."""
-    a = bg.ansatz
+    """dF and its split by fiber degree k, each degree audited against dF."""
     pc = bg.product
     direct = ext_d(bg.flux)
     result = CheckResult("closedness")
     result.residuals["dF"] = direct
-
-    system: Dict[str, DifferentialForm] = {}
-    zero5 = DifferentialForm.zero(pc.chart, 5)
-
-    if a.alpha_t is not None:
-        system["d_alpha_t"] = ext_d(a.alpha_t)
-    if a.theta is not None:
-        system["d_theta"] = ext_d(a.theta)
-    if a.beta_t is not None:
-        system["d_beta_t"] = ext_d(a.beta_t)
-    if a.epsilon is not None:
-        system["d_epsilon"] = ext_d(a.epsilon)
-
-    d_gamma_delta = (
-        wedge(pc.lift(ext_d(a.gamma_t)), pc.lift(a.delta)) if a.gamma_t is not None else zero5
-    )
-    beta_dnu = (
-        wedge(pc.lift(a.beta_t), pc.lift(ext_d(a.nu))) if a.beta_t is not None else zero5
-    )
-    system["block_3_2"] = d_gamma_delta - beta_dnu
-
-    gamma_ddelta = (
-        wedge(pc.lift(a.gamma_t), pc.lift(ext_d(a.delta))) if a.gamma_t is not None else zero5
-    )
-    dvarpi_eps = (
-        wedge(pc.lift(ext_d(a.varpi_t)), pc.lift(a.epsilon)) if a.varpi_t is not None else zero5
-    )
-    system["block_2_3"] = gamma_ddelta + dvarpi_eps
-
-    result.residuals.update(system)
-    system_zero = all(v.is_zero() for v in system.values())
-    if system_zero and not direct.is_zero():
-        # the component system always implies dF = 0; the converse can fail
-        # only when a nonzero d-piece is paired with a zero partner form
-        raise EngineInconsistency("closedness system zero but dF nonzero")
+    split: Dict[int, list] = {}  # k: [(d of a factor, its lifted Leibniz term)]
+    for t, b, q in _typed_pieces(pc, bg.ansatz):
+        # a degree-0 factor is the unit, whose d is 0
+        if t.degree:
+            dt = ext_d(t)
+            split.setdefault(q + 1, []).append((dt, _lifted(pc, dt, b)))
+        if b.degree:
+            db = ext_d(b)
+            split.setdefault(q, []).append((db, _lifted(pc, t, db) * (-1) ** q))
+    for k in range(5, -1, -1):
+        terms = split.get(k, [])
+        block = sum((term for _, term in terms), DifferentialForm.zero(pc.chart, 5))
+        _audit(f"closedness block type_{k}_{5 - k} does not match the projection",
+               type_project(pc, direct, k), block)
+        if not terms:
+            continue
+        reach = [t for t, _, q in TYPES if t and q + 1 == k] + [b for _, b, q in TYPES if b and q == k]
+        if len(reach) == 1:  # t ^ b vanishes exactly when a factor does
+            result.residuals[f"d_{reach[0]}"] = terms[0][0]
+        else:
+            result.residuals[f"block_{k}_{5 - k}"] = block
     return result
 
 

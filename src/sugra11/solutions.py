@@ -15,7 +15,11 @@ then provide the end-to-end verdict.
 Theorem checkers evaluate hypothesis residuals for the five structural
 statements (one per flux shape) and re-run the full field equations when
 the hypotheses hold, reporting whether the implication is reproduced on
-that instance.
+that instance.  A shape's hypotheses are the condition system of its
+special case (alpha 1, beta_nu 2, varpi_epsilon 4, theta 5, alpha_beta_nu
+6: the closure and co-closure conditions and case 6's coupled chain) plus
+the shape's own nullity, norm, Ricci and orthogonality conditions, and for
+alpha_beta_nu a nonzero coupling.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from .cases import check_special_case, proportionality_to_volume
+from .cases import CASE_SHAPES, check_special_case
 from .curvature import laplace_beltrami, ricci
 from .exterior import (
     Chart,
@@ -288,7 +292,9 @@ def build_alpha_beta_nu_background(
 # theorem checkers, one per flux shape
 # ---------------------------------------------------------------------------
 
-THEOREM_SHAPES = ("alpha", "beta_nu", "varpi_epsilon", "alpha_beta_nu", "theta")
+# the special case whose condition system holds each shape's closure and co-closure hypotheses
+_THEOREM_CASES = {"alpha": 1, "beta_nu": 2, "varpi_epsilon": 4, "alpha_beta_nu": 6, "theta": 5}
+THEOREM_SHAPES = tuple(_THEOREM_CASES)
 
 
 class TheoremReport(Frozen):
@@ -327,20 +333,15 @@ def _theta_identities(g: ChartMetric, gt: ChartMetric, theta: DifferentialForm):
 
 
 def check_theorem_conditions(bg: Background, shape: str) -> TheoremReport:
+    """The shape's hypotheses: the closure and co-closure conditions of its
+    special case, then its own nullity, norm, Ricci and orthogonality ones."""
     if shape not in THEOREM_SHAPES:
         raise ValueError(f"unknown theorem shape {shape!r}; pick one of {THEOREM_SHAPES}")
     a = bg.ansatz
     pc = bg.product
     g, gt = pc.base, pc.fiber
-    hyp = CheckResult(f"theorem_{shape}_hypotheses")
-
-    expected_pieces = {
-        "alpha": ("alpha_t",),
-        "beta_nu": ("beta_t", "nu"),
-        "varpi_epsilon": ("varpi_t", "epsilon"),
-        "alpha_beta_nu": ("alpha_t", "beta_t", "nu"),
-        "theta": ("theta",),
-    }[shape]
+    case = _THEOREM_CASES[shape]
+    expected_pieces = CASE_SHAPES[case]
     if set(a.present()) != set(expected_pieces):
         raise ValueError(
             f"theorem shape {shape!r} expects exactly pieces {expected_pieces}, "
@@ -349,24 +350,22 @@ def check_theorem_conditions(bg: Background, shape: str) -> TheoremReport:
     if pc.warping != 1:
         raise ValueError("the structural statements are for the direct product (f = 1)")
 
+    conditions = check_special_case(bg, case)
+    hyp = CheckResult(f"theorem_{shape}_hypotheses")
+    hyp.residuals.update(conditions.residuals)
+    hyp.notes.extend(conditions.notes)
     if shape != "theta":
         hyp.residuals["base_ricci_flat"] = ricci(g)
 
     if shape == "alpha":
         hyp.residuals["alpha_null"] = norm_sq(gt, a.alpha_t)
-        hyp.residuals["d_alpha_t"] = ext_d(a.alpha_t)
-        hyp.residuals["d_star_alpha_t"] = ext_d(hodge_star(gt, a.alpha_t))
         hyp.residuals["fiber_ricci_identity"] = _ricci_identity(
             gt, (Fraction(-1, 2), contraction_matrix(gt, a.alpha_t))
         )
 
     elif shape == "beta_nu":
         hyp.residuals["nu_unit_length"] = norm_sq(g, a.nu) + P1
-        hyp.residuals["d_nu"] = ext_d(a.nu)
-        hyp.residuals["d_star_nu"] = ext_d(hodge_star(g, a.nu))
         hyp.residuals["beta_null"] = norm_sq(gt, a.beta_t)
-        hyp.residuals["d_beta_t"] = ext_d(a.beta_t)
-        hyp.residuals["d_star_beta_t"] = ext_d(hodge_star(gt, a.beta_t))
         hyp.residuals["fiber_ricci_identity"] = _ricci_identity(
             gt, (Fraction(1, 2), contraction_matrix(gt, a.beta_t))
         )
@@ -374,32 +373,15 @@ def check_theorem_conditions(bg: Background, shape: str) -> TheoremReport:
     elif shape == "varpi_epsilon":
         hyp.residuals["epsilon_norm_plus_two"] = norm_sq(g, a.epsilon) + Polynomial.constant(2)
         hyp.residuals["varpi_null"] = norm_sq(gt, a.varpi_t)
-        hyp.residuals["d_varpi_t"] = ext_d(a.varpi_t)
-        hyp.residuals["d_star_varpi_t"] = ext_d(hodge_star(gt, a.varpi_t))
-        hyp.residuals["d_epsilon"] = ext_d(a.epsilon)
-        hyp.residuals["d_star_epsilon"] = ext_d(hodge_star(g, a.epsilon))
         hyp.residuals["fiber_ricci_identity"] = _ricci_identity(
             gt, (1, contraction_matrix(gt, a.varpi_t))
         )
 
     elif shape == "alpha_beta_nu":
-        hyp.residuals["d_nu"] = ext_d(a.nu)
-        d_star_nu = ext_d(hodge_star(g, a.nu))
-        coupling, rest = proportionality_to_volume(g, d_star_nu)
-        hyp.residuals["d_star_nu_constant_multiple_of_vol"] = rest
+        if "costar_chain" not in conditions.residuals:  # case 6's degenerate branch
+            hyp.residuals["coupling_must_be_nonzero"] = P1
         hyp.residuals["alpha_null"] = norm_sq(gt, a.alpha_t)
         hyp.residuals["beta_null"] = norm_sq(gt, a.beta_t)
-        hyp.residuals["d_alpha_t"] = ext_d(a.alpha_t)
-        hyp.residuals["d_beta_t"] = ext_d(a.beta_t)
-        hyp.residuals["d_star_beta_t"] = ext_d(hodge_star(gt, a.beta_t))
-        if coupling != 0:
-            hyp.residuals["costar_chain"] = hodge_star(gt, a.beta_t) + ext_d(
-                hodge_star(gt, a.alpha_t)
-            ) * (Fraction(1) / coupling)
-            hyp.notes.append(f"coupling constant extracted from d star nu: c = {coupling}")
-        else:
-            hyp.residuals["coupling_must_be_nonzero"] = P1
-            hyp.notes.append("d star nu = 0: the stated shape needs a nonzero coupling")
         hyp.residuals["fiber_ricci_identity"] = _ricci_identity(
             gt,
             (Fraction(-1, 2), contraction_matrix(gt, a.alpha_t)),
@@ -420,8 +402,6 @@ def check_theorem_conditions(bg: Background, shape: str) -> TheoremReport:
         hyp.residuals["theta_norm_constant"] = ext_d(
             DifferentialForm.function(g.chart, theta_norm)
         )
-        hyp.residuals["d_theta"] = ext_d(a.theta)
-        hyp.residuals["d_star_theta"] = ext_d(hodge_star(g, a.theta))
         hyp.residuals["base_ricci_identity"] = base_identity
         hyp.residuals["fiber_einstein"] = fiber_einstein
 

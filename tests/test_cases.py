@@ -373,3 +373,15 @@ def test_case_names_the_pieces_the_ansatz_lacks(case, missing):
     bg = assemble_flux(pc, flux)
     with pytest.raises(CaseShapeError, match=rf"case {case} needs pieces {re.escape(missing)}"):
         check_special_case(bg, case)
+
+
+def test_case3_on_a_five_dimensional_fiber_names_the_dimension():
+    # case 3 pairs d star F with 1/2 F^F at fiber degree 4, which needs a 6-dimensional fiber
+    base = walker_metric_from_rho(rho_flat(), quadratic_H(Fraction(1, 8)))
+    fiber = standard_base()
+    pc = build_product(base, fiber, 2)
+    gamma_t = mono(fiber.chart, ("y1", "y2")) + mono(fiber.chart, ("y3", "y4"))
+    delta = mono(base.chart, ("x1", "x2")) + mono(base.chart, ("x3", "x4"))
+    bg = assemble_flux(pc, FluxAnsatz(gamma_t=gamma_t, delta=delta))
+    with pytest.raises(CaseShapeError, match="case 3 needs a 6-dimensional fiber, got a 5-dimensional one"):
+        check_special_case(bg, 3)

@@ -98,6 +98,27 @@ def test_caller_scan_finds_functions_only_their_own_body_mentions():
 TRACED_ONLY = {"Polynomial.substitute", "poly_divexact"}
 
 
+def _traced_names():
+    """Every string named in the keys of perfbench/tracer.py's LAYERS,
+    POLY_METHODS and POLY_FUNCTIONS, read from its source."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    names = set()
+    for node in tree.body:
+        target = node.target if isinstance(node, ast.AnnAssign) else (
+            node.targets[0] if isinstance(node, ast.Assign) else None)
+        if isinstance(target, ast.Name) and target.id in ("LAYERS", "POLY_METHODS", "POLY_FUNCTIONS"):
+            names |= {n.value for key in node.value.keys for n in ast.walk(key)
+                      if isinstance(n, ast.Constant)}
+    return names
+
+
+def test_every_traced_only_entry_is_looked_up_by_the_tracer():
+    # a stale entry would exempt dead code from the caller scan below
+    names = _traced_names()
+    assert {"poly_det", "substitute", "poly_divexact"} <= names
+    assert [entry for entry in TRACED_ONLY if entry.split(".")[-1] not in names] == []
+
+
 def test_every_engine_function_has_a_caller():
     engine = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     scripts = [path.read_text() for path in sorted((ROOT / "scripts").glob("*.py"))]

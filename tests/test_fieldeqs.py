@@ -192,6 +192,21 @@ def test_closedness_flags_non_closed_theta():
     assert not result.residuals["dF"].is_zero()
 
 
+def test_a_type_with_a_zero_factor_adds_no_closedness_condition():
+    # a non-closed beta_t wedged with a zero nu adds nothing to solution1's flux
+    doc = json.loads((MANIFESTS / "solution1.json").read_text())
+    doc["forms"] += [
+        {"name": "beta", "chart": "walker6", "degree": 3,
+         "terms": [{"indices": ["v", "x2", "u"], "coeff": "x1"}]},
+        {"name": "nu", "chart": "base5", "degree": 1, "terms": []},
+    ]
+    doc["backgrounds"][0]["flux"].update(beta_t="beta", nu="nu")
+    reports, code = run(parse_manifest_dict(doc))
+    assert code == 0
+    result = reports[0].results[0]
+    assert result.name == "closedness" and "d_beta_t" not in result.residuals
+
+
 # -- gauge equation --------------------------------------------------------------------
 
 def test_maxwell_block_laws_on_full_ansatz():
@@ -258,7 +273,8 @@ def test_block_laws_on_a_six_dimensional_base_and_five_dimensional_fiber(f):
                 pieces[b] = random_form(rng, base.chart, 4 - q, terms=2)
     assert len(pieces) == 8
     bg = assemble_flux(build_product(base, fiber, f), FluxAnsatz(**pieces))
-    # both checks raise EngineInconsistency if a block law disagrees with the direct side
+    # the checks raise EngineInconsistency if a block law disagrees with the direct side
+    assert not check_closedness(bg).passed
     assert not check_maxwell(bg).passed
     assert not split_einstein(bg).passed
 
