@@ -194,9 +194,7 @@ def _case6(bg: Background, result: CheckResult, c: Fraction) -> None:
         )
     else:
         result.residuals[label] = d_star_alpha
-        result.notes.append(
-            "d star nu = 0: degenerate branch, the 4-form piece must be co-closed on its own"
-        )
+        result.notes.append(_degenerate_note("nu", rest, "the 4-form piece"))
 
 
 def _case7(bg: Background, result: CheckResult, c: Fraction) -> None:
@@ -213,9 +211,16 @@ def _case7(bg: Background, result: CheckResult, c: Fraction) -> None:
         result.notes.append(f"extracted coupling constant c = {ratio} from d star varpi = c vol")
     else:
         result.residuals[label] = d_w_star_theta
-        result.notes.append(
-            "d star varpi = 0: degenerate branch, the base 4-form must be co-closed on its own"
-        )
+        result.notes.append(_degenerate_note("varpi", rest, "the base 4-form"))
+
+
+def _degenerate_note(name: str, d_star: DifferentialForm, piece: str) -> str:
+    """The note when no coupling constant was extracted: d_star, the d star
+    of name, either vanishes (the degenerate branch) or is not c vol."""
+    if d_star.is_zero():
+        return f"d star {name} = 0: degenerate branch, {piece} must be co-closed on its own"
+    return (f"d star {name} is not a constant multiple of vol: no coupling constant, "
+            f"{piece} is checked co-closed on its own")
 
 
 # obstructions come before the per-piece conditions, coupled conditions after them

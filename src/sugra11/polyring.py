@@ -28,6 +28,9 @@ which names were registered.
 products, scaled to the lcm of their denominators, land in a single
 ``int`` term map and become one canonical polynomial.
 
+``parse_polynomial`` reads a literal one term at a time with one compiled
+pattern, and names the column where no term matches.
+
 ``poly_sqrt`` and ``poly_divexact`` take constants only: a metric with a
 polynomial inverse has a constant determinant (``metric.make_metric``
 establishes it), so no caller needs a polynomial root or quotient.
@@ -424,30 +427,25 @@ def _coerce(value) -> Polynomial:
 # parsing / serialization
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<rat>\d+\s*/\s*\d+)|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[+\-*^()])|(?P<bad>\S))"
+_FACTOR = r"[A-Za-z_][A-Za-z_0-9]*(?:\s*\^\s*\d+)?"
+# one term: an optional sign; an optional int or int/int coefficient, with a
+# '*' after it only when a factor follows; then name[^int] factors joined by '*'
+_TERM = re.compile(
+    r"\s*(?P<sign>[+-]?)\s*"
+    r"(?:(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?(?:\s*(?:\*\s*)?(?=[A-Za-z_]))?)?"
+    rf"(?P<factors>{_FACTOR}(?:\s*\*\s*{_FACTOR})*)?\s*"
 )
 
 
-def _tokens(text: str) -> List[Tuple[str, object]]:
-    """(kind, value) pairs: ("num", int or Fraction), ("name", str) or ("op", str)."""
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        kind, token = m.lastgroup, m.group(m.lastgroup)
-        if kind == "bad":
-            raise PolynomialGrammarError(f"unexpected character {token!r} in {text!r}")
-        if kind in ("rat", "int"):
-            try:
-                parts = [int(part) for part in token.split("/")]
-            except ValueError as exc:  # past the interpreter's limit on int() digits
-                raise PolynomialGrammarError(f"number too long: {len(token)} characters") from exc
-            if kind == "rat" and parts[1] == 0:
-                raise PolynomialGrammarError(f"zero denominator in {text!r}")
-            tokens.append(("num", Fraction(*parts) if kind == "rat" else parts[0]))
-        else:
-            tokens.append((kind, token))
-    return tokens
+def _number(num: str, den: str | None = None) -> Coefficient:
+    """int(num), or Fraction(num, den) when den is given, refusing a zero
+    denominator and a number past the interpreter's limit on int() digits."""
+    try:
+        return int(num) if den is None else Fraction(int(num), int(den))
+    except ValueError as exc:
+        raise PolynomialGrammarError("number past the interpreter's limit on int() digits") from exc
+    except ZeroDivisionError as exc:
+        raise PolynomialGrammarError("zero denominator") from exc
 
 
 def _digits(n: int) -> str:
@@ -475,85 +473,45 @@ def parse_rational(text: str) -> Fraction:
     Decimal and exponent notation are refused: ``Fraction("1e999999999")``
     would build a billion-digit integer.
     """
-    tokens = _tokens(text)
-    sign = 1
-    if tokens[:1] == [("op", "-")]:
-        sign, tokens = -1, tokens[1:]
-    if len(tokens) != 1 or tokens[0][0] != "num":
+    m = _TERM.fullmatch(text)
+    if m is None or m["sign"] == "+" or m["num"] is None or m["factors"]:
         raise PolynomialGrammarError("expected int or int/int")
-    return sign * Fraction(tokens[0][1])
+    value = Fraction(_number(m["num"], m["den"]))
+    return -value if m["sign"] else value
 
 
 def parse_polynomial(text: str) -> Polynomial:
     """Parse the manifest polynomial grammar.
 
-    Terms are separated by ``+``/``-``; each term is
-    ``[coef][*]var[^exp][*var[^exp]...]`` with ``coef`` an integer or
-    ``int/int``; a ``*`` must be followed by an unsigned factor, so
-    ``x*-y`` is refused.  A number may only open a term, a name must open
-    a term or follow its coefficient or a ``*``, and a sign may not follow
-    a sign, so ``2 3``, ``x 2``, ``x y``, ``--x`` and ``x+-y`` are refused
-    while ``2x``, ``2 x`` and ``-x`` are read.  Whitespace is otherwise
-    insignificant.  An exponent at or above ``EXPONENT_LIMIT`` raises
+    A term is ``[sign][coef][*]var[^exp][*var[^exp]...]`` or a bare
+    ``[sign]coef``, with ``coef`` an integer or ``int/int`` and ``exp`` an
+    unsigned integer; a ``*`` must be followed by a factor, so ``x*-y``,
+    ``x*2`` and ``x^4/2`` are refused.  Every term but the first opens with
+    ``+`` or ``-``, so ``2 3``, ``x 2``, ``x y``, ``--x`` and ``x+-y`` are
+    refused while ``2x``, ``2 x`` and ``-x`` are read.  Whitespace is
+    otherwise insignificant.  Where no term can be read, the
+    ``PolynomialGrammarError`` names the column; the whole literal is read
+    before an exponent at or above ``EXPONENT_LIMIT`` raises
     ``ExponentOverflow``.
     """
-    tokens = _tokens(text)
-    terms: Dict[int, Coefficient] = {}  # packed monomial -> coefficient
-    i = 0
-    n = len(tokens)
-    sign = 1
-    signed = False  # a sign was read and no term has followed it yet
-    while i < n:
-        kind, val = tokens[i]
-        if kind == "op" and val in "+-":
-            if signed:
-                raise PolynomialGrammarError(f"doubled sign in {text!r}")
-            sign = -1 if val == "-" else 1
-            signed = True
-            i += 1
-            continue
-        # parse one term
-        coeff: Coefficient = 1
+    parsed: List[Tuple[Dict[str, int], Coefficient]] = []
+    pos = 0
+    while not parsed or pos < len(text):
+        m = _TERM.match(text, pos)
+        if not (m["num"] or m["factors"]) or (pos and not m["sign"]):
+            raise PolynomialGrammarError(f"no term at column {m.start('sign') + 1}")
         factors: Dict[str, int] = {}
-        prev = None  # the last token of this term: "num", "name" or "*"
-        while i < n:
-            kind, val = tokens[i]
-            if kind == "num":
-                if prev is not None:
-                    raise PolynomialGrammarError(f"a number may only open a term in {text!r}")
-                coeff = val
-                i += 1
-            elif kind == "name":
-                if prev == "name":
-                    raise PolynomialGrammarError(f"juxtaposed factors without '*' in {text!r}")
-                exp = 1
-                i += 1
-                if i < n and tokens[i] == ("op", "^"):
-                    if i + 1 >= n or tokens[i + 1][0] != "num" or tokens[i + 1][1].denominator != 1:
-                        raise PolynomialGrammarError(f"bad exponent in {text!r}")
-                    exp = int(tokens[i + 1][1])
-                    i += 2
-                factors[val] = factors.get(val, 0) + exp
-            elif kind == "op" and val == "*":
-                # an unsigned factor must follow, so x*-y is refused rather than read as x - y
-                if prev is None or i + 1 == n or tokens[i + 1][0] == "op":
-                    raise PolynomialGrammarError(f"dangling '*' in {text!r}")
-                i += 1
-            elif kind == "op" and val in "+-":
-                break
-            else:
-                raise PolynomialGrammarError(f"unexpected token {val!r} in {text!r}")
-            prev = val if kind == "op" else kind
-        if prev is None:
-            raise PolynomialGrammarError(f"empty term in {text!r}")
+        for factor in m["factors"].split("*") if m["factors"] else ():
+            name, _, exp = factor.partition("^")
+            name = name.strip()
+            factors[name] = factors.get(name, 0) + (_number(exp) if exp else 1)
+        coeff = _number(m["num"], m["den"]) if m["num"] else 1
+        parsed.append((factors, -coeff if m["sign"] == "-" else coeff))
+        pos = m.end()
+    terms: Dict[int, Coefficient] = {}  # packed monomial -> coefficient
+    for factors, coeff in parsed:
         key = _pack(factors.items())
-        terms[key] = terms.get(key, 0) + sign * coeff
-        sign = 1
-        signed = False
-    if signed:
-        raise PolynomialGrammarError(f"dangling sign in {text!r}")
-    if n == 0:
-        raise PolynomialGrammarError("empty polynomial literal")
+        terms[key] = terms.get(key, 0) + coeff
     return _rational(terms)
 
 

@@ -15,12 +15,28 @@ a polynomial so the general formulas above stay as they are.
 over every index, zero entries included, with the sign convention of
 ``sugra11.curvature``.  The engine works from nonzero entries only; this
 is the reference it must match exactly.
+
+``parse_polynomial`` and ``parse_rational`` are the manifest literal
+readers as a token list and a state machine over it, the way the engine
+read literals before it matched one term pattern at a time.  They accept
+the same language except that they also read ``^int/int`` when the
+quotient is integral, so ``x^4/2`` reads as ``x^2``.
 """
 
+import re
 from fractions import Fraction
+from typing import Dict, List, Tuple
 
 from sugra11.curvature import grad_norm_sq, hessian, laplace_beltrami, ricci
-from sugra11.polyring import Polynomial, poly_divexact, sum_of_products
+from sugra11.polyring import (
+    Coefficient,
+    Polynomial,
+    PolynomialGrammarError,
+    _pack,
+    _rational,
+    poly_divexact,
+    sum_of_products,
+)
 
 
 def warped_ricci_oracle(pc):
@@ -87,3 +103,117 @@ def dense_christoffel_ricci(m):
             )
     return (tuple(tuple(tuple(row) for row in plane) for plane in gamma),
             tuple(tuple(row) for row in ric))
+
+
+_TOKEN = re.compile(
+    r"\s*(?:(?P<rat>\d+\s*/\s*\d+)|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[+\-*^()])|(?P<bad>\S))"
+)
+
+
+def _tokens(text: str) -> List[Tuple[str, object]]:
+    """(kind, value) pairs: ("num", int or Fraction), ("name", str) or ("op", str)."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        kind, token = m.lastgroup, m.group(m.lastgroup)
+        if kind == "bad":
+            raise PolynomialGrammarError(f"unexpected character {token!r} in {text!r}")
+        if kind in ("rat", "int"):
+            try:
+                parts = [int(part) for part in token.split("/")]
+            except ValueError as exc:  # past the interpreter's limit on int() digits
+                raise PolynomialGrammarError(f"number too long: {len(token)} characters") from exc
+            if kind == "rat" and parts[1] == 0:
+                raise PolynomialGrammarError(f"zero denominator in {text!r}")
+            tokens.append(("num", Fraction(*parts) if kind == "rat" else parts[0]))
+        else:
+            tokens.append((kind, token))
+    return tokens
+
+
+def parse_rational(text: str) -> Fraction:
+    """A coefficient of the grammar below, ``[-]int`` or ``[-]int/int``.
+
+    Decimal and exponent notation are refused: ``Fraction("1e999999999")``
+    would build a billion-digit integer.
+    """
+    tokens = _tokens(text)
+    sign = 1
+    if tokens[:1] == [("op", "-")]:
+        sign, tokens = -1, tokens[1:]
+    if len(tokens) != 1 or tokens[0][0] != "num":
+        raise PolynomialGrammarError("expected int or int/int")
+    return sign * Fraction(tokens[0][1])
+
+
+def parse_polynomial(text: str) -> Polynomial:
+    """Parse the manifest polynomial grammar.
+
+    Terms are separated by ``+``/``-``; each term is
+    ``[coef][*]var[^exp][*var[^exp]...]`` with ``coef`` an integer or
+    ``int/int``; a ``*`` must be followed by an unsigned factor, so
+    ``x*-y`` is refused.  A number may only open a term, a name must open
+    a term or follow its coefficient or a ``*``, and a sign may not follow
+    a sign, so ``2 3``, ``x 2``, ``x y``, ``--x`` and ``x+-y`` are refused
+    while ``2x``, ``2 x`` and ``-x`` are read.  Whitespace is otherwise
+    insignificant.  An exponent at or above ``EXPONENT_LIMIT`` raises
+    ``ExponentOverflow``.
+    """
+    tokens = _tokens(text)
+    terms: Dict[int, Coefficient] = {}  # packed monomial -> coefficient
+    i = 0
+    n = len(tokens)
+    sign = 1
+    signed = False  # a sign was read and no term has followed it yet
+    while i < n:
+        kind, val = tokens[i]
+        if kind == "op" and val in "+-":
+            if signed:
+                raise PolynomialGrammarError(f"doubled sign in {text!r}")
+            sign = -1 if val == "-" else 1
+            signed = True
+            i += 1
+            continue
+        # parse one term
+        coeff: Coefficient = 1
+        factors: Dict[str, int] = {}
+        prev = None  # the last token of this term: "num", "name" or "*"
+        while i < n:
+            kind, val = tokens[i]
+            if kind == "num":
+                if prev is not None:
+                    raise PolynomialGrammarError(f"a number may only open a term in {text!r}")
+                coeff = val
+                i += 1
+            elif kind == "name":
+                if prev == "name":
+                    raise PolynomialGrammarError(f"juxtaposed factors without '*' in {text!r}")
+                exp = 1
+                i += 1
+                if i < n and tokens[i] == ("op", "^"):
+                    if i + 1 >= n or tokens[i + 1][0] != "num" or tokens[i + 1][1].denominator != 1:
+                        raise PolynomialGrammarError(f"bad exponent in {text!r}")
+                    exp = int(tokens[i + 1][1])
+                    i += 2
+                factors[val] = factors.get(val, 0) + exp
+            elif kind == "op" and val == "*":
+                # an unsigned factor must follow, so x*-y is refused rather than read as x - y
+                if prev is None or i + 1 == n or tokens[i + 1][0] == "op":
+                    raise PolynomialGrammarError(f"dangling '*' in {text!r}")
+                i += 1
+            elif kind == "op" and val in "+-":
+                break
+            else:
+                raise PolynomialGrammarError(f"unexpected token {val!r} in {text!r}")
+            prev = val if kind == "op" else kind
+        if prev is None:
+            raise PolynomialGrammarError(f"empty term in {text!r}")
+        key = _pack(factors.items())
+        terms[key] = terms.get(key, 0) + sign * coeff
+        sign = 1
+        signed = False
+    if signed:
+        raise PolynomialGrammarError(f"dangling sign in {text!r}")
+    if n == 0:
+        raise PolynomialGrammarError("empty polynomial literal")
+    return _rational(terms)

@@ -274,6 +274,26 @@ def test_case7_degenerate_branch(f):
 
 
 @at_every_warping
+def test_coupled_cases_note_a_nonconstant_multiple_of_vol(f):
+    """d star nu = -2 y1 vol and d star varpi = 4u vol fit no coupling
+    constant, and neither is zero, so no note calls the branch degenerate."""
+    pc = walker_product(f=f)
+    u, v, y1 = (Polynomial.variable(n) for n in ("u", "v", "y1"))
+    nu = mono(pc.base_chart, ("y1",), y1 * y1)
+    varpi_t = mono(pc.fiber_chart, ("u",), u * v * 2) + mono(pc.fiber_chart, ("v",), u * u)  # d(u^2 v)
+    fixtures = {
+        6: FluxAnsatz(alpha_t=mono(pc.fiber_chart, ("x1", "x2", "x3", "u")),
+                      beta_t=mono(pc.fiber_chart, ("x3", "x4", "u")), nu=nu),
+        7: FluxAnsatz(varpi_t=varpi_t, epsilon=mono(pc.base_chart, ("y1", "y2", "y3")),
+                      theta=mono(pc.base_chart, ("y1", "y2", "y3", "y4"))),
+    }
+    for case, ansatz in fixtures.items():
+        result = assert_case_matches_direct(assemble_flux(pc, ansatz), case, False)
+        assert not any("degenerate" in note for note in result.notes), (case, result.notes)
+        assert any("not a constant multiple of vol" in note for note in result.notes), (case, result.notes)
+
+
+@at_every_warping
 def test_case7_violating_scaled_theta(f):
     pc = walker_product(H=P0, f=f)
     fiber, base = pc.fiber, pc.base

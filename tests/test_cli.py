@@ -249,6 +249,16 @@ def _exponent_past_the_limit(doc):
     return "form 'du_theta' term 0: bad polynomial"
 
 
+def _quotient_exponent(doc):
+    doc["forms"][0]["terms"][0]["coeff"] = "x1^4/2"
+    return "form 'du_theta' term 0: bad polynomial"
+
+
+def _long_exponent(doc):
+    doc["forms"][0]["terms"][0]["coeff"] = "x2^" + "9" * 5000
+    return "form 'du_theta' term 0: bad polynomial"
+
+
 def _signed_factor(doc):
     doc["forms"][0]["terms"][0]["coeff"] = "x2*-x3"
     return "form 'du_theta' term 0: bad polynomial"
@@ -302,6 +312,8 @@ def _long_coefficient(doc):
         _string_case,
         _zero_denominator,
         _exponent_past_the_limit,
+        _quotient_exponent,
+        _long_exponent,
         _signed_factor,
         _juxtaposed_factor,
         _nonconstant_warping,

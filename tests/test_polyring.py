@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -26,6 +27,8 @@ from sugra11.polyring import (
     poly_sqrt,
     sum_of_products,
 )
+
+import oracles
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -254,10 +257,56 @@ def test_parse_errors():
                 "x*-y", "2*-3", "x^2*-x", "x*+y", "x * - y", "x*", "x**2",
                 # juxtaposed factors and doubled signs
                 "2 3", "x 2", "1/2 3", "x y", "x*2", "--x", "x--y", "x+-y",
+                # an exponent is an unsigned integer, not a quotient
+                "x^4/2", "x^2/1",
                 # past the interpreter's limit on int() digits
-                "1" * 5000):
+                "1" * 5000, "x^" + "9" * 5000, "1/" + "1" * 5000):
         with pytest.raises(PolynomialGrammarError):
             parse_polynomial(bad)
+
+
+def _reading(read, text):
+    """What read makes of text: a value, or the class of the grammar or overflow error."""
+    try:
+        return read(text)
+    except (PolynomialGrammarError, ExponentOverflow) as exc:
+        return type(exc)
+
+
+_QUOTIENT_EXPONENT = re.compile(r"\^\s*(\d+)\s*/\s*(\d+)")
+
+
+def _assert_readers_agree(text):
+    """The term reader and the token reader of tests/oracles.py read text
+    alike, except that the token reader also takes an integral ^int/int."""
+    new, old = _reading(parse_polynomial, text), _reading(oracles.parse_polynomial, text)
+    if isinstance(old, Polynomial) and _QUOTIENT_EXPONENT.search(text):
+        assert new is PolynomialGrammarError
+        new = parse_polynomial(_QUOTIENT_EXPONENT.sub(lambda m: f"^{int(m[1]) // int(m[2])}", text))
+    assert type(new) is type(old) and new == old, (text, new, old)
+    new, old = _reading(parse_rational, text), _reading(oracles.parse_rational, text)
+    assert type(new) is type(old) and new == old, (text, new, old)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.text(alphabet=" xy12+-*^/", max_size=12))
+def test_term_reader_agrees_with_the_token_reader(text):
+    _assert_readers_agree(text)
+
+
+def test_term_reader_agrees_with_the_token_reader_on_every_manifest_string():
+    def strings(node):
+        if isinstance(node, str):
+            yield node
+        for child in node.values() if isinstance(node, dict) else node if isinstance(node, list) else ():
+            yield from strings(child)
+
+    paths = sorted(ROOT.glob("manifests/*.json")) + sorted(ROOT.glob("tests/golden/*.manifest.json"))
+    texts = {text for path in paths if path.name != "broken.json"  # not JSON at all
+             for text in strings(json.loads(path.read_text()))}
+    for text in texts:
+        _assert_readers_agree(text)
+    assert sum(isinstance(_reading(parse_polynomial, t), Polynomial) for t in texts) > 100
 
 
 def test_parse_rational_takes_exactly_the_coefficient_forms():
