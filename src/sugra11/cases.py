@@ -7,7 +7,13 @@ fiber piece t needs d t = 0 and d star t = 0 (``d_star_<t>``), and a base
 piece b of type q needs d b = 0 and d(|f|^k star b) = 0 with
 k = dim(fiber) - 2q, the weight ``ProductChart.star_weight`` that the
 product star gives the type (``d_f<k>_star_<b>``, or ``d_star_<b>`` when
-k = 0).  A zero or absent piece imposes nothing.
+k = 0).
+
+A type whose factors are not all present and nonzero adds nothing to F,
+so it imposes nothing on either factor and brings no obstruction or
+coupled condition: the remaining types get the system of the case of
+their own shape (case 6 with beta_t = 0 checks alpha_t as case 1 does),
+a note names the vanishing types, and no type left means no condition.
 
 The rest is written out per case.  Cases 8 and 9 first state their
 obstruction: alpha_t ^ theta = 0, and nu = 0.  In cases 3, 6 and 7 two
@@ -98,20 +104,36 @@ def check_special_case(bg: Background, case: int, c: Optional[Fraction] = None) 
             f"case 3 needs a 6-dimensional fiber, got a {bg.product.fiber.dim}-dimensional one"
         )
     result = CheckResult(f"case_{case}")
-    if case in _OBSTRUCTIONS:
-        _OBSTRUCTIONS[case](bg, result)
-    closed_only, left_out = _CLOSED_ONLY.get(case, ()), _LEFT_OUT.get(case, ())
+    # a type with a zero factor adds nothing to F and imposes nothing: the other
+    # types get the system of their own shape, and no system is left when none does
+    live, dead = set(), []
+    for t, b, _ in TYPES:
+        names = tuple(n for n in (t, b) if n)
+        if names[0] not in CASE_SHAPES[case]:
+            continue
+        if all(bg.ansatz.piece(n) is not None and not bg.ansatz.piece(n).is_zero() for n in names):
+            live.update(names)
+        else:
+            dead.append(" ^ ".join(names))
+    system = next((k for k, shape in CASE_SHAPES.items() if set(shape) == live), None)
+    if dead:
+        result.notes.append(_zero_type_note(bg, case, dead, system))
+    if system is None:
+        return result
+    if system in _OBSTRUCTIONS:
+        _OBSTRUCTIONS[system](bg, result)
+    closed_only, left_out = _CLOSED_ONLY.get(system, ()), _LEFT_OUT.get(system, ())
     for t, b, _ in TYPES:
         for name in (t, b):
-            form = bg.ansatz.piece(name) if name and name not in left_out else None
-            if form is None or form.is_zero():
+            if name not in live or name in left_out:
                 continue
+            form = bg.ansatz.piece(name)
             result.residuals[f"d_{name}"] = ext_d(form)
             if name not in closed_only:
                 label, value = _d_star(bg.product, name, form)
                 result.residuals[label] = value
-    if case in _COUPLED:
-        _COUPLED[case](bg, result, c if c is not None else bg.ansatz.c)
+    if system in _COUPLED:
+        _COUPLED[system](bg, result, c if c is not None else bg.ansatz.c)
     return result
 
 
@@ -129,20 +151,13 @@ def _d_star(pc: ProductChart, name: str, form: DifferentialForm):
 
 
 def _alpha_t_wedge_theta(bg: Background, result: CheckResult) -> None:
-    pc, at, th = bg.product, bg.ansatz.alpha_t, bg.ansatz.theta
-    both = at is not None and th is not None
-    result.residuals["alpha_t_wedge_theta"] = (
-        wedge(pc.lift(at), pc.lift(th)) if both else DifferentialForm.zero(pc.chart, 8)
-    )
-    if both and not at.is_zero() and not th.is_zero():
-        result.notes.append("both 4-form pieces nonzero: the wedge obstruction cannot vanish")
+    pc, a = bg.product, bg.ansatz
+    result.residuals["alpha_t_wedge_theta"] = wedge(pc.lift(a.alpha_t), pc.lift(a.theta))
+    result.notes.append("both 4-form pieces nonzero: the wedge obstruction cannot vanish")
 
 
 def _nu_must_vanish(bg: Background, result: CheckResult) -> None:
-    nu = bg.ansatz.nu
-    result.residuals["nu_must_vanish"] = (
-        nu if nu is not None else DifferentialForm.zero(bg.product.base_chart, 1)
-    )
+    result.residuals["nu_must_vanish"] = bg.ansatz.nu
     result.notes.append(
         "shape reduces by forcing nu = 0; conditions are those of the 1-form/3-form shape"
     )
@@ -212,6 +227,24 @@ def _case7(bg: Background, result: CheckResult, c: Fraction) -> None:
     else:
         result.residuals[label] = d_w_star_theta
         result.notes.append(_degenerate_note("varpi", rest, "the base 4-form"))
+
+
+# a coupled case left with its 4-form piece alone is in its degenerate branch:
+# (the case of that piece, the piece whose d star carries the coupling, the 4-form piece)
+_ANCHORS = {6: (1, "nu", "the 4-form piece"), 7: (5, "varpi_t", "the base 4-form")}
+
+
+def _zero_type_note(bg: Background, case: int, dead, system: Optional[int]) -> str:
+    """The note of a case whose types named in dead are zero, checked as case system."""
+    zero = " and ".join(dead) + " is zero"
+    anchor = _ANCHORS.get(case)
+    if anchor and system == anchor[0]:
+        _, source, piece = anchor
+        if _d_star(bg.product, source, bg.ansatz.piece(source))[1].is_zero():
+            zero = f"d star {source.removesuffix('_t')} = 0"
+        return f"{zero}: degenerate branch, {piece} must be co-closed on its own"
+    then = f"the conditions are those of case {system}" if system else "nothing is imposed"
+    return f"{zero} and adds nothing to F: {then}"
 
 
 def _degenerate_note(name: str, d_star: DifferentialForm, piece: str) -> str:

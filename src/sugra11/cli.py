@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .cases import CaseShapeError, check_special_case
 from .fieldeqs import (
@@ -136,6 +136,13 @@ def evaluate_report_at_points(
     return values
 
 
+def _tally(reports: List[VerificationReport]) -> Tuple[int, int, int]:
+    """(passed, failed, errored): the reports by verdict."""
+    errored = sum(1 for r in reports if r.error)
+    passed = sum(1 for r in reports if r.passed)
+    return passed, len(reports) - passed - errored, errored
+
+
 def render_text(reports: List[VerificationReport]) -> str:
     lines = []
     for report in reports:
@@ -155,9 +162,7 @@ def render_text(reports: List[VerificationReport]) -> str:
         if report.point_values is not None:
             for key, value in report.point_values.items():
                 lines.append(f"  eval {key} = {value}")
-    passed = sum(1 for r in reports if r.passed and not r.error)
-    failed = sum(1 for r in reports if not r.passed and not r.error)
-    errored = sum(1 for r in reports if r.error)
+    passed, failed, errored = _tally(reports)
     lines.append(f"summary: {passed} passed, {failed} failed, {errored} errored")
     lines.append("conventions:")
     for note in CONVENTION_NOTES:
@@ -170,11 +175,7 @@ def render_json(reports: List[VerificationReport], with_eval: bool = False) -> s
     doc = {
         "schema": 1,
         "backgrounds": [r.to_dict() for r in reports],
-        "summary": {
-            "passed": sum(1 for r in reports if r.passed and not r.error),
-            "failed": sum(1 for r in reports if not r.passed and not r.error),
-            "errored": sum(1 for r in reports if r.error),
-        },
+        "summary": dict(zip(("passed", "failed", "errored"), _tally(reports))),
     }
     if with_eval:
         doc["evaluations"] = {

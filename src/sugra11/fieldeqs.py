@@ -135,7 +135,10 @@ class Background(Frozen):
 
 
 def assemble_flux(pc: ProductChart, ansatz: FluxAnsatz) -> Background:
-    """Lift the factor pieces onto the product chart and sum the wedges."""
+    """Lift the factor pieces onto the product chart and sum the wedges.
+
+    Each piece must live on its factor's chart, with its type's degree and
+    coefficients in that chart's coordinates."""
     present = ansatz.present()
     if not present:
         raise AnsatzError("empty flux ansatz")
@@ -151,6 +154,11 @@ def assemble_flux(pc: ProductChart, ansatz: FluxAnsatz) -> Background:
             )
         if form.degree != _DEGREES[name]:
             raise DegreeError(f"{name} must have degree {_DEGREES[name]}, got {form.degree}")
+        outside = sorted({v for p in form.components.values() for v in p.variables}
+                         - set(want_chart.coordinates))
+        if outside:
+            raise ChartError(f"{', '.join(outside)} outside chart {want_chart.name!r}, "
+                             f"in a coefficient of {name}")
     if ansatz.c == 0:
         raise AnsatzError("the coupling constant c must be nonzero")
 

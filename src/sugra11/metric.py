@@ -1,5 +1,5 @@
 """Pseudo-Riemannian metrics on charts: musicals, form inner products,
-volume forms, Hodge star, null tests.
+volume forms, Hodge star.
 
 Sign conventions are fixed once and used everywhere:
 
@@ -55,7 +55,11 @@ Metric inverses must be polynomial; the coefficient ring stays a ring
 and every residual stays exact.  ``make_metric`` is the one place that
 validates a metric and so the one place that establishes what follows:
 det g * det g_inv = 1 over the polynomials makes det g a nonzero rational
-constant, and |det g| must be the square of a rational.
+constant, and |det g| must be the square of a rational.  Every entry of g
+names only coordinates of the chart, and so does g_inv = g^-1.  The
+signature is read off g at the origin, where each entry is its constant
+term; by Sylvester's law it is the signature at every point, as det g is
+a nonzero constant, and a declared signature must equal it.
 """
 
 from __future__ import annotations
@@ -169,16 +173,23 @@ def make_metric(
 
     When no inverse is supplied it is computed by adjugate/determinant,
     which is accepted only for a nonzero constant determinant.  A supplied
-    sqrt_abs_det must be the positive rational whose square is |det g|.
+    sqrt_abs_det must be the positive rational whose square is |det g|, and
+    a supplied signature the signature of g.
     """
     n = chart.dim
     g = _as_matrix(g_rows)
     if len(g) != n or any(len(row) != n for row in g):
         raise MetricError(f"metric must be {n}x{n} on chart {chart.name!r}")
+    coordinates = set(chart.coordinates)
     for i in range(n):
-        for j in range(i):
+        for j in range(i + 1):
             if g[i][j] != g[j][i]:
                 raise MetricError(f"metric not symmetric at ({i},{j})")
+            outside = [v for v in g[i][j].variables if v not in coordinates]
+            if outside:
+                raise MetricError(
+                    f"{', '.join(outside)} outside chart {chart.name!r}, in entry ({i},{j})"
+                )
 
     det = poly_det(g)
     if det.is_zero():
@@ -219,23 +230,19 @@ def make_metric(
             " the positive square root of |det g|"
         )
 
-    if signature is None:
-        signature = _infer_signature(g, chart, det_sign)
-    plus, minus = signature
-    if plus + minus != n:
-        raise MetricError(f"signature {signature} does not match dim {n}")
-    if det_sign != (-1) ** minus:
+    inferred = _infer_signature(g)
+    if signature is not None and tuple(signature) != inferred:
         raise MetricError(
-            f"declared signature {signature} is inconsistent with sign(det) = {det_sign}"
+            f"declared signature {tuple(signature)} is not {inferred}, the signature of g"
         )
-    return ChartMetric(chart, g, g_inv, (plus, minus), det_sign, root)
+    return ChartMetric(chart, g, g_inv, inferred, det_sign, root)
 
 
-def _infer_signature(g: Matrix, chart: Chart, det_sign: int) -> Tuple[int, int]:
-    """Infer signature by exact symmetric Gaussian reduction at the origin."""
-    pt = {c: Fraction(0) for c in chart.coordinates}
+def _infer_signature(g: Matrix) -> Tuple[int, int]:
+    """The signature of g at the origin, where each entry is its constant
+    term, by exact symmetric Gaussian reduction."""
     n = len(g)
-    a = [[g[i][j].evaluate(pt) for j in range(n)] for i in range(n)]
+    a = [[Fraction(e.terms.get(0, 0), e.den) for e in row] for row in g]
     plus = minus = 0
     idx = list(range(n))
     for _ in range(n):
@@ -243,10 +250,7 @@ def _infer_signature(g: Matrix, chart: Chart, det_sign: int) -> Tuple[int, int]:
         if pivot is None:
             # null basis pair: a symmetric matrix with zero diagonal but some
             # off-diagonal entry contributes one plus and one minus
-            found = next(((i, j) for i in idx for j in idx if i != j and a[i][j] != 0), None)
-            if found is None:
-                break
-            i, j = found
+            i, j = next((i, j) for i in idx for j in idx if i != j and a[i][j] != 0)
             for k in range(n):
                 a[i][k] += a[j][k]
             for k in range(n):
@@ -266,8 +270,6 @@ def _infer_signature(g: Matrix, chart: Chart, det_sign: int) -> Tuple[int, int]:
             for k in range(n):
                 a[k][i] -= factor * a[k][pivot]
         idx.remove(pivot)
-    if (-1) ** minus != det_sign:
-        raise MetricError("could not infer a signature consistent with sign(det)")
     return plus, minus
 
 
@@ -463,10 +465,6 @@ def contraction_matrix(m: ChartMetric, a: DifferentialForm) -> Matrix:
 
 def norm_sq(m: ChartMetric, a: DifferentialForm) -> Polynomial:
     return inner_product_forms(m, a, a)
-
-
-def is_null(m: ChartMetric, a: DifferentialForm) -> bool:
-    return norm_sq(m, a).is_zero()
 
 
 def volume_form(m: ChartMetric) -> DifferentialForm:

@@ -18,20 +18,12 @@ class EngineInconsistency(AssertionError):
     property of the background being checked."""
 
 
-def residual_is_zero(value) -> bool:
-    if isinstance(value, Polynomial):
-        return value.is_zero()
-    if isinstance(value, DifferentialForm):
-        return value.is_zero()
-    if isinstance(value, tuple):
-        return all(residual_is_zero(v) for row in value for v in row)
-    if isinstance(value, dict):
-        return all(residual_is_zero(v) for v in value.values())
-    raise TypeError(f"unknown residual type {type(value)!r}")
-
-
 def residual_entries(name: str, value) -> Iterator[Tuple[str, Polynomial]]:
-    """Flatten a residual into (label, polynomial) pairs, nonzero only."""
+    """Flatten a residual into (label, polynomial) pairs, nonzero only.
+
+    The one dispatch over residual types.  A label is built only for an entry
+    that is yielded, so ``CheckResult.passed``, which stops at the first
+    entry, builds no string for a passing check."""
     if isinstance(value, Polynomial):
         if not value.is_zero():
             yield name, value
@@ -45,7 +37,8 @@ def residual_entries(name: str, value) -> Iterator[Tuple[str, Polynomial]]:
                     yield f"{name}[{i},{j}]", entry
     elif isinstance(value, dict):
         for k, v in value.items():
-            yield from residual_entries(f"{name}.{k}", v)
+            for where, poly in residual_entries(k, v):
+                yield f"{name}.{where}", poly
     else:
         raise TypeError(f"unknown residual type {type(value)!r}")
 
@@ -62,7 +55,7 @@ class CheckResult:
 
     @property
     def passed(self) -> bool:
-        return all(residual_is_zero(v) for v in self.residuals.values())
+        return not any(True for k, v in self.residuals.items() for _ in residual_entries(k, v))
 
     def nonzero_entries(self) -> List[Tuple[str, str]]:
         """(label, polynomial string) for every nonzero residual entry."""

@@ -6,11 +6,17 @@ a Ricci-flat 5-dimensional base with a 6-dimensional Walker fiber
     gt = 2 dv du + rho + H (du)^2     (A = 0, dH/dv = 0)
 
 whose transverse block rho lives on a 4-dimensional chart, and a flux
-assembled from du-aligned null pieces and base pieces.  Each builder
-returns the assembled background together with the named condition
-residuals that characterize it (a Laplacian constraint on H plus the
-closure/co-closure data of the pieces); the generic equation checkers
-then provide the end-to-end verdict.
+whose fiber pieces are du-aligned and null, t = du ^ n_t with n_t a form
+on the transverse chart (du alone for varpi_t), paired with base pieces
+b_t.  On such a background the field equations reduce to one law,
+
+    Lap_rho H = sum_t |n_t|^2_rho |b_t|^2_g      (an absent factor is 1),
+
+with rho and the base Ricci-flat, plus the condition system of the case
+whose pieces the flux has (``cases.check_special_case``).  The four
+builders are thin wrappers over ``_build_family``, which assembles the
+background and reports exactly these residuals; the generic equation
+checkers then provide the end-to-end verdict.
 
 Theorem checkers evaluate hypothesis residuals for the five structural
 statements (one per flux shape) and re-run the full field equations when
@@ -41,6 +47,7 @@ from .exterior import (
     wedge,
 )
 from .fieldeqs import (
+    TYPES,
     Background,
     FluxAnsatz,
     assemble_flux,
@@ -99,27 +106,12 @@ def walker_metric_from_rho(
             g[1 + i][1 + j] = rho.g[i][j]
             g_inv[1 + i][1 + j] = rho.g_inv[i][j]
     g[n - 1][n - 1] = H
-    return make_metric(
-        chart, g, g_inv, signature=(1, n - 1), sqrt_abs_det=rho.sqrt_abs_det
-    )
+    return make_metric(chart, g, g_inv, sqrt_abs_det=rho.sqrt_abs_det)
 
 
 def append_line_factor(p_metric: ChartMetric, t_name: str = "t") -> ChartMetric:
     """g = p - dt^2 on (p coordinates, t); p negative definite."""
-    chart = Chart(f"{p_metric.chart.name}x{t_name}", p_metric.chart.coordinates + (t_name,))
-    n = chart.dim
-    g = [[P0] * n for _ in range(n)]
-    g_inv = [[P0] * n for _ in range(n)]
-    for i in range(n - 1):
-        for j in range(n - 1):
-            g[i][j] = p_metric.g[i][j]
-            g_inv[i][j] = p_metric.g_inv[i][j]
-    g[n - 1][n - 1] = -P1
-    g_inv[n - 1][n - 1] = -P1
-    plus, minus = p_metric.signature
-    return make_metric(
-        chart, g, g_inv, signature=(plus, minus + 1), sqrt_abs_det=p_metric.sqrt_abs_det
-    )
+    return build_product(p_metric, flat_negative_metric(Chart(t_name, (t_name,))), 1).assembled
 
 
 def standard_base(names=("y1", "y2", "y3", "y4", "y5")) -> ChartMetric:
@@ -133,8 +125,41 @@ class FamilyBuild(Frozen):
     __slots__ = ("background", "conditions", "derived")
 
 
-def _du(fiber: ChartMetric, u_name: str = "u") -> DifferentialForm:
-    return DifferentialForm.coordinate_differential(fiber.chart, u_name)
+def _build_family(
+    shape: str,
+    rho: ChartMetric,
+    H: Polynomial,
+    base: ChartMetric,
+    transverse: Dict[str, Optional[DifferentialForm]],
+    base_pieces: Dict[str, DifferentialForm],
+) -> FamilyBuild:
+    """The background with fiber pieces du ^ n_t (du alone for n_t = None) and
+    base pieces b_t on base x (2 dv du + rho + H du^2), with its conditions:
+
+        Lap_rho H = sum_t |n_t|^2_rho |b_t|^2_g     (an absent factor is 1),
+
+    rho and the base Ricci-flat, and the system of the case with these pieces.
+    """
+    fiber = walker_metric_from_rho(rho, H)
+    du = DifferentialForm.coordinate_differential(fiber.chart, "u")
+    pieces = {t: du if n is None else wedge(du, lift_to_product(n, fiber.chart))
+              for t, n in transverse.items()}
+    pieces.update(base_pieces)
+    bg = assemble_flux(build_product(base, fiber, 1), FluxAnsatz(**pieces))
+
+    def norm(m: ChartMetric, form: Optional[DifferentialForm]) -> Polynomial:
+        return P1 if form is None else norm_sq(m, form)
+
+    cond = CheckResult(f"{shape}_family_conditions")
+    cond.residuals["laplacian_condition"] = laplace_beltrami(rho, H) - sum(
+        (norm(rho, transverse[t]) * norm(base, base_pieces.get(b))
+         for t, b, _ in TYPES if t in transverse), P0)
+    cond.residuals["rho_ricci_flat"] = ricci(rho)
+    cond.residuals["base_ricci_flat"] = ricci(base)
+    case = check_special_case(bg, next(k for k, s in CASE_SHAPES.items() if set(s) == set(pieces)))
+    cond.residuals.update(case.residuals)
+    cond.notes.extend(case.notes)
+    return FamilyBuild(bg, cond, pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -147,25 +172,12 @@ def build_alpha_background(
     H: Polynomial,
     base: Optional[ChartMetric] = None,
 ) -> FamilyBuild:
-    """Flux du ^ theta_n with theta_n a 3-form on the transverse block.
-
-    Characterizing condition: Lap_rho H = |theta_n|^2_rho.
-    """
+    """Flux du ^ theta_n with theta_n a 3-form on the transverse block:
+    Lap_rho H = |theta_n|^2_rho."""
     if theta_n.chart != rho.chart or theta_n.degree != 3:
         raise ChartError("theta_n must be a 3-form on the transverse chart")
     base = base if base is not None else standard_base()
-    fiber = walker_metric_from_rho(rho, H)
-    alpha_t = wedge(_du(fiber), lift_to_product(theta_n, fiber.chart))
-    pc = build_product(base, fiber, 1)
-    bg = assemble_flux(pc, FluxAnsatz(alpha_t=alpha_t))
-
-    cond = CheckResult("alpha_family_conditions")
-    cond.residuals["laplacian_vs_theta_norm"] = laplace_beltrami(rho, H) - norm_sq(rho, theta_n)
-    cond.residuals["rho_ricci_flat"] = ricci(rho)
-    cond.residuals["base_ricci_flat"] = ricci(base)
-    cond.residuals["d_theta_n"] = ext_d(theta_n)
-    cond.residuals["d_star_theta_n"] = ext_d(hodge_star(rho, theta_n))
-    return FamilyBuild(bg, cond, {"alpha_t": alpha_t})
+    return _build_family("alpha", rho, H, base, {"alpha_t": theta_n}, {})
 
 
 def build_beta_nu_background(
@@ -174,31 +186,15 @@ def build_beta_nu_background(
     H: Polynomial,
     p_metric: Optional[ChartMetric] = None,
 ) -> FamilyBuild:
-    """Flux (du ^ omega_n) ^ dt on the product with base p x line.
-
-    Characterizing condition: Lap_rho H = -|omega_n|^2_rho.
-    """
+    """Flux (du ^ omega_n) ^ dt on the product with base p x line:
+    Lap_rho H = -|omega_n|^2_rho."""
     if omega_n.chart != rho.chart or omega_n.degree != 2:
         raise ChartError("omega_n must be a 2-form on the transverse chart")
     if p_metric is None:
         p_metric = flat_negative_metric(Chart("p4", ("z1", "z2", "z3", "z4")))
     base = append_line_factor(p_metric)
-    fiber = walker_metric_from_rho(rho, H)
-    beta_t = wedge(_du(fiber), lift_to_product(omega_n, fiber.chart))
     nu = DifferentialForm.coordinate_differential(base.chart, "t")
-    pc = build_product(base, fiber, 1)
-    bg = assemble_flux(pc, FluxAnsatz(beta_t=beta_t, nu=nu))
-
-    cond = CheckResult("beta_nu_family_conditions")
-    cond.residuals["laplacian_vs_minus_omega_norm"] = laplace_beltrami(rho, H) + norm_sq(
-        rho, omega_n
-    )
-    cond.residuals["nu_unit_length"] = norm_sq(base, nu) + P1
-    cond.residuals["rho_ricci_flat"] = ricci(rho)
-    cond.residuals["base_ricci_flat"] = ricci(base)
-    cond.residuals["d_omega_n"] = ext_d(omega_n)
-    cond.residuals["d_star_omega_n"] = ext_d(hodge_star(rho, omega_n))
-    return FamilyBuild(bg, cond, {"beta_t": beta_t, "nu": nu})
+    return _build_family("beta_nu", rho, H, base, {"beta_t": omega_n}, {"nu": nu})
 
 
 def build_varpi_epsilon_background(
@@ -207,7 +203,8 @@ def build_varpi_epsilon_background(
     p_metric: Optional[ChartMetric] = None,
     kaehler_omega: Optional[DifferentialForm] = None,
 ) -> FamilyBuild:
-    """Flux du ^ (omega_p ^ dt); condition Lap_rho H = -2 with |eps|^2 = -2."""
+    """Flux du ^ (omega_p ^ dt): Lap_rho H = |omega_p ^ dt|^2_g, which is -2
+    for the flat Kaehler form."""
     if p_metric is None:
         p_metric = flat_negative_metric(Chart("p4", ("z1", "z2", "z3", "z4")))
     if kaehler_omega is None:
@@ -222,24 +219,11 @@ def build_varpi_epsilon_background(
     if kaehler_omega.chart != p_metric.chart or kaehler_omega.degree != 2:
         raise ChartError("kaehler_omega must be a 2-form on the p-chart")
     base = append_line_factor(p_metric)
-    fiber = walker_metric_from_rho(rho, H)
     epsilon = wedge(
         lift_to_product(kaehler_omega, base.chart),
         DifferentialForm.coordinate_differential(base.chart, "t"),
     )
-    varpi_t = _du(fiber)
-    pc = build_product(base, fiber, 1)
-    bg = assemble_flux(pc, FluxAnsatz(varpi_t=varpi_t, epsilon=epsilon))
-
-    cond = CheckResult("varpi_epsilon_family_conditions")
-    cond.residuals["laplacian_plus_two"] = laplace_beltrami(rho, H) + Polynomial.constant(2)
-    cond.residuals["epsilon_norm_plus_two"] = norm_sq(base, epsilon) + Polynomial.constant(2)
-    cond.residuals["varpi_null"] = norm_sq(fiber, varpi_t)
-    cond.residuals["rho_ricci_flat"] = ricci(rho)
-    cond.residuals["base_ricci_flat"] = ricci(base)
-    cond.residuals["d_epsilon"] = ext_d(epsilon)
-    cond.residuals["d_star_epsilon"] = ext_d(hodge_star(base, epsilon))
-    return FamilyBuild(bg, cond, {"varpi_t": varpi_t, "epsilon": epsilon})
+    return _build_family("varpi_epsilon", rho, H, base, {"varpi_t": None}, {"epsilon": epsilon})
 
 
 def build_alpha_beta_nu_background(
@@ -250,10 +234,8 @@ def build_alpha_beta_nu_background(
     nu: Optional[DifferentialForm] = None,
 ) -> FamilyBuild:
     """Flux du ^ W + (du ^ w) ^ nu with w := star_rho d star_rho W computed,
-    not supplied.
-
-    Characterizing condition: Lap_rho H = |W|^2_rho + |nu|^2_g |w|^2_rho.
-    """
+    not supplied, and left out when it vanishes:
+    Lap_rho H = |W|^2_rho + |nu|^2_g |w|^2_rho."""
     if omega3_n.chart != rho.chart or omega3_n.degree != 3:
         raise ChartError("the 3-form piece must live on the transverse chart")
     base = base if base is not None else standard_base()
@@ -261,31 +243,14 @@ def build_alpha_beta_nu_background(
         nu = DifferentialForm.monomial(
             base.chart, (base.chart.coordinates[0],), Polynomial.variable(base.chart.coordinates[0])
         )
-    fiber = walker_metric_from_rho(rho, H)
     omega2 = hodge_star(rho, ext_d(hodge_star(rho, omega3_n)))
-    alpha_t = wedge(_du(fiber), lift_to_product(omega3_n, fiber.chart))
-    pc = build_product(base, fiber, 1)
     if omega2.is_zero():
-        ansatz = FluxAnsatz(alpha_t=alpha_t)
+        build = _build_family("alpha_beta_nu", rho, H, base, {"alpha_t": omega3_n}, {})
     else:
-        beta_t = wedge(_du(fiber), lift_to_product(omega2, fiber.chart))
-        ansatz = FluxAnsatz(alpha_t=alpha_t, beta_t=beta_t, nu=nu)
-    bg = assemble_flux(pc, ansatz)
-
-    cond = CheckResult("alpha_beta_nu_family_conditions")
-    cond.residuals["laplacian_condition"] = (
-        laplace_beltrami(rho, H)
-        - norm_sq(rho, omega3_n)
-        - norm_sq(base, nu) * norm_sq(rho, omega2)
-    )
-    cond.residuals["rho_ricci_flat"] = ricci(rho)
-    cond.residuals["base_ricci_flat"] = ricci(base)
-    cond.residuals["d_omega3_n"] = ext_d(omega3_n)
-    cond.residuals["d_nu"] = ext_d(nu)
-    case = check_special_case(bg, 6 if not omega2.is_zero() else 1)
-    cond.notes.extend(case.notes)
-    chain = FamilyBuild(bg, cond, {"omega2": omega2, "case_conditions": case})
-    return chain
+        build = _build_family("alpha_beta_nu", rho, H, base,
+                              {"alpha_t": omega3_n, "beta_t": omega2}, {"nu": nu})
+    build.derived["omega2"] = omega2
+    return build
 
 
 # ---------------------------------------------------------------------------

@@ -369,6 +369,50 @@ def test_case9_nonzero_nu_fails(f):
     assert not result.residuals["nu_must_vanish"].is_zero()
 
 
+# -- a zero factor --------------------------------------------------------------
+
+@at_every_warping
+def test_a_zero_factor_constrains_neither_piece_of_its_type(f):
+    """A type with a zero factor adds nothing to F, so its partner is free and
+    the other types get the system of their own shape."""
+    pc, base, fiber = line_product(f=f)
+    wpc = walker_product(f=f)
+    flat = walker_product(H=P0, f=f)
+    y1, y2, x3 = (Polynomial.variable(n) for n in ("y1", "y2", "x3"))
+    kaehler = mono(base.chart, ("z1", "z2")) + mono(base.chart, ("z3", "z4"))
+    zero = DifferentialForm.zero
+    fixtures = {
+        2: (wpc, FluxAnsatz(beta_t=zero(wpc.fiber_chart, 3), nu=mono(wpc.base_chart, ("y1",), y2))),
+        3: (flat, FluxAnsatz(gamma_t=mono(flat.fiber_chart, ("x1", "x2"), x3),
+                             delta=zero(flat.base_chart, 2))),
+        4: (pc, FluxAnsatz(varpi_t=mono(fiber.chart, ("x1",), Polynomial.variable("x2")),
+                           epsilon=zero(base.chart, 3))),
+        6: (wpc, FluxAnsatz(alpha_t=wedge(mono(wpc.fiber_chart, ("u",)),
+                                          mono(wpc.fiber_chart, ("x2", "x3", "x4"))),
+                            beta_t=zero(wpc.fiber_chart, 3),
+                            nu=mono(wpc.base_chart, ("y1",), y1 * y1))),
+        7: (pc, FluxAnsatz(varpi_t=zero(fiber.chart, 1),
+                           epsilon=mono(base.chart, ("z1", "z2", "t"), Polynomial.variable("z3")),
+                           theta=mono(base.chart, ("z1", "z2", "z3", "z4")))),
+        9: (pc, FluxAnsatz(beta_t=zero(fiber.chart, 3), nu=mono(base.chart, ("t",)),
+                           varpi_t=mono(fiber.chart, ("u",)),
+                           epsilon=wedge(kaehler, mono(base.chart, ("t",))))),
+    }
+    notes = {
+        2: "beta_t ^ nu is zero and adds nothing to F: nothing is imposed",
+        3: "gamma_t ^ delta is zero and adds nothing to F: nothing is imposed",
+        4: "varpi_t ^ epsilon is zero and adds nothing to F: nothing is imposed",
+        6: "beta_t ^ nu is zero: degenerate branch, the 4-form piece must be co-closed on its own",
+        7: "d star varpi = 0: degenerate branch, the base 4-form must be co-closed on its own",
+        9: "beta_t ^ nu is zero and adds nothing to F: the conditions are those of case 4",
+    }
+    for case, (product, ansatz) in fixtures.items():
+        result = assert_case_matches_direct(assemble_flux(product, ansatz), case, True)
+        assert result.notes == [notes[case]]
+        if case == 6:
+            assert list(result.residuals) == ["d_alpha_t", "d_star_alpha_t"]
+
+
 # -- shape validation -------------------------------------------------------------
 
 def test_case_shape_mismatch_raises():

@@ -214,6 +214,28 @@ def _scalar_signature(doc):
     return "metric 'g_base'"
 
 
+def _declared_signature_of_the_wrong_kind(doc):
+    # each has the parity of its det g, so only the signature itself tells them apart
+    doc["metrics"][0]["signature"] = [2, 3]
+    doc["metrics"][1]["signature"] = [3, 3]
+    return "metric 'g_base': declared signature "
+
+
+def _metric_entry_outside_its_chart(doc):
+    doc["metrics"][1]["lower_triangular"][5][5] += " + y1^2"
+    doc["metrics"][1]["inverse"][0][0] += " - y1^2"
+    return "metric 'g_walker': y1 outside chart 'walker6', in entry "
+
+
+def _flux_coefficient_outside_its_chart(doc):
+    # solution2 with nu = x1 dt, a fiber coordinate in a base piece, run by case alone
+    doc.clear()
+    doc.update(json.loads((MANIFESTS / "solution2.json").read_text()))
+    doc["forms"][1]["terms"][0]["coeff"] = "x1"
+    doc["backgrounds"][0]["checks"] = ["case"]
+    return "background 'solution2': x1 outside chart 'pline5', in a coefficient of nu"
+
+
 def _repeated_index(doc):
     doc["forms"][0]["terms"][0]["indices"] = ["u", "u", "x3", "x4"]
     return "form 'du_theta' term 0"
@@ -305,6 +327,9 @@ def _long_coefficient(doc):
         _wrong_inverse,
         _duplicate_coordinate,
         _scalar_signature,
+        _declared_signature_of_the_wrong_kind,
+        _metric_entry_outside_its_chart,
+        _flux_coefficient_outside_its_chart,
         _repeated_index,
         _scalar_term,
         _string_checks,

@@ -94,8 +94,8 @@ def test_caller_scan_finds_functions_only_their_own_body_mentions():
 
 
 # kept without an engine caller: perfbench/tracer.py looks each of these up by
-# name (POLY_METHODS, POLY_FUNCTIONS) and stops if one is missing
-TRACED_ONLY = {"Polynomial.substitute", "poly_divexact"}
+# name (LAYERS, POLY_METHODS, POLY_FUNCTIONS) and stops if one is missing
+TRACED_ONLY = {"Polynomial.substitute", "poly_divexact", "poly_sqrt", "grad_norm_sq"}
 
 
 def _traced_names():
@@ -124,6 +124,22 @@ def test_every_engine_function_has_a_caller():
     scripts = [path.read_text() for path in sorted((ROOT / "scripts").glob("*.py"))]
     assert scripts
     assert _unreached_functions(engine, scripts, set(sugra11.__all__) | TRACED_ONLY) == []
+
+
+def _shown(source: str) -> set:
+    """Every identifier source mentions or imports, under its own name."""
+    tree = ast.parse(source)
+    return set(_mentions(tree)) | {alias.name for node in ast.walk(tree)
+                                   if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def test_every_public_name_is_shown_in_use():
+    # __all__ promises only what the README's library example or a script uses
+    readme = (ROOT / "README.md").read_text()
+    example = readme.split("## Library usage")[1].split("```python\n")[1].split("```")[0]
+    shown = _shown(example).union(*(_shown(path.read_text())
+                                    for path in sorted((ROOT / "scripts").glob("*.py"))))
+    assert [name for name in sugra11.__all__ if name not in shown] == []
 
 
 def _unused_imports(source: str):

@@ -22,7 +22,6 @@ from sugra11.metric import (
     contraction_matrix,
     hodge_star,
     inner_product_forms,
-    is_null,
     make_metric,
     norm_sq,
     poly_det,
@@ -107,6 +106,27 @@ def test_euclidean_block_inverse_computed_automatically():
     assert m.signature == (0, 5)
     for i in range(5):
         assert m.g_inv[i][i] == -P1
+
+
+def test_declared_signature_must_be_the_signature_of_g():
+    # (2, 3) has the parity of det g = -1 but is not the signature of -I
+    g = diag(-1, -1, -1, -1, -1)
+    assert make_metric(M5, g, signature=(0, 5)).signature == (0, 5)
+    with pytest.raises(MetricError, match=r"declared signature \(2, 3\) is not \(0, 5\)"):
+        make_metric(M5, g, signature=(2, 3))
+    # a null pair: 2 dv du reads as (1, 1) at every point, whatever H is
+    vu = Chart("VU", ("v", "u"))
+    null = [[P0, P1], [P1, Polynomial.variable("u")]]
+    assert make_metric(vu, null).signature == (1, 1)
+    with pytest.raises(MetricError, match="declared signature"):
+        make_metric(vu, null, signature=(0, 2))
+
+
+def test_metric_entry_outside_its_chart_rejected():
+    g = diag(-1, -1, -1, -1, -1)
+    g[4][4] = g[4][4] + Polynomial.variable("x1") ** 2
+    with pytest.raises(MetricError, match=r"x1 outside chart 'M5', in entry \(4,4\)"):
+        make_metric(M5, g)
 
 
 def test_non_symmetric_metric_rejected():
@@ -218,7 +238,7 @@ def test_inner_product_is_symmetric_bilinear():
 def test_du_aligned_forms_are_null():
     m = walker_metric(H_EXAMPLE)
     a = wedge(dx(m.chart, "u"), DifferentialForm.monomial(m.chart, ("x2", "x3", "x4"), P1))
-    assert is_null(m, a)
+    assert norm_sq(m, a).is_zero()
     assert norm_sq(m, dx(m.chart, "u")).is_zero()
 
 
@@ -226,8 +246,7 @@ def test_dt_is_not_null():
     C = Chart("C5b", ("z1", "z2", "z3", "z4", "t"))
     g = make_metric(C, diag(-1, -1, -1, -1, -1), signature=(0, 5))
     assert norm_sq(g, dx(C, "t")) == Polynomial.constant(-1)
-    assert not is_null(g, dx(C, "t"))
-    assert is_null(g, DifferentialForm.zero(C, 2))
+    assert norm_sq(g, DifferentialForm.zero(C, 2)).is_zero()
 
 
 # -- hodge star ------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from sugra11.exterior import (
     DifferentialForm,
     exterior_derivative as ext_d,
 )
+from sugra11.fieldeqs import check_closedness, check_einstein, check_maxwell
 from sugra11.metric import make_metric
 from sugra11.polyring import Polynomial
 from sugra11.solutions import (
@@ -43,6 +44,48 @@ def quadratic_H(coeff):
 
 def mono(chart, names, coeff=None):
     return DifferentialForm.monomial(chart, names, coeff if coeff is not None else P1)
+
+
+# -- family builders ------------------------------------------------------------------
+
+def family_builds():
+    """(label, build) over each family's inputs, passing and failing."""
+    rho = rho_flat()
+    c = rho.chart
+    x1, x2 = Polynomial.variable("x1"), Polynomial.variable("x2")
+    kaehler = mono(c, ("x1", "x2")) + mono(c, ("x3", "x4"))
+    p4 = flat_negative_metric(Chart("p4", ("z1", "z2", "z3", "z4")))
+    doubled = (mono(p4.chart, ("z1", "z2")) + mono(p4.chart, ("z3", "z4"))) * 2
+    quartic = (x1 ** 4 + x2 ** 4) * Fraction(1, 12)
+    base = standard_base()
+    theta = mono(c, ("x2", "x3", "x4"))
+    eighth, quarter = quadratic_H(Fraction(1, 8)), quadratic_H(Fraction(1, 4))
+    yield "alpha", build_alpha_background(rho, theta, eighth)
+    yield "alpha wrong H", build_alpha_background(rho, theta, quarter)
+    yield "alpha unclosed", build_alpha_background(rho, mono(c, ("x2", "x3", "x4"), x1), eighth)
+    yield "beta_nu", build_beta_nu_background(rho, kaehler, quarter)
+    yield "beta_nu weighted", build_beta_nu_background(rho, mono(c, ("x1", "x2"), x1), quarter)
+    yield "varpi_epsilon", build_varpi_epsilon_background(rho, quarter)
+    yield "varpi_epsilon wrong H", build_varpi_epsilon_background(rho, eighth)
+    yield "varpi_epsilon doubled", build_varpi_epsilon_background(rho, quadratic_H(1), p4, doubled)
+    yield "varpi_epsilon doubled wrong H", build_varpi_epsilon_background(rho, quarter, p4, doubled)
+    yield "alpha_beta_nu literal", build_alpha_beta_nu_background(
+        rho, mono(c, ("x2", "x3", "x4"), x2), quartic)
+    yield "alpha_beta_nu corrected", build_alpha_beta_nu_background(
+        rho, mono(c, ("x1", "x3", "x4"), x1) + mono(c, ("x2", "x3", "x4"), -x2), quartic,
+        base=base, nu=DifferentialForm.coordinate_differential(base.chart, "y1"))
+
+
+def test_family_conditions_hold_exactly_when_the_field_equations_do():
+    verdicts = {}
+    for label, build in family_builds():
+        bg = build.background
+        solves = all(check(bg).passed
+                     for check in (check_closedness, check_maxwell, check_einstein))
+        assert build.conditions.passed == solves, (label, build.conditions.nonzero_entries())
+        verdicts[label] = solves
+    assert [label for label, solves in verdicts.items() if solves] == [
+        "alpha", "beta_nu", "varpi_epsilon", "varpi_epsilon doubled", "alpha_beta_nu corrected"]
 
 
 # -- theorem checkers ---------------------------------------------------------------
