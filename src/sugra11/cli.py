@@ -18,17 +18,11 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .cases import CaseShapeError, check_special_case
-from .fieldeqs import (
-    check_closedness,
-    check_einstein,
-    check_maxwell,
-    flux_norm_sq,
-    split_einstein,
-)
+from .fieldeqs import check_closedness, check_einstein, check_maxwell, split_einstein
 from .manifest import BackgroundSpec, Manifest, ManifestError, parse_manifest, rational
 from .metric import CONVENTION_NOTES
 from .polyring import format_rational
-from .report import CheckResult, VerificationReport, residual_entries
+from .report import VerificationReport, residual_entries
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -57,12 +51,6 @@ def run_background(
                 report.results.append(check_maxwell(bg))
             elif check == "einstein":
                 report.results.append(check_einstein(bg))
-            elif check == "norms":
-                direct, block = flux_norm_sq(bg)
-                result = CheckResult("norms")
-                result.residuals["direct_minus_block"] = direct - block
-                result.notes.append(f"|F|^2 = {direct}")
-                report.results.append(result)
             elif check == "split":
                 report.results.append(split_einstein(bg))
             elif check == "case":

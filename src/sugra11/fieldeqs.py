@@ -393,17 +393,20 @@ def _flats(m: ChartMetric):
     return [DifferentialForm(m.chart, 1, {(k,): m.g[i][k] for k in range(m.dim)}) for i in range(m.dim)]
 
 
-def split_einstein(bg: Background) -> CheckResult:
-    """HH/VV/HV block formulas, each asserted equal to the direct block."""
-    pc = bg.product
+def _factor_ricci_identities(pc: ProductChart, a: FluxAnsatz) -> Tuple[Matrix, Matrix]:
+    """(Ric_g - 1/6 HH brace, Ric_gt - f^2/6 VV brace): the HH and VV blocks of
+    the Einstein residual, read over TYPES (see the module docstring).
+
+    At f = 1 they are the factor Ricci identities
+
+        Ric_g  = 1/6 sum_t |t|^2 (|b|^2 g  - 3 C_b)
+        Ric_gt = 1/6 sum_t |b|^2 (|t|^2 gt - 3 C_t)
+    """
     f = pc.warping
-    result = CheckResult("einstein_blocks")
-    a = bg.ansatz
     g, gt = pc.base, pc.fiber
     nb, nf = g.dim, gt.dim
-    direct = _direct_einstein(bg)
 
-    # the HH and VV braces, one type at a time (see the module docstring)
+    # the HH and VV braces, one type at a time
     hh_brace = [[Polynomial.zero()] * nb for _ in range(nb)]
     vv_brace = [[Polynomial.zero()] * nf for _ in range(nf)]
     for t, b, q in _typed_pieces(pc, a):
@@ -427,6 +430,20 @@ def split_einstein(bg: Background) -> CheckResult:
         tuple(ric_gt[i][j] - vv_brace[i][j] * Fraction(1, 6) * f ** 2 for j in range(nf))
         for i in range(nf)
     )
+    return hh_matrix, vv_matrix
+
+
+def split_einstein(bg: Background) -> CheckResult:
+    """HH/VV/HV block formulas, each asserted equal to the direct block."""
+    pc = bg.product
+    f = pc.warping
+    result = CheckResult("einstein_blocks")
+    a = bg.ansatz
+    g, gt = pc.base, pc.fiber
+    nb, nf = g.dim, gt.dim
+    direct = _direct_einstein(bg)
+
+    hh_matrix, vv_matrix = _factor_ricci_identities(pc, a)
 
     # HV block: 1/2 <i_X F, i_Zt F> pairs type q with type q+1, each contraction
     # taken through its adjoint <i_X a, b> = <a, X_flat ^ b>

@@ -18,14 +18,8 @@ from pathlib import Path
 from typing import Dict, List
 
 from .exterior import Chart, ChartError, DegreeError, DifferentialForm, Frozen
-from .fieldeqs import (
-    BASE_PIECES,
-    FIBER_PIECES,
-    AnsatzError,
-    FluxAnsatz,
-    assemble_flux,
-)
-from .metric import ChartMetric, MetricError, make_metric
+from .fieldeqs import BASE_PIECES, FIBER_PIECES, FluxAnsatz, assemble_flux
+from .metric import ChartMetric, make_metric
 from .polyring import (
     ExponentOverflow,
     Polynomial,
@@ -33,9 +27,9 @@ from .polyring import (
     parse_polynomial,
     parse_rational,
 )
-from .product import NonPolynomialDivision, ProductChart, build_product
+from .product import ProductChart, build_product
 
-KNOWN_CHECKS = ("closedness", "maxwell", "einstein", "norms", "split", "case", "theorem")
+KNOWN_CHECKS = ("closedness", "maxwell", "einstein", "split", "case", "theorem")
 FLUX_KEYS = FIBER_PIECES + BASE_PIECES
 
 
@@ -194,7 +188,7 @@ def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
             raise ManifestError(f"duplicate metric {name!r}")
         try:
             metrics[name] = make_metric(chart, g, g_inv, tuple(signature), sqrt_abs_det)
-        except MetricError as exc:
+        except ValueError as exc:  # the metric and polynomial layers' errors, overflow included
             raise ManifestError(f"metric {name!r}: {exc}") from exc
 
     forms: Dict[str, DifferentialForm] = {}
@@ -231,7 +225,7 @@ def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
             raise ManifestError(f"duplicate product {name!r}")
         try:
             products[name] = build_product(base, fiber, warping)
-        except (ChartError, MetricError, NonPolynomialDivision) as exc:
+        except ValueError as exc:
             raise ManifestError(f"product {name!r}: {exc}") from exc
 
     backgrounds: List[BackgroundSpec] = []
@@ -269,7 +263,7 @@ def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
             eval_points.append({k: rational(v, f"background {name!r} eval point") for k, v in pt.items()})
         try:
             background = assemble_flux(pc, FluxAnsatz(c=coupling, **pieces))
-        except (AnsatzError, ChartError, DegreeError) as exc:
+        except ValueError as exc:
             raise ManifestError(f"background {name!r}: {exc}") from exc
         backgrounds.append(BackgroundSpec(name, background, checks, case, theorem, eval_points))
 

@@ -23,15 +23,23 @@ statements (one per flux shape) and re-run the full field equations when
 the hypotheses hold, reporting whether the implication is reproduced on
 that instance.  A shape's hypotheses are the condition system of its
 special case (alpha 1, beta_nu 2, varpi_epsilon 4, theta 5, alpha_beta_nu
-6: the closure and co-closure conditions and case 6's coupled chain) plus
-the shape's own nullity, norm, Ricci and orthogonality conditions, and for
-alpha_beta_nu a nonzero coupling.
+6: the closure and co-closure conditions and case 6's coupled chain), the
+nullity of its fiber pieces, and the HH and VV blocks of the Einstein split
+at f = 1, read over TYPES with an absent factor taken as the unit 0-form:
+
+    Ric_g  = 1/6 sum_t |t|^2 (|b|^2 g  - 3 C_b)
+    Ric_gt = 1/6 sum_t |b|^2 (|t|^2 gt - 3 C_t)
+
+For null fiber pieces these say the base is Ricci-flat and
+Ric_gt = -1/2 sum_t |b|^2 C_t, of which the paper's normalized statements
+(|nu|^2 = -1, |epsilon|^2 = -2) are instances.  alpha_beta_nu adds a
+nonzero coupling and the orthogonality of alpha_t and beta_t, theta a
+constant |theta|^2.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from .cases import CASE_SHAPES, check_special_case
 from .curvature import laplace_beltrami, ricci
@@ -47,6 +55,7 @@ from .exterior import (
     wedge,
 )
 from .fieldeqs import (
+    FIBER_PIECES,
     TYPES,
     Background,
     FluxAnsatz,
@@ -54,10 +63,10 @@ from .fieldeqs import (
     check_closedness,
     check_einstein,
     check_maxwell,
+    _factor_ricci_identities,
 )
 from .metric import (
     ChartMetric,
-    contraction_matrix,
     hodge_star,
     inner_product_forms,
     make_metric,
@@ -66,8 +75,6 @@ from .metric import (
 from .polyring import Polynomial
 from .product import build_product
 from .report import CheckResult
-
-Matrix = Tuple[Tuple[Polynomial, ...], ...]
 
 P0 = Polynomial.zero()
 P1 = Polynomial.constant(1)
@@ -276,30 +283,15 @@ class TheoremReport(Frozen):
         return self.equations is not None and all(r.passed for r in self.equations)
 
 
-def _ricci_identity(m: ChartMetric, *sources: Tuple[object, Matrix]) -> Matrix:
-    """Ric_m minus the sum of coefficient * matrix over the sources."""
-    ric = ricci(m)
-    return tuple(
-        tuple(ric[i][j] - sum((c * s[i][j] for c, s in sources), P0) for j in range(m.dim))
-        for i in range(m.dim)
-    )
-
-
-def _theta_identities(g: ChartMetric, gt: ChartMetric, theta: DifferentialForm):
-    """(|theta|^2, base identity, fiber identity) for a base-only flux theta:
-
-        Ric_g  = 1/6 |theta|^2 g - 1/2 <i_a theta, i_b theta>
-        Ric_gt = 1/6 |theta|^2 gt
-    """
-    theta_norm = norm_sq(g, theta)
-    sixth = theta_norm * Fraction(1, 6)
-    base = _ricci_identity(g, (sixth, g.g), (Fraction(-1, 2), contraction_matrix(g, theta)))
-    return theta_norm, base, _ricci_identity(gt, (sixth, gt.g))
+# the paper's normalization of the base piece, of which fiber_ricci_identity is the covariant form
+_NORMALIZATIONS = {"beta_nu": ("nu", "beta_t", "-1"), "varpi_epsilon": ("epsilon", "varpi_t", "-2")}
 
 
 def check_theorem_conditions(bg: Background, shape: str) -> TheoremReport:
     """The shape's hypotheses: the closure and co-closure conditions of its
-    special case, then its own nullity, norm, Ricci and orthogonality ones."""
+    special case, the nullity of its fiber pieces and the two factor Ricci
+    identities read over TYPES, plus alpha_beta_nu's nonzero coupling and
+    orthogonality and theta's constant norm."""
     if shape not in THEOREM_SHAPES:
         raise ValueError(f"unknown theorem shape {shape!r}; pick one of {THEOREM_SHAPES}")
     a = bg.ansatz
@@ -319,56 +311,31 @@ def check_theorem_conditions(bg: Background, shape: str) -> TheoremReport:
     hyp = CheckResult(f"theorem_{shape}_hypotheses")
     hyp.residuals.update(conditions.residuals)
     hyp.notes.extend(conditions.notes)
-    if shape != "theta":
-        hyp.residuals["base_ricci_flat"] = ricci(g)
-
-    if shape == "alpha":
-        hyp.residuals["alpha_null"] = norm_sq(gt, a.alpha_t)
-        hyp.residuals["fiber_ricci_identity"] = _ricci_identity(
-            gt, (Fraction(-1, 2), contraction_matrix(gt, a.alpha_t))
-        )
-
-    elif shape == "beta_nu":
-        hyp.residuals["nu_unit_length"] = norm_sq(g, a.nu) + P1
-        hyp.residuals["beta_null"] = norm_sq(gt, a.beta_t)
-        hyp.residuals["fiber_ricci_identity"] = _ricci_identity(
-            gt, (Fraction(1, 2), contraction_matrix(gt, a.beta_t))
-        )
-
-    elif shape == "varpi_epsilon":
-        hyp.residuals["epsilon_norm_plus_two"] = norm_sq(g, a.epsilon) + Polynomial.constant(2)
-        hyp.residuals["varpi_null"] = norm_sq(gt, a.varpi_t)
-        hyp.residuals["fiber_ricci_identity"] = _ricci_identity(
-            gt, (1, contraction_matrix(gt, a.varpi_t))
-        )
-
-    elif shape == "alpha_beta_nu":
-        if "costar_chain" not in conditions.residuals:  # case 6's degenerate branch
-            hyp.residuals["coupling_must_be_nonzero"] = P1
-        hyp.residuals["alpha_null"] = norm_sq(gt, a.alpha_t)
-        hyp.residuals["beta_null"] = norm_sq(gt, a.beta_t)
-        hyp.residuals["fiber_ricci_identity"] = _ricci_identity(
-            gt,
-            (Fraction(-1, 2), contraction_matrix(gt, a.alpha_t)),
-            (norm_sq(g, a.nu) * Fraction(-1, 2), contraction_matrix(gt, a.beta_t)),
-        )
-        n = gt.dim
-        vectors = [VectorField.coordinate(gt.chart, c) for c in gt.chart.coordinates]
-        orth = {
-            f"i_{gt.chart.coordinates[i]}": inner_product_forms(
-                gt, interior_product(vectors[i], a.alpha_t), a.beta_t
-            )
-            for i in range(n)
-        }
-        hyp.residuals["alpha_beta_orthogonality"] = orth
-
-    elif shape == "theta":
-        theta_norm, base_identity, fiber_einstein = _theta_identities(g, gt, a.theta)
+    if shape == "alpha_beta_nu" and "costar_chain" not in conditions.residuals:
+        hyp.residuals["coupling_must_be_nonzero"] = P1  # case 6's degenerate branch
+    for t in FIBER_PIECES:
+        if a.piece(t) is not None:
+            hyp.residuals[f"{t[:-2]}_null"] = norm_sq(gt, a.piece(t))
+    if shape == "theta":
         hyp.residuals["theta_norm_constant"] = ext_d(
-            DifferentialForm.function(g.chart, theta_norm)
+            DifferentialForm.function(g.chart, norm_sq(g, a.theta))
         )
-        hyp.residuals["base_ricci_identity"] = base_identity
-        hyp.residuals["fiber_einstein"] = fiber_einstein
+    hyp.residuals["base_ricci_identity"], hyp.residuals["fiber_ricci_identity"] = (
+        _factor_ricci_identities(pc, a)
+    )
+    if shape == "alpha_beta_nu":
+        hyp.residuals["alpha_beta_orthogonality"] = {
+            f"i_{c}": inner_product_forms(
+                gt, interior_product(VectorField.coordinate(gt.chart, c), a.alpha_t), a.beta_t
+            )
+            for c in gt.chart.coordinates
+        }
+    if shape in _NORMALIZATIONS:
+        b, t, value = _NORMALIZATIONS[shape]
+        hyp.notes.append(
+            f"with {t} null, fiber_ricci_identity is Ric_gt = -1/2 |{b}|^2 <i {t}, i {t}>, "
+            f"the covariant form of the normalization |{b}|^2 = {value}"
+        )
 
     equations = None
     if hyp.passed:
@@ -401,14 +368,10 @@ def check_base_flux_via_one_form(
     )
     equivalence_ok = eta_side == theta_side
 
-    theta_norm, base_identity, fiber_einstein = _theta_identities(base, fiber, theta)
-
     pc = build_product(base, fiber, 1)
-    bg = (
-        assemble_flux(pc, FluxAnsatz(theta=theta))
-        if not theta.is_zero()
-        else None
-    )
+    ansatz = FluxAnsatz(theta=theta)
+    base_identity, fiber_einstein = _factor_ricci_identities(pc, ansatz)
+    bg = assemble_flux(pc, ansatz) if not theta.is_zero() else None
     full = None
     if bg is not None:
         full = [check_closedness(bg), check_maxwell(bg), check_einstein(bg)]
@@ -421,5 +384,5 @@ def check_base_flux_via_one_form(
         "background": bg,
         "full_equations": full,
         "theta": theta,
-        "theta_norm": theta_norm,
+        "theta_norm": norm_sq(base, theta),
     }

@@ -17,6 +17,7 @@ from sugra11.cli import (
     main,
     run,
 )
+from sugra11.fieldeqs import flux_norm_sq
 from sugra11.manifest import ManifestError, parse_manifest, parse_manifest_dict
 from sugra11.polyring import format_rational
 
@@ -102,14 +103,13 @@ def test_exit_codes_through_main(capsys):
     capsys.readouterr()
 
 
-def test_norms_split_and_theorem_checks_through_runner():
+def test_split_and_theorem_checks_through_runner():
     doc = json.loads((MANIFESTS / "solution1.json").read_text())
-    doc["backgrounds"][0]["checks"] = ["norms", "split", "theorem"]
+    doc["backgrounds"][0]["checks"] = ["split", "theorem"]
     doc["backgrounds"][0]["theorem"] = "alpha"
     reports, code = run(parse_manifest_dict(doc))
     assert code == EXIT_PASS
     names = [result.name for result in reports[0].results]
-    assert "norms" in names
     assert "einstein_blocks" in names
     assert "theorem_alpha_hypotheses" in names
     # the theorem path re-runs the three equations once hypotheses hold
@@ -316,6 +316,16 @@ def _exponent_notation_eval_point(doc):
     return "background 'solution1' eval point: bad rational"
 
 
+def _metric_exponent_overflow(doc):
+    doc["metrics"][0]["lower_triangular"][1][0] = "y1^1073741824"
+    return "metric 'g_base': exponent of y1 reaches"
+
+
+def _metric_exponent_at_the_limit(doc):
+    doc["metrics"][0]["lower_triangular"][1][0] = "y1^2147483647"
+    return "metric 'g_base': exponent of y1 reaches"
+
+
 def _long_coefficient(doc):
     doc["forms"][0]["terms"][0]["coeff"] = "1" * 5000
     return "form 'du_theta' term 0: bad polynomial"
@@ -347,6 +357,8 @@ def _long_coefficient(doc):
         _exponent_notation_coupling,
         _exponent_notation_eval_point,
         _long_coefficient,
+        _metric_exponent_overflow,
+        _metric_exponent_at_the_limit,
     ],
 )
 def test_bad_manifest_entry_exits_2_with_one_line(tmp_path, capsys, corrupt):
@@ -364,15 +376,15 @@ def test_bad_manifest_entry_exits_2_with_one_line(tmp_path, capsys, corrupt):
 
 @pytest.mark.parametrize(
     "warping, checks",
-    [("2", ["closedness", "einstein", "norms", "split"]),
-     ("1", ["closedness", "maxwell", "einstein", "norms", "split"])],
+    [("2", ["closedness", "einstein", "split"]),
+     ("1", ["closedness", "maxwell", "einstein", "split"])],
 )
 def test_negative_warp_on_an_odd_fiber_reports_as_its_absolute_value(tmp_path, capsys, warping, checks):
     # solution1 with base and fiber swapped: a 6-dimensional base, a 5-dimensional fiber
     doc = json.loads((MANIFESTS / "solution1.json").read_text())
     doc["products"][0].update(base="g_walker", fiber="g_base")
     doc["backgrounds"][0].update(flux={"theta": "du_theta"}, checks=checks)
-    outputs = []
+    outputs, norms = [], []
     for f in (warping, "-" + warping):
         doc["products"][0]["warping"] = f
         path = tmp_path / f"warp{f}.json"
@@ -381,7 +393,9 @@ def test_negative_warp_on_an_odd_fiber_reports_as_its_absolute_value(tmp_path, c
         captured = capsys.readouterr()
         assert captured.err == ""
         outputs.append(captured.out)
+        norms.append(flux_norm_sq(parse_manifest(path).backgrounds[0].background))
     assert outputs[0] == outputs[1]
+    assert norms[0] == norms[1]
     assert outputs[1].count(": PASS\n") == len(checks)
     assert "summary: 1 passed, 0 failed, 0 errored\n" in outputs[1]
 

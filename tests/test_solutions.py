@@ -15,6 +15,8 @@ from sugra11.fieldeqs import check_closedness, check_einstein, check_maxwell
 from sugra11.metric import make_metric
 from sugra11.polyring import Polynomial
 from sugra11.solutions import (
+    _build_family,
+    append_line_factor,
     build_alpha_background,
     build_alpha_beta_nu_background,
     build_beta_nu_background,
@@ -74,6 +76,11 @@ def family_builds():
     yield "alpha_beta_nu corrected", build_alpha_beta_nu_background(
         rho, mono(c, ("x1", "x3", "x4"), x1) + mono(c, ("x2", "x3", "x4"), -x2), quartic,
         base=base, nu=DifferentialForm.coordinate_differential(base.chart, "y1"))
+    # nu = 2 dt, so |nu|^2 = -4, with H to match; the beta_nu builder fixes nu = dt
+    line_base = append_line_factor(p4)
+    yield "beta_nu rescaled", _build_family(
+        "beta_nu", rho, quadratic_H(1), line_base, {"beta_t": kaehler},
+        {"nu": DifferentialForm.coordinate_differential(line_base.chart, "t") * 2})
 
 
 def test_family_conditions_hold_exactly_when_the_field_equations_do():
@@ -85,10 +92,23 @@ def test_family_conditions_hold_exactly_when_the_field_equations_do():
         assert build.conditions.passed == solves, (label, build.conditions.nonzero_entries())
         verdicts[label] = solves
     assert [label for label, solves in verdicts.items() if solves] == [
-        "alpha", "beta_nu", "varpi_epsilon", "varpi_epsilon doubled", "alpha_beta_nu corrected"]
+        "alpha", "beta_nu", "varpi_epsilon", "varpi_epsilon doubled", "alpha_beta_nu corrected",
+        "beta_nu rescaled"]
 
 
 # -- theorem checkers ---------------------------------------------------------------
+
+def test_theorem_hypotheses_hold_exactly_when_the_field_equations_do():
+    for label, build in family_builds():
+        bg = build.background
+        # "alpha_beta_nu corrected" has omega2 = 0, so its flux has the alpha shape
+        shape = "alpha" if bg.ansatz.present() == ("alpha_t",) else label.split()[0]
+        report = check_theorem_conditions(bg, shape)
+        solves = all(check(bg).passed
+                     for check in (check_closedness, check_maxwell, check_einstein))
+        assert report.hypotheses.passed == solves, (label, report.hypotheses.nonzero_entries())
+        assert report.reproduced, label
+
 
 def test_theorem_alpha_reproduced_on_walker_family():
     build = build_alpha_background(
