@@ -17,9 +17,8 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .cases import CaseShapeError, check_special_case
-from .fieldeqs import check_closedness, check_einstein, check_maxwell, split_einstein
-from .manifest import BackgroundSpec, Manifest, ManifestError, parse_manifest, rational
+from .cases import CaseShapeError
+from .manifest import CHECKS, BackgroundSpec, Manifest, ManifestError, parse_manifest, rational
 from .metric import CONVENTION_NOTES
 from .polyring import format_rational
 from .report import VerificationReport, residual_entries
@@ -41,29 +40,9 @@ def run_background(
     A case that does not fit the flux is reported by its message alone.
     """
     report = VerificationReport(background=spec.name)
-    report.convention_notes.extend(CONVENTION_NOTES)
-    bg = spec.background
     try:
         for check in spec.checks:
-            if check == "closedness":
-                report.results.append(check_closedness(bg))
-            elif check == "maxwell":
-                report.results.append(check_maxwell(bg))
-            elif check == "einstein":
-                report.results.append(check_einstein(bg))
-            elif check == "split":
-                report.results.append(split_einstein(bg))
-            elif check == "case":
-                report.results.append(check_special_case(bg, spec.case, c=coupling))
-            elif check == "theorem":
-                from .solutions import check_theorem_conditions  # only this check needs it
-
-                t_report = check_theorem_conditions(bg, spec.theorem)
-                report.results.append(t_report.hypotheses)
-                if t_report.equations is not None:
-                    report.results.extend(t_report.equations)
-                if not t_report.reproduced:
-                    report.error = "hypotheses hold but the field equations fail"
+            CHECKS[check][1](report, spec, coupling)
         if report.error is None:
             for point in spec.eval_points:
                 values = evaluate_report_at_points(report, point)

@@ -31,10 +31,8 @@ from fractions import Fraction
 from typing import Dict, Tuple
 
 from .exterior import DifferentialForm, Frozen, VectorField, exterior_derivative
-from .metric import ChartMetric, sharp
+from .metric import ChartMetric, Matrix, sharp
 from .polyring import Polynomial, sum_of_products
-
-Matrix = Tuple[Tuple[Polynomial, ...], ...]
 
 
 class CurvatureData(Frozen):

@@ -72,6 +72,7 @@ from .exterior import (
 )
 from .metric import (
     ChartMetric,
+    Matrix,
     contraction_matrix,
     hodge_star,
     inner_product_forms,
@@ -80,8 +81,6 @@ from .metric import (
 from .polyring import Polynomial
 from .product import ProductChart
 from .report import CheckResult, EngineInconsistency
-
-Matrix = Tuple[Tuple[Polynomial, ...], ...]
 
 # (fiber piece, base piece, fiber degree q); None marks an absent factor
 TYPES = (
@@ -332,12 +331,11 @@ def check_maxwell(bg: Background) -> CheckResult:
     _audit("star F block law failed", star_f_direct, star_flux_block(bg))
     _audit("1/2 F^F block law failed", half_ff_direct, half_flux_wedge_flux_block(bg))
     typed = typed_gauge_system(bg)
-    recombined = DifferentialForm.zero(pc.chart, 8)
-    for k, t in sorted(typed.items()):
+    zero = DifferentialForm.zero(pc.chart, 8)
+    # every fiber degree, so the audited projections sum to the whole residual
+    for k in sorted(typed.keys() | set(range(9))):
         _audit(f"typed gauge block type_{k}_{8 - k} does not match the projection",
-               type_project(pc, residual, k), t)
-        recombined = recombined + t
-    _audit("typed gauge system does not recombine to the residual", residual, recombined)
+               type_project(pc, residual, k), typed.get(k, zero))
     return result
 
 

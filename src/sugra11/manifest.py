@@ -4,10 +4,10 @@ A manifest is a JSON document declaring charts, metrics (dense
 lower-triangular polynomial strings with a mandatory signature), forms
 (component terms indexed by coordinate names), warped products, and
 backgrounds (a product reference, a flux ansatz of form references, and
-the list of checks to run).  Every polynomial is a string in the exact
-rational grammar; nothing in the pipeline is floating point.  The
-parser keeps only what the CLI runs: the resolved backgrounds and the
-report format.
+the checks to run, keys of ``CHECKS``, the table that also runs them).
+Every polynomial is a string in the exact rational grammar; nothing in
+the pipeline is floating point.  The parser keeps only what the CLI
+runs: the resolved backgrounds and the report format.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List
 
+from . import cases, fieldeqs
 from .exterior import Chart, ChartError, DegreeError, DifferentialForm, Frozen
 from .fieldeqs import BASE_PIECES, FIBER_PIECES, FluxAnsatz, assemble_flux
 from .metric import ChartMetric, make_metric
@@ -29,7 +30,6 @@ from .polyring import (
 )
 from .product import ProductChart, build_product
 
-KNOWN_CHECKS = ("closedness", "maxwell", "einstein", "split", "case", "theorem")
 FLUX_KEYS = FIBER_PIECES + BASE_PIECES
 
 
@@ -47,6 +47,30 @@ class Manifest(Frozen):
     """Manifest(backgrounds, report_format): the resolved backgrounds in order."""
 
     __slots__ = ("backgrounds", "report_format")
+
+
+def _run_theorem(report, spec: BackgroundSpec, coupling) -> None:
+    from .solutions import check_theorem_conditions  # only this check needs it
+
+    t_report = check_theorem_conditions(spec.background, spec.theorem)
+    report.results.append(t_report.hypotheses)
+    report.results.extend(t_report.equations or ())
+    if not t_report.reproduced:
+        report.error = "hypotheses hold but the field equations fail"
+
+
+# check name -> (what the background entry of that name must hold, or None; a runner
+# (report, spec, coupling) that adds the check's results to report).  A runner looks its
+# check up at call time, so a wrapper bound to the module attribute sees every call.
+CHECKS = {
+    "closedness": (None, lambda r, s, c: r.results.append(fieldeqs.check_closedness(s.background))),
+    "maxwell": (None, lambda r, s, c: r.results.append(fieldeqs.check_maxwell(s.background))),
+    "einstein": (None, lambda r, s, c: r.results.append(fieldeqs.check_einstein(s.background))),
+    "split": (None, lambda r, s, c: r.results.append(fieldeqs.split_einstein(s.background))),
+    "case": ("number",
+             lambda r, s, c: r.results.append(cases.check_special_case(s.background, s.case, c=c))),
+    "theorem": ("shape", _run_theorem),
+}
 
 
 def _poly(text, where: str) -> Polynomial:
@@ -249,13 +273,14 @@ def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
         theorem = entry.get("theorem")
         if theorem is not None:
             _expect(theorem, str, f"background {name!r}: theorem")
-        for check in checks:
-            if check not in KNOWN_CHECKS:
+        for i, check in enumerate(checks):
+            if check not in CHECKS:
                 raise ManifestError(f"background {name!r}: unknown check {check!r}")
-        if "case" in checks and case is None:
-            raise ManifestError(f"background {name!r}: check 'case' needs a 'case' number")
-        if "theorem" in checks and not theorem:
-            raise ManifestError(f"background {name!r}: check 'theorem' needs a 'theorem' shape")
+            if check in checks[:i]:
+                raise ManifestError(f"background {name!r}: check {check!r} is listed twice")
+        for check, (needs, _) in CHECKS.items():
+            if needs and check in checks and entry.get(check) in (None, ""):
+                raise ManifestError(f"background {name!r}: check {check!r} needs a {check!r} {needs}")
         eval_points = []
         where = f"background {name!r}: eval_points"
         for i, pt in enumerate(_expect(entry.get("eval_points", []), list, where)):

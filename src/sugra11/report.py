@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Tuple
 
 from .exterior import DifferentialForm
+from .metric import CONVENTION_NOTES
 from .polyring import Polynomial
 
 
@@ -78,14 +79,13 @@ class CheckResult:
 
 
 class VerificationReport:
-    """All check results for one background, plus convention notes."""
+    """All check results for one background; its JSON form adds the convention notes."""
 
-    __slots__ = ("background", "results", "convention_notes", "evaluations", "error", "point_values")
+    __slots__ = ("background", "results", "evaluations", "error", "point_values")
 
     def __init__(self, background: str):
         self.background = background
         self.results: List[CheckResult] = []
-        self.convention_notes: List[str] = []
         self.evaluations: List[dict] = []
         self.error: str | None = None
         # residual values at the CLI's --eval point; None when there is none or on error
@@ -102,5 +102,5 @@ class VerificationReport:
             "error": self.error,
             "checks": [r.to_dict() for r in self.results],
             "evaluations": list(self.evaluations),
-            "convention_notes": list(self.convention_notes),
+            "convention_notes": list(CONVENTION_NOTES),
         }

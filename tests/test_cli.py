@@ -16,10 +16,11 @@ from sugra11.cli import (
     evaluate_report_at_points,
     main,
     run,
+    run_background,
 )
 from sugra11.fieldeqs import flux_norm_sq
 from sugra11.manifest import ManifestError, parse_manifest, parse_manifest_dict
-from sugra11.polyring import format_rational
+from sugra11.polyring import Polynomial, format_rational
 
 from test_polyring import from_decimal
 
@@ -256,6 +257,11 @@ def _string_coordinates(doc):
     return "chart 'base5': coordinates"
 
 
+def _repeated_check(doc):
+    doc["backgrounds"][0]["checks"] = ["einstein", "maxwell", "einstein"]
+    return "background 'solution1': check 'einstein' is listed twice"
+
+
 def _string_case(doc):
     doc["backgrounds"][0]["case"] = "6"
     return "background 'solution1': case"
@@ -343,6 +349,7 @@ def _long_coefficient(doc):
         _repeated_index,
         _scalar_term,
         _string_checks,
+        _repeated_check,
         _string_coordinates,
         _string_case,
         _zero_denominator,
@@ -374,30 +381,45 @@ def test_bad_manifest_entry_exits_2_with_one_line(tmp_path, capsys, corrupt):
     assert captured.err.startswith(f"error: {entry}") and captured.err.count("\n") == 1
 
 
+NULL_THETA = ["u", "x2", "x3", "x4"]  # the flux of solution1, null: |F|^2 = 0
+UNIT_THETA = ["x1", "x2", "x3", "x4"]  # |F|^2 = 1, so a sign of f reaching the norm would show
+ALL_FOUR = ["closedness", "maxwell", "einstein", "split"]
+
+
 @pytest.mark.parametrize(
-    "warping, checks",
-    [("2", ["closedness", "einstein", "split"]),
-     ("1", ["closedness", "maxwell", "einstein", "split"])],
+    "warping, checks, theta, code",
+    [pytest.param("2", ["closedness", "einstein", "split"], NULL_THETA, EXIT_PASS, id="2-checks0"),
+     pytest.param("1", ALL_FOUR, NULL_THETA, EXIT_PASS, id="1-checks1"),
+     pytest.param("2", ALL_FOUR, UNIT_THETA, EXIT_FAIL, id="2-unit-theta"),
+     pytest.param("1", ALL_FOUR, UNIT_THETA, EXIT_FAIL, id="1-unit-theta")],
 )
-def test_negative_warp_on_an_odd_fiber_reports_as_its_absolute_value(tmp_path, capsys, warping, checks):
+def test_negative_warp_on_an_odd_fiber_reports_as_its_absolute_value(
+    tmp_path, capsys, warping, checks, theta, code
+):
     # solution1 with base and fiber swapped: a 6-dimensional base, a 5-dimensional fiber
     doc = json.loads((MANIFESTS / "solution1.json").read_text())
     doc["products"][0].update(base="g_walker", fiber="g_base")
+    doc["forms"][0]["terms"][0]["indices"] = theta
     doc["backgrounds"][0].update(flux={"theta": "du_theta"}, checks=checks)
     outputs, norms = [], []
     for f in (warping, "-" + warping):
         doc["products"][0]["warping"] = f
         path = tmp_path / f"warp{f}.json"
         path.write_text(json.dumps(doc))
-        assert main(["--manifest", str(path)]) == EXIT_PASS
+        assert main(["--manifest", str(path)]) == code
         captured = capsys.readouterr()
         assert captured.err == ""
         outputs.append(captured.out)
         norms.append(flux_norm_sq(parse_manifest(path).backgrounds[0].background))
     assert outputs[0] == outputs[1]
     assert norms[0] == norms[1]
-    assert outputs[1].count(": PASS\n") == len(checks)
-    assert "summary: 1 passed, 0 failed, 0 errored\n" in outputs[1]
+    if code == EXIT_PASS:
+        assert outputs[1].count(": PASS\n") == len(checks)
+        assert "summary: 1 passed, 0 failed, 0 errored\n" in outputs[1]
+    else:  # the same FAIL report, residual by residual, for f and -f
+        assert norms[1] == (Polynomial.constant(1),) * 2
+        assert "  einstein: FAIL\n" in outputs[1] and "  einstein_blocks: FAIL\n" in outputs[1]
+        assert "summary: 0 passed, 1 failed, 0 errored\n" in outputs[1]
 
 
 @pytest.mark.parametrize(
@@ -529,6 +551,58 @@ def test_residual_past_the_int_digit_limit_is_printed_in_full(tmp_path, capsys):
     assert printed == {"residual": residual.constant_value(), "eval": residual.constant_value()}
 
 
+CHECK_FUNCTIONS = {
+    "fieldeqs": ("check_closedness", "check_maxwell", "check_einstein", "split_einstein"),
+    "cases": ("check_special_case",),
+    "solutions": ("check_theorem_conditions",),
+}
+
+
+def test_every_check_reaches_a_wrapper_bound_to_its_module_attributes(monkeypatch):
+    # perfbench/tracer.py wraps each check by rebinding every sugra11 module attribute
+    # that holds it; a runner holding the function object itself would bypass the wrapper
+    import sugra11.solutions  # noqa: F401 - loaded before the rebinding, as under the tracer
+
+    originals = {
+        name: getattr(sys.modules[f"sugra11.{module}"], name)
+        for module, names in CHECK_FUNCTIONS.items()
+        for name in names
+    }
+    calls = dict.fromkeys(originals, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    by_id = {id(fn): (fn, counting(name, fn)) for name, fn in originals.items()}
+    for module_name, module in list(sys.modules.items()):
+        if module is None or not (module_name == "sugra11" or module_name.startswith("sugra11.")):
+            continue
+        for attr, value in list(vars(module).items()):
+            hit = by_id.get(id(value))
+            if hit is not None and hit[0] is value:
+                monkeypatch.setattr(module, attr, hit[1])
+
+    doc = json.loads((MANIFESTS / "solution1.json").read_text())
+    doc["backgrounds"][0].update(case=1, theorem="alpha")
+
+    def count_calls(checks):
+        calls.update(dict.fromkeys(calls, 0))
+        doc["backgrounds"][0]["checks"] = checks
+        report = run_background(parse_manifest_dict(doc).backgrounds[0])
+        assert report.passed, report.error
+        return dict(calls)
+
+    every_check = count_calls(["closedness", "maxwell", "einstein", "split", "case", "theorem"])
+    # the theorem check runs some of the others itself; each check must add its own call
+    theorem_alone = count_calls(["theorem"])
+    assert every_check["check_theorem_conditions"] == 1
+    assert all(every_check[name] > theorem_alone[name] for name in originals
+               if name != "check_theorem_conditions"), (every_check, theorem_alone)
+
+
 IMPORT_PROBE = """
 import json, sys
 bare = set(sys.modules)
@@ -552,7 +626,7 @@ def test_a_request_imports_only_what_it_runs():
     imported = set(out["imported"])
     assert "sugra11.cli" in imported
     assert "dataclasses" not in imported
-    assert "sugra11.solutions" not in imported  # the theorem branch imports it
+    assert "sugra11.solutions" not in imported  # the theorem runner imports it
     # perfbench/tracer.py finds sugra11.cases.check_special_case in sys.modules
     # when it installs, before any request runs: cases stays an eager import
     assert "sugra11.cases" in imported

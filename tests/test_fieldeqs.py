@@ -552,6 +552,18 @@ def test_flux_term_missing_from_the_ansatz_trips_the_block_laws():
         check_maxwell(tampered)
 
 
+def test_a_typed_gauge_degree_left_out_trips_the_maxwell_audit(monkeypatch):
+    # a non-solution: every fiber degree of d star F - 1/2 F^F that occurs is nonzero
+    bg = full_ansatz_background(monomial=False, seed=3)
+    original = fieldeqs.typed_gauge_system
+    for k, term in original(bg).items():
+        assert not term.is_zero()
+        monkeypatch.setattr(fieldeqs, "typed_gauge_system",
+                            lambda b, k=k: {j: t for j, t in original(b).items() if j != k})
+        with pytest.raises(EngineInconsistency):
+            check_maxwell(bg)
+
+
 def test_einstein_then_split_builds_the_direct_matrix_once(monkeypatch):
     def literal_background():
         rho = rho_flat()
