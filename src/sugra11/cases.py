@@ -94,8 +94,8 @@ def proportionality_to_volume(m: ChartMetric, top_form: DifferentialForm):
     return c, top_form - volume_form(m) * c
 
 
-def check_special_case(bg: Background, case: int, c: Optional[Fraction] = None) -> CheckResult:
-    """Evaluate the named condition system for one of the nine flux shapes."""
+def check_special_case(bg: Background, case: int) -> CheckResult:
+    """The condition system of one of the nine flux shapes; case 3 reads c off bg.ansatz."""
     if case not in CASE_SHAPES:
         raise CaseShapeError(f"unknown case {case}")
     _require_shape(bg.ansatz, case)
@@ -133,7 +133,7 @@ def check_special_case(bg: Background, case: int, c: Optional[Fraction] = None) 
                 label, value = _d_star(bg.product, name, form)
                 result.residuals[label] = value
     if system in _COUPLED:
-        _COUPLED[system](bg, result, c if c is not None else bg.ansatz.c)
+        _COUPLED[system](bg, result)
     return result
 
 
@@ -163,8 +163,8 @@ def _nu_must_vanish(bg: Background, result: CheckResult) -> None:
     )
 
 
-def _case3(bg: Background, result: CheckResult, c: Fraction) -> None:
-    pc, a = bg.product, bg.ansatz
+def _case3(bg: Background, result: CheckResult) -> None:
+    pc, a, c = bg.product, bg.ansatz, bg.ansatz.c
     # closedness also needs gamma_t ^ d delta = 0
     result.residuals["gamma_t_wedge_d_delta"] = wedge(
         pc.lift(a.gamma_t), pc.lift(ext_d(a.delta))
@@ -191,7 +191,7 @@ def _case3(bg: Background, result: CheckResult, c: Fraction) -> None:
         )
 
 
-def _case6(bg: Background, result: CheckResult, c: Fraction) -> None:
+def _case6(bg: Background, result: CheckResult) -> None:
     pc, a = bg.product, bg.ansatz
     ratio, rest = proportionality_to_volume(pc.base, _d_star(pc, "nu", a.nu)[1])
     result.residuals["d_star_nu_proportional_to_vol"] = rest
@@ -212,7 +212,7 @@ def _case6(bg: Background, result: CheckResult, c: Fraction) -> None:
         result.notes.append(_degenerate_note("nu", rest, "the 4-form piece"))
 
 
-def _case7(bg: Background, result: CheckResult, c: Fraction) -> None:
+def _case7(bg: Background, result: CheckResult) -> None:
     pc, a = bg.product, bg.ansatz
     ratio, rest = proportionality_to_volume(pc.fiber, _d_star(pc, "varpi_t", a.varpi_t)[1])
     result.residuals["d_star_varpi_proportional_to_vol"] = rest

@@ -29,9 +29,7 @@ EXIT_ERROR = 2
 
 
 def run_background(
-    spec: BackgroundSpec,
-    coupling: Optional[Fraction] = None,
-    eval_point: Optional[Dict[str, Fraction]] = None,
+    spec: BackgroundSpec, eval_point: Optional[Dict[str, Fraction]] = None
 ) -> VerificationReport:
     """Run spec's checks, then its eval_points and the CLI's eval_point.
 
@@ -42,7 +40,7 @@ def run_background(
     report = VerificationReport(background=spec.name)
     try:
         for check in spec.checks:
-            CHECKS[check][1](report, spec, coupling)
+            CHECKS[check][1](report, spec)
         if report.error is None:
             for point in spec.eval_points:
                 values = evaluate_report_at_points(report, point)
@@ -61,11 +59,11 @@ def run_background(
 def run(
     manifest: Manifest,
     only: Optional[str] = None,
-    coupling: Optional[Fraction] = None,
     eval_point: Optional[Dict[str, Fraction]] = None,
 ):
     """Verify each background in manifest order; returns (reports, exit code).
 
+    Each background carries its coupling constant, ``--set c=`` included.
     Backgrounds run one after another: the work is pure Python under the
     interpreter lock, so threads would not overlap it, and backgrounds
     share metrics whose curvature caches fill lazily.
@@ -75,7 +73,7 @@ def run(
         specs = [s for s in specs if s.name == only]
         if not specs:
             raise ManifestError(f"no background named {only!r} in the manifest")
-    reports = [run_background(spec, coupling, eval_point) for spec in specs]
+    reports = [run_background(spec, eval_point) for spec in specs]
     if any(r.error for r in reports):
         code = EXIT_ERROR
     elif all(r.passed for r in reports):
@@ -190,10 +188,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        manifest = parse_manifest(args.manifest)
         coupling = _parse_set(args.set_spec) if args.set_spec else None
+        manifest = parse_manifest(args.manifest, coupling)
         eval_point = _parse_point(args.eval_spec) if args.eval_spec else None
-        reports, code = run(manifest, only=args.only, coupling=coupling, eval_point=eval_point)
+        reports, code = run(manifest, only=args.only, eval_point=eval_point)
         fmt = args.format or manifest.report_format
         text = (
             render_json(reports, with_eval=eval_point is not None)

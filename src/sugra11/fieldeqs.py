@@ -43,7 +43,8 @@ and nf-q, a 1/2 F^F term in k = q+q'.  A term whose factor form exceeds its
 chart's dimension vanishes and is skipped, and so is a type with a zero
 factor, which adds nothing to F.  The HV block takes each contraction
 through its adjoint <i_X a, b> = <a, X_flat ^ b>, so no block law calls
-interior_product.  The direct 11-dimensional side never reads the table.
+interior_product.  The direct 11-dimensional side reads the table once:
+einstein_residual_matrix takes |F|^2 from flux_norm_sq, which audits it.
 
 Closedness is the same split of dF by the Leibniz rule,
 

@@ -8,6 +8,12 @@ the checks to run, keys of ``CHECKS``, the table that also runs them).
 Every polynomial is a string in the exact rational grammar; nothing in
 the pipeline is floating point.  The parser keeps only what the CLI
 runs: the resolved backgrounds and the report format.
+
+The five sections are built in that order by one loop over ``_SECTIONS``.
+That loop alone refuses a duplicate name and turns an engine layer's
+``ValueError`` into a ``ManifestError`` naming the entry; each builder
+checks only its entry's own fields.  A coupling given to the parser (the
+CLI's ``--set c=``) replaces ``settings.c`` in every background's ansatz.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, Optional
 
 from . import cases, fieldeqs
 from .exterior import Chart, ChartError, DegreeError, DifferentialForm, Frozen
@@ -29,9 +35,6 @@ from .polyring import (
     parse_rational,
 )
 from .product import ProductChart, build_product
-
-FLUX_KEYS = FIBER_PIECES + BASE_PIECES
-
 
 class ManifestError(ValueError):
     pass
@@ -49,7 +52,7 @@ class Manifest(Frozen):
     __slots__ = ("backgrounds", "report_format")
 
 
-def _run_theorem(report, spec: BackgroundSpec, coupling) -> None:
+def _run_theorem(report, spec: BackgroundSpec) -> None:
     from .solutions import check_theorem_conditions  # only this check needs it
 
     t_report = check_theorem_conditions(spec.background, spec.theorem)
@@ -60,15 +63,14 @@ def _run_theorem(report, spec: BackgroundSpec, coupling) -> None:
 
 
 # check name -> (what the background entry of that name must hold, or None; a runner
-# (report, spec, coupling) that adds the check's results to report).  A runner looks its
+# (report, spec) that adds the check's results to report).  A runner looks its
 # check up at call time, so a wrapper bound to the module attribute sees every call.
 CHECKS = {
-    "closedness": (None, lambda r, s, c: r.results.append(fieldeqs.check_closedness(s.background))),
-    "maxwell": (None, lambda r, s, c: r.results.append(fieldeqs.check_maxwell(s.background))),
-    "einstein": (None, lambda r, s, c: r.results.append(fieldeqs.check_einstein(s.background))),
-    "split": (None, lambda r, s, c: r.results.append(fieldeqs.split_einstein(s.background))),
-    "case": ("number",
-             lambda r, s, c: r.results.append(cases.check_special_case(s.background, s.case, c=c))),
+    "closedness": (None, lambda r, s: r.results.append(fieldeqs.check_closedness(s.background))),
+    "maxwell": (None, lambda r, s: r.results.append(fieldeqs.check_maxwell(s.background))),
+    "einstein": (None, lambda r, s: r.results.append(fieldeqs.check_einstein(s.background))),
+    "split": (None, lambda r, s: r.results.append(fieldeqs.split_einstein(s.background))),
+    "case": ("number", lambda r, s: r.results.append(cases.check_special_case(s.background, s.case))),
     "theorem": ("shape", _run_theorem),
 }
 
@@ -115,16 +117,6 @@ def _strings(value, where: str) -> list:
     return value
 
 
-def _entries(raw: dict, section: str, source: str):
-    """(name, entry) for each object of a top-level list; every entry needs a name."""
-    for i, entry in enumerate(_expect(raw.get(section, []), list, f"{source}: {section}")):
-        entry = _expect(entry, dict, f"{source}: {section} entry {i}")
-        name = entry.get("name")
-        if not isinstance(name, str) or not name:
-            raise ManifestError(f"{source}: {section} entry {i} needs a string 'name'")
-        yield name, entry
-
-
 def _ref(value, table: dict, where: str):
     """The entry value names in table, else a ManifestError naming where."""
     if not isinstance(value, str) or value not in table:
@@ -142,7 +134,7 @@ def _unique_keys(pairs) -> dict:
     return obj
 
 
-def parse_manifest(path) -> Manifest:
+def parse_manifest(path, coupling: Optional[Fraction] = None) -> Manifest:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
@@ -152,10 +144,13 @@ def parse_manifest(path) -> Manifest:
         raise ManifestError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # not UTF-8, nested too deep, or an int too long
         raise ManifestError(f"{path}: cannot decode: {exc}") from exc
-    return parse_manifest_dict(raw, source=str(path))
+    return parse_manifest_dict(raw, str(path), coupling)
 
 
-def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
+def parse_manifest_dict(
+    raw: dict, source: str = "<memory>", coupling: Optional[Fraction] = None
+) -> Manifest:
+    """The manifest raw describes; coupling, when given, replaces settings.c."""
     if not isinstance(raw, dict):
         raise ManifestError(f"{source}: manifest must be a JSON object")
     schema = raw.get("schema", 1)
@@ -163,151 +158,155 @@ def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
         raise ManifestError(f"{source}: unsupported schema {schema!r}")
 
     settings = _expect(raw.get("settings", {}), dict, f"{source}: settings")
-    coupling = rational(settings.get("c", "1"), "settings.c")
-    if coupling == 0:
+    c = rational(settings.get("c", "1"), "settings.c")
+    if c == 0:
         raise ManifestError("settings.c must be nonzero")
+    coupling = c if coupling is None else coupling
     report_format = settings.get("format", "text")
     if report_format not in ("text", "json"):
         raise ManifestError(f"settings.format must be 'text' or 'json', got {report_format!r}")
 
-    charts: Dict[str, Chart] = {}
-    for name, entry in _entries(raw, "charts", source):
-        coords = _strings(entry.get("coordinates"), f"chart {name!r}: coordinates")
-        if not coords:
-            raise ManifestError(f"chart {name!r}: coordinates must not be empty")
-        if name in charts:
-            raise ManifestError(f"duplicate chart {name!r}")
-        try:
-            charts[name] = Chart(name, tuple(coords))
-        except ChartError as exc:
-            raise ManifestError(f"chart {name!r}: {exc}") from exc
-
-    metrics: Dict[str, ChartMetric] = {}
-    for name, entry in _entries(raw, "metrics", source):
-        chart = _ref(entry.get("chart"), charts, f"metric {name!r}: unresolved chart reference")
-        lower = entry.get("lower_triangular")
-        if not isinstance(lower, list) or len(lower) != chart.dim:
-            raise ManifestError(
-                f"metric {name!r}: lower_triangular must have {chart.dim} rows"
-            )
-        g = _symmetric_from_lower(lower, chart, f"metric {name!r}")
-        g_inv = None
-        if "inverse" in entry:
-            g_inv = _symmetric_from_lower(entry["inverse"], chart, f"metric {name!r} inverse")
-        signature = entry.get("signature")
-        if signature is None:
-            raise ManifestError(f"metric {name!r}: a signature declaration is mandatory")
-        if not (
-            isinstance(signature, list)
-            and len(signature) == 2
-            and all(_is_int(k) for k in signature)
-        ):
-            raise ManifestError(
-                f"metric {name!r}: signature must be a list of two integers, got {signature!r}"
-            )
-        sqrt_abs_det = entry.get("sqrt_abs_det")
-        if sqrt_abs_det is not None:
-            sqrt_abs_det = rational(sqrt_abs_det, f"metric {name!r} sqrt_abs_det")
-        if name in metrics:
-            raise ManifestError(f"duplicate metric {name!r}")
-        try:
-            metrics[name] = make_metric(chart, g, g_inv, tuple(signature), sqrt_abs_det)
-        except ValueError as exc:  # the metric and polynomial layers' errors, overflow included
-            raise ManifestError(f"metric {name!r}: {exc}") from exc
-
-    forms: Dict[str, DifferentialForm] = {}
-    for name, entry in _entries(raw, "forms", source):
-        chart = _ref(entry.get("chart"), charts, f"form {name!r}: unresolved chart reference")
-        degree = entry.get("degree")
-        if not _is_int(degree) or degree < 0:
-            raise ManifestError(f"form {name!r}: bad degree {degree!r}")
-        total = DifferentialForm.zero(chart, degree)
-        for i, term in enumerate(_expect(entry.get("terms", []), list, f"form {name!r} terms")):
-            term = _expect(term, dict, f"form {name!r} term {i}")
-            indices = _strings(term.get("indices", []), f"form {name!r} term {i} indices")
-            if len(indices) != degree:
-                raise ManifestError(
-                    f"form {name!r} term {i}: {len(indices)} indices for degree {degree}"
-                )
-            if len(set(indices)) != len(indices):
-                raise ManifestError(f"form {name!r} term {i}: repeated index in {indices!r}")
-            coeff = _poly(term.get("coeff", "1"), f"form {name!r} term {i}")
+    built: Dict[str, dict] = {}
+    for section, kind, build in _SECTIONS:
+        table = built[section] = {}
+        where = f"{source}: {section}"
+        for i, entry in enumerate(_expect(raw.get(section, []), list, where)):
+            name = _expect(entry, dict, f"{where} entry {i}").get("name")
+            if not isinstance(name, str) or not name:
+                raise ManifestError(f"{where} entry {i} needs a string 'name'")
+            if name in table:
+                raise ManifestError(f"duplicate {kind} {name!r}")
             try:
-                total = total + DifferentialForm.monomial(chart, tuple(indices), coeff)
-            except (ChartError, DegreeError) as exc:
-                raise ManifestError(f"form {name!r} term {i}: {exc}") from exc
-        if name in forms:
-            raise ManifestError(f"duplicate form {name!r}")
-        forms[name] = total
+                table[name] = build(name, entry, built, coupling)
+            except ManifestError:
+                raise
+            except ValueError as exc:  # the engine layers' errors, overflow included
+                raise ManifestError(f"{kind} {name!r}: {exc}") from exc
 
-    products: Dict[str, ProductChart] = {}
-    for name, entry in _entries(raw, "products", source):
-        base = _ref(entry.get("base"), metrics, f"product {name!r}: unresolved base metric")
-        fiber = _ref(entry.get("fiber"), metrics, f"product {name!r}: unresolved fiber metric")
-        warping = _poly(entry.get("warping", "1"), f"product {name!r} warping")
-        if name in products:
-            raise ManifestError(f"duplicate product {name!r}")
-        try:
-            products[name] = build_product(base, fiber, warping)
-        except ValueError as exc:
-            raise ManifestError(f"product {name!r}: {exc}") from exc
-
-    backgrounds: List[BackgroundSpec] = []
-    seen = set()
-    for name, entry in _entries(raw, "backgrounds", source):
-        if name in seen:
-            raise ManifestError(f"duplicate background name {name!r}")
-        seen.add(name)
-        pc = _ref(entry.get("product"), products, f"background {name!r}: unresolved product")
-        pieces = {}
-        for key, ref in _expect(entry.get("flux", {}), dict, f"background {name!r}: flux").items():
-            if key not in FLUX_KEYS:
-                raise ManifestError(f"background {name!r}: unknown flux piece {key!r}")
-            pieces[key] = _ref(ref, forms, f"background {name!r}: unresolved form")
-        checks = list(_strings(entry.get("checks", []), f"background {name!r}: checks"))
-        if not checks:
-            raise ManifestError(f"background {name!r}: at least one check is required")
-        case = entry.get("case")
-        if case is not None and not _is_int(case):
-            raise ManifestError(f"background {name!r}: case must be an integer, got {case!r}")
-        theorem = entry.get("theorem")
-        if theorem is not None:
-            _expect(theorem, str, f"background {name!r}: theorem")
-        for i, check in enumerate(checks):
-            if check not in CHECKS:
-                raise ManifestError(f"background {name!r}: unknown check {check!r}")
-            if check in checks[:i]:
-                raise ManifestError(f"background {name!r}: check {check!r} is listed twice")
-        for check, (needs, _) in CHECKS.items():
-            if needs and check in checks and entry.get(check) in (None, ""):
-                raise ManifestError(f"background {name!r}: check {check!r} needs a {check!r} {needs}")
-        eval_points = []
-        where = f"background {name!r}: eval_points"
-        for i, pt in enumerate(_expect(entry.get("eval_points", []), list, where)):
-            pt = _expect(pt, dict, f"{where} item {i}")
-            eval_points.append({k: rational(v, f"background {name!r} eval point") for k, v in pt.items()})
-        try:
-            background = assemble_flux(pc, FluxAnsatz(c=coupling, **pieces))
-        except ValueError as exc:
-            raise ManifestError(f"background {name!r}: {exc}") from exc
-        backgrounds.append(BackgroundSpec(name, background, checks, case, theorem, eval_points))
-
-    if not backgrounds:
+    if not built["backgrounds"]:
         raise ManifestError(f"{source}: manifest declares no backgrounds")
-    return Manifest(backgrounds, report_format)
+    return Manifest(list(built["backgrounds"].values()), report_format)
 
 
-def _symmetric_from_lower(lower, chart: Chart, where: str):
-    n = chart.dim
-    if len(_expect(lower, list, where)) != n:
-        raise ManifestError(f"{where}: expected {n} rows")
+# Each builder (name, entry, built, coupling) checks its entry's own fields and
+# returns what the entry declares; built holds the sections built before it.
+
+def _chart(name: str, entry: dict, built, coupling) -> Chart:
+    coords = _strings(entry.get("coordinates"), f"chart {name!r}: coordinates")
+    if not coords:
+        raise ManifestError(f"chart {name!r}: coordinates must not be empty")
+    return Chart(name, tuple(coords))
+
+
+def _metric(name: str, entry: dict, built, coupling) -> ChartMetric:
+    chart = _ref(entry.get("chart"), built["charts"], f"metric {name!r}: unresolved chart reference")
+    g = _symmetric_from_lower(entry, "lower_triangular", chart, name)
+    g_inv = _symmetric_from_lower(entry, "inverse", chart, name) if "inverse" in entry else None
+    signature = entry.get("signature")
+    if signature is None:
+        raise ManifestError(f"metric {name!r}: a signature declaration is mandatory")
+    if not (
+        isinstance(signature, list)
+        and len(signature) == 2
+        and all(_is_int(k) for k in signature)
+    ):
+        raise ManifestError(
+            f"metric {name!r}: signature must be a list of two integers, got {signature!r}"
+        )
+    sqrt_abs_det = entry.get("sqrt_abs_det")
+    if sqrt_abs_det is not None:
+        sqrt_abs_det = rational(sqrt_abs_det, f"metric {name!r} sqrt_abs_det")
+    return make_metric(chart, g, g_inv, tuple(signature), sqrt_abs_det)
+
+
+def _symmetric_from_lower(entry: dict, key: str, chart: Chart, name: str):
+    """The symmetric matrix whose lower triangle metric name lists under key."""
+    lower, n, where = entry.get(key), chart.dim, f"metric {name!r}: {key}"
+    if not isinstance(lower, list) or len(lower) != n:
+        raise ManifestError(f"{where} must have {n} rows")
     zero = Polynomial.zero()
     g = [[zero] * n for _ in range(n)]
     for i, row in enumerate(lower):
         if len(_expect(row, list, f"{where} row {i}")) != i + 1:
-            raise ManifestError(f"{where}: row {i} must have {i + 1} entries")
+            raise ManifestError(f"{where} row {i} must have {i + 1} entries")
         for j, text in enumerate(row):
             p = _poly(text, f"{where} entry ({i},{j})")
             g[i][j] = p
             g[j][i] = p
     return g
+
+
+def _form(name: str, entry: dict, built, coupling) -> DifferentialForm:
+    chart = _ref(entry.get("chart"), built["charts"], f"form {name!r}: unresolved chart reference")
+    degree = entry.get("degree")
+    if not _is_int(degree) or degree < 0:
+        raise ManifestError(f"form {name!r}: bad degree {degree!r}")
+    total = DifferentialForm.zero(chart, degree)
+    for i, term in enumerate(_expect(entry.get("terms", []), list, f"form {name!r} terms")):
+        term = _expect(term, dict, f"form {name!r} term {i}")
+        indices = _strings(term.get("indices", []), f"form {name!r} term {i} indices")
+        if len(indices) != degree:
+            raise ManifestError(
+                f"form {name!r} term {i}: {len(indices)} indices for degree {degree}"
+            )
+        if len(set(indices)) != len(indices):
+            raise ManifestError(f"form {name!r} term {i}: repeated index in {indices!r}")
+        coeff = _poly(term.get("coeff", "1"), f"form {name!r} term {i}")
+        try:
+            total = total + DifferentialForm.monomial(chart, tuple(indices), coeff)
+        except (ChartError, DegreeError) as exc:
+            raise ManifestError(f"form {name!r} term {i}: {exc}") from exc
+    return total
+
+
+def _product(name: str, entry: dict, built, coupling) -> ProductChart:
+    metrics = built["metrics"]
+    base = _ref(entry.get("base"), metrics, f"product {name!r}: unresolved base metric")
+    fiber = _ref(entry.get("fiber"), metrics, f"product {name!r}: unresolved fiber metric")
+    warping = _poly(entry.get("warping", "1"), f"product {name!r} warping")
+    return build_product(base, fiber, warping)
+
+
+def _background(name: str, entry: dict, built, coupling) -> BackgroundSpec:
+    pc = _ref(entry.get("product"), built["products"], f"background {name!r}: unresolved product")
+    pieces = {}
+    for key, ref in _expect(entry.get("flux", {}), dict, f"background {name!r}: flux").items():
+        if key not in FIBER_PIECES + BASE_PIECES:
+            raise ManifestError(f"background {name!r}: unknown flux piece {key!r}")
+        pieces[key] = _ref(ref, built["forms"], f"background {name!r}: unresolved form")
+    checks = list(_strings(entry.get("checks", []), f"background {name!r}: checks"))
+    if not checks:
+        raise ManifestError(f"background {name!r}: at least one check is required")
+    case = entry.get("case")
+    if case is not None and not _is_int(case):
+        raise ManifestError(f"background {name!r}: case must be an integer, got {case!r}")
+    theorem = entry.get("theorem")
+    if theorem is not None:
+        _expect(theorem, str, f"background {name!r}: theorem")
+    for i, check in enumerate(checks):
+        if check not in CHECKS:
+            raise ManifestError(f"background {name!r}: unknown check {check!r}")
+        if check in checks[:i]:
+            raise ManifestError(f"background {name!r}: check {check!r} is listed twice")
+        if check in ("closedness", "maxwell", "einstein") and "theorem" in checks:
+            raise ManifestError(f"background {name!r}: check {check!r} is run by 'theorem'")
+    for check, (needs, _) in CHECKS.items():
+        if needs and check in checks and entry.get(check) in (None, ""):
+            raise ManifestError(f"background {name!r}: check {check!r} needs a {check!r} {needs}")
+    eval_points = []
+    where = f"background {name!r}: eval_points"
+    for i, pt in enumerate(_expect(entry.get("eval_points", []), list, where)):
+        pt = _expect(pt, dict, f"{where} item {i}")
+        eval_points.append({k: rational(v, f"background {name!r} eval point") for k, v in pt.items()})
+    background = assemble_flux(pc, FluxAnsatz(c=coupling, **pieces))
+    return BackgroundSpec(name, background, checks, case, theorem, eval_points)
+
+
+# (section, the kind of entry it lists, builder), each section after those it refers to
+_SECTIONS = (
+    ("charts", "chart", _chart),
+    ("metrics", "metric", _metric),
+    ("forms", "form", _form),
+    ("products", "product", _product),
+    ("backgrounds", "background", _background),
+)

@@ -67,8 +67,8 @@ def line_product(H=None, f=1):
     return build_product(base, fiber, f), base, fiber
 
 
-def assert_case_matches_direct(bg, case, expect_pass, c=None):
-    result = check_special_case(bg, case, c=c)
+def assert_case_matches_direct(bg, case, expect_pass):
+    result = check_special_case(bg, case)
     direct = check_closedness(bg).passed and check_maxwell(bg).passed
     assert result.passed == direct, (
         case,

@@ -262,6 +262,13 @@ def _repeated_check(doc):
     return "background 'solution1': check 'einstein' is listed twice"
 
 
+def _theorem_with_its_equations(doc):
+    # theorem runs closedness, maxwell and einstein itself once its hypotheses hold
+    doc["backgrounds"][0].update(theorem="alpha",
+                                 checks=["closedness", "maxwell", "einstein", "theorem"])
+    return "background 'solution1': check 'closedness' is run by 'theorem'"
+
+
 def _string_case(doc):
     doc["backgrounds"][0]["case"] = "6"
     return "background 'solution1': case"
@@ -350,6 +357,7 @@ def _long_coefficient(doc):
         _scalar_term,
         _string_checks,
         _repeated_check,
+        _theorem_with_its_equations,
         _string_coordinates,
         _string_case,
         _zero_denominator,
@@ -379,6 +387,24 @@ def test_bad_manifest_entry_exits_2_with_one_line(tmp_path, capsys, corrupt):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {entry}") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "section, kind",
+    [("charts", "chart"), ("metrics", "metric"), ("forms", "form"), ("products", "product"),
+     ("backgrounds", "background")],
+)
+def test_duplicate_entry_name_exits_2_naming_it(tmp_path, capsys, section, kind):
+    doc = json.loads((MANIFESTS / "solution1.json").read_text())
+    name = doc[section][0]["name"]
+    # the copy also lacks every other field: the duplicate name is reported first
+    doc[section].append({"name": name})
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--manifest", str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: duplicate {kind} {name!r}\n"
 
 
 NULL_THETA = ["u", "x2", "x3", "x4"]  # the flux of solution1, null: |F|^2 = 0
@@ -450,6 +476,14 @@ def test_bad_rational_flag_exits_2_with_one_line(capsys, flags, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
+def test_bad_set_flag_is_reported_before_the_manifest_is_read(capsys):
+    args = ["--manifest", str(MANIFESTS / "broken.json"), "--set", "c=0"]
+    assert main(args) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the coupling constant must be nonzero\n"
 
 
 def test_repeated_eval_name_exits_2_with_one_line(capsys):
@@ -595,12 +629,13 @@ def test_every_check_reaches_a_wrapper_bound_to_its_module_attributes(monkeypatc
         assert report.passed, report.error
         return dict(calls)
 
-    every_check = count_calls(["closedness", "maxwell", "einstein", "split", "case", "theorem"])
-    # the theorem check runs some of the others itself; each check must add its own call
-    theorem_alone = count_calls(["theorem"])
-    assert every_check["check_theorem_conditions"] == 1
-    assert all(every_check[name] > theorem_alone[name] for name in originals
-               if name != "check_theorem_conditions"), (every_check, theorem_alone)
+    # each check, run on its own, calls its function once through the wrapper
+    runners = {"closedness": "check_closedness", "maxwell": "check_maxwell",
+               "einstein": "check_einstein", "split": "split_einstein",
+               "case": "check_special_case", "theorem": "check_theorem_conditions"}
+    assert set(runners.values()) == set(originals)
+    for check, name in runners.items():
+        assert count_calls([check])[name] == 1, (check, calls)
 
 
 IMPORT_PROBE = """
