@@ -43,8 +43,9 @@ and nf-q, a 1/2 F^F term in k = q+q'.  A term whose factor form exceeds its
 chart's dimension vanishes and is skipped, and so is a type with a zero
 factor, which adds nothing to F.  The HV block takes each contraction
 through its adjoint <i_X a, b> = <a, X_flat ^ b>, so no block law calls
-interior_product.  The direct 11-dimensional side reads the table once:
-einstein_residual_matrix takes |F|^2 from flux_norm_sq, which audits it.
+interior_product.  The direct 11-dimensional side reads no table; the
+audits run beside it, each comparing a direct value with its block law
+through one _audit.
 
 Closedness is the same split of dF by the Leibniz rule,
 
@@ -163,14 +164,8 @@ def assemble_flux(pc: ProductChart, ansatz: FluxAnsatz) -> Background:
         raise AnsatzError("the coupling constant c must be nonzero")
 
     total = DifferentialForm.zero(pc.chart, 4)
-    if ansatz.alpha_t is not None:
-        total = total + pc.lift(ansatz.alpha_t)
-    for fiber_name, base_name in PAIRINGS:
-        ft = ansatz.piece(fiber_name)
-        if ft is not None:
-            total = total + wedge(pc.lift(ft), pc.lift(ansatz.piece(base_name)))
-    if ansatz.theta is not None:
-        total = total + pc.lift(ansatz.theta)
+    for t, b, _ in _typed_pieces(pc, ansatz):
+        total = total + _lifted(pc, t, b)
     return Background(pc, total, ansatz)
 
 
@@ -222,8 +217,7 @@ def flux_norm_sq(bg: Background) -> Tuple[Polynomial, Polynomial]:
     block = Polynomial.zero()
     for t, b, q in _typed_pieces(bg.product, bg.ansatz):
         block = block + norm_sq(gt, t) * norm_sq(g, b) * f ** (-2 * q)
-    if direct != block:
-        raise EngineInconsistency("norm block law failed: " f"{direct} != {block}")
+    _audit("norm block law failed", direct, block)
     return direct, block
 
 
@@ -340,16 +334,24 @@ def check_maxwell(bg: Background) -> CheckResult:
     return result
 
 
-def _audit(law: str, direct: DifferentialForm, block: DifferentialForm) -> None:
-    """Raise EngineInconsistency naming the first component where block differs from direct."""
+def _audit(law: str, direct, block) -> None:
+    """Raise EngineInconsistency naming the first entry where block differs from
+    direct: two forms by basis label, two matrices by (i,j), or two polynomials."""
     if block == direct:
         return
     zero = Polynomial.zero()
-    for idx in sorted(direct.components.keys() | block.components.keys()):
-        d, b = direct.components.get(idx, zero), block.components.get(idx, zero)
+    if isinstance(direct, Polynomial):
+        entries = [("", direct, block)]
+    elif isinstance(direct, DifferentialForm):
+        entries = ((f" at {direct.chart.basis_label(idx) or '1'}",
+                    direct.components.get(idx, zero), block.components.get(idx, zero))
+                   for idx in sorted(direct.components.keys() | block.components.keys()))
+    else:
+        entries = ((f" at ({i},{j})", d, b) for i, (d_row, b_row) in enumerate(zip(direct, block))
+                   for j, (d, b) in enumerate(zip(d_row, b_row)))
+    for where, d, b in entries:
         if d != b:
-            where = direct.chart.basis_label(idx) or "1"
-            raise EngineInconsistency(f"{law} at {where}: direct {d}, block {b}")
+            raise EngineInconsistency(f"{law}{where}: direct {d}, block {b}")
     raise EngineInconsistency(f"{law}: direct {direct!r}, block {block!r}")
 
 
@@ -365,9 +367,11 @@ def check_einstein(bg: Background) -> CheckResult:
 
 
 def _direct_einstein(bg: Background) -> Matrix:
-    """einstein_residual_matrix(bg), built once per background and kept on it."""
+    """einstein_residual_matrix(bg), built once per background and kept on it;
+    the norm audit runs once beside it."""
     cached = bg._einstein
     if cached is None:
+        flux_norm_sq(bg)
         cached = einstein_residual_matrix(bg)
         object.__setattr__(bg, "_einstein", cached)
     return cached
@@ -378,8 +382,7 @@ def einstein_residual_matrix(bg: Background) -> Matrix:
     h = bg.metric
     n = h.dim
     ric = ricci(h)
-    norm, _ = flux_norm_sq(bg)
-    sixth_norm = norm * Fraction(1, 6)
+    sixth_norm = norm_sq(h, bg.flux) * Fraction(1, 6)
     pairs = contraction_matrix(h, bg.flux)
     return tuple(
         tuple(ric[i][j] + pairs[i][j] * Fraction(1, 2) - h.g[i][j] * sixth_norm for j in range(n))
@@ -460,15 +463,11 @@ def split_einstein(bg: Background) -> CheckResult:
                     hv[i][j] = hv[i][j] + x_pair * z_pair
     hv_matrix: Matrix = tuple(tuple(row) for row in hv)
 
-    for label, block, rows, cols in (("HH", hh_matrix, 0, 0), ("VV", vv_matrix, nb, nb),
-                                     ("HV", hv_matrix, 0, nb)):
-        for i, row in enumerate(block):
-            for j, entry in enumerate(row):
-                d = direct[rows + i][cols + j]
-                if entry != d:
-                    raise EngineInconsistency(
-                        f"{label} block law failed at ({i},{j}): direct {d}, block {entry}"
-                    )
+    base_rows, fiber_rows = slice(0, nb), slice(nb, None)
+    for label, block, rows, cols in (("HH", hh_matrix, base_rows, base_rows),
+                                     ("VV", vv_matrix, fiber_rows, fiber_rows),
+                                     ("HV", hv_matrix, base_rows, fiber_rows)):
+        _audit(f"{label} block law failed", tuple(row[cols] for row in direct[rows]), block)
 
     result.residuals["hh_block"] = hh_matrix
     result.residuals["vv_block"] = vv_matrix

@@ -90,17 +90,12 @@ def flat_negative_metric(chart: Chart) -> ChartMetric:
     return make_metric(chart, g, signature=(0, n))
 
 
-def walker_metric_from_rho(
-    rho: ChartMetric, H: Polynomial, v_name: str = "v", u_name: str = "u"
-) -> ChartMetric:
+def walker_metric_from_rho(rho: ChartMetric, H: Polynomial) -> ChartMetric:
     """2 dv du + rho + H du^2 on (v, rho coordinates, u)."""
-    allowed = set(rho.chart.coordinates) | {u_name}
-    extra = set(H.variables) - allowed
+    extra = set(H.variables) - set(rho.chart.coordinates) - {"u"}
     if extra:
         raise ChartError(f"H may depend only on the transverse block and u, got {sorted(extra)}")
-    chart = Chart(
-        f"walker_{rho.chart.name}", (v_name,) + rho.chart.coordinates + (u_name,)
-    )
+    chart = Chart(f"walker_{rho.chart.name}", ("v",) + rho.chart.coordinates + ("u",))
     n = chart.dim
     k = rho.dim
     g = [[P0] * n for _ in range(n)]
@@ -116,9 +111,9 @@ def walker_metric_from_rho(
     return make_metric(chart, g, g_inv, sqrt_abs_det=rho.sqrt_abs_det)
 
 
-def append_line_factor(p_metric: ChartMetric, t_name: str = "t") -> ChartMetric:
+def append_line_factor(p_metric: ChartMetric) -> ChartMetric:
     """g = p - dt^2 on (p coordinates, t); p negative definite."""
-    return build_product(p_metric, flat_negative_metric(Chart(t_name, (t_name,))), 1).assembled
+    return build_product(p_metric, flat_negative_metric(Chart("t", ("t",))), 1).assembled
 
 
 def standard_base(names=("y1", "y2", "y3", "y4", "y5")) -> ChartMetric:
@@ -341,48 +336,3 @@ def check_theorem_conditions(bg: Background, shape: str) -> TheoremReport:
     if hyp.passed:
         equations = [check_closedness(bg), check_maxwell(bg), check_einstein(bg)]
     return TheoremReport(shape, hyp, equations)
-
-
-# ---------------------------------------------------------------------------
-# base-only flux: the co-dual 1-form picture
-# ---------------------------------------------------------------------------
-
-def check_base_flux_via_one_form(
-    base: ChartMetric, eta: DifferentialForm, fiber: ChartMetric
-) -> Dict[str, object]:
-    """Flux theta := star eta on the base; checks the closed/co-closed
-    equivalence between theta and eta, the two Einstein-side identities,
-    and the full equations on the assembled product."""
-    if eta.chart != base.chart or eta.degree != 1:
-        raise ChartError("eta must be a 1-form on the base chart")
-    theta = hodge_star(base, eta)
-
-    result = CheckResult("base_flux_one_form")
-    result.residuals["d_eta"] = ext_d(eta)
-    result.residuals["d_star_eta"] = ext_d(hodge_star(base, eta))
-    result.residuals["d_theta"] = ext_d(theta)
-    result.residuals["d_star_theta"] = ext_d(hodge_star(base, theta))
-    eta_side = result.residuals["d_eta"].is_zero() and result.residuals["d_star_eta"].is_zero()
-    theta_side = (
-        result.residuals["d_theta"].is_zero() and result.residuals["d_star_theta"].is_zero()
-    )
-    equivalence_ok = eta_side == theta_side
-
-    pc = build_product(base, fiber, 1)
-    ansatz = FluxAnsatz(theta=theta)
-    base_identity, fiber_einstein = _factor_ricci_identities(pc, ansatz)
-    bg = assemble_flux(pc, ansatz) if not theta.is_zero() else None
-    full = None
-    if bg is not None:
-        full = [check_closedness(bg), check_maxwell(bg), check_einstein(bg)]
-
-    return {
-        "closure": result,
-        "equivalence_ok": equivalence_ok,
-        "base_ricci_identity": base_identity,
-        "fiber_einstein": fiber_einstein,
-        "background": bg,
-        "full_equations": full,
-        "theta": theta,
-        "theta_norm": norm_sq(base, theta),
-    }

@@ -546,8 +546,9 @@ def test_flux_term_missing_from_the_ansatz_trips_the_block_laws():
     pc = bg.product
     extra = pc.lift(dform(pc.base_chart, "y1", "y2", "y3", "y4"))
     tampered = Background(pc, bg.flux + extra, bg.ansatz)
-    with pytest.raises(EngineInconsistency, match="norm block law"):
+    with pytest.raises(EngineInconsistency) as exc:
         flux_norm_sq(tampered)
+    assert str(exc.value) == "norm block law failed: direct 1, block 0"
     with pytest.raises(EngineInconsistency):
         check_maxwell(tampered)
 
@@ -588,6 +589,31 @@ def test_einstein_then_split_builds_the_direct_matrix_once(monkeypatch):
     assert not einstein.passed and not split.passed
     assert einstein.residuals == alone_einstein.residuals
     assert split.residuals == alone_split.residuals
+
+
+def test_the_direct_einstein_matrix_reads_no_audit_and_the_checks_run_it_once(monkeypatch):
+    original = fieldeqs.flux_norm_sq
+
+    def refused(bg):
+        raise EngineInconsistency("norm audit reached")
+
+    monkeypatch.setattr(fieldeqs, "flux_norm_sq", refused)
+    einstein_residual_matrix(alpha_family_background())
+    for check in (check_einstein, split_einstein):
+        with pytest.raises(EngineInconsistency, match="norm audit reached"):
+            check(alpha_family_background())
+
+    calls = []
+
+    def counted(bg):
+        calls.append(bg)
+        return original(bg)
+
+    monkeypatch.setattr(fieldeqs, "flux_norm_sq", counted)
+    bg = alpha_family_background()
+    check_einstein(bg)
+    split_einstein(bg)
+    assert len(calls) == 1 and calls[0] is bg
 
 
 def test_maxwell_raises_each_form_once_per_metric(monkeypatch):

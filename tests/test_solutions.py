@@ -1,4 +1,4 @@
-"""Structural theorem checkers and the base-flux construction."""
+"""Structural theorem checkers and the base-only flux theta = star eta."""
 
 import random
 from fractions import Fraction
@@ -11,9 +11,16 @@ from sugra11.exterior import (
     DifferentialForm,
     exterior_derivative as ext_d,
 )
-from sugra11.fieldeqs import check_closedness, check_einstein, check_maxwell
-from sugra11.metric import make_metric
+from sugra11.fieldeqs import (
+    FluxAnsatz,
+    assemble_flux,
+    check_closedness,
+    check_einstein,
+    check_maxwell,
+)
+from sugra11.metric import hodge_star, make_metric, norm_sq
 from sugra11.polyring import Polynomial
+from sugra11.product import build_product
 from sugra11.solutions import (
     _build_family,
     append_line_factor,
@@ -21,7 +28,6 @@ from sugra11.solutions import (
     build_alpha_beta_nu_background,
     build_beta_nu_background,
     build_varpi_epsilon_background,
-    check_base_flux_via_one_form,
     check_theorem_conditions,
     flat_negative_metric,
     standard_base,
@@ -186,7 +192,7 @@ def test_theorem_shape_validation():
         check_theorem_conditions(build.background, "unknown")
 
 
-# -- base-only flux one-form picture ----------------------------------------------------
+# -- base-only flux theta = star eta ------------------------------------------------------
 
 def lorentz_flat6():
     return make_metric(
@@ -196,10 +202,17 @@ def lorentz_flat6():
     )
 
 
+def theta_background(base, eta):
+    """F = theta := star eta on base x flat Lorentzian fiber, at f = 1."""
+    pc = build_product(base, lorentz_flat6(), 1)
+    return assemble_flux(pc, FluxAnsatz(theta=hodge_star(base, eta)))
+
+
 def test_base_flux_closed_coclosed_equivalence_random():
+    # star star = -1 on 1-forms of the negative-definite 5-dimensional base, so
+    # theta is closed and co-closed exactly when eta is
     rng = random.Random(19)
     base = standard_base()
-    fiber = lorentz_flat6()
     for _ in range(12):
         comps = {}
         for i in range(5):
@@ -207,50 +220,42 @@ def test_base_flux_closed_coclosed_equivalence_random():
             if not p.is_zero():
                 comps[(i,)] = p
         eta = DifferentialForm(base.chart, 1, comps)
-        out = check_base_flux_via_one_form(base, eta, fiber)
-        assert out["equivalence_ok"]
+        theta = hodge_star(base, eta)
+        assert ext_d(theta) == ext_d(hodge_star(base, eta))
+        assert ext_d(hodge_star(base, theta)) == -ext_d(eta)
+        assert not ext_d(eta).is_zero()
 
 
 def test_base_flux_harmonic_gradient_is_closed_and_coclosed():
     base = standard_base()
-    fiber = lorentz_flat6()
     f = Polynomial.variable("y1") * Polynomial.variable("y2")
     eta = ext_d(DifferentialForm.function(base.chart, f))
-    out = check_base_flux_via_one_form(base, eta, fiber)
-    closure = out["closure"]
-    assert closure.residuals["d_eta"].is_zero()
-    assert closure.residuals["d_star_eta"].is_zero()
-    assert closure.residuals["d_theta"].is_zero()
-    assert closure.residuals["d_star_theta"].is_zero()
-    # closedness and gauge equation hold on the assembled background
-    assert out["full_equations"][0].passed
-    assert out["full_equations"][1].passed
-
-
-def test_base_flux_zero_one_form_trivially_passes():
-    base = standard_base()
-    fiber = lorentz_flat6()
-    eta = DifferentialForm.zero(base.chart, 1)
-    out = check_base_flux_via_one_form(base, eta, fiber)
-    assert out["background"] is None
-    assert all(e.is_zero() for row in out["base_ricci_identity"] for e in row)
-    assert all(e.is_zero() for row in out["fiber_einstein"] for e in row)
+    theta = hodge_star(base, eta)
+    assert ext_d(eta).is_zero()
+    assert ext_d(hodge_star(base, eta)).is_zero()
+    assert ext_d(theta).is_zero()
+    assert ext_d(hodge_star(base, theta)).is_zero()
+    # closedness and gauge equation hold on the assembled background, and the
+    # theta theorem's closure and co-closure hypotheses with them
+    bg = theta_background(base, eta)
+    assert check_closedness(bg).passed
+    assert check_maxwell(bg).passed
+    hypotheses = check_theorem_conditions(bg, "theta").hypotheses.residuals
+    assert hypotheses["d_theta"].is_zero() and hypotheses["d_f6_star_theta"].is_zero()
 
 
 def test_base_flux_unit_one_form_obstruction_is_one_sixth():
     # flat product base with eta = dt: the Einstein-side identity demands
     # a Ricci value the product cannot have; the (t,t) residual is exactly 1/6
-    p4 = flat_negative_metric(Chart("b4", ("z1", "z2", "z3", "z4")))
-    from sugra11.solutions import append_line_factor
-
-    base = append_line_factor(p4)
-    fiber = lorentz_flat6()
+    base = append_line_factor(flat_negative_metric(Chart("b4", ("z1", "z2", "z3", "z4"))))
     eta = mono(base.chart, ("t",))
-    out = check_base_flux_via_one_form(base, eta, fiber)
+    theta = hodge_star(base, eta)
+    report = check_theorem_conditions(theta_background(base, eta), "theta")
     t = base.chart.index_of("t")
-    identity = out["base_ricci_identity"]
+    identity = report.hypotheses.residuals["base_ricci_identity"]
     assert identity[t][t] == Polynomial.constant(Fraction(1, 6))
-    assert out["theta_norm"] == Polynomial.constant(1)
+    assert norm_sq(base, theta) == Polynomial.constant(1)
     # the closure side is perfectly fine: the obstruction is Einstein-only
-    closure = out["closure"]
-    assert closure.passed
+    for form in (eta, theta, hodge_star(base, theta)):
+        assert ext_d(form).is_zero()
+    assert not report.hypotheses.passed and report.reproduced
