@@ -16,8 +16,6 @@ from sugra11.exterior import Chart, DifferentialForm
 from sugra11.metric import hodge_star, make_metric
 from sugra11.polyring import Polynomial
 
-from fractions import Fraction
-
 
 def diag_metric(chart, values, signature):
     n = chart.dim

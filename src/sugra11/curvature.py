@@ -1,4 +1,4 @@
-"""Christoffel symbols, Ricci tensor, Hessian, gradient, Laplace-Beltrami.
+"""Christoffel symbols, Ricci tensor, Hessian, Laplace-Beltrami, |grad f|^2.
 
 The Ricci sign convention is
 
@@ -30,8 +30,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .exterior import DifferentialForm, Frozen, VectorField, exterior_derivative
-from .metric import ChartMetric, Matrix, sharp
+from .exterior import DifferentialForm, Frozen, exterior_derivative
+from .metric import ChartMetric, Matrix, norm_sq
 from .polyring import Polynomial, sum_of_products
 
 
@@ -141,15 +141,9 @@ def laplace_beltrami(m: ChartMetric, f: Polynomial) -> Polynomial:
     return sum_of_products((1, m.g_inv[i][j], hess[i][j]) for i in range(m.dim) for j in range(m.dim))
 
 
-def gradient(m: ChartMetric, f: Polynomial) -> VectorField:
-    """sharp(df)."""
-    return sharp(m, exterior_derivative(DifferentialForm.function(m.chart, f)))
-
-
 def grad_norm_sq(m: ChartMetric, f: Polynomial) -> Polynomial:
-    """g(grad f, grad f) = g^ij d_i f d_j f = df(grad f)."""
-    grad = gradient(m, f)
-    return sum_of_products((1, f.partial(v), grad.component(j)) for j, v in enumerate(m.chart.coordinates))
+    """g(grad f, grad f) = g^ij d_i f d_j f = <df, df>."""
+    return norm_sq(m, exterior_derivative(DifferentialForm.function(m.chart, f)))
 
 
 def ricci_endomorphism_square(m: ChartMetric) -> Matrix:

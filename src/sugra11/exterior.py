@@ -194,12 +194,6 @@ class DifferentialForm(Frozen):
         if self.degree != other.degree:
             raise DegreeError(f"degree mismatch: {self.degree} vs {other.degree}")
 
-    def component(self, *coordinates: str) -> Polynomial:
-        idx, sign = _sort_with_sign(tuple(self.chart.index_of(c) for c in coordinates))
-        if sign == 0:
-            return Polynomial.zero()
-        return self.components.get(idx, Polynomial.zero()) * sign
-
     def __str__(self) -> str:
         if not self.components:
             return "0"
@@ -227,9 +221,6 @@ class VectorField(Frozen):
     @staticmethod
     def coordinate(chart: Chart, coordinate: str) -> "VectorField":
         return VectorField(chart, {chart.index_of(coordinate): Polynomial.constant(1)})
-
-    def component(self, i: int) -> Polynomial:
-        return self.components.get(i, Polynomial.zero())
 
 
 def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:

@@ -1,5 +1,5 @@
-"""Pseudo-Riemannian metrics on charts: musicals, form inner products,
-volume forms, Hodge star.
+"""Pseudo-Riemannian metrics on charts: form inner products, volume forms,
+Hodge star.
 
 Sign conventions are fixed once and used everywhere:
 
@@ -21,11 +21,10 @@ Sign conventions are fixed once and used everywhere:
 Every pairing, star and raised index above is a sum of Gram minors
 det g_inv[R, C].  g_inv, and so g, is block diagonal over the connected
 components K of the ``inv_neighbors`` graph (base and fiber of a product;
-{v, u} and interleaved singletons on a Walker fiber).  So det g_inv[R, C]
-is 0 unless R and C meet every K equally often, and is otherwise the
-product of the minors det g_inv[R_K, C_K], signed by grouping R and C by
-block.  An in-block p-minor with |K| - p <= p comes from g by Jacobi's
-complementary-minor identity (Horn and Johnson, Matrix Analysis, 0.8.4),
+{v, u} and interleaved singletons on a Walker fiber).  A raise works one
+block at a time, so every minor it takes has R and C inside one K.  A
+p-minor with |K| - p <= p comes from g by Jacobi's complementary-minor
+identity (Horn and Johnson, Matrix Analysis, 0.8.4),
 
     det g_inv[R, C] = (-1)^(ranks of R and C in K) det g[K - C, K - R] / det g_K,
 
@@ -41,7 +40,8 @@ fresh table; ``make_metric`` takes det g, and the cofactors, from it.
 One kernel raises indices: ``_block_raise`` maps a form to
 {R: sum_C a_C det g_inv[R, C]} over every row set, one block at a time,
 and each metric keeps the raises it made, for ``hodge_star``,
-``inner_product_forms``, ``sharp`` and ``contraction_matrix`` alike.  A
+``inner_product_forms`` and ``contraction_matrix`` alike.  It alone sets
+the signs that move a block's indices past those of the others.  A
 factor metric and the 11-dimensional product metric have separate tables
 and raises: the block-law audits, which work on the factors, never read
 an entry of the direct computation and stay independent checks.
@@ -73,7 +73,6 @@ from .exterior import (
     ChartError,
     DegreeError,
     DifferentialForm,
-    VectorField,
     _sort_with_sign,
 )
 from .polyring import Polynomial, _fraction_sqrt, format_rational, sum_of_products
@@ -274,50 +273,25 @@ def _infer_signature(g: Matrix) -> Tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# musicals
-# ---------------------------------------------------------------------------
-
-def sharp(m: ChartMetric, a: DifferentialForm) -> VectorField:
-    """Raise a 1-form to a vector field with g_inv."""
-    if a.chart != m.chart:
-        raise ChartError("chart mismatch")
-    if a.degree != 1:
-        raise DegreeError("sharp expects a 1-form")
-    return VectorField(m.chart, {j: v for (j,), v in _raised(m, a).items()})
-
-
-# ---------------------------------------------------------------------------
 # inner products of forms, Hodge star, volume
 # ---------------------------------------------------------------------------
 
-def _gram_minor(m: ChartMetric, rows: Tuple[int, ...], cols: Tuple[int, ...]) -> Polynomial:
-    """det g_inv[rows, cols] for increasing index tuples of equal length, by
-    the block rule, from the metric's two tables (see the module docstring)."""
+def _gram_minor(m: ChartMetric, k: int, rmask: int, cmask: int) -> Polynomial:
+    """det g_inv[rmask, cmask] for row and column bitmasks of equal size inside
+    the g_inv block k, from the metric's two tables (see the module docstring)."""
     n = m.dim
-    rmask, cmask = sum(1 << r for r in rows), sum(1 << c for c in cols)
-    value, parity = None, 0
-    for k in _blocks(m):
-        rk, ck = rmask & k, cmask & k
-        p = rk.bit_count()
-        if p != ck.bit_count():
-            return Polynomial.zero()
-        if not p:
-            continue
-        rmask, cmask = rmask ^ rk, cmask ^ ck
-        # grouping by block: each later-block index ahead of one in K
-        parity += _pairs_below(rk, rmask) + _pairs_below(ck, cmask)
-        key = (rk << n) | ck if rk <= ck else (ck << n) | rk
-        minor = m._minors.get(key)
-        if minor is None and k.bit_count() - p <= p:  # Jacobi, into the g_inv table
-            det_k = _mask_minor(m._g_minors, m.g, n, k, k).constant_value()
-            sign = (-1) ** (_pairs_below(rk, k) + _pairs_below(ck, k))
-            minor = m._minors[key] = _mask_minor(m._g_minors, m.g, n, k ^ ck, k ^ rk) * (sign / det_k)
-        elif minor is None:
-            minor = _mask_minor(m._minors, m.g_inv, n, rk, ck)
-        value = minor if value is None else value * minor
-    if value is None:
-        return Polynomial.constant(1)
-    return -value if parity & 1 else value
+    key = (rmask << n) | cmask if rmask <= cmask else (cmask << n) | rmask
+    minor = m._minors.get(key)
+    if minor is not None:
+        return minor
+    p = rmask.bit_count()
+    if k.bit_count() - p > p:
+        return _mask_minor(m._minors, m.g_inv, n, rmask, cmask)
+    # Jacobi, into the g_inv table
+    det_k = _mask_minor(m._g_minors, m.g, n, k, k).constant_value()
+    sign = (-1) ** (_pairs_below(rmask, k) + _pairs_below(cmask, k))
+    minor = m._minors[key] = _mask_minor(m._g_minors, m.g, n, k ^ cmask, k ^ rmask) * (sign / det_k)
+    return minor
 
 
 def _pairs_below(mask: int, others: int) -> int:
@@ -399,7 +373,7 @@ def _block_raise(m: ChartMetric, a: DifferentialForm) -> Dict[Tuple[int, ...], P
                 continue
             rest = tuple(c for c in cols if not k >> c & 1)
             _, sign = _sort_with_sign(rest + ck)
-            for rk, minor in _block_column(m, ck):
+            for rk, minor in _block_column(m, k, ck):
                 rows, rsign = _sort_with_sign(rest + rk)
                 products.setdefault(rows, []).append((rsign * sign, coeff, minor))
         out.update((rows, sum_of_products(terms)) for rows, terms in products.items())
@@ -407,18 +381,20 @@ def _block_raise(m: ChartMetric, a: DifferentialForm) -> Dict[Tuple[int, ...], P
     return current
 
 
-def _block_column(m: ChartMetric, ck: Tuple[int, ...]) -> list:
-    """[(R_K, det g_inv[R_K, C_K])] over the nonzero minors on one block's
-    columns C_K, kept on the metric.  An R_K whose minor has a zero row or
+def _block_column(m: ChartMetric, k: int, ck: Tuple[int, ...]) -> list:
+    """[(R_K, det g_inv[R_K, C_K])] over the nonzero minors on the columns C_K
+    of block k, kept on the metric.  An R_K whose minor has a zero row or
     column by the sparsity of g_inv is skipped without computing it."""
     hit = m._columns.get(ck)
     if hit is None:
         neighbors = m.inv_neighbors
-        reach = frozenset().union(*(neighbors[c] for c in ck))
+        reach = frozenset().union(*(neighbors[c] for c in ck))  # inside k, as ck is
+        cmask = sum(1 << c for c in ck)
         hit = m._columns[ck] = [
             (rk, minor) for rk in combinations(sorted(reach), len(ck))
             if all(not neighbors[c].isdisjoint(rk) for c in ck)
-            for minor in (_gram_minor(m, rk, ck),) if not minor.is_zero()
+            for minor in (_gram_minor(m, k, sum(1 << r for r in rk), cmask),)
+            if not minor.is_zero()
         ]
     return hit
 

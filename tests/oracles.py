@@ -8,8 +8,9 @@
     fhat = Lap_g(f)/f + (dim_fiber - 1) g(grad f, grad f)/f^2,
 
 built from the factor metrics only, so it is independent of the direct
-curvature of the assembled metric.  The warping is a constant, wrapped as
-a polynomial so the general formulas above stay as they are.
+curvature of the assembled metric.  ``build_product`` accepts only a
+nonzero constant warping f, whose Hessian, Laplacian and gradient vanish,
+so the oracle is diag(Ric^g, Ric^gt).
 
 ``dense_christoffel_ricci`` is the curvature as the plain triple loops
 over every index, zero entries included, with the sign convention of
@@ -27,14 +28,13 @@ import re
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from sugra11.curvature import grad_norm_sq, hessian, laplace_beltrami, ricci
+from sugra11.curvature import ricci
 from sugra11.polyring import (
     Coefficient,
     Polynomial,
     PolynomialGrammarError,
     _pack,
     _rational,
-    poly_divexact,
     sum_of_products,
 )
 
@@ -42,39 +42,11 @@ from sugra11.polyring import (
 def warped_ricci_oracle(pc):
     """Block-formula Ricci of the assembled metric, fully independent of it."""
     nb, nf = pc.base.dim, pc.fiber.dim
-    n = nb + nf
     zero = Polynomial.zero()
-    f = Polynomial.constant(pc.warping)
-
-    ric_base = ricci(pc.base)
-    ric_fiber = ricci(pc.fiber)
-    hess = hessian(pc.base, f)
-    lap = laplace_beltrami(pc.base, f)
-    grad_sq = grad_norm_sq(pc.base, f)
-
-    # fhat = lap/f + (nf - 1) grad_sq / f^2, with exact division
-    fhat = zero
-    if not lap.is_zero():
-        fhat = fhat + poly_divexact(lap, f)
-    if not grad_sq.is_zero():
-        fhat = fhat + poly_divexact(grad_sq, f * f) * (nf - 1)
-
-    out = [[zero] * n for _ in range(n)]
-    for i in range(nb):
-        for j in range(nb):
-            entry = ric_base[i][j]
-            if not hess[i][j].is_zero():
-                entry = entry - poly_divexact(hess[i][j] * nf, f)
-            out[i][j] = entry
-    f_sq = f * f
-    for i in range(nf):
-        for j in range(nf):
-            entry = ric_fiber[i][j]
-            if not fhat.is_zero():
-                h_ij = pc.fiber.g[i][j] * f_sq
-                if not h_ij.is_zero():
-                    entry = entry - h_ij * fhat
-            out[nb + i][nb + j] = entry
+    out = [[zero] * (nb + nf) for _ in range(nb + nf)]
+    for start, ric in ((0, ricci(pc.base)), (nb, ricci(pc.fiber))):
+        for i, row in enumerate(ric):
+            out[start + i][start:start + len(row)] = row
     return tuple(tuple(row) for row in out)
 
 

@@ -306,18 +306,21 @@ def test_criterion_11_base_flux_equivalence_and_obstruction():
     """theta = star eta equivalences on random eta; the almost-cosymplectic
     product obstruction valued exactly 1/6."""
     base, fiber = _flat56()
-    rng = random.Random(11)
-    for _ in range(12):
-        comps = {}
-        for i in range(5):
-            p = random_polynomial(rng, base.chart.coordinates, max_deg=2, terms=2)
-            if not p.is_zero():
-                comps[(i,)] = p
-        eta = DifferentialForm(base.chart, 1, comps)
-        # star star = -1 on the base's 1-forms: d star theta = -d eta
-        theta = hodge_star(base, eta)
-        assert d(theta) == d(hodge_star(base, eta))
-        assert d(hodge_star(base, theta)) == -d(eta)
+    # star star = -1 on 1-forms of a negative-definite 5-dimensional base, so
+    # theta is closed and co-closed exactly when eta is: d star theta = -d eta
+    for seed, chart_base in ((11, base), (19, standard_base())):
+        rng = random.Random(seed)
+        for _ in range(12):
+            comps = {}
+            for i in range(5):
+                p = random_polynomial(rng, chart_base.chart.coordinates, max_deg=2, terms=2)
+                if not p.is_zero():
+                    comps[(i,)] = p
+            eta = DifferentialForm(chart_base.chart, 1, comps)
+            theta = hodge_star(chart_base, eta)
+            assert d(theta) == d(hodge_star(chart_base, eta))
+            assert d(hodge_star(chart_base, theta)) == -d(eta)
+            assert not d(eta).is_zero()
 
     p4 = flat_negative_metric(Chart("ob4", ("z1", "z2", "z3", "z4")))
     product_base = append_line_factor(p4)
@@ -328,7 +331,7 @@ def test_criterion_11_base_flux_equivalence_and_obstruction():
     t = product_base.chart.index_of("t")
     assert identity[t][t] == Polynomial.constant(Fraction(1, 6))
     print(
-        "criterion 11 PASS: d theta = d star eta and d star theta = -d eta on 12 random "
+        "criterion 11 PASS: d theta = d star eta and d star theta = -d eta on 24 random "
         "1-forms; product obstruction exactly 1/6"
     )
 

@@ -6,18 +6,18 @@ from fractions import Fraction
 from sugra11.curvature import (
     christoffel,
     grad_norm_sq,
-    gradient,
     hessian,
     is_totally_ricci_isotropic,
     laplace_beltrami,
     ricci,
 )
-from sugra11.exterior import Chart, VectorField
+from sugra11.exterior import Chart
 from sugra11.metric import make_metric, poly_det
 from sugra11.polyring import Polynomial
 from sugra11.product import build_product
 
 from oracles import dense_christoffel_ricci
+from test_exterior import random_polynomial
 from test_metric import H_EXAMPLE, dense_metric, diag, walker_metric
 
 P0 = Polynomial.zero()
@@ -189,30 +189,18 @@ def test_hessian_flat_examples():
 def test_gradient_properties():
     C = Chart("F2b", ("a", "t"))
     m = make_metric(C, diag(-1, -1))
-    f = Polynomial.variable("t")
-    g = gradient(m, f)
-    assert g.components == {1: Polynomial.constant(-1)}
-    assert grad_norm_sq(m, f) == Polynomial.constant(-1)
-    assert gradient(m, Polynomial.constant(2)).components == {}
+    assert grad_norm_sq(m, Polynomial.variable("t")) == Polynomial.constant(-1)
     assert grad_norm_sq(m, Polynomial.constant(2)).is_zero()
-    # g(grad f, X) = df(X) on random fields
+    # g^ij d_i f d_j f on a g_inv that is not diagonal: g^vu = 1, g^vv = -H
+    walker = walker_metric(H_EXAMPLE)
+    assert not walker.g_inv[0][0].is_constant()
     rng = random.Random(5)
-    f = Polynomial.variable("a") ** 2 * Polynomial.variable("t") + Polynomial.variable("t") ** 3
-    gf = gradient(m, f)
+    names = walker.chart.coordinates
     for _ in range(5):
-        X = VectorField(
-            C,
-            {
-                0: Polynomial.constant(rng.randint(-3, 3)),
-                1: Polynomial.variable("a") * rng.randint(-2, 2),
-            },
-        )
-        lhs = sum((m.g[i][j] * gf.component(i) * X.component(j) for i in range(2) for j in range(2)), P0)
-        rhs = sum(
-            (f.partial(C.coordinates[i]) * X.component(i) for i in range(2)),
-            Polynomial.zero(),
-        )
-        assert lhs == rhs
+        f = random_polynomial(rng, names, max_deg=3, terms=3)
+        df = [f.partial(v) for v in names]
+        expected = sum((walker.g_inv[i][j] * df[i] * df[j] for i in range(6) for j in range(6)), P0)
+        assert grad_norm_sq(walker, f) == expected
 
 
 def test_block_diagonal_ricci_is_block_sum():

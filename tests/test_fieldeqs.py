@@ -126,7 +126,8 @@ def test_assembled_flux_of_alpha_family():
     flux = build.background.flux
     assert flux.degree == 4
     chart = build.background.product.chart
-    assert flux.component("u", "x2", "x3", "x4") == P1
+    x2, x3, x4, u = (chart.index_of(c) for c in ("x2", "x3", "x4", "u"))
+    assert flux.components == {(x2, x3, x4, u): -P1}  # du^dx2^dx3^dx4
     assert chart.dim == 11
 
 

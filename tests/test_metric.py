@@ -1,4 +1,4 @@
-"""Metric layer: musicals, form inner products, Hodge star, volume, nullness."""
+"""Metric layer: index raising, form inner products, Hodge star, volume, nullness."""
 
 import random
 from fractions import Fraction
@@ -18,14 +18,15 @@ from sugra11.metric import (
     InverseMismatch,
     MetricError,
     NonPolynomialInverse,
+    _blocks,
     _gram_minor,
+    _raised,
     contraction_matrix,
     hodge_star,
     inner_product_forms,
     make_metric,
     norm_sq,
     poly_det,
-    sharp,
     volume_form,
 )
 from sugra11.polyring import Polynomial
@@ -171,18 +172,18 @@ def test_abs_det_without_a_rational_root_is_refused():
     assert (m.det_sign, m.sqrt_abs_det) == (-1, 4)
 
 
-# -- musicals ----------------------------------------------------------------------
+# -- sharp: the raise of a 1-form --------------------------------------------------
 
 def test_sharp_of_du_is_dv_direction():
     m = walker_metric(H_EXAMPLE)
-    v = sharp(m, dx(m.chart, "u"))
-    assert v.components == {0: P1}  # d/dv
+    assert _raised(m, dx(m.chart, "u")) == {(0,): P1}  # d/dv
 
 
-def lower(m, v):
-    """The 1-form v_i = sum_j g_ij v^j (flat), the oracle that undoes sharp."""
+def lower(m, raised):
+    """The 1-form v_i = sum_j g_ij v^j (flat) of a raise {(j,): v^j}, the
+    oracle that undoes it."""
     n = m.dim
-    lowered = {(i,): sum((m.g[i][j] * v.component(j) for j in range(n)), P0) for i in range(n)}
+    lowered = {(i,): sum((m.g[i][j] * v for (j,), v in raised.items()), P0) for i in range(n)}
     return DifferentialForm(m.chart, 1, lowered)
 
 
@@ -191,15 +192,15 @@ def test_sharp_flat_inverse_pair_randomized():
     m = walker_metric(H_EXAMPLE)
     for _ in range(10):
         nu = random_form(rng, m.chart, 1)
-        assert lower(m, sharp(m, nu)) == nu
+        assert lower(m, _raised(m, nu)) == nu
 
 
 def test_sharp_of_dt_in_negative_definite_metric():
     C = Chart("C5", ("z1", "z2", "z3", "z4", "t"))
     g = make_metric(C, diag(-1, -1, -1, -1, -1), signature=(0, 5))
     eta = dx(C, "t")
-    v = sharp(g, eta)
-    assert v.components == {4: -P1}
+    v = _raised(g, eta)
+    assert v == {(4,): -P1}
     assert lower(g, v) == eta
 
 
@@ -393,6 +394,17 @@ def _submatrix_det(m, rows, cols):
     return poly_det(tuple(tuple(m.g_inv[r][c] for c in cols) for r in rows))
 
 
+def _mask(indices):
+    return sum(1 << i for i in indices)
+
+
+def _one_block(m):
+    """The one g_inv block of a dense metric, as a bitmask."""
+    (k,) = _blocks(m)
+    assert k == (1 << m.dim) - 1
+    return k
+
+
 def test_gram_minor_table_matches_poly_det_and_its_transpose():
     from hypothesis import given, settings
     from hypothesis import strategies as st
@@ -400,6 +412,7 @@ def test_gram_minor_table_matches_poly_det_and_its_transpose():
     m = dense_metric(D5, 1)  # one table for every example, so later ones also read hits
     n = m.dim
     assert all(not e.is_zero() for row in m.g_inv for e in row)
+    k = _one_block(m)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -407,9 +420,9 @@ def test_gram_minor_table_matches_poly_det_and_its_transpose():
         p = data.draw(st.integers(0, n))
         subset = st.sets(st.integers(0, n - 1), min_size=p, max_size=p).map(sorted).map(tuple)
         rows, cols = data.draw(subset), data.draw(subset)
-        minor = _gram_minor(m, rows, cols)
+        minor = _gram_minor(m, k, _mask(rows), _mask(cols))
         assert minor == _submatrix_det(m, rows, cols)
-        assert _gram_minor(m, cols, rows) == minor
+        assert _gram_minor(m, k, _mask(cols), _mask(rows)) == minor
 
     check()
 
@@ -418,14 +431,19 @@ def test_gram_minor_routes_match_poly_det_for_every_p():
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    # every minor of the Walker metric with a v-dependent H, whose g_inv splits
-    # into the interleaved blocks {v, u}, {x1}, ..., {x4}: the block rule, the
-    # grouping sign and (every block has |K| - p <= p) the Jacobi route
+    # every in-block minor of the Walker metric with a v-dependent H, whose
+    # g_inv splits into the interleaved blocks {v, u}, {x1}, ..., {x4}: every
+    # block has |K| - p <= p once p >= 1, so the Jacobi route
     walker = walker_metric(H_EXAMPLE + Polynomial.variable("v"))
-    for p in range(walker.dim + 1):
-        for rows in combinations(range(walker.dim), p):
-            for cols in combinations(range(walker.dim), p):
-                assert _gram_minor(walker, rows, cols) == _submatrix_det(walker, rows, cols)
+    blocks = _blocks(walker)
+    assert sorted(blocks) == [2, 4, 8, 16, 33]
+    for k in blocks:
+        block = [i for i in range(walker.dim) if k >> i & 1]
+        for p in range(len(block) + 1):
+            for rows in combinations(block, p):
+                for cols in combinations(block, p):
+                    minor = _gram_minor(walker, k, _mask(rows), _mask(cols))
+                    assert minor == _submatrix_det(walker, rows, cols)
     # one dense block: p-minors with p < |K| - p from the g_inv table, the others from g
     dense = (dense_metric(D5, 2), dense_metric(F6, 3))
 
@@ -436,13 +454,14 @@ def test_gram_minor_routes_match_poly_det_for_every_p():
         p = data.draw(st.integers(0, m.dim))
         subset = st.sets(st.integers(0, m.dim - 1), min_size=p, max_size=p).map(sorted).map(tuple)
         rows, cols = data.draw(subset), data.draw(subset)
-        assert _gram_minor(m, rows, cols) == _submatrix_det(m, rows, cols)
+        assert _gram_minor(m, _one_block(m), _mask(rows), _mask(cols)) == _submatrix_det(m, rows, cols)
 
     check()
     for m in dense:  # each route, on each side of |K| - p <= p
         for p in range(m.dim + 1):
             rows, cols = tuple(range(p)), tuple(range(m.dim - p, m.dim))
-            assert _gram_minor(m, rows, cols) == _submatrix_det(m, rows, cols)
+            minor = _gram_minor(m, _one_block(m), _mask(rows), _mask(cols))
+            assert minor == _submatrix_det(m, rows, cols)
     assert all(m._g_minors and m._minors for m in dense + (walker,))
 
 
@@ -490,8 +509,8 @@ def test_each_metric_has_its_own_minor_table():
     first, second = dense_metric(D5, 1), dense_metric(D5, 3)
     assert first.g_inv != second.g_inv
     rows, cols = (0, 2), (1, 3)
-    one = _gram_minor(first, rows, cols)
-    two = _gram_minor(second, rows, cols)
+    one = _gram_minor(first, _one_block(first), _mask(rows), _mask(cols))
+    two = _gram_minor(second, _one_block(second), _mask(rows), _mask(cols))
     assert one == _submatrix_det(first, rows, cols)
     assert two == _submatrix_det(second, rows, cols)
     assert one != two
