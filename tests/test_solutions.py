@@ -1,5 +1,6 @@
 """Structural theorem checkers and the base-only flux theta = star eta."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from sugra11.solutions import (
     standard_base,
 )
 
+from test_exterior import random_polynomial
 from test_metric import diag
 
 P1 = Polynomial.constant(1)
@@ -204,6 +206,25 @@ def theta_background(base, eta):
     """F = theta := star eta on base x flat Lorentzian fiber, at f = 1."""
     pc = build_product(base, lorentz_flat6(), 1)
     return assemble_flux(pc, FluxAnsatz(theta=hodge_star(base, eta)))
+
+
+def test_base_flux_closed_coclosed_equivalence_random():
+    # star star = -1 on 1-forms of a negative-definite 5-dimensional base, so
+    # theta is closed and co-closed exactly when eta is: d star theta = -d eta
+    names = ("y1", "y2", "y3", "y4", "y5")
+    for seed, base in ((11, flat_negative_metric(Chart("ab5", names))), (19, standard_base())):
+        rng = random.Random(seed)
+        for _ in range(12):
+            comps = {}
+            for i in range(5):
+                p = random_polynomial(rng, base.chart.coordinates, max_deg=2, terms=2)
+                if not p.is_zero():
+                    comps[(i,)] = p
+            eta = DifferentialForm(base.chart, 1, comps)
+            theta = hodge_star(base, eta)
+            assert ext_d(theta) == ext_d(hodge_star(base, eta))
+            assert ext_d(hodge_star(base, theta)) == -ext_d(eta)
+            assert not ext_d(eta).is_zero()
 
 
 def test_base_flux_harmonic_gradient_is_closed_and_coclosed():
