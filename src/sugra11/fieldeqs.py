@@ -37,17 +37,18 @@ fiber dimension and s_q = (-1)^((4-q)(nf-q)) |f|^(nf-2q):
     HV block  = 1/2 sum_q (-1)^q f^(-2q) <t_q, i_Z t_(q+1)> <i_X b_q, b_(q+1)>
 
 with C the contraction matrix <i_j ., i_k .> on the factor, X a base and
-Z a fiber coordinate field.  The typed gauge system is d star F - 1/2 F^F
-split by fiber degree k: the two d star F terms of type q land in k = nf+1-q
-and nf-q, a 1/2 F^F term in k = q+q'.  A term whose factor form exceeds its
-chart's dimension vanishes and is skipped, and so is a type with a zero
-factor, which adds nothing to F.  The HV block takes each contraction
+Z a fiber coordinate field.  One Leibniz split takes d of sum s t ^ b by
+fiber degree k, d t ^ b at deg t + 1 and t ^ d b at deg t, skipping a
+factor whose d is zero; on star F the two terms of type q land in
+k = nf+1-q and nf-q.  The 1/2 F^F terms are built once, by k = q+q'; a pair
+whose factor wedge exceeds its chart's dimension vanishes and is skipped,
+and so is a type with a zero factor.  The HV block takes each contraction
 through its adjoint <i_X a, b> = <a, X_flat ^ b>, so no block law calls
 interior_product.  The direct 11-dimensional side reads no table; the
-audits run beside it, each comparing a direct value with its block law
-through one _audit.
+audits run beside it, each through one _audit, which names the first
+differing entry by its report label.
 
-Closedness is the same split of dF by the Leibniz rule,
+Closedness is that split of dF,
 
     dF = sum_q (d t ^ b + (-1)^q t ^ d b),
 
@@ -82,7 +83,7 @@ from .metric import (
 )
 from .polyring import Polynomial
 from .product import ProductChart
-from .report import CheckResult, EngineInconsistency
+from .report import CheckResult, EngineInconsistency, residual_entries
 
 # (fiber piece, base piece, fiber degree q); None marks an absent factor
 TYPES = (
@@ -197,12 +198,22 @@ def _typed_pieces(pc: ProductChart, a: FluxAnsatz):
         yield fiber, base, q
 
 
-def _add(terms: Dict[int, DifferentialForm], k: int, form: DifferentialForm) -> None:
-    terms[k] = terms[k] + form if k in terms else form
-
-
 def _lifted(pc: ProductChart, fiber: DifferentialForm, base: DifferentialForm) -> DifferentialForm:
     return wedge(pc.lift(fiber), pc.lift(base))
+
+
+def _leibniz(pc: ProductChart, pieces) -> Dict[int, list]:
+    """d of sum s t ^ b over (t, b, s) by the Leibniz rule, split by fiber degree:
+    {k: [(d of a factor, its lifted term)]}, with d t ^ b at k = deg t + 1 and
+    (-1)^deg t t ^ d b at k = deg t.  A factor whose d is zero adds no term."""
+    split: Dict[int, list] = {}
+    for t, b, s in pieces:
+        dt, db = ext_d(t), ext_d(b)
+        if not dt.is_zero():
+            split.setdefault(t.degree + 1, []).append((dt, _lifted(pc, dt, b) * s))
+        if not db.is_zero():
+            split.setdefault(t.degree, []).append((db, _lifted(pc, t, db) * (s * (-1) ** t.degree)))
+    return split
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +242,7 @@ def check_closedness(bg: Background) -> CheckResult:
     direct = ext_d(bg.flux)
     result = CheckResult("closedness")
     result.residuals["dF"] = direct
-    split: Dict[int, list] = {}  # k: [(d of a factor, its lifted Leibniz term)]
-    for t, b, q in _typed_pieces(pc, bg.ansatz):
-        # a degree-0 factor is the unit, whose d is 0
-        if t.degree:
-            dt = ext_d(t)
-            split.setdefault(q + 1, []).append((dt, _lifted(pc, dt, b)))
-        if b.degree:
-            db = ext_d(b)
-            split.setdefault(q, []).append((db, _lifted(pc, t, db) * (-1) ** q))
+    split = _leibniz(pc, ((t, b, 1) for t, b, _ in _typed_pieces(pc, bg.ansatz)))
     for k in range(5, -1, -1):
         terms = split.get(k, [])
         block = sum((term for _, term in terms), DifferentialForm.zero(pc.chart, 5))
@@ -259,57 +262,44 @@ def check_closedness(bg: Background) -> CheckResult:
 # gauge (Maxwell) equation
 # ---------------------------------------------------------------------------
 
+def _starred_pieces(pc: ProductChart, a: FluxAnsatz):
+    """(star_t t, star_b b, s_q) for each type, s_q = (-1)^((4-q)(nf-q)) |f|^(nf-2q):
+    star_h(t ^ b) = s_q star_t(t) ^ star_b(b)."""
+    for t, b, q in _typed_pieces(pc, a):
+        s = (-1) ** ((4 - q) * (pc.fiber.dim - q)) * pc.star_weight(q)
+        yield hodge_star(pc.fiber, t), hodge_star(pc.base, b), s
+
+
 def star_flux_block(bg: Background) -> DifferentialForm:
     """star F from the factor-star block formula."""
     pc = bg.product
     total = DifferentialForm.zero(pc.chart, 7)
-    for t, b, q in _typed_pieces(pc, bg.ansatz):
-        piece = _lifted(pc, hodge_star(pc.fiber, t), hodge_star(pc.base, b))
-        total = total + piece * _star_scale(pc, q)
+    for st, sb, s in _starred_pieces(pc, bg.ansatz):
+        total = total + _lifted(pc, st, sb) * s
     return total
 
 
-def _star_scale(pc: ProductChart, q: int) -> Fraction:
-    """s_q = (-1)^((4-q)(nf-q)) |f|^(nf-2q): star_h(t ^ b) = s_q star_t(t) ^ star_b(b)."""
-    return (-1) ** ((4 - q) * (pc.fiber.dim - q)) * pc.star_weight(q)
-
-
-def _half_flux_wedge_flux_terms(pc: ProductChart, a: FluxAnsatz) -> Dict[int, DifferentialForm]:
+def half_flux_wedge_flux_block(bg: Background) -> Dict[int, DifferentialForm]:
     """{k: the part of 1/2 F^F with k fiber indices}, one term per type pair q <= q'."""
-    pieces = list(_typed_pieces(pc, a))[::-1]
+    pc = bg.product
+    pieces = list(_typed_pieces(pc, bg.ansatz))[::-1]
     terms: Dict[int, DifferentialForm] = {}
     for n, (t, b, q) in enumerate(pieces):
         for t2, b2, q2 in pieces[n:]:
             # a pair whose factor wedge exceeds the factor's dimension vanishes
             if q + q2 <= pc.fiber.dim and 8 - q - q2 <= pc.base.dim:
                 scale = (-1) ** ((4 - q) * q2) * (Fraction(1, 2) if q == q2 else 1)
-                _add(terms, q + q2, _lifted(pc, wedge(t, t2), wedge(b, b2)) * scale)
+                term = _lifted(pc, wedge(t, t2), wedge(b, b2)) * scale
+                terms[q + q2] = terms[q + q2] + term if q + q2 in terms else term
     return terms
 
 
-def half_flux_wedge_flux_block(bg: Background) -> DifferentialForm:
-    """1/2 F^F as the sum of its typed cross terms."""
-    total = DifferentialForm.zero(bg.product.chart, 8)
-    for term in _half_flux_wedge_flux_terms(bg.product, bg.ansatz).values():
-        total = total + term
-    return total
-
-
 def typed_gauge_system(bg: Background) -> Dict[int, DifferentialForm]:
-    """LHS - RHS of d star F = 1/2 F^F by fiber degree k, for the k that occur."""
+    """d star F by fiber degree k, the Leibniz split of the star F block formula."""
     pc = bg.product
-    system: Dict[int, DifferentialForm] = {}
-    for t, b, q in _typed_pieces(pc, bg.ansatz):
-        st, sb = hodge_star(pc.fiber, t), hodge_star(pc.base, b)
-        s = _star_scale(pc, q)
-        # d of each star F term by the Leibniz rule; d of a top-degree form is 0
-        if st.degree < pc.fiber.dim:
-            _add(system, st.degree + 1, _lifted(pc, ext_d(st), sb) * s)
-        if sb.degree < pc.base.dim:
-            _add(system, st.degree, _lifted(pc, st, ext_d(sb)) * (s * (-1) ** st.degree))
-    for k, term in _half_flux_wedge_flux_terms(pc, bg.ansatz).items():
-        _add(system, k, -term)
-    return system
+    zero = DifferentialForm.zero(pc.chart, 8)
+    split = _leibniz(pc, _starred_pieces(pc, bg.ansatz))
+    return {k: sum((term for _, term in terms), zero) for k, terms in split.items()}
 
 
 def check_maxwell(bg: Background) -> CheckResult:
@@ -324,33 +314,28 @@ def check_maxwell(bg: Background) -> CheckResult:
     result.residuals["d_star_F_minus_half_FF"] = residual
 
     _audit("star F block law failed", star_f_direct, star_flux_block(bg))
-    _audit("1/2 F^F block law failed", half_ff_direct, half_flux_wedge_flux_block(bg))
-    typed = typed_gauge_system(bg)
     zero = DifferentialForm.zero(pc.chart, 8)
+    half = half_flux_wedge_flux_block(bg)
+    _audit("1/2 F^F block law failed", half_ff_direct, sum(half.values(), zero))
+    d_star = typed_gauge_system(bg)
     # every fiber degree, so the audited projections sum to the whole residual
-    for k in sorted(typed.keys() | set(range(9))):
+    for k in range(9):
         _audit(f"typed gauge block type_{k}_{8 - k} does not match the projection",
-               type_project(pc, residual, k), typed.get(k, zero))
+               type_project(pc, residual, k), d_star.get(k, zero) - half.get(k, zero))
     return result
 
 
 def _audit(law: str, direct, block) -> None:
-    """Raise EngineInconsistency naming the first entry where block differs from
-    direct: two forms by basis label, two matrices by (i,j), or two polynomials."""
+    """Raise EngineInconsistency naming the first entry, by its report label,
+    where block differs from direct, and showing both values."""
     if block == direct:
         return
+    direct_entries, block_entries = dict(residual_entries("", direct)), dict(residual_entries("", block))
     zero = Polynomial.zero()
-    if isinstance(direct, Polynomial):
-        entries = [("", direct, block)]
-    elif isinstance(direct, DifferentialForm):
-        entries = ((f" at {direct.chart.basis_label(idx) or '1'}",
-                    direct.components.get(idx, zero), block.components.get(idx, zero))
-                   for idx in sorted(direct.components.keys() | block.components.keys()))
-    else:
-        entries = ((f" at ({i},{j})", d, b) for i, (d_row, b_row) in enumerate(zip(direct, block))
-                   for j, (d, b) in enumerate(zip(d_row, b_row)))
-    for where, d, b in entries:
+    for label in {**direct_entries, **block_entries}:
+        d, b = direct_entries.get(label, zero), block_entries.get(label, zero)
         if d != b:
+            where = f" at {label}" if label else ""  # a polynomial's one entry has no label
             raise EngineInconsistency(f"{law}{where}: direct {d}, block {b}")
     raise EngineInconsistency(f"{law}: direct {direct!r}, block {block!r}")
 

@@ -170,8 +170,8 @@ def make_metric(
 ) -> ChartMetric:
     """Build and validate a chart metric.
 
-    When no inverse is supplied it is computed by adjugate/determinant,
-    which is accepted only for a nonzero constant determinant.  A supplied
+    det g must be a nonzero constant, as a polynomial inverse requires; when
+    none is supplied it is computed by adjugate/determinant.  A supplied
     sqrt_abs_det must be the positive rational whose square is |det g|, and
     a supplied signature the signature of g.
     """
@@ -193,12 +193,11 @@ def make_metric(
     det = poly_det(g)
     if det.is_zero():
         raise MetricError("metric is degenerate (zero determinant)")
+    if not det.is_constant():
+        raise NonPolynomialInverse(f"det g = {det} is not a nonzero constant, "
+                                   "so g has no polynomial inverse")
 
     if g_inv_rows is None:
-        if not det.is_constant():
-            raise NonPolynomialInverse(
-                "no inverse supplied and det is non-constant; supply a polynomial inverse"
-            )
         # inv[i][j] = C_ji / det, the cofactors from one table over the symmetric g
         scale = Fraction(1) / det.constant_value()
         full = (1 << n) - 1
@@ -215,7 +214,6 @@ def make_metric(
            for i in range(n) for j in range(n)):
         raise InverseMismatch("g * g_inv is not the identity")
 
-    # g_inv is polynomial, so det g divides 1: a nonzero rational constant
     det_value = det.constant_value()
     det_sign = 1 if det_value > 0 else -1
     root = _fraction_sqrt(abs(det_value))

@@ -22,9 +22,9 @@ class EngineInconsistency(AssertionError):
 def residual_entries(name: str, value) -> Iterator[Tuple[str, Polynomial]]:
     """Flatten a residual into (label, polynomial) pairs, nonzero only.
 
-    The one dispatch over residual types.  A label is built only for an entry
-    that is yielded, so ``CheckResult.passed``, which stops at the first
-    entry, builds no string for a passing check."""
+    The one dispatch over residual types, read by reports and fieldeqs._audit.
+    A label is built only for an entry that is yielded, so ``CheckResult.passed``,
+    which stops at the first entry, builds no string for a passing check."""
     if isinstance(value, Polynomial):
         if not value.is_zero():
             yield name, value

@@ -516,7 +516,7 @@ def test_split_einstein_names_the_block_whose_direct_entry_is_off(monkeypatch, b
         split_einstein(alpha_family_background())
     # the block-local position, then the perturbed direct entry and the block entry
     entry = original(alpha_family_background())[where[0]][where[1]]
-    assert str(exc.value).endswith(f"at (0,0): direct {entry + P1}, block {entry}")
+    assert str(exc.value).endswith(f"at [0,0]: direct {entry + P1}, block {entry}")
 
 
 def test_star_flux_audit_shows_the_first_differing_component_and_both_values(monkeypatch):
@@ -538,7 +538,7 @@ def test_star_flux_audit_shows_the_first_differing_component_and_both_values(mon
     with pytest.raises(EngineInconsistency) as exc:
         check_maxwell(bg)
     assert str(exc.value) == (
-        f"star F block law failed at {where}: direct {value}, block {value + x1}"
+        f"star F block law failed at [{where}]: direct {value}, block {value + x1}"
     )
 
 
@@ -555,15 +555,55 @@ def test_flux_term_missing_from_the_ansatz_trips_the_block_laws():
 
 
 def test_a_typed_gauge_degree_left_out_trips_the_maxwell_audit(monkeypatch):
-    # a non-solution: every fiber degree of d star F - 1/2 F^F that occurs is nonzero
+    # a non-solution: every fiber degree of d star F that occurs is nonzero, and
+    # 1/2 F^F is nonzero in three degrees (its k = 6 term is zero)
     bg = full_ansatz_background(monomial=False, seed=3)
-    original = fieldeqs.typed_gauge_system
-    for k, term in original(bg).items():
-        assert not term.is_zero()
-        monkeypatch.setattr(fieldeqs, "typed_gauge_system",
-                            lambda b, k=k: {j: t for j, t in original(b).items() if j != k})
-        with pytest.raises(EngineInconsistency):
-            check_maxwell(bg)
+    for name, nonzero in (("typed_gauge_system", {3, 4, 5, 6}), ("half_flux_wedge_flux_block", {3, 4, 5})):
+        original = getattr(fieldeqs, name)
+        assert {k for k, term in original(bg).items() if not term.is_zero()} == nonzero
+        for k in nonzero:
+            monkeypatch.setattr(fieldeqs, name,
+                                lambda b, k=k, original=original:
+                                {j: t for j, t in original(b).items() if j != k})
+            with pytest.raises(EngineInconsistency):
+                check_maxwell(bg)
+        monkeypatch.setattr(fieldeqs, name, original)
+
+
+def test_maxwell_builds_the_half_flux_wedge_flux_terms_once(monkeypatch):
+    original = fieldeqs.half_flux_wedge_flux_block
+    calls = []
+
+    def counted(bg):
+        calls.append(bg)
+        return original(bg)
+
+    monkeypatch.setattr(fieldeqs, "half_flux_wedge_flux_block", counted)
+    bg = full_ansatz_background(monomial=False, seed=3)
+    check_maxwell(bg)
+    assert len(calls) == 1 and calls[0] is bg
+
+
+def test_audit_names_the_first_differing_entry_by_its_report_label():
+    chart = Chart("C2", ("a", "b"))
+    x = Polynomial.variable("a")
+    fieldeqs._audit("law", x, x)
+    fieldeqs._audit("law", dform(chart, "a"), dform(chart, "a"))
+    cases = [
+        (x, x + 1, "law: direct a, block a + 1"),
+        (dform(chart, "a") + dform(chart, "b") * x, dform(chart, "a"),
+         "law at [db]: direct a, block 0"),
+        (((P0, P1), (P1, P0)), ((P0, P1), (x, P0)), "law at [1,0]: direct 1, block a"),
+    ]
+    for direct, block, message in cases:
+        with pytest.raises(EngineInconsistency) as exc:
+            fieldeqs._audit("law", direct, block)
+        assert str(exc.value) == message
+    # two zero forms of different degrees differ in no entry
+    zero1, zero2 = DifferentialForm.zero(chart, 1), DifferentialForm.zero(chart, 2)
+    with pytest.raises(EngineInconsistency) as exc:
+        fieldeqs._audit("law", zero1, zero2)
+    assert str(exc.value) == f"law: direct {zero1!r}, block {zero2!r}"
 
 
 def test_einstein_then_split_builds_the_direct_matrix_once(monkeypatch):

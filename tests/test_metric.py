@@ -136,11 +136,21 @@ def test_non_symmetric_metric_rejected():
         make_metric(Chart("C2", ("a", "b")), bad)
 
 
+NON_CONSTANT_DET = [[-P1 - Polynomial.variable("b") ** 2, P0], [P0, -P1]]
+
+
 def test_non_constant_det_without_inverse_rejected():
-    C = Chart("C1", ("a",))
-    g = [[Polynomial.variable("a") ** 2 + P1]]
-    with pytest.raises(NonPolynomialInverse):
-        make_metric(C, g)
+    with pytest.raises(NonPolynomialInverse) as exc:
+        make_metric(Chart("C2", ("a", "b")), NON_CONSTANT_DET)
+    assert str(exc.value) == "det g = b^2 + 1 is not a nonzero constant, so g has no polynomial inverse"
+
+
+def test_non_constant_det_with_a_supplied_inverse_rejected_for_its_cause():
+    # det g * det g_inv = 1 forces det g constant, so no supplied inverse can be right
+    for g_inv in (NON_CONSTANT_DET, diag(-1, -1)):
+        with pytest.raises(NonPolynomialInverse) as exc:
+            make_metric(Chart("C2", ("a", "b")), NON_CONSTANT_DET, g_inv)
+        assert str(exc.value) == "det g = b^2 + 1 is not a nonzero constant, so g has no polynomial inverse"
 
 
 def test_wrong_inverse_rejected():
