@@ -21,8 +21,10 @@ sums over the nonzero Gamma^l_ik.  The code reads no product or block
 structure, so the 11-dimensional Ricci stays independent of the block-law
 audits; tests/oracles.py keeps the dense loops as its reference.
 
-CurvatureData is computed once per metric and memoized on the metric
-object; metrics are immutable so the cache never invalidates.
+The Christoffel symbols stay a sparse map {(k, i, j): Gamma^k_ij} of the
+nonzero symbols, both (i, j) orders included.  The pair (map, Ricci) is
+computed once per metric and kept on it; metrics are immutable, so it
+never goes stale.
 """
 
 from __future__ import annotations
@@ -30,34 +32,31 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .exterior import DifferentialForm, Frozen, exterior_derivative
-from .metric import ChartMetric, Matrix, norm_sq
+from .exterior import DifferentialForm, exterior_derivative
+from .metric import ChartMetric, Matrix, norm_sq, symmetric_matrix
 from .polyring import Polynomial, sum_of_products
 
 
-class CurvatureData(Frozen):
-    """CurvatureData(christoffel, ricci): Gamma^k_ij as [k][i][j] and Ric_ij, dense."""
-
-    __slots__ = ("christoffel", "ricci")
+Christoffel = Dict[Tuple[int, int, int], Polynomial]  # (k, i, j) -> Gamma^k_ij, nonzero only
 
 
-def curvature(m: ChartMetric) -> CurvatureData:
-    cached = m._curvature
-    if cached is None:
-        cached = _compute_curvature(m)
-        m._curvature = cached
-    return cached
+def curvature(m: ChartMetric) -> Tuple[Christoffel, Matrix]:
+    """(Gamma, Ric) of m, computed on first use."""
+    if m._curvature is None:
+        m._curvature = _compute_curvature(m)
+    return m._curvature
 
 
-def christoffel(m: ChartMetric):
-    return curvature(m).christoffel
+def christoffel(m: ChartMetric) -> Christoffel:
+    """{(k, i, j): Gamma^k_ij} over the nonzero symbols."""
+    return curvature(m)[0]
 
 
 def ricci(m: ChartMetric) -> Matrix:
-    return curvature(m).ricci
+    return curvature(m)[1]
 
 
-def _compute_curvature(m: ChartMetric) -> CurvatureData:
+def _compute_curvature(m: ChartMetric) -> Tuple[Christoffel, Matrix]:
     n = m.dim
     names = m.chart.coordinates
     index = {v: k for k, v in enumerate(names)}
@@ -88,7 +87,7 @@ def _compute_curvature(m: ChartMetric) -> CurvatureData:
         if not bracket.is_zero():
             for k in m.inv_neighbors[l]:
                 raised.setdefault((k, i, j), []).append((1, m.g_inv[k][l], bracket))
-    gamma: Dict[Tuple[int, int, int], Polynomial] = {}  # (k, i, j) -> Gamma^k_ij, nonzero only
+    gamma: Christoffel = {}
     for (k, i, j), terms in raised.items():
         value = sum_of_products(terms) * Fraction(1, 2)
         if not value.is_zero():
@@ -113,24 +112,19 @@ def _compute_curvature(m: ChartMetric) -> CurvatureData:
     ric = [[zero] * n for _ in range(n)]
     for i, j in linear.keys() | products.keys():
         ric[i][j] = ric[j][i] = linear.get((i, j), zero) + sum_of_products(products.get((i, j), ()))
-
-    frozen_gamma = tuple(
-        tuple(tuple(gamma.get((k, i, j), zero) for j in range(n)) for i in range(n)) for k in range(n)
-    )
-    return CurvatureData(frozen_gamma, tuple(tuple(row) for row in ric))
+    return gamma, tuple(tuple(row) for row in ric)
 
 
 def hessian(m: ChartMetric, f: Polynomial) -> Matrix:
-    """H^f_ij = d_i d_j f - Gamma^k_ij d_k f."""
+    """H^f_ij = d_i d_j f - Gamma^k_ij d_k f, over the nonzero Gamma^k_ij."""
     n = m.dim
     names = m.chart.coordinates
-    gamma = christoffel(m)
     df = [f.partial(v) for v in names]
+    products: Dict[Tuple[int, int], list] = {}
+    for (k, i, j), value in christoffel(m).items():
+        products.setdefault((i, j), []).append((-1, value, df[k]))
     return tuple(
-        tuple(
-            df[j].partial(names[i]) - sum_of_products((1, gamma[k][i][j], df[k]) for k in range(n))
-            for j in range(n)
-        )
+        tuple(df[j].partial(names[i]) + sum_of_products(products.get((i, j), ())) for j in range(n))
         for i in range(n)
     )
 
@@ -153,11 +147,7 @@ def ricci_endomorphism_square(m: ChartMetric) -> Matrix:
     # first contract: T_a^d = Ric_ac g^cd
     t = [[sum_of_products((1, ric[a][c], m.g_inv[c][d]) for c in range(n)) for d in range(n)]
          for a in range(n)]
-    out = [[Polynomial.zero()] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            out[a][b] = out[b][a] = sum_of_products((1, t[a][d], ric[d][b]) for d in range(n))
-    return tuple(tuple(row) for row in out)
+    return symmetric_matrix(n, lambda a, b: sum_of_products((1, t[a][d], ric[d][b]) for d in range(n)))
 
 
 def is_totally_ricci_isotropic(m: ChartMetric):

@@ -80,6 +80,7 @@ from .metric import (
     hodge_star,
     inner_product_forms,
     norm_sq,
+    symmetric_matrix,
 )
 from .polyring import Polynomial
 from .product import ProductChart
@@ -365,13 +366,11 @@ def _direct_einstein(bg: Background) -> Matrix:
 def einstein_residual_matrix(bg: Background) -> Matrix:
     """Ric_ab + 1/2 <i_a F, i_b F> - 1/6 h_ab |F|^2 on the 11-dimensional chart."""
     h = bg.metric
-    n = h.dim
     ric = ricci(h)
     sixth_norm = norm_sq(h, bg.flux) * Fraction(1, 6)
     pairs = contraction_matrix(h, bg.flux)
-    return tuple(
-        tuple(ric[i][j] + pairs[i][j] * Fraction(1, 2) - h.g[i][j] * sixth_norm for j in range(n))
-        for i in range(n)
+    return symmetric_matrix(
+        h.dim, lambda i, j: ric[i][j] + pairs[i][j] * Fraction(1, 2) - h.g[i][j] * sixth_norm
     )
 
 
@@ -403,19 +402,14 @@ def _factor_ricci_identities(pc: ProductChart, a: FluxAnsatz) -> Tuple[Matrix, M
             (vv_brace, b_sq, t_sq, gt, contraction_matrix(gt, t)),
         ):
             for i in range(m.dim):
-                for j in range(m.dim):
+                for j in range(i, m.dim):  # the upper triangle: every term is symmetric
                     brace[i][j] = brace[i][j] + outer * (inner * m.g[i][j] - 3 * c[i][j]) * w
 
     # the warp terms (Hess f, Lap f, |grad f|^2) vanish for a constant f
-    ric_g = ricci(g)
-    hh_matrix: Matrix = tuple(
-        tuple(ric_g[i][j] - hh_brace[i][j] * Fraction(1, 6) for j in range(nb))
-        for i in range(nb)
-    )
-    ric_gt = ricci(gt)
-    vv_matrix: Matrix = tuple(
-        tuple(ric_gt[i][j] - vv_brace[i][j] * Fraction(1, 6) * f ** 2 for j in range(nf))
-        for i in range(nf)
+    ric_g, ric_gt = ricci(g), ricci(gt)
+    hh_matrix = symmetric_matrix(nb, lambda i, j: ric_g[i][j] - hh_brace[i][j] * Fraction(1, 6))
+    vv_matrix = symmetric_matrix(
+        nf, lambda i, j: ric_gt[i][j] - vv_brace[i][j] * Fraction(1, 6) * f ** 2
     )
     return hh_matrix, vv_matrix
 

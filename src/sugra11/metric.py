@@ -38,13 +38,14 @@ expansion along the lowest row.  ``poly_det`` is that expansion over a
 fresh table; ``make_metric`` takes det g, and the cofactors, from it.
 
 One kernel raises indices: ``_block_raise`` maps a form to
-{R: sum_C a_C det g_inv[R, C]} over every row set, one block at a time,
-and each metric keeps the raises it made, for ``hodge_star``,
-``inner_product_forms`` and ``contraction_matrix`` alike.  It alone sets
-the signs that move a block's indices past those of the others.  A
-factor metric and the 11-dimensional product metric have separate tables
-and raises: the block-law audits, which work on the factors, never read
-an entry of the direct computation and stay independent checks.
+{R: sum_C a_C det g_inv[R, C]} over the row sets where that sum is
+nonzero, one block at a time, and each metric keeps the raises it made,
+for ``hodge_star``, ``inner_product_forms`` and ``contraction_matrix``
+alike.  It alone sets the signs that move a block's indices past those
+of the others.  A factor metric and the 11-dimensional product metric
+have separate tables and raises: the block-law audits, which work on the
+factors, never read an entry of the direct computation and stay
+independent checks.
 
 On a negative-definite factor this star differs from the
 Euclidean-signature star by (-1)^p on p-forms, which shows up as
@@ -66,7 +67,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 from .exterior import (
     Chart,
@@ -108,6 +109,15 @@ Matrix = Tuple[Tuple[Polynomial, ...], ...]
 
 def _as_matrix(rows: Sequence[Sequence[Polynomial]]) -> Matrix:
     return tuple(tuple(row) for row in rows)
+
+
+def symmetric_matrix(n: int, entry: Callable[[int, int], Polynomial]) -> Matrix:
+    """The symmetric n x n matrix with entry(i, j) at (i, j) and (j, i), for i <= j."""
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = entry(i, j)
+    return _as_matrix(rows)
 
 
 def poly_det(m: Matrix) -> Polynomial:
@@ -351,7 +361,7 @@ def _mask_minor(
 
 
 def _raised(m: ChartMetric, a: DifferentialForm) -> Dict[Tuple[int, ...], Polynomial]:
-    """{R: sum_C a_C det g_inv[R, C]} over every row set R, once per form and metric."""
+    """{R: sum_C a_C det g_inv[R, C]} over the R where it is nonzero, once per form and metric."""
     hit = m._raised.get(a)
     return hit if hit is not None else m._raised.setdefault(a, _block_raise(m, a))
 
@@ -359,7 +369,9 @@ def _raised(m: ChartMetric, a: DifferentialForm) -> Dict[Tuple[int, ...], Polyno
 def _block_raise(m: ChartMetric, a: DifferentialForm) -> Dict[Tuple[int, ...], Polynomial]:
     """The full raise of ``a``, one g_inv block K at a time: C = S u C_K goes
     to R = S u R_K with weight det g_inv[R_K, C_K] times the signs that move
-    C_K and R_K past S, and a C without an index in K passes unchanged."""
+    C_K and R_K past S, and a C without an index in K passes unchanged.
+    A sum that cancels is not kept, so, like the components of a form, every
+    coefficient the next block meets is nonzero."""
     current = a.components
     for k in _blocks(m):
         out: Dict[Tuple[int, ...], Polynomial] = {}
@@ -374,7 +386,10 @@ def _block_raise(m: ChartMetric, a: DifferentialForm) -> Dict[Tuple[int, ...], P
             for rk, minor in _block_column(m, k, ck):
                 rows, rsign = _sort_with_sign(rest + rk)
                 products.setdefault(rows, []).append((rsign * sign, coeff, minor))
-        out.update((rows, sum_of_products(terms)) for rows, terms in products.items())
+        for rows, terms in products.items():
+            total = sum_of_products(terms)
+            if not total.is_zero():
+                out[rows] = total
         current = out
     return current
 
@@ -417,24 +432,19 @@ def contraction_matrix(m: ChartMetric, a: DifferentialForm) -> Matrix:
     if a.chart != m.chart:
         raise ChartError("chart mismatch")
     n = m.dim
-    rows = [[Polynomial.zero()] * n for _ in range(n)]
+    products: Dict[int, Dict[int, list]] = {j: {} for j in range(n)}
     if a.degree > 0:
         up: Dict[Tuple[int, ...], list] = {}
         for idx, value in _raised(m, a).items():
             for pos, l in enumerate(idx):
                 up.setdefault(idx[:pos] + idx[pos + 1:], []).append((l, pos, value))
-        products: Dict[int, Dict[int, list]] = {j: {} for j in range(n)}
         for idx, coeff in a.components.items():
             for pos, j in enumerate(idx):
                 for l, lpos, value in up.get(idx[:pos] + idx[pos + 1:], ()):
                     products[j].setdefault(l, []).append(((-1) ** (pos + lpos), coeff, value))
-        for j in range(n):
-            m_row = [(l, sum_of_products(terms)) for l, terms in products[j].items()]
-            for k in range(j, n):
-                rows[j][k] = rows[k][j] = sum_of_products(
-                    (1, v, m.g[l][k]) for l, v in m_row if not m.g[l][k].is_zero()
-                )
-    return _as_matrix(rows)
+    m_rows = [[(l, sum_of_products(terms)) for l, terms in products[j].items()] for j in range(n)]
+    return symmetric_matrix(n, lambda j, k: sum_of_products(
+        (1, v, m.g[l][k]) for l, v in m_rows[j] if not m.g[l][k].is_zero()))
 
 
 def norm_sq(m: ChartMetric, a: DifferentialForm) -> Polynomial:

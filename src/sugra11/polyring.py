@@ -7,9 +7,10 @@ form of Geddes, Czapor and Labahn, "Algorithms for Computer Algebra"
 (``is_zero``) is what every residual check reduces to, so results are
 always canonical (``_canonical`` is the one normaliser): no zero numerator
 is stored, ``gcd(den, every numerator) == 1``, and the zero polynomial has
-no terms and ``den == 1``.  Coefficients go in as ``int`` or ``Fraction``
-(floats are refused); ``constant_value`` and ``evaluate`` return
-``Fraction``.
+no terms and ``den == 1``.  A polynomial is made by ``parse_polynomial``,
+``Polynomial.constant``, ``.variable`` or ``.zero`` and the operators;
+coefficients go in as ``int`` or ``Fraction`` (floats are refused), and
+``constant_value`` and ``evaluate`` return ``Fraction``.
 
 A monomial is one packed ``int`` (Monagan and Pearce, "Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors", CASC
@@ -87,7 +88,7 @@ def _pack(pairs: Iterable[Tuple[str, int]]) -> int:
     key = 0
     for name, k in pairs:
         if k:
-            if not 0 < k < EXPONENT_LIMIT:
+            if k >= EXPONENT_LIMIT:
                 raise ExponentOverflow(f"exponent {k} of {name} is outside 0 .. 2^{FIELD_BITS - 1}-1")
             key += k << _offset(name)
     return key
@@ -111,37 +112,25 @@ def _check_guard(p: "Polynomial") -> "Polynomial":
 
 
 def _coefficient(value) -> Coefficient:
-    """The stored form of a rational: an int when integral, else a Fraction."""
-    if type(value) is int:
+    """value itself when it is an int or a Fraction; any other type, a float
+    above all, raises TypeError."""
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
-    if isinstance(value, int):  # an int subclass such as bool, as the operators accept
-        return int(value)
     raise TypeError(f"polynomial coefficients are int or Fraction, not {type(value).__name__}")
 
 
 class Polynomial:
     """Immutable sparse polynomial: int numerators over one positive int ``den``.
 
-    ``terms`` maps packed monomials to nonzero numerators; the public
-    constructor takes exponent tuples over ``variables`` and int or Fraction
-    coefficients, and packs them once.
+    ``terms`` maps packed monomials to nonzero numerators.  There is no
+    public constructor (see the module docstring).
     """
 
     __slots__ = ("terms", "den", "_variables", "_hash")
 
-    def __init__(
-        self, variables: Iterable[str] = (), terms: Mapping[Exponent, Coefficient] | None = None
-    ):
-        varlist = tuple(variables)
-        packed: Dict[int, Coefficient] = {}
-        for exp, c in (terms or {}).items():
-            key = _pack(zip(varlist, exp))
-            packed[key] = packed.get(key, 0) + _coefficient(c)
-        p = _rational(packed)
-        _set_terms(self, p.terms)
-        _set_den(self, p.den)
+    def __init__(self, *args, **kwargs):
+        raise TypeError("make a Polynomial with parse_polynomial, Polynomial.constant, "
+                        "Polynomial.variable or Polynomial.zero")
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Polynomial is immutable")
@@ -210,7 +199,7 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             if not other or not self.terms:
                 return _P_ZERO
-            num, den = _coefficient(other).as_integer_ratio()
+            num, den = other.as_integer_ratio()
             return _canonical({e: c * num for e, c in self.terms.items()}, self.den * den)
         return sum_of_products([(1, self, _coerce(other))])
 

@@ -1,7 +1,7 @@
 """The engine stays exact: no float literal and no float() call in its source.
 It also stays lean: every module-level function and every method and
 property of a class has a caller, and every module-level import of the
-engine and of scripts/ is used by its module."""
+engine, of scripts/ and of tests/ is used by its module."""
 
 import ast
 import io
@@ -169,9 +169,10 @@ def test_import_scan_finds_names_the_module_never_mentions():
 
 
 def test_every_engine_import_is_mentioned_in_its_module():
-    # the scripts under scripts/ too; __init__ only re-exports, so its
-    # imports are its content
-    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    # the scripts under scripts/ and the tests too; __init__ only re-exports,
+    # so its imports are its content
+    paths = [*sorted(SRC.glob("*.py")), *sorted((ROOT / "scripts").glob("*.py")),
+             *sorted((ROOT / "tests").glob("*.py"))]
     offenders = [f"{path.name}: {name}" for path in paths
                  if path.name != "__init__.py" for name in _unused_imports(path.read_text())]
     assert offenders == []

@@ -182,9 +182,9 @@ def test_abs_det_without_a_rational_root_is_refused():
     assert (m.det_sign, m.sqrt_abs_det) == (-1, 4)
 
 
-# -- sharp: the raise of a 1-form --------------------------------------------------
+# -- _raised on 1-forms -----------------------------------------------------------
 
-def test_sharp_of_du_is_dv_direction():
+def test_raise_of_du_is_dv_direction():
     m = walker_metric(H_EXAMPLE)
     assert _raised(m, dx(m.chart, "u")) == {(0,): P1}  # d/dv
 
@@ -197,7 +197,7 @@ def lower(m, raised):
     return DifferentialForm(m.chart, 1, lowered)
 
 
-def test_sharp_flat_inverse_pair_randomized():
+def test_raise_and_lower_of_1_forms_are_inverse_randomized():
     rng = random.Random(2)
     m = walker_metric(H_EXAMPLE)
     for _ in range(10):
@@ -205,7 +205,7 @@ def test_sharp_flat_inverse_pair_randomized():
         assert lower(m, _raised(m, nu)) == nu
 
 
-def test_sharp_of_dt_in_negative_definite_metric():
+def test_raise_of_dt_in_negative_definite_metric():
     C = Chart("C5", ("z1", "z2", "z3", "z4", "t"))
     g = make_metric(C, diag(-1, -1, -1, -1, -1), signature=(0, 5))
     eta = dx(C, "t")
