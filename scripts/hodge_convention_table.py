@@ -13,27 +13,9 @@ Run from the repository root:  python3 scripts/hodge_convention_table.py
 from itertools import combinations
 
 from sugra11.exterior import Chart, DifferentialForm
-from sugra11.metric import hodge_star, make_metric
+from sugra11.metric import hodge_star
 from sugra11.polyring import Polynomial
-
-
-def diag_metric(chart, values, signature):
-    n = chart.dim
-    rows = [
-        [Polynomial.constant(values[i] if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    return make_metric(chart, rows, signature=signature)
-
-
-def walker_flat():
-    chart = Chart("walker6_flat", ("v", "x1", "x2", "x3", "x4", "u"))
-    P0, P1 = Polynomial.zero(), Polynomial.constant(1)
-    g = [[P0] * 6 for _ in range(6)]
-    g[0][5] = g[5][0] = P1
-    for i in range(1, 5):
-        g[i][i] = -P1
-    return make_metric(chart, g, signature=(1, 5))
+from sugra11.solutions import flat_negative_metric, walker_metric_from_rho
 
 
 def show(metric, degrees, header):
@@ -55,14 +37,14 @@ def show(metric, degrees, header):
 
 def main():
     n4 = Chart("rho4", ("x1", "x2", "x3", "x4"))
-    rho = diag_metric(n4, (-1, -1, -1, -1), (0, 4))
+    rho = flat_negative_metric(n4)
     show(rho, (1, 2, 3), "transverse block rho = -(sum dx_i^2)")
 
     m5 = Chart("base5t", ("y1", "y2", "y3", "y4", "y5"))
-    g5 = diag_metric(m5, (-1, -1, -1, -1, -1), (0, 5))
+    g5 = flat_negative_metric(m5)
     show(g5, (1, 4), "base g = -(sum dy_i^2)")
 
-    w = walker_flat()
+    w = walker_metric_from_rho(rho, Polynomial.zero())
     print(f"\n== flat Walker fiber 2 dv du - sum dx_i^2 ==")
     for names in (("u",), ("u", "x1"), ("u", "x2", "x3"), ("u", "x2", "x3", "x4"), ("v", "u")):
         form = DifferentialForm.monomial(w.chart, names, Polynomial.constant(1))

@@ -21,21 +21,23 @@ Sign conventions are fixed once and used everywhere:
 Every pairing, star and raised index above is a sum of Gram minors
 det g_inv[R, C].  g_inv, and so g, is block diagonal over the connected
 components K of the ``inv_neighbors`` graph (base and fiber of a product;
-{v, u} and interleaved singletons on a Walker fiber).  A raise works one
-block at a time, so every minor it takes has R and C inside one K.  A
-p-minor with |K| - p <= p comes from g by Jacobi's complementary-minor
-identity (Horn and Johnson, Matrix Analysis, 0.8.4),
+{v, u} and interleaved singletons on a Walker fiber), which ``ChartMetric``
+finds once, at construction.  A raise works one block at a time, so every
+minor it takes has R and C inside one K, and ``_gram_minor`` takes each
+from g by Jacobi's complementary-minor identity (Horn and Johnson, Matrix
+Analysis, 0.8.4),
 
     det g_inv[R, C] = (-1)^(ranks of R and C in K) det g[K - C, K - R] / det g_K,
 
 with det g_K a nonzero constant, as it divides det g, which
 ``make_metric`` establishes to be a nonzero constant.  Each
-``ChartMetric`` keeps a table of minors of g_inv (the Jacobi ones
-included) and one of g, and ``_gram_minor`` alone reads or fills them
-through ``_mask_minor``: a key of one int built from the row and column
-bitmasks, shared by a minor and its transpose, and on a miss a Laplace
-expansion along the lowest row.  ``poly_det`` is that expansion over a
-fresh table; ``make_metric`` takes det g, and the cofactors, from it.
+``ChartMetric`` keeps one table of minors of g, read and filled by
+``_mask_minor``: a key of one int built from the row and column bitmasks,
+shared by a minor and its transpose, and on a miss a Laplace expansion
+along the lowest row.  ``make_metric`` fills that table while it
+validates (det g, and the cofactors when no inverse is supplied) and
+hands it to the metric it returns.  ``poly_det`` is the same expansion
+over a fresh table.
 
 One kernel raises indices: ``_block_raise`` maps a form to
 {R: sum_C a_C det g_inv[R, C]} over the row sets where that sum is
@@ -144,20 +146,17 @@ class ChartMetric:
         g: Matrix,
         g_inv: Matrix,
         signature: Tuple[int, int],
-        det_sign: int,
         sqrt_abs_det: Fraction,
+        g_minors: Dict[int, Polynomial],
     ):
         self.chart = chart
         self.g = g
         self.g_inv = g_inv
         self.signature = signature
-        self.det_sign = det_sign
         self.sqrt_abs_det = sqrt_abs_det
         self._curvature = None  # lazily filled by the curvature module
-        # the minor tables of g_inv and of g, read and filled by _gram_minor only
-        self._minors: Dict[int, Polynomial] = {}
-        self._g_minors: Dict[int, Polynomial] = {}
-        self._blocks = None  # lazily filled by _blocks
+        # the table of minors of g, read and filled by _mask_minor only
+        self._g_minors = g_minors
         self._raised: Dict[DifferentialForm, Dict[Tuple[int, ...], Polynomial]] = {}
         self._columns: Dict[Tuple[int, ...], list] = {}  # filled by _block_column
         n = chart.dim
@@ -165,6 +164,13 @@ class ChartMetric:
         self.inv_neighbors = tuple(
             frozenset(i for i in range(n) if not g_inv[i][j].is_zero()) for j in range(n)
         )
+        # bitmasks of the connected components of inv_neighbors: the g_inv blocks
+        blocks: list = []
+        for i, near in enumerate(self.inv_neighbors):
+            block = sum(1 << j for j in near | {i})
+            block |= sum(b for b in blocks if b & block)  # the blocks are disjoint
+            blocks = [b for b in blocks if not b & block] + [block]
+        self.blocks = tuple(blocks)
 
     @property
     def dim(self) -> int:
@@ -200,7 +206,9 @@ def make_metric(
                     f"{', '.join(outside)} outside chart {chart.name!r}, in entry ({i},{j})"
                 )
 
-    det = poly_det(g)
+    full = (1 << n) - 1
+    minors: Dict[int, Polynomial] = {}
+    det = _mask_minor(minors, g, n, full, full)
     if det.is_zero():
         raise MetricError("metric is degenerate (zero determinant)")
     if not det.is_constant():
@@ -208,11 +216,9 @@ def make_metric(
                                    "so g has no polynomial inverse")
 
     if g_inv_rows is None:
-        # inv[i][j] = C_ji / det, the cofactors from one table over the symmetric g
+        # inv[i][j] = C_ji / det, the cofactors from the same table over the symmetric g
         scale = Fraction(1) / det.constant_value()
-        full = (1 << n) - 1
-        cofactors: Dict[int, Polynomial] = {}
-        g_inv = tuple(tuple(_mask_minor(cofactors, g, n, full ^ (1 << j), full ^ (1 << i))
+        g_inv = tuple(tuple(_mask_minor(minors, g, n, full ^ (1 << j), full ^ (1 << i))
                             * ((-1) ** (i + j) * scale) for j in range(n)) for i in range(n))
     else:
         g_inv = _as_matrix(g_inv_rows)
@@ -225,7 +231,6 @@ def make_metric(
         raise InverseMismatch("g * g_inv is not the identity")
 
     det_value = det.constant_value()
-    det_sign = 1 if det_value > 0 else -1
     root = _fraction_sqrt(abs(det_value))
     if root is None:
         raise VolumeNotPolynomial(
@@ -242,7 +247,7 @@ def make_metric(
         raise MetricError(
             f"declared signature {tuple(signature)} is not {inferred}, the signature of g"
         )
-    return ChartMetric(chart, g, g_inv, inferred, det_sign, root)
+    return ChartMetric(chart, g, g_inv, inferred, root, minors)
 
 
 def _infer_signature(g: Matrix) -> Tuple[int, int]:
@@ -286,20 +291,12 @@ def _infer_signature(g: Matrix) -> Tuple[int, int]:
 
 def _gram_minor(m: ChartMetric, k: int, rmask: int, cmask: int) -> Polynomial:
     """det g_inv[rmask, cmask] for row and column bitmasks of equal size inside
-    the g_inv block k, from the metric's two tables (see the module docstring)."""
+    the g_inv block k, by Jacobi from the metric's table of minors of g (see
+    the module docstring)."""
     n = m.dim
-    key = (rmask << n) | cmask if rmask <= cmask else (cmask << n) | rmask
-    minor = m._minors.get(key)
-    if minor is not None:
-        return minor
-    p = rmask.bit_count()
-    if k.bit_count() - p > p:
-        return _mask_minor(m._minors, m.g_inv, n, rmask, cmask)
-    # Jacobi, into the g_inv table
     det_k = _mask_minor(m._g_minors, m.g, n, k, k).constant_value()
     sign = (-1) ** (_pairs_below(rmask, k) + _pairs_below(cmask, k))
-    minor = m._minors[key] = _mask_minor(m._g_minors, m.g, n, k ^ cmask, k ^ rmask) * (sign / det_k)
-    return minor
+    return _mask_minor(m._g_minors, m.g, n, k ^ cmask, k ^ rmask) * (sign / det_k)
 
 
 def _pairs_below(mask: int, others: int) -> int:
@@ -310,18 +307,6 @@ def _pairs_below(mask: int, others: int) -> int:
         mask ^= bit
         count += (others & (bit - 1)).bit_count()
     return count
-
-
-def _blocks(m: ChartMetric) -> Tuple[int, ...]:
-    """Bitmasks of the connected components of ``inv_neighbors``, found once."""
-    if m._blocks is None:
-        blocks: list = []
-        for i, near in enumerate(m.inv_neighbors):
-            block = sum(1 << j for j in near | {i})
-            block |= sum(b for b in blocks if b & block)  # the blocks are disjoint
-            blocks = [b for b in blocks if not b & block] + [block]
-        m._blocks = tuple(blocks)
-    return m._blocks
 
 
 def _mask_minor(
@@ -373,7 +358,7 @@ def _block_raise(m: ChartMetric, a: DifferentialForm) -> Dict[Tuple[int, ...], P
     A sum that cancels is not kept, so, like the components of a form, every
     coefficient the next block meets is nonzero."""
     current = a.components
-    for k in _blocks(m):
+    for k in m.blocks:
         out: Dict[Tuple[int, ...], Polynomial] = {}
         products: Dict[Tuple[int, ...], list] = {}
         for cols, coeff in current.items():
@@ -396,16 +381,14 @@ def _block_raise(m: ChartMetric, a: DifferentialForm) -> Dict[Tuple[int, ...], P
 
 def _block_column(m: ChartMetric, k: int, ck: Tuple[int, ...]) -> list:
     """[(R_K, det g_inv[R_K, C_K])] over the nonzero minors on the columns C_K
-    of block k, kept on the metric.  An R_K whose minor has a zero row or
-    column by the sparsity of g_inv is skipped without computing it."""
+    of block k, kept on the metric.  Each row of R_K is one that g_inv pairs
+    with some column of C_K, as any other row of the minor is zero."""
     hit = m._columns.get(ck)
     if hit is None:
-        neighbors = m.inv_neighbors
-        reach = frozenset().union(*(neighbors[c] for c in ck))  # inside k, as ck is
+        reach = frozenset().union(*(m.inv_neighbors[c] for c in ck))  # inside k, as ck is
         cmask = sum(1 << c for c in ck)
         hit = m._columns[ck] = [
             (rk, minor) for rk in combinations(sorted(reach), len(ck))
-            if all(not neighbors[c].isdisjoint(rk) for c in ck)
             for minor in (_gram_minor(m, k, sum(1 << r for r in rk), cmask),)
             if not minor.is_zero()
         ]

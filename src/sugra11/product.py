@@ -85,8 +85,8 @@ def build_product(
         _block_diagonal(base.g, fiber.g, f_sq),
         _block_diagonal(base.g_inv, fiber.g_inv, 1 / f_sq),
         signature,
-        base.det_sign * fiber.det_sign,
         sqrt_det,
+        {},  # its own table of minors of h, apart from the factors'
     )
     return ProductChart(base, fiber, warping, chart, assembled)
 

@@ -358,7 +358,7 @@ def test_criterion_12_property_suite():
         dd += 1
         assert wedge(a, b) == wedge(b, a) * ((-1) ** (p * q))
         anti += 1
-        expect = a * Fraction(m.det_sign * (-1) ** (p * (n - p)))
+        expect = a * Fraction((-1) ** (m.signature[1] + p * (n - p)))
         assert hodge_star(m, hodge_star(m, a)) == expect
         starstar += 1
         b_same = random_form(rng, chart, p, terms=2)

@@ -17,6 +17,7 @@ from sugra11.polyring import Polynomial
 from sugra11.product import build_product
 
 from oracles import dense_christoffel_ricci
+from test_cases import quadratic_H
 from test_exterior import random_polynomial
 from test_metric import H_EXAMPLE, dense_metric, diag, walker_metric
 
@@ -26,13 +27,6 @@ P1 = Polynomial.constant(1)
 
 def matrix_is_zero(mat):
     return all(entry.is_zero() for row in mat for entry in row)
-
-
-def quadratic_H(coeff):
-    return sum(
-        (Polynomial.variable(f"x{i}") ** 2 * coeff for i in range(1, 5)),
-        Polynomial.zero(),
-    )
 
 
 def test_flat_christoffel_vanishes():

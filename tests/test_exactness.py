@@ -95,7 +95,7 @@ def test_caller_scan_finds_functions_only_their_own_body_mentions():
 
 # kept without an engine caller: perfbench/tracer.py looks each of these up by
 # name (LAYERS, POLY_METHODS, POLY_FUNCTIONS) and stops if one is missing
-TRACED_ONLY = {"Polynomial.substitute", "poly_divexact", "poly_sqrt", "grad_norm_sq"}
+TRACED_ONLY = {"Polynomial.substitute", "poly_divexact", "poly_sqrt", "grad_norm_sq", "poly_det"}
 
 
 def _traced_names():

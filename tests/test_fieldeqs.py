@@ -35,28 +35,17 @@ from sugra11.solutions import (
     build_alpha_beta_nu_background,
     build_beta_nu_background,
     build_varpi_epsilon_background,
-    flat_negative_metric,
     standard_base,
     walker_metric_from_rho,
 )
 
+from test_cases import quadratic_H, rho_flat
 from test_exterior import random_form
 from test_metric import diag
 
 P0 = Polynomial.zero()
 P1 = Polynomial.constant(1)
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
-
-
-def rho_flat():
-    return flat_negative_metric(Chart("n4", ("x1", "x2", "x3", "x4")))
-
-
-def quadratic_H(coeff):
-    return sum(
-        (Polynomial.variable(f"x{i}") ** 2 * Fraction(coeff) for i in range(1, 5)),
-        Polynomial.zero(),
-    )
 
 
 def dform(chart, *names):

@@ -18,7 +18,6 @@ from sugra11.metric import (
     InverseMismatch,
     MetricError,
     NonPolynomialInverse,
-    _blocks,
     _gram_minor,
     _raised,
     contraction_matrix,
@@ -89,7 +88,7 @@ def dx(chart, name):
 
 def test_walker_metric_validates_with_unit_abs_det():
     m = walker_metric(H_EXAMPLE)
-    assert m.det_sign == -1
+    assert (-1) ** m.signature[1] == -1  # the sign of det g
     assert type(m.sqrt_abs_det) is Fraction and m.sqrt_abs_det == 1
 
 
@@ -168,7 +167,7 @@ def test_supplied_sqrt_abs_det_is_validated():
             make_metric(C, g, sqrt_abs_det=wrong)
     for supplied in (Fraction(2, 3), None):
         m = make_metric(C, g, sqrt_abs_det=supplied)
-        assert (m.det_sign, m.sqrt_abs_det) == (1, Fraction(2, 3))
+        assert ((-1) ** m.signature[1], m.sqrt_abs_det) == (1, Fraction(2, 3))
         assert type(m.sqrt_abs_det) is Fraction
 
 
@@ -179,7 +178,7 @@ def test_abs_det_without_a_rational_root_is_refused():
     with pytest.raises(VolumeNotPolynomial, match=r"\|det g\| = 2 is not the square of a rational"):
         make_metric(C, diag(-1, -2))
     m = make_metric(C, diag(2, -8), signature=(1, 1))
-    assert (m.det_sign, m.sqrt_abs_det) == (-1, 4)
+    assert ((-1) ** m.signature[1], m.sqrt_abs_det) == (-1, 4)
 
 
 # -- _raised on 1-forms -----------------------------------------------------------
@@ -274,7 +273,7 @@ def test_star_top_and_bottom():
     vol = volume_form(RHO)
     assert hodge_star(RHO, DifferentialForm.function(N4, P1)) == vol
     starred_vol = hodge_star(RHO, vol)
-    assert starred_vol == DifferentialForm.function(N4, Polynomial.constant(RHO.det_sign))
+    assert starred_vol == DifferentialForm.function(N4, Polynomial.constant((-1) ** RHO.signature[1]))
 
 
 def test_star_of_du_wedge_two_form_equals_du_wedge_rho_star():
@@ -299,7 +298,7 @@ def test_star_star_law_randomized():
         for _ in range(8):
             p = rng.randint(0, n)
             a = random_form(rng, metric.chart, p)
-            expect = a * Fraction(metric.det_sign * (-1) ** (p * (n - p)))
+            expect = a * Fraction((-1) ** (metric.signature[1] + p * (n - p)))
             assert hodge_star(metric, hodge_star(metric, a)) == expect
 
 
@@ -410,7 +409,7 @@ def _mask(indices):
 
 def _one_block(m):
     """The one g_inv block of a dense metric, as a bitmask."""
-    (k,) = _blocks(m)
+    (k,) = m.blocks
     assert k == (1 << m.dim) - 1
     return k
 
@@ -437,15 +436,14 @@ def test_gram_minor_table_matches_poly_det_and_its_transpose():
     check()
 
 
-def test_gram_minor_routes_match_poly_det_for_every_p():
+def test_jacobi_gram_minors_match_poly_det_for_every_p():
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
     # every in-block minor of the Walker metric with a v-dependent H, whose
-    # g_inv splits into the interleaved blocks {v, u}, {x1}, ..., {x4}: every
-    # block has |K| - p <= p once p >= 1, so the Jacobi route
+    # g_inv splits into the interleaved blocks {v, u}, {x1}, ..., {x4}
     walker = walker_metric(H_EXAMPLE + Polynomial.variable("v"))
-    blocks = _blocks(walker)
+    blocks = walker.blocks
     assert sorted(blocks) == [2, 4, 8, 16, 33]
     for k in blocks:
         block = [i for i in range(walker.dim) if k >> i & 1]
@@ -454,7 +452,7 @@ def test_gram_minor_routes_match_poly_det_for_every_p():
                 for cols in combinations(block, p):
                     minor = _gram_minor(walker, k, _mask(rows), _mask(cols))
                     assert minor == _submatrix_det(walker, rows, cols)
-    # one dense block: p-minors with p < |K| - p from the g_inv table, the others from g
+    # one dense block, whose complements det g[K - C, K - R] are dense minors of g
     dense = (dense_metric(D5, 2), dense_metric(F6, 3))
 
     @settings(max_examples=60, deadline=None)
@@ -467,12 +465,27 @@ def test_gram_minor_routes_match_poly_det_for_every_p():
         assert _gram_minor(m, _one_block(m), _mask(rows), _mask(cols)) == _submatrix_det(m, rows, cols)
 
     check()
-    for m in dense:  # each route, on each side of |K| - p <= p
+    for m in dense:  # every p, from the 0-minor to det g_inv
         for p in range(m.dim + 1):
             rows, cols = tuple(range(p)), tuple(range(m.dim - p, m.dim))
             minor = _gram_minor(m, _one_block(m), _mask(rows), _mask(cols))
             assert minor == _submatrix_det(m, rows, cols)
-    assert all(m._g_minors and m._minors for m in dense + (walker,))
+    assert all(m._g_minors for m in dense + (walker,))
+
+
+def test_make_metric_hands_over_det_g_and_every_cofactor():
+    # make_metric takes det g and the cofactors into the table the metric
+    # keeps, so every 0- and 1-minor of g_inv, by Jacobi det g_K and a
+    # cofactor, is read from it without one more expansion
+    m = make_metric(D5, dense_metric(D5, 2).g)
+    k = _one_block(m)
+    filled = len(m._g_minors)
+    assert filled > 0
+    assert _gram_minor(m, k, 0, 0) == P1
+    for i in range(m.dim):
+        for j in range(m.dim):
+            assert _gram_minor(m, k, 1 << i, 1 << j) == m.g_inv[i][j]
+    assert len(m._g_minors) == filled
 
 
 def _reference_inner(m, a, b):

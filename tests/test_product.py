@@ -186,8 +186,7 @@ def test_negative_warp_on_an_odd_fiber_is_the_background_of_its_absolute_value()
     neg, pos = _odd_fiber_product(-2), _odd_fiber_product(2)
     assert (neg.warping, pos.warping) == (-2, 2)
     a, b = neg.assembled, pos.assembled
-    assert (a.g, a.g_inv, a.signature, a.det_sign, a.sqrt_abs_det) == (
-        b.g, b.g_inv, b.signature, b.det_sign, b.sqrt_abs_det)
+    assert (a.g, a.g_inv, a.signature, a.sqrt_abs_det) == (b.g, b.g_inv, b.signature, b.sqrt_abs_det)
     assert a.sqrt_abs_det == 32  # |f|^5
     assert_volume_factorizes(neg)
 
@@ -228,5 +227,5 @@ def test_product_built_from_its_factors_equals_the_validated_metric_of_h():
         direct = pc.assembled
         reference = make_metric(pc.chart, h, h_inv)  # signature inferred independently
         assert type(direct.sqrt_abs_det) is Fraction
-        for field in ("g", "g_inv", "signature", "det_sign", "sqrt_abs_det", "inv_neighbors"):
+        for field in ("g", "g_inv", "signature", "sqrt_abs_det", "inv_neighbors"):
             assert getattr(direct, field) == getattr(reference, field), (label, field)

@@ -33,25 +33,9 @@ from sugra11.solutions import (
     standard_base,
 )
 
+from test_cases import mono, quadratic_H, rho_flat
 from test_exterior import random_polynomial
 from test_metric import diag
-
-P1 = Polynomial.constant(1)
-
-
-def rho_flat():
-    return flat_negative_metric(Chart("n4", ("x1", "x2", "x3", "x4")))
-
-
-def quadratic_H(coeff):
-    return sum(
-        (Polynomial.variable(f"x{i}") ** 2 * Fraction(coeff) for i in range(1, 5)),
-        Polynomial.zero(),
-    )
-
-
-def mono(chart, names, coeff=None):
-    return DifferentialForm.monomial(chart, names, coeff if coeff is not None else P1)
 
 
 # -- family builders ------------------------------------------------------------------
