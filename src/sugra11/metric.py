@@ -23,14 +23,15 @@ det g_inv[R, C].  g_inv, and so g, is block diagonal over the connected
 components K of the ``inv_neighbors`` graph (base and fiber of a product;
 {v, u} and interleaved singletons on a Walker fiber), which ``ChartMetric``
 finds once, at construction.  A raise works one block at a time, so every
-minor it takes has R and C inside one K, and ``_gram_minor`` takes each
-from g by Jacobi's complementary-minor identity (Horn and Johnson, Matrix
-Analysis, 0.8.4),
+minor it takes has R and C inside one K, and by Jacobi's complementary-minor
+identity (Horn and Johnson, Matrix Analysis, 0.8.4)
 
     det g_inv[R, C] = (-1)^(ranks of R and C in K) det g[K - C, K - R] / det g_K,
 
-with det g_K a nonzero constant, as it divides det g, which
-``make_metric`` establishes to be a nonzero constant.  Each
+with det g_K a nonzero constant, as it divides det g, which ``make_metric``
+establishes to be a nonzero constant.  The raise keeps each signed
+numerator, divides by |det g_K| once per raised row, and takes det g_K only
+for a block that some component meets.  Each
 ``ChartMetric`` keeps one table of minors of g, read and filled by
 ``_mask_minor``: a key of one int built from the row and column bitmasks,
 shared by a minor and its transpose, and on a miss a Laplace expansion
@@ -158,7 +159,8 @@ class ChartMetric:
         # the table of minors of g, read and filled by _mask_minor only
         self._g_minors = g_minors
         self._raised: Dict[DifferentialForm, Dict[Tuple[int, ...], Polynomial]] = {}
-        self._columns: Dict[Tuple[int, ...], list] = {}  # filled by _block_column
+        # C_K: (1/|det g_K| or None, signed Jacobi numerators), filled by _block_column
+        self._columns: Dict[Tuple[int, ...], tuple] = {}
         n = chart.dim
         # for each index, the indices it pairs with under g_inv (sparsity)
         self.inv_neighbors = tuple(
@@ -289,16 +291,6 @@ def _infer_signature(g: Matrix) -> Tuple[int, int]:
 # inner products of forms, Hodge star, volume
 # ---------------------------------------------------------------------------
 
-def _gram_minor(m: ChartMetric, k: int, rmask: int, cmask: int) -> Polynomial:
-    """det g_inv[rmask, cmask] for row and column bitmasks of equal size inside
-    the g_inv block k, by Jacobi from the metric's table of minors of g (see
-    the module docstring)."""
-    n = m.dim
-    det_k = _mask_minor(m._g_minors, m.g, n, k, k).constant_value()
-    sign = (-1) ** (_pairs_below(rmask, k) + _pairs_below(cmask, k))
-    return _mask_minor(m._g_minors, m.g, n, k ^ cmask, k ^ rmask) * (sign / det_k)
-
-
 def _pairs_below(mask: int, others: int) -> int:
     """The number of pairs x < y with x in ``others`` and y in ``mask``."""
     count = 0
@@ -354,9 +346,10 @@ def _raised(m: ChartMetric, a: DifferentialForm) -> Dict[Tuple[int, ...], Polyno
 def _block_raise(m: ChartMetric, a: DifferentialForm) -> Dict[Tuple[int, ...], Polynomial]:
     """The full raise of ``a``, one g_inv block K at a time: C = S u C_K goes
     to R = S u R_K with weight det g_inv[R_K, C_K] times the signs that move
-    C_K and R_K past S, and a C without an index in K passes unchanged.
-    A sum that cancels is not kept, so, like the components of a form, every
-    coefficient the next block meets is nonzero."""
+    C_K and R_K past S, and a C without an index in K passes unchanged.  Each
+    row sums ``_block_column``'s signed numerators and is divided by |det g_K|
+    once, when that is not 1; a sum that cancels is not kept, so, like the
+    components of a form, every coefficient the next block meets is nonzero."""
     current = a.components
     for k in m.blocks:
         out: Dict[Tuple[int, ...], Polynomial] = {}
@@ -368,30 +361,36 @@ def _block_raise(m: ChartMetric, a: DifferentialForm) -> Dict[Tuple[int, ...], P
                 continue
             rest = tuple(c for c in cols if not k >> c & 1)
             _, sign = _sort_with_sign(rest + ck)
-            for rk, minor in _block_column(m, k, ck):
+            scale, numerators = _block_column(m, k, ck)
+            for rk, jsign, minor in numerators:
                 rows, rsign = _sort_with_sign(rest + rk)
-                products.setdefault(rows, []).append((rsign * sign, coeff, minor))
+                products.setdefault(rows, []).append((rsign * sign * jsign, coeff, minor))
         for rows, terms in products.items():
             total = sum_of_products(terms)
             if not total.is_zero():
-                out[rows] = total
+                out[rows] = total if scale is None else total * scale
         current = out
     return current
 
 
-def _block_column(m: ChartMetric, k: int, ck: Tuple[int, ...]) -> list:
-    """[(R_K, det g_inv[R_K, C_K])] over the nonzero minors on the columns C_K
-    of block k, kept on the metric.  Each row of R_K is one that g_inv pairs
-    with some column of C_K, as any other row of the minor is zero."""
+def _block_column(m: ChartMetric, k: int, ck: Tuple[int, ...]) -> tuple:
+    """(1/|det g_K|, None when it is 1, and [(R_K, sign, det g[K - C_K, K - R_K])])
+    over the nonzero det g_inv[R_K, C_K] on the columns C_K of block k, kept on
+    the metric; each Jacobi sign folds in that of det g_K.  Each row of R_K is
+    one that g_inv pairs with some column of C_K, as any other row is zero."""
     hit = m._columns.get(ck)
     if hit is None:
+        det_k = _mask_minor(m._g_minors, m.g, m.dim, k, k).constant_value()
         reach = frozenset().union(*(m.inv_neighbors[c] for c in ck))  # inside k, as ck is
         cmask = sum(1 << c for c in ck)
-        hit = m._columns[ck] = [
-            (rk, minor) for rk in combinations(sorted(reach), len(ck))
-            for minor in (_gram_minor(m, k, sum(1 << r for r in rk), cmask),)
-            if not minor.is_zero()
-        ]
+        base = (-1) ** (_pairs_below(cmask, k) + (det_k < 0))
+        numerators = []
+        for rk in combinations(sorted(reach), len(ck)):
+            rmask = sum(1 << r for r in rk)
+            minor = _mask_minor(m._g_minors, m.g, m.dim, k ^ cmask, k ^ rmask)
+            if not minor.is_zero():
+                numerators.append((rk, base * (-1) ** _pairs_below(rmask, k), minor))
+        hit = m._columns[ck] = (None if abs(det_k) == 1 else 1 / abs(det_k), numerators)
     return hit
 
 

@@ -14,6 +14,7 @@ from sugra11.fieldeqs import (
     check_closedness,
     check_einstein,
     check_maxwell,
+    split_einstein,
 )
 from sugra11.manifest import parse_manifest
 from sugra11.metric import make_metric
@@ -68,3 +69,31 @@ def test_homothety_keeps_einstein_and_scales_maxwell_and_closedness(name):
         assert scaled[0] == einstein
         assert scaled[1] == maxwell * lam ** 6
         assert scaled[2] == closedness * abs(lam) ** 3
+
+
+def warped_against_fiber(bg, mu):
+    """bg's ansatz over warping mu f on gt, and over warping f on mu^2 gt."""
+    pc = bg.product
+    return tuple(assemble_flux(product, bg.ansatz) for product in (
+        build_product(pc.base, pc.fiber, mu * pc.warping),
+        build_product(pc.base, _scaled_metric(pc.fiber, mu), pc.warping)))
+
+
+# and the 6+5 product of a Walker base over a 5-dimensional fiber at f = 2
+SWAPPED = Path(__file__).resolve().parent / "golden" / "solution1_swapped_f2.manifest.json"
+WARPED = {**BACKGROUNDS,
+          "solution1_swapped_f2": lambda: parse_manifest(SWAPPED).backgrounds[0].background}
+
+
+@pytest.mark.parametrize("name", WARPED)
+def test_warping_against_fiber_gives_the_same_background_and_residuals(name):
+    bg = WARPED[name]()
+    # the two sides share h and F, but the block laws of the second see a
+    # different f and a fiber metric whose |det| is mu^(2 dim), mu^12 on a 6-fiber
+    for mu in (Fraction(2), Fraction(-1, 3)):
+        warped, scaled = warped_against_fiber(bg, mu)
+        assert warped.metric.g == scaled.metric.g
+        assert warped.metric.g_inv == scaled.metric.g_inv
+        assert warped.flux == scaled.flux
+        for check in (check_closedness, check_maxwell, check_einstein, split_einstein):
+            assert check(warped).residuals == check(scaled).residuals

@@ -18,7 +18,7 @@ from sugra11.metric import (
     InverseMismatch,
     MetricError,
     NonPolynomialInverse,
-    _gram_minor,
+    _mask_minor,
     _raised,
     contraction_matrix,
     hodge_star,
@@ -403,15 +403,9 @@ def _submatrix_det(m, rows, cols):
     return poly_det(tuple(tuple(m.g_inv[r][c] for c in cols) for r in rows))
 
 
-def _mask(indices):
-    return sum(1 << i for i in indices)
-
-
-def _one_block(m):
-    """The one g_inv block of a dense metric, as a bitmask."""
-    (k,) = m.blocks
-    assert k == (1 << m.dim) - 1
-    return k
+def _gram(m, rows, cols):
+    """det g_inv[rows, cols] as the raise reads it: the rows component of the raised dx^cols."""
+    return _raised(m, DifferentialForm(m.chart, len(cols), {cols: P1})).get(rows, P0)
 
 
 def test_gram_minor_table_matches_poly_det_and_its_transpose():
@@ -421,7 +415,7 @@ def test_gram_minor_table_matches_poly_det_and_its_transpose():
     m = dense_metric(D5, 1)  # one table for every example, so later ones also read hits
     n = m.dim
     assert all(not e.is_zero() for row in m.g_inv for e in row)
-    k = _one_block(m)
+    assert m.blocks == ((1 << n) - 1,)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -429,9 +423,9 @@ def test_gram_minor_table_matches_poly_det_and_its_transpose():
         p = data.draw(st.integers(0, n))
         subset = st.sets(st.integers(0, n - 1), min_size=p, max_size=p).map(sorted).map(tuple)
         rows, cols = data.draw(subset), data.draw(subset)
-        minor = _gram_minor(m, k, _mask(rows), _mask(cols))
+        minor = _gram(m, rows, cols)
         assert minor == _submatrix_det(m, rows, cols)
-        assert _gram_minor(m, k, _mask(cols), _mask(rows)) == minor
+        assert _gram(m, cols, rows) == minor
 
     check()
 
@@ -450,10 +444,14 @@ def test_jacobi_gram_minors_match_poly_det_for_every_p():
         for p in range(len(block) + 1):
             for rows in combinations(block, p):
                 for cols in combinations(block, p):
-                    minor = _gram_minor(walker, k, _mask(rows), _mask(cols))
-                    assert minor == _submatrix_det(walker, rows, cols)
-    # one dense block, whose complements det g[K - C, K - R] are dense minors of g
-    dense = (dense_metric(D5, 2), dense_metric(F6, 3))
+                    assert _gram(walker, rows, cols) == _submatrix_det(walker, rows, cols)
+    # dense blocks, whose complements det g[K - C, K - R] are dense minors of g;
+    # the product's fiber block has det g_K = -16384, so the raise folds its
+    # sign into the Jacobi sign and divides each raised row by 16384
+    product = dense_product()
+    fiber = max(product.blocks)
+    assert _mask_minor(product._g_minors, product.g, product.dim, fiber, fiber) == -16384
+    dense = (dense_metric(D5, 2), dense_metric(F6, 3), product)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -462,14 +460,13 @@ def test_jacobi_gram_minors_match_poly_det_for_every_p():
         p = data.draw(st.integers(0, m.dim))
         subset = st.sets(st.integers(0, m.dim - 1), min_size=p, max_size=p).map(sorted).map(tuple)
         rows, cols = data.draw(subset), data.draw(subset)
-        assert _gram_minor(m, _one_block(m), _mask(rows), _mask(cols)) == _submatrix_det(m, rows, cols)
+        assert _gram(m, rows, cols) == _submatrix_det(m, rows, cols)
 
     check()
     for m in dense:  # every p, from the 0-minor to det g_inv
         for p in range(m.dim + 1):
             rows, cols = tuple(range(p)), tuple(range(m.dim - p, m.dim))
-            minor = _gram_minor(m, _one_block(m), _mask(rows), _mask(cols))
-            assert minor == _submatrix_det(m, rows, cols)
+            assert _gram(m, rows, cols) == _submatrix_det(m, rows, cols)
     assert all(m._g_minors for m in dense + (walker,))
 
 
@@ -478,13 +475,13 @@ def test_make_metric_hands_over_det_g_and_every_cofactor():
     # keeps, so every 0- and 1-minor of g_inv, by Jacobi det g_K and a
     # cofactor, is read from it without one more expansion
     m = make_metric(D5, dense_metric(D5, 2).g)
-    k = _one_block(m)
+    assert m.blocks == ((1 << m.dim) - 1,)
     filled = len(m._g_minors)
     assert filled > 0
-    assert _gram_minor(m, k, 0, 0) == P1
+    assert _gram(m, (), ()) == P1
     for i in range(m.dim):
         for j in range(m.dim):
-            assert _gram_minor(m, k, 1 << i, 1 << j) == m.g_inv[i][j]
+            assert _gram(m, (i,), (j,)) == m.g_inv[i][j]
     assert len(m._g_minors) == filled
 
 
@@ -532,8 +529,7 @@ def test_each_metric_has_its_own_minor_table():
     first, second = dense_metric(D5, 1), dense_metric(D5, 3)
     assert first.g_inv != second.g_inv
     rows, cols = (0, 2), (1, 3)
-    one = _gram_minor(first, _one_block(first), _mask(rows), _mask(cols))
-    two = _gram_minor(second, _one_block(second), _mask(rows), _mask(cols))
+    one, two = _gram(first, rows, cols), _gram(second, rows, cols)
     assert one == _submatrix_det(first, rows, cols)
     assert two == _submatrix_det(second, rows, cols)
     assert one != two
