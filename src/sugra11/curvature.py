@@ -1,5 +1,9 @@
 """Christoffel symbols, Ricci tensor, Hessian, Laplace-Beltrami, |grad f|^2.
 
+The Laplacian is the divergence d_i (g^ik d_k f); the Hessian, whose g-trace
+is the same Laplacian through the Christoffel symbols, has no engine caller
+and stays as the independent route the tests compare it with.
+
 The Ricci sign convention is
 
     Ric_ij = d_k Gamma^k_ij - d_j Gamma^k_ik
@@ -130,9 +134,14 @@ def hessian(m: ChartMetric, f: Polynomial) -> Matrix:
 
 
 def laplace_beltrami(m: ChartMetric, f: Polynomial) -> Polynomial:
-    """Delta f = g^ij (d_i d_j f - Gamma^k_ij d_k f), exactly."""
-    hess = hessian(m, f)
-    return sum_of_products((1, m.g_inv[i][j], hess[i][j]) for i in range(m.dim) for j in range(m.dim))
+    """Delta f = d_i (g^ik d_k f), exactly: sqrt|det g| is a constant on
+    every ChartMetric, so the divergence needs no Christoffel symbols."""
+    names = m.chart.coordinates
+    df = [f.partial(v) for v in names]
+    out = Polynomial.zero()
+    for i, name in enumerate(names):
+        out = out + sum_of_products((1, m.g_inv[i][k], df[k]) for k in m.inv_neighbors[i]).partial(name)
+    return out
 
 
 def grad_norm_sq(m: ChartMetric, f: Polynomial) -> Polynomial:

@@ -206,23 +206,6 @@ class DifferentialForm(Frozen):
         return f"DifferentialForm<{self.chart.name}, deg {self.degree}: {self}>"
 
 
-class VectorField(Frozen):
-    """Polynomial vector field on a chart, sparse over coordinate indices."""
-
-    __slots__ = ("chart", "components")
-
-    def __init__(self, chart: Chart, components: Mapping[int, Polynomial]):
-        clean = {int(i): p for i, p in components.items() if not p.is_zero()}
-        for i in clean:
-            if i < 0 or i >= chart.dim:
-                raise ChartError(f"vector component index {i} out of range")
-        super().__init__(chart, clean)
-
-    @staticmethod
-    def coordinate(chart: Chart, coordinate: str) -> "VectorField":
-        return VectorField(chart, {chart.index_of(coordinate): Polynomial.constant(1)})
-
-
 def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
     """Exact wedge product; degree overflow is an error, not a silent zero."""
     if a.chart != b.chart:
@@ -280,24 +263,21 @@ def exterior_derivative(a: DifferentialForm) -> DifferentialForm:
     return DifferentialForm(chart, a.degree + 1, out)
 
 
-def interior_product(v: VectorField, a: DifferentialForm) -> DifferentialForm:
-    """Contraction on the first slot with alternating signs."""
-    if v.chart != a.chart:
-        raise ChartError(f"chart mismatch: {v.chart.name} vs {a.chart.name}")
+def interior_product(a: DifferentialForm, coordinate: str) -> DifferentialForm:
+    """Contraction with the coordinate field d/d(coordinate).
+
+    A component holding that index drops it with sign (-1)^position, its
+    position in the increasing index tuple; each component gives its own
+    output index, so nothing is multiplied or accumulated.
+    """
     if a.degree == 0:
         raise DegreeError("interior product of a 0-form")
+    i = a.chart.index_of(coordinate)
     out: Dict[Index, Polynomial] = {}
     for idx, poly in a.components.items():
-        for pos, i in enumerate(idx):
-            vi = v.components.get(i)
-            if vi is None:
-                continue
-            term = poly * vi
-            if pos % 2:
-                term = -term
-            rest = idx[:pos] + idx[pos + 1:]
-            prev = out.get(rest)
-            out[rest] = term if prev is None else prev + term
+        if i in idx:
+            pos = idx.index(i)
+            out[idx[:pos] + idx[pos + 1:]] = -poly if pos % 2 else poly
     return DifferentialForm(a.chart, a.degree - 1, out)
 
 

@@ -21,9 +21,11 @@ keys.  The top bit of a field is a guard: an exponent must stay below
 ``EXPONENT_LIMIT`` (2^31), so a sum of two never carries into the next
 field, and each product is checked once for a set guard bit.  An exponent
 at or above the limit raises ``ExponentOverflow``; nothing wraps.
-``variables``, printing (graded lex over sorted names), equality and
-hashing read exponents by sorted name, so none depends on the order in
-which names were registered.
+``variables``, printing (graded lex over sorted names) and hashing read
+exponents by sorted name, so none depends on the order in which names
+were registered.  Equality compares ``den`` and the packed term maps
+directly, which is exact because every polynomial in a process packs its
+monomials over the one registry.
 
 ``sum_of_products`` is the one multiply-accumulate kernel: signed
 products, scaled to the lcm of their denominators, land in a single

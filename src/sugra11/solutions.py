@@ -48,7 +48,6 @@ from .exterior import (
     ChartError,
     DifferentialForm,
     Frozen,
-    VectorField,
     exterior_derivative as ext_d,
     interior_product,
     lift_to_product,
@@ -265,10 +264,10 @@ THEOREM_SHAPES = tuple(_THEOREM_CASES)
 
 
 class TheoremReport(Frozen):
-    """TheoremReport(shape, hypotheses, equations); equations is None when
-    the hypotheses fail."""
+    """TheoremReport(hypotheses, equations); equations is None when the
+    hypotheses fail."""
 
-    __slots__ = ("shape", "hypotheses", "equations")
+    __slots__ = ("hypotheses", "equations")
 
     @property
     def reproduced(self) -> bool:
@@ -320,9 +319,7 @@ def check_theorem_conditions(bg: Background, shape: str) -> TheoremReport:
     )
     if shape == "alpha_beta_nu":
         hyp.residuals["alpha_beta_orthogonality"] = {
-            f"i_{c}": inner_product_forms(
-                gt, interior_product(VectorField.coordinate(gt.chart, c), a.alpha_t), a.beta_t
-            )
+            f"i_{c}": inner_product_forms(gt, interior_product(a.alpha_t, c), a.beta_t)
             for c in gt.chart.coordinates
         }
     if shape in _NORMALIZATIONS:
@@ -335,4 +332,4 @@ def check_theorem_conditions(bg: Background, shape: str) -> TheoremReport:
     equations = None
     if hyp.passed:
         equations = [check_closedness(bg), check_maxwell(bg), check_einstein(bg)]
-    return TheoremReport(shape, hyp, equations)
+    return TheoremReport(hyp, equations)

@@ -49,7 +49,7 @@ from sugra11.solutions import (
 
 from oracles import warped_ricci_oracle
 from test_cases import mono, quadratic_H, rho_flat
-from test_exterior import random_form, random_vector
+from test_exterior import random_form
 from test_fieldeqs import full_ansatz_background
 from test_metric import diag
 from test_product import _random_unimodular_metric
@@ -367,10 +367,10 @@ def test_criterion_12_property_suite():
         )
         defining += 1
         if p >= 1 and q >= 1:
-            v = random_vector(rng, chart)
-            lhs = interior_product(v, wedge(a, b))
-            rhs = wedge(interior_product(v, a), b) + wedge(
-                a, interior_product(v, b)
+            c = rng.choice(chart.coordinates)
+            lhs = interior_product(wedge(a, b), c)
+            rhs = wedge(interior_product(a, c), b) + wedge(
+                a, interior_product(b, c)
             ) * ((-1) ** p)
             assert lhs == rhs
             leibniz += 1

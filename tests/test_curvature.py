@@ -19,7 +19,7 @@ from sugra11.product import build_product
 from oracles import dense_christoffel_ricci
 from test_cases import quadratic_H
 from test_exterior import random_polynomial
-from test_metric import H_EXAMPLE, dense_metric, diag, walker_metric
+from test_metric import D5, H_EXAMPLE, dense_metric, diag, walker_metric
 
 P0 = Polynomial.zero()
 P1 = Polynomial.constant(1)
@@ -151,23 +151,26 @@ def test_laplacian_values_for_quadratic_potentials():
 
 
 def test_laplacian_is_trace_of_hessian():
+    # laplace_beltrami takes the divergence d_i (g^ik d_k f) and reads no
+    # Christoffel symbol; the trace g^ij Hess_ij reads them all.  On the
+    # Walker metric g^ij Gamma^k_ij = 0, so the dense g_inv is what shows
+    # a Hessian that lost its Gamma term.
     rng = random.Random(3)
-    m = walker_metric(H_EXAMPLE)
-    names = m.chart.coordinates
-    for _ in range(6):
-        f = Polynomial.zero()
-        for _ in range(3):
-            t = Polynomial.constant(rng.randint(-3, 3))
-            for nm in names:
-                t = t * Polynomial.variable(nm) ** rng.randint(0, 2)
-            f = f + t
-        hess = hessian(m, f)
-        trace = Polynomial.zero()
-        for i in range(6):
-            for j in range(6):
-                if not m.g_inv[i][j].is_zero():
+    for m in (walker_metric(H_EXAMPLE), dense_metric(D5, 1)):
+        names = m.chart.coordinates
+        for _ in range(6):
+            f = Polynomial.zero()
+            for _ in range(3):
+                t = Polynomial.constant(rng.randint(-3, 3))
+                for nm in names:
+                    t = t * Polynomial.variable(nm) ** rng.randint(0, 2)
+                f = f + t
+            hess = hessian(m, f)
+            trace = Polynomial.zero()
+            for i in range(m.dim):
+                for j in range(m.dim):
                     trace = trace + m.g_inv[i][j] * hess[i][j]
-        assert trace == laplace_beltrami(m, f)
+            assert trace == laplace_beltrami(m, f)
 
 
 def test_hessian_flat_examples():

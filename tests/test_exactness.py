@@ -1,9 +1,11 @@
 """The engine stays exact: no float literal and no float() call in its source.
 It also stays lean: every module-level function and every method and
-property of a class has a caller, and every module-level import of the
-engine, of scripts/ and of tests/ is used by its module."""
+property of a class has a caller, every field a record class lists in
+``__slots__`` has a reader, and every module-level import of the engine,
+of scripts/ and of tests/ is used by its module."""
 
 import ast
+import importlib
 import io
 import tokenize
 from collections import Counter
@@ -95,7 +97,7 @@ def test_caller_scan_finds_functions_only_their_own_body_mentions():
 
 # kept without an engine caller: perfbench/tracer.py looks each of these up by
 # name (LAYERS, POLY_METHODS, POLY_FUNCTIONS) and stops if one is missing
-TRACED_ONLY = {"Polynomial.substitute", "poly_divexact", "poly_sqrt", "grad_norm_sq", "poly_det"}
+TRACED_ONLY = {"Polynomial.substitute", "poly_divexact", "poly_sqrt", "grad_norm_sq", "poly_det", "hessian"}
 
 
 def _traced_names():
@@ -124,6 +126,33 @@ def test_every_engine_function_has_a_caller():
     scripts = [path.read_text() for path in sorted((ROOT / "scripts").glob("*.py"))]
     assert scripts
     assert _unreached_functions(engine, scripts, set(sugra11.__all__) | TRACED_ONLY) == []
+
+
+def _unread_slots(classes, sources: list):
+    """Class.field for each ``__slots__`` name of the classes that no source
+    reads as an attribute ``x.field``; a write or a getattr is not a read."""
+    reads = {node.attr for source in sources for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{cls.__name__}.{name}" for cls in classes
+            for name in vars(cls).get("__slots__", ()) if name not in reads]
+
+
+def test_slot_scan_finds_fields_no_source_reads():
+    class Record:
+        __slots__ = ("kept", "written", "fetched")
+
+    source = "r.kept + 1\nr.written = 2\ngetattr(r, 'fetched')\n"
+    assert _unread_slots([Record], [source]) == ["Record.written", "Record.fetched"]
+
+
+def test_every_record_field_has_a_reader():
+    modules = [importlib.import_module(f"sugra11.{path.stem}")
+               for path in sorted(SRC.glob("*.py")) if path.stem != "__main__"]
+    classes = [obj for module in modules for obj in vars(module).values()
+               if isinstance(obj, type) and obj.__module__ == module.__name__]
+    sources = [path.read_text()
+               for path in [*sorted(SRC.glob("*.py")), *sorted((ROOT / "scripts").glob("*.py"))]]
+    assert _unread_slots(classes, sources) == []
 
 
 def _shown(source: str) -> set:
