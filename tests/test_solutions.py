@@ -31,6 +31,7 @@ from sugra11.solutions import (
     check_theorem_conditions,
     flat_negative_metric,
     standard_base,
+    walker_metric_from_rho,
 )
 
 from test_cases import mono, quadratic_H, rho_flat
@@ -166,6 +167,24 @@ def test_theorem_alpha_beta_nu_on_literal_family():
     x1, y1 = Polynomial.variable("x1"), Polynomial.variable("y1")
     assert res[u][u] == (x1 * x1 - y1 * y1) * Fraction(1, 2)
     assert report.reproduced  # vacuously
+
+
+def test_theorem_alpha_beta_nu_orthogonality_residual_per_fiber_coordinate():
+    # <i_c alpha_t, beta_t> is nonzero only at c = x2: i_x2 alpha_t = x1 dx3^dx4^du
+    # pairs with beta_t's dv^dx3^dx4 through g^uv
+    base, fiber = standard_base(), walker_metric_from_rho(rho_flat(), Polynomial.zero())
+    t = fiber.chart
+    x1, x2 = Polynomial.variable("x1"), Polynomial.variable("x2")
+    ansatz = FluxAnsatz(
+        alpha_t=mono(t, ("u", "x2", "x3", "x4"), x1),
+        beta_t=mono(t, ("v", "x3", "x4")) + mono(t, ("u", "x1", "x3"), x2),
+        nu=DifferentialForm.coordinate_differential(base.chart, "y1"),
+    )
+    bg = assemble_flux(build_product(base, fiber, 1), ansatz)
+    entries = check_theorem_conditions(bg, "alpha_beta_nu").hypotheses.nonzero_entries()
+    assert [e for e in entries if e[0].startswith("alpha_beta_orthogonality")] == [
+        ("alpha_beta_orthogonality.i_x2", "-x1")
+    ]
 
 
 def test_theorem_shape_validation():
