@@ -1,8 +1,8 @@
-"""Christoffel symbols, Ricci tensor, Hessian, Laplace-Beltrami, |grad f|^2.
+"""Christoffel symbols, Ricci tensor, Laplace-Beltrami; Hessian and |grad f|^2, tracer-only.
 
-The Laplacian is the divergence d_i (g^ik d_k f); the Hessian, whose g-trace
-is the same Laplacian through the Christoffel symbols, has no engine caller
-and stays as the independent route the tests compare it with.
+The Laplacian is the divergence d_i (g^ik d_k f).  The Hessian, whose g-trace
+the tests compare with it, and |grad f|^2 have no engine caller: perfbench/tracer.py
+looks both up, and ROADMAP items 4 and 11 delete them once the tracer drops them.
 
 The Ricci sign convention is
 
@@ -145,7 +145,8 @@ def laplace_beltrami(m: ChartMetric, f: Polynomial) -> Polynomial:
 
 
 def grad_norm_sq(m: ChartMetric, f: Polynomial) -> Polynomial:
-    """g(grad f, grad f) = g^ij d_i f d_j f = <df, df>."""
+    """g(grad f, grad f) = g^ij d_i f d_j f = <df, df>.  No engine caller: perfbench/tracer.py
+    looks it up, and ROADMAP items 4 and 11 delete it once the tracer drops it."""
     return norm_sq(m, exterior_derivative(DifferentialForm.function(m.chart, f)))
 
 

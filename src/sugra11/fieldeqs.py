@@ -42,11 +42,11 @@ fiber degree k, d t ^ b at deg t + 1 and t ^ d b at deg t, skipping a
 factor whose d is zero; on star F the two terms of type q land in
 k = nf+1-q and nf-q.  The 1/2 F^F terms are built once, by k = q+q'; a pair
 whose factor wedge exceeds its chart's dimension vanishes and is skipped,
-and so is a type with a zero factor.  The HV block takes each contraction
-through its adjoint <i_X a, b> = <a, X_flat ^ b>, so no block law calls
-interior_product.  The direct 11-dimensional side reads no table; the
-audits run beside it, each through one _audit, which names the first
-differing entry by its report label.
+and so is a type with a zero factor.  The HV block takes each one-sided
+pairing <i_c a, b> as inner_product_forms(m, b, interior_product(a, c)),
+with the uncontracted b raised once per type.  The direct 11-dimensional
+side reads no table; the audits run beside it, each through one _audit,
+which names the first differing entry by its report label.
 
 Closedness is that split of dF,
 
@@ -71,6 +71,7 @@ from .exterior import (
     DifferentialForm,
     Frozen,
     exterior_derivative as ext_d,
+    interior_product,
     wedge,
 )
 from .metric import (
@@ -374,11 +375,6 @@ def einstein_residual_matrix(bg: Background) -> Matrix:
     )
 
 
-def _flats(m: ChartMetric):
-    """The 1-forms g(d_i, .) of the coordinate fields: the rows of g."""
-    return [DifferentialForm(m.chart, 1, {(k,): m.g[i][k] for k in range(m.dim)}) for i in range(m.dim)]
-
-
 def _factor_ricci_identities(pc: ProductChart, a: FluxAnsatz) -> Tuple[Matrix, Matrix]:
     """(Ric_g - 1/6 HH brace, Ric_gt - f^2/6 VV brace): the HH and VV blocks of
     the Einstein residual, read over TYPES (see the module docstring).
@@ -426,17 +422,18 @@ def split_einstein(bg: Background) -> CheckResult:
 
     hh_matrix, vv_matrix = _factor_ricci_identities(pc, a)
 
-    # HV block: 1/2 <i_X F, i_Zt F> pairs type q with type q+1, each contraction
-    # taken through its adjoint <i_X a, b> = <a, X_flat ^ b>
+    # HV block: 1/2 <i_X F, i_Zt F> pairs type q with type q+1 through the
+    # one-sided pairings <i_X b_q, b_(q+1)> and <i_Z t_(q+1), t_q>
     by_q = {q: (t, b) for t, b, q in _typed_pieces(pc, a)}
-    base_flats, fiber_flats = _flats(g), _flats(gt)
     hv = [[Polynomial.zero()] * nf for _ in range(nb)]
     for q, (t, b) in by_q.items():
         if q + 1 in by_q:
             t_up, b_up = by_q[q + 1]
             w = (-1) ** q * f ** (-2 * q) / 2
-            base_pairs = [inner_product_forms(g, b, wedge(x, b_up)) * w for x in base_flats]
-            fiber_pairs = [inner_product_forms(gt, t_up, wedge(z, t)) for z in fiber_flats]
+            base_pairs = [inner_product_forms(g, b_up, interior_product(b, x)) * w
+                          for x in g.chart.coordinates]
+            fiber_pairs = [inner_product_forms(gt, t, interior_product(t_up, z))
+                           for z in gt.chart.coordinates]
             for i, x_pair in enumerate(base_pairs):
                 for j, z_pair in enumerate(fiber_pairs):
                     hv[i][j] = hv[i][j] + x_pair * z_pair

@@ -14,9 +14,8 @@ Sign conventions are fixed once and used everywhere:
     positive rational (``ChartMetric.sqrt_abs_det``).
   * The contraction matrix of a p-form a is C_jk = <i_j a, i_k a>, the
     pairing of its contractions with the coordinate fields d_j, d_k; it
-    is the stress-energy term of the Einstein equation and of every
-    Einstein block law, and ``contraction_matrix`` is its one
-    implementation.
+    is the stress-energy term of the Einstein equation and of its HH and
+    VV block laws, and ``contraction_matrix`` is its one implementation.
 
 Every pairing, star and raised index above is a sum of Gram minors
 det g_inv[R, C].  g_inv, and so g, is block diagonal over the connected
@@ -38,7 +37,8 @@ shared by a minor and its transpose, and on a miss a Laplace expansion
 along the lowest row.  ``make_metric`` fills that table while it
 validates (det g, and the cofactors when no inverse is supplied) and
 hands it to the metric it returns.  ``poly_det`` is the same expansion
-over a fresh table.
+over a fresh table, with no engine caller: tests and perfbench/tracer.py
+read it, and ROADMAP items 4 and 11 move it to tests/ once the tracer drops it.
 
 One kernel raises indices: ``_block_raise`` maps a form to
 {R: sum_C a_C det g_inv[R, C]} over the row sets where that sum is
@@ -131,7 +131,8 @@ def poly_det(m: Matrix) -> Polynomial:
     visited minors that are transposes of each other would need equal
     suffix row sets and hence be the same minor, so the key that
     ``_mask_minor`` shares between a minor and its transpose stays exact
-    for a non-symmetric matrix.
+    for a non-symmetric matrix.  No engine caller: perfbench/tracer.py looks it
+    up, and ROADMAP items 4 and 11 move it to tests/ once the tracer drops it.
     """
     n = len(m)
     full = (1 << n) - 1

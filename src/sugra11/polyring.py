@@ -36,7 +36,9 @@ pattern, and names the column where no term matches.
 
 ``poly_sqrt`` and ``poly_divexact`` take constants only: a metric with a
 polynomial inverse has a constant determinant (``metric.make_metric``
-establishes it), so no caller needs a polynomial root or quotient.
+establishes it), so no caller needs a polynomial root or quotient.  Neither,
+nor ``Polynomial.substitute``, has an engine caller: perfbench/tracer.py looks
+them up, and ROADMAP items 4 and 11 delete them once the tracer drops them.
 """
 
 from __future__ import annotations
@@ -273,7 +275,8 @@ class Polynomial:
         return total / self.den
 
     def substitute(self, assignments: Mapping[str, "Polynomial"]) -> "Polynomial":
-        """Substitute polynomials for a subset of the variables."""
+        """Substitute polynomials for a subset of the variables.  No engine caller: perfbench/tracer.py
+        looks it up, and ROADMAP items 4 and 11 keep it only until item 2's tests call it."""
         names = self.variables
         out = _P_ZERO
         for e, c in self.terms.items():
@@ -514,7 +517,8 @@ def poly_sqrt(p: Polynomial) -> Polynomial:
     """The nonnegative rational square root of a constant polynomial.
 
     Raises NotAPerfectSquare for a non-constant p and for a constant that
-    is not the square of a rational.
+    is not the square of a rational.  No engine caller: perfbench/tracer.py looks
+    it up, and ROADMAP items 4 and 11 delete it once the tracer drops it.
     """
     root = _fraction_sqrt(p.constant_value()) if p.is_constant() else None
     if root is None:
@@ -538,7 +542,9 @@ def _isqrt_exact(n: int) -> int | None:
 
 
 def poly_divexact(num: Polynomial, den: Polynomial) -> Polynomial:
-    """num / den for a nonzero constant den; raises ValueError for a non-constant den."""
+    """num / den for a nonzero constant den; raises ValueError for a non-constant den.
+    No engine caller: perfbench/tracer.py looks it up, and ROADMAP items 4 and 11
+    delete it once the tracer drops it."""
     num, den = _coerce(num), _coerce(den)
     if not den.is_constant():
         raise ValueError(f"division by the non-constant polynomial {den}")

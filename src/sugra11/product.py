@@ -28,10 +28,6 @@ from .metric import ChartMetric, Matrix, MetricError
 from .polyring import Polynomial
 
 
-class NonPolynomialDivision(ValueError):
-    pass
-
-
 class ProductChart(Frozen):
     """ProductChart(base, fiber, warping, chart, assembled): the factor metrics,
     the warping as a Fraction, the union chart and the metric h on it."""
@@ -64,11 +60,9 @@ def build_product(
     """Assemble h = g + f^2 gt on the union chart, base coordinates first."""
     if not isinstance(warping, Polynomial):
         warping = Polynomial.constant(warping)
-    if not warping.is_constant():
-        raise NonPolynomialDivision(f"warping must be a nonzero constant, got {warping}")
+    if not warping.is_constant() or warping.is_zero():
+        raise MetricError(f"warping must be a nonzero constant, got {warping}")
     warping = warping.constant_value()
-    if warping == 0:
-        raise MetricError("warping must be a nonzero constant, got 0")
     overlap = set(base.chart.coordinates) & set(fiber.chart.coordinates)
     if overlap:
         raise ChartError(f"base and fiber share coordinates: {sorted(overlap)}")

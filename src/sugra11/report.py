@@ -1,8 +1,8 @@
 """Residual containers shared by the equation checkers and the CLI.
 
-A residual is exact data: a Polynomial, a DifferentialForm, a matrix of
-polynomials, or a mapping of named sub-residuals.  A check passes iff
-every residual it reports is identically zero.
+A residual is exact data: a Polynomial, a DifferentialForm or a matrix of
+polynomials.  A check passes iff every residual it reports is identically
+zero.
 """
 
 from __future__ import annotations
@@ -36,10 +36,6 @@ def residual_entries(name: str, value) -> Iterator[Tuple[str, Polynomial]]:
             for j, entry in enumerate(row):
                 if not entry.is_zero():
                     yield f"{name}[{i},{j}]", entry
-    elif isinstance(value, dict):
-        for k, v in value.items():
-            for where, poly in residual_entries(k, v):
-                yield f"{name}.{where}", poly
     else:
         raise TypeError(f"unknown residual type {type(value)!r}")
 

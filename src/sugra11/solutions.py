@@ -318,10 +318,9 @@ def check_theorem_conditions(bg: Background, shape: str) -> TheoremReport:
         _factor_ricci_identities(pc, a)
     )
     if shape == "alpha_beta_nu":
-        hyp.residuals["alpha_beta_orthogonality"] = {
-            f"i_{c}": inner_product_forms(gt, interior_product(a.alpha_t, c), a.beta_t)
-            for c in gt.chart.coordinates
-        }
+        for c in gt.chart.coordinates:
+            hyp.residuals[f"alpha_beta_orthogonality.i_{c}"] = inner_product_forms(
+                gt, a.beta_t, interior_product(a.alpha_t, c))
     if shape in _NORMALIZATIONS:
         b, t, value = _NORMALIZATIONS[shape]
         hyp.notes.append(

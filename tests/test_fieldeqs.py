@@ -29,7 +29,7 @@ from sugra11.manifest import parse_manifest, parse_manifest_dict
 from sugra11.metric import make_metric, norm_sq
 from sugra11.polyring import Polynomial
 from sugra11.product import build_product
-from sugra11.report import EngineInconsistency
+from sugra11.report import EngineInconsistency, residual_entries
 from sugra11.solutions import (
     build_alpha_background,
     build_alpha_beta_nu_background,
@@ -617,6 +617,12 @@ def test_audit_names_the_first_differing_entry_by_its_report_label():
     with pytest.raises(EngineInconsistency) as exc:
         fieldeqs._audit("law", zero1, zero2)
     assert str(exc.value) == f"law: direct {zero1!r}, block {zero2!r}"
+
+
+def test_a_residual_is_a_polynomial_a_form_or_a_matrix():
+    # a named sub-residual is its own entry, "name.sub", never a nested mapping
+    with pytest.raises(TypeError, match="unknown residual type"):
+        list(residual_entries("r", {"i_a": Polynomial.variable("a")}))
 
 
 def test_einstein_then_split_builds_the_direct_matrix_once(monkeypatch):

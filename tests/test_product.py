@@ -18,7 +18,7 @@ from sugra11.metric import (
     volume_form,
 )
 from sugra11.polyring import Polynomial, sum_of_products
-from sugra11.product import NonPolynomialDivision, build_product
+from sugra11.product import build_product
 
 from oracles import warped_ricci_oracle
 from test_exterior import random_form, random_polynomial
@@ -67,7 +67,7 @@ def test_shared_coordinates_rejected():
 def test_warping_must_be_a_nonzero_constant():
     gt = flat_lorentz6()
     f = Polynomial.variable("y1") + 2
-    with pytest.raises(NonPolynomialDivision, match=r"warping must be a nonzero constant, got y1 \+ 2"):
+    with pytest.raises(MetricError, match=r"warping must be a nonzero constant, got y1 \+ 2"):
         build_product(G5, gt, f)
     with pytest.raises(MetricError, match="warping must be a nonzero constant, got 0"):
         build_product(G5, gt, 0)
