@@ -21,11 +21,14 @@ terms of d star F - 1/2 F^F share a fiber degree, so the co-closedness of
 the pieces involved is coupled.  Those pieces keep only d piece = 0
 (delta keeps nothing: its closedness reads gamma_t ^ d delta = 0), and
 the coupled conditions follow.  They involve an undetermined nonzero
-constant, which the case extracts from the data when possible and records;
+constant, which the case extracts from the data with ``proportionality``
+and records: case 3 from star gamma against gamma^gamma, cases 6 and 7
+from d star nu and d star varpi against the volume form.  In cases 6 and 7
 a vanishing constant lands in the degenerate branch, where the coupled
-source must vanish on its own.  Case 3 pairs d star F with 1/2 F^F at
-fiber degree 4, which needs the paper's 6-dimensional fiber: on another
-fiber it raises CaseShapeError naming the dimension.
+source must vanish on its own; in case 3 it fails the generic branch.
+Case 3 pairs d star F with 1/2 F^F at fiber degree 4, which needs the
+paper's 6-dimensional fiber: on another fiber it raises CaseShapeError
+naming the dimension.
 
 The extracted constants are convention-sensitive: computed against
 negative-definite factor duals they can differ by sign from values
@@ -40,7 +43,7 @@ from typing import Dict, Optional, Tuple
 
 from .exterior import DifferentialForm, exterior_derivative as ext_d, wedge, wedge_all
 from .fieldeqs import FIBER_PIECES, TYPES, Background, FluxAnsatz
-from .metric import ChartMetric, hodge_star, volume_form
+from .metric import hodge_star, volume_form
 from .polyring import Polynomial
 from .product import ProductChart
 from .report import CheckResult
@@ -83,19 +86,24 @@ def _require_shape(ansatz: FluxAnsatz, case: int):
         )
 
 
-def proportionality_to_volume(m: ChartMetric, top_form: DifferentialForm):
-    """Split a top-degree form as c * vol + rest with c the constant part.
+def proportionality(form: DifferentialForm, unit: DifferentialForm):
+    """Split form as c * unit + rest, for a nonzero unit of form's degree.
 
-    Returns (c, rest); the form is a constant multiple of the volume form
-    exactly when rest is zero.
+    c is the rational constant that form equals on unit's first nonzero
+    component, or 0 when that quotient is not a constant.  Returns
+    (c, rest); form is a constant multiple of unit exactly when rest is zero.
     """
-    coeff = top_form.components.get(tuple(range(m.dim)), Polynomial.zero())
-    c = coeff.constant_value() / m.sqrt_abs_det if coeff.is_constant() else Fraction(0)
-    return c, top_form - volume_form(m) * c
+    idx = min(unit.components)
+    u, w = unit.components[idx], form.components.get(idx, Polynomial.zero())
+    key, num = next(iter(u.terms.items()))
+    c = Fraction(w.terms.get(key, 0) * u.den, w.den * num)
+    if w != u * c:
+        c = Fraction(0)
+    return c, form - unit * c
 
 
 def check_special_case(bg: Background, case: int) -> CheckResult:
-    """The condition system of one of the nine flux shapes; case 3 reads c off bg.ansatz."""
+    """The condition system of one of the nine flux shapes."""
     if case not in CASE_SHAPES:
         raise CaseShapeError(f"unknown case {case}")
     _require_shape(bg.ansatz, case)
@@ -164,7 +172,7 @@ def _nu_must_vanish(bg: Background, result: CheckResult) -> None:
 
 
 def _case3(bg: Background, result: CheckResult) -> None:
-    pc, a, c = bg.product, bg.ansatz, bg.ansatz.c
+    pc, a = bg.product, bg.ansatz
     # closedness also needs gamma_t ^ d delta = 0
     result.residuals["gamma_t_wedge_d_delta"] = wedge(
         pc.lift(a.gamma_t), pc.lift(ext_d(a.delta))
@@ -182,9 +190,15 @@ def _case3(bg: Background, result: CheckResult) -> None:
         # generic branch: the tensor factorization forces
         # star gamma = c gamma^gamma and d(f^2 star delta) = delta^delta/(2c)
         # for a single nonzero constant c
-        result.residuals["star_gamma_vs_c_gamma_sq"] = star_gamma - gamma_sq * c
-        result.residuals[f"{label}_vs_delta_sq"] = d_w_star_delta - delta_sq * (Fraction(1, 2) / c)
-        result.notes.append(f"generic branch checked with c = {c}")
+        c, rest = proportionality(star_gamma, gamma_sq)
+        result.residuals["star_gamma_vs_c_gamma_sq"] = rest
+        if c != 0:
+            result.residuals[f"{label}_vs_delta_sq"] = (
+                d_w_star_delta - delta_sq * (Fraction(1, 2) / c))
+            result.notes.append(f"extracted coupling constant c = {c} from star gamma = c gamma^gamma")
+        else:  # gamma is nonzero, so rest = star gamma is too and the case fails
+            result.notes.append("star gamma is not a constant multiple of gamma^gamma: "
+                                "no coupling constant, the generic branch cannot hold")
     else:
         result.notes.append(
             "a squared piece vanishes: degenerate branch, the constant split is not forced"
@@ -193,7 +207,7 @@ def _case3(bg: Background, result: CheckResult) -> None:
 
 def _case6(bg: Background, result: CheckResult) -> None:
     pc, a = bg.product, bg.ansatz
-    ratio, rest = proportionality_to_volume(pc.base, _d_star(pc, "nu", a.nu)[1])
+    ratio, rest = proportionality(_d_star(pc, "nu", a.nu)[1], volume_form(pc.base))
     result.residuals["d_star_nu_proportional_to_vol"] = rest
     # d star F of fiber degree dim(fiber) - 3 is
     # (star_weight(4) d star alpha_t + ratio star beta_t) ^ vol
@@ -214,7 +228,7 @@ def _case6(bg: Background, result: CheckResult) -> None:
 
 def _case7(bg: Background, result: CheckResult) -> None:
     pc, a = bg.product, bg.ansatz
-    ratio, rest = proportionality_to_volume(pc.fiber, _d_star(pc, "varpi_t", a.varpi_t)[1])
+    ratio, rest = proportionality(_d_star(pc, "varpi_t", a.varpi_t)[1], volume_form(pc.fiber))
     result.residuals["d_star_varpi_proportional_to_vol"] = rest
     # d star F of full fiber degree is, up to sign,
     # vol_t ^ (d(star_weight(0) star theta) - ratio star_weight(1) star epsilon)

@@ -3,7 +3,7 @@
 Usage:
     sugra11-verify --manifest manifests/solution1.json
     sugra11-verify --manifest m.json --only name --format json
-    sugra11-verify --manifest m.json --set c=-1 --eval "x1=1,x2=0,y1=0"
+    sugra11-verify --manifest m.json --eval "x1=1,x2=0,y1=0"
 
 Exit codes: 0 all verdicts pass, 1 at least one verdict fails, 2 engine
 or manifest error.  One background failing never aborts the batch.
@@ -63,7 +63,6 @@ def run(
 ):
     """Verify each background in manifest order; returns (reports, exit code).
 
-    Each background carries its coupling constant, ``--set c=`` included.
     Backgrounds run one after another: the work is pure Python under the
     interpreter lock, so threads would not overlap it, and backgrounds
     share metrics whose curvature caches fill lazily.
@@ -155,24 +154,15 @@ def _parse_point(spec: str) -> Dict[str, Fraction]:
         piece = piece.strip()
         if not piece:
             continue
-        if "=" not in piece:
+        name, eq, value = (part.strip() for part in piece.partition("="))
+        if not (name and eq):
             raise ManifestError(f"bad point assignment {piece!r}; expected var=value")
-        name, value = (part.strip() for part in piece.split("=", 1))
         if name in point:
             raise ManifestError(f"--eval names {name!r} twice")
         point[name] = rational(value, f"--eval {name}")
     if not point:
         raise ManifestError("empty evaluation point")
     return point
-
-
-def _parse_set(spec: str) -> Fraction:
-    if not spec.startswith("c="):
-        raise ManifestError(f"--set expects c=<rational>, got {spec!r}")
-    value = rational(spec[2:], "--set c")
-    if value == 0:
-        raise ManifestError("the coupling constant must be nonzero")
-    return value
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -183,13 +173,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--manifest", required=True, help="path to the manifest JSON")
     parser.add_argument("--only", help="run a single background by name")
     parser.add_argument("--format", choices=("text", "json"), help="report format")
-    parser.add_argument("--set", dest="set_spec", help="override the coupling, e.g. c=-1")
     parser.add_argument("--eval", dest="eval_spec", help="spot-evaluate residuals, e.g. x1=1,y1=0")
     args = parser.parse_args(argv)
 
     try:
-        coupling = _parse_set(args.set_spec) if args.set_spec else None
-        manifest = parse_manifest(args.manifest, coupling)
+        manifest = parse_manifest(args.manifest)
         eval_point = _parse_point(args.eval_spec) if args.eval_spec else None
         reports, code = run(manifest, only=args.only, eval_point=eval_point)
         fmt = args.format or manifest.report_format

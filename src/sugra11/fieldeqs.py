@@ -108,11 +108,11 @@ class AnsatzError(ValueError):
 class FluxAnsatz(Frozen):
     """Factor-chart pieces of the flux 4-form, by keyword; absent pieces are None."""
 
-    __slots__ = FIBER_PIECES + BASE_PIECES + ("c",)
+    __slots__ = FIBER_PIECES + BASE_PIECES
 
     def __init__(self, alpha_t=None, beta_t=None, gamma_t=None, varpi_t=None, nu=None,
-                 delta=None, epsilon=None, theta=None, c: Fraction = Fraction(1)):
-        super().__init__(alpha_t, beta_t, gamma_t, varpi_t, nu, delta, epsilon, theta, c)
+                 delta=None, epsilon=None, theta=None):
+        super().__init__(alpha_t, beta_t, gamma_t, varpi_t, nu, delta, epsilon, theta)
 
     def piece(self, name: str) -> Optional[DifferentialForm]:
         return getattr(self, name)
@@ -163,8 +163,6 @@ def assemble_flux(pc: ProductChart, ansatz: FluxAnsatz) -> Background:
         if outside:
             raise ChartError(f"{', '.join(outside)} outside chart {want_chart.name!r}, "
                              f"in a coefficient of {name}")
-    if ansatz.c == 0:
-        raise AnsatzError("the coupling constant c must be nonzero")
 
     total = DifferentialForm.zero(pc.chart, 4)
     for t, b, _ in _typed_pieces(pc, ansatz):

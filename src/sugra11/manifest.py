@@ -12,8 +12,8 @@ runs: the resolved backgrounds and the report format.
 The five sections are built in that order by one loop over ``_SECTIONS``.
 That loop alone refuses a duplicate name and turns an engine layer's
 ``ValueError`` into a ``ManifestError`` naming the entry; each builder
-checks only its entry's own fields.  A coupling given to the parser (the
-CLI's ``--set c=``) replaces ``settings.c`` in every background's ansatz.
+checks only its entry's own fields.  ``settings`` keys other than
+``format`` are ignored.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict
 
 from . import cases, fieldeqs
 from .exterior import Chart, ChartError, DegreeError, DifferentialForm, Frozen
@@ -134,7 +134,7 @@ def _unique_keys(pairs) -> dict:
     return obj
 
 
-def parse_manifest(path, coupling: Optional[Fraction] = None) -> Manifest:
+def parse_manifest(path) -> Manifest:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
@@ -144,13 +144,11 @@ def parse_manifest(path, coupling: Optional[Fraction] = None) -> Manifest:
         raise ManifestError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # not UTF-8, nested too deep, or an int too long
         raise ManifestError(f"{path}: cannot decode: {exc}") from exc
-    return parse_manifest_dict(raw, str(path), coupling)
+    return parse_manifest_dict(raw, str(path))
 
 
-def parse_manifest_dict(
-    raw: dict, source: str = "<memory>", coupling: Optional[Fraction] = None
-) -> Manifest:
-    """The manifest raw describes; coupling, when given, replaces settings.c."""
+def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
+    """The manifest raw describes."""
     if not isinstance(raw, dict):
         raise ManifestError(f"{source}: manifest must be a JSON object")
     schema = raw.get("schema", 1)
@@ -158,10 +156,6 @@ def parse_manifest_dict(
         raise ManifestError(f"{source}: unsupported schema {schema!r}")
 
     settings = _expect(raw.get("settings", {}), dict, f"{source}: settings")
-    c = rational(settings.get("c", "1"), "settings.c")
-    if c == 0:
-        raise ManifestError("settings.c must be nonzero")
-    coupling = c if coupling is None else coupling
     report_format = settings.get("format", "text")
     if report_format not in ("text", "json"):
         raise ManifestError(f"settings.format must be 'text' or 'json', got {report_format!r}")
@@ -177,7 +171,7 @@ def parse_manifest_dict(
             if name in table:
                 raise ManifestError(f"duplicate {kind} {name!r}")
             try:
-                table[name] = build(name, entry, built, coupling)
+                table[name] = build(name, entry, built)
             except ManifestError:
                 raise
             except ValueError as exc:  # the engine layers' errors, overflow included
@@ -188,17 +182,17 @@ def parse_manifest_dict(
     return Manifest(list(built["backgrounds"].values()), report_format)
 
 
-# Each builder (name, entry, built, coupling) checks its entry's own fields and
+# Each builder (name, entry, built) checks its entry's own fields and
 # returns what the entry declares; built holds the sections built before it.
 
-def _chart(name: str, entry: dict, built, coupling) -> Chart:
+def _chart(name: str, entry: dict, built) -> Chart:
     coords = _strings(entry.get("coordinates"), f"chart {name!r}: coordinates")
     if not coords:
         raise ManifestError(f"chart {name!r}: coordinates must not be empty")
     return Chart(name, tuple(coords))
 
 
-def _metric(name: str, entry: dict, built, coupling) -> ChartMetric:
+def _metric(name: str, entry: dict, built) -> ChartMetric:
     chart = _ref(entry.get("chart"), built["charts"], f"metric {name!r}: unresolved chart reference")
     g = _symmetric_from_lower(entry, "lower_triangular", chart, name)
     g_inv = _symmetric_from_lower(entry, "inverse", chart, name) if "inverse" in entry else None
@@ -236,7 +230,7 @@ def _symmetric_from_lower(entry: dict, key: str, chart: Chart, name: str):
     return g
 
 
-def _form(name: str, entry: dict, built, coupling) -> DifferentialForm:
+def _form(name: str, entry: dict, built) -> DifferentialForm:
     chart = _ref(entry.get("chart"), built["charts"], f"form {name!r}: unresolved chart reference")
     degree = entry.get("degree")
     if not _is_int(degree) or degree < 0:
@@ -259,7 +253,7 @@ def _form(name: str, entry: dict, built, coupling) -> DifferentialForm:
     return total
 
 
-def _product(name: str, entry: dict, built, coupling) -> ProductChart:
+def _product(name: str, entry: dict, built) -> ProductChart:
     metrics = built["metrics"]
     base = _ref(entry.get("base"), metrics, f"product {name!r}: unresolved base metric")
     fiber = _ref(entry.get("fiber"), metrics, f"product {name!r}: unresolved fiber metric")
@@ -267,7 +261,7 @@ def _product(name: str, entry: dict, built, coupling) -> ProductChart:
     return build_product(base, fiber, warping)
 
 
-def _background(name: str, entry: dict, built, coupling) -> BackgroundSpec:
+def _background(name: str, entry: dict, built) -> BackgroundSpec:
     pc = _ref(entry.get("product"), built["products"], f"background {name!r}: unresolved product")
     pieces = {}
     for key, ref in _expect(entry.get("flux", {}), dict, f"background {name!r}: flux").items():
@@ -297,8 +291,10 @@ def _background(name: str, entry: dict, built, coupling) -> BackgroundSpec:
     where = f"background {name!r}: eval_points"
     for i, pt in enumerate(_expect(entry.get("eval_points", []), list, where)):
         pt = _expect(pt, dict, f"{where} item {i}")
+        if "" in pt:
+            raise ManifestError(f"{where} item {i}: empty variable name")
         eval_points.append({k: rational(v, f"background {name!r} eval point") for k, v in pt.items()})
-    background = assemble_flux(pc, FluxAnsatz(c=coupling, **pieces))
+    background = assemble_flux(pc, FluxAnsatz(**pieces))
     return BackgroundSpec(name, background, checks, case, theorem, eval_points)
 
 

@@ -151,6 +151,24 @@ def test_case3_generic_branch_has_no_real_solution(f):
     assert not result.residuals["star_gamma_vs_c_gamma_sq"].is_zero()
 
 
+@pytest.mark.parametrize("f", (1, 2))
+def test_case3_extracts_its_coupling_constant_from_gamma(f):
+    # on a negative-definite 6-dimensional fiber, star gamma = 1/2 gamma^gamma for
+    # the sum of three orthogonal planes; 3 gamma triples star gamma and multiplies
+    # gamma^gamma by 9, so it gives c = 1/6
+    fiber = flat_negative_metric(Chart("w6", tuple(f"w{i}" for i in range(1, 7))))
+    pc = build_product(standard_base(), fiber, f)
+    gamma_t = sum((mono(fiber.chart, (f"w{i}", f"w{i + 1}")) for i in (3, 5)),
+                  mono(fiber.chart, ("w1", "w2")))
+    delta = mono(pc.base_chart, ("y1", "y2")) + mono(pc.base_chart, ("y3", "y4"))
+    for scale, c in ((1, "1/2"), (3, "1/6")):
+        bg = assemble_flux(pc, FluxAnsatz(gamma_t=gamma_t * scale, delta=delta))
+        # d star delta = 0 here, so d(f^2 star delta) = delta^delta/(2c) fails
+        result = assert_case_matches_direct(bg, 3, False)
+        assert result.residuals["star_gamma_vs_c_gamma_sq"].is_zero()
+        assert f"extracted coupling constant c = {c} from star gamma = c gamma^gamma" in result.notes
+
+
 # -- case 4 ---------------------------------------------------------------------
 
 @at_every_warping

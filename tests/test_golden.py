@@ -43,3 +43,23 @@ def test_readme_library_example_runs():
     readme = (ROOT / "README.md").read_text()
     (example,) = re.findall(r"^```python\n(.*?)^```$", readme, re.S | re.M)
     exec(compile(example, "README.md", "exec"), {})
+
+
+def test_readme_manifest_table_lists_each_bundled_manifest_with_its_golden_exit_code():
+    """One README row per manifests/*.json, and its exit code is the one the golden
+    plain invocations of that manifest pin (their stderr and stdout are pinned too)."""
+    readme = (ROOT / "README.md").read_text()
+    lines = re.findall(r"^\| `[A-Za-z0-9_]+\.json`.*$", readme, re.M)
+    rows = [re.fullmatch(r"\| `([A-Za-z0-9_]+)\.json` *\|.*\| *exit ([0-9]) *\|", line)
+            for line in lines]
+    assert lines and all(rows), lines
+    table = {row[1]: int(row[2]) for row in rows}
+    assert len(table) == len(rows)
+    assert sorted(table) == sorted(path.stem for path in (ROOT / "manifests").glob("*.json"))
+    pinned = {}
+    for case in CASES:
+        flags = dict(zip(case["args"][::2], case["args"][1::2]))
+        manifest = Path(flags["--manifest"])
+        if manifest.parent.name == "manifests" and set(flags) <= {"--manifest", "--format"}:
+            pinned.setdefault(manifest.stem, set()).add(case["exit"])
+    assert pinned == {name: {code} for name, code in table.items()}

@@ -47,7 +47,7 @@ def homothety(bg, lam):
     for t, b, _ in TYPES:
         if pieces[b or t] is not None:
             pieces[b or t] = pieces[b or t] * abs(lam) ** 3
-    return assemble_flux(product, FluxAnsatz(**pieces, c=a.c))
+    return assemble_flux(product, FluxAnsatz(**pieces))
 
 
 def residuals(bg):
