@@ -5,8 +5,9 @@ Usage:
     sugra11-verify --manifest m.json --only name --format json
     sugra11-verify --manifest m.json --eval "x1=1,x2=0,y1=0"
 
-Exit codes: 0 all verdicts pass, 1 at least one verdict fails, 2 engine
-or manifest error.  One background failing never aborts the batch.
+The report is text unless ``--format json``.  Exit codes: 0 all verdicts
+pass or ``--help``, 1 some verdict fails, 2 engine, manifest or usage error
+(one ``error:`` line).  One background failing never aborts the batch.
 """
 
 from __future__ import annotations
@@ -123,9 +124,8 @@ def render_text(reports: List[VerificationReport]) -> str:
             point_str = ", ".join(f"{k}={v}" for k, v in record["point"].items())
             for key, value in record["values"].items():
                 lines.append(f"  eval[{point_str}] {key} = {value}")
-        if report.point_values is not None:
-            for key, value in report.point_values.items():
-                lines.append(f"  eval {key} = {value}")
+        for key, value in (report.point_values or {}).items():
+            lines.append(f"  eval {key} = {value}")
     passed, failed, errored = _tally(reports)
     lines.append(f"summary: {passed} passed, {failed} failed, {errored} errored")
     lines.append("conventions:")
@@ -165,30 +165,35 @@ def _parse_point(spec: str) -> Dict[str, Fraction]:
     return point
 
 
+def _usage_error(message: str):  # argparse's error hook, in place of usage and SystemExit(2)
+    raise argparse.ArgumentError(None, message)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="sugra11-verify",
         description="Verify 11-dimensional product backgrounds from a JSON manifest.",
     )
+    parser.error = _usage_error
     parser.add_argument("--manifest", required=True, help="path to the manifest JSON")
     parser.add_argument("--only", help="run a single background by name")
-    parser.add_argument("--format", choices=("text", "json"), help="report format")
+    parser.add_argument("--format", choices=("text", "json"), default="text", help="report format")
     parser.add_argument("--eval", dest="eval_spec", help="spot-evaluate residuals, e.g. x1=1,y1=0")
-    args = parser.parse_args(argv)
 
     try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:  # --help printed the usage: the one exit left to argparse
+            return EXIT_PASS
         manifest = parse_manifest(args.manifest)
         eval_point = _parse_point(args.eval_spec) if args.eval_spec else None
         reports, code = run(manifest, only=args.only, eval_point=eval_point)
-        fmt = args.format or manifest.report_format
-        text = (
-            render_json(reports, with_eval=eval_point is not None)
-            if fmt == "json"
-            else render_text(reports)
-        )
-        print(text)
+        if args.format == "json":
+            print(render_json(reports, with_eval=eval_point is not None))
+        else:
+            print(render_text(reports))
         return code
-    except (ManifestError, OSError) as exc:
+    except (argparse.ArgumentError, ManifestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

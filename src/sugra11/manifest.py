@@ -7,13 +7,13 @@ backgrounds (a product reference, a flux ansatz of form references, and
 the checks to run, keys of ``CHECKS``, the table that also runs them).
 Every polynomial is a string in the exact rational grammar; nothing in
 the pipeline is floating point.  The parser keeps only what the CLI
-runs: the resolved backgrounds and the report format.
+runs: the resolved backgrounds.  Keys it does not read, a ``settings``
+block included, are ignored; the CLI's ``--format`` picks the report.
 
 The five sections are built in that order by one loop over ``_SECTIONS``.
 That loop alone refuses a duplicate name and turns an engine layer's
 ``ValueError`` into a ``ManifestError`` naming the entry; each builder
-checks only its entry's own fields.  ``settings`` keys other than
-``format`` are ignored.
+checks only its entry's own fields.
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ class BackgroundSpec(Frozen):
 
 
 class Manifest(Frozen):
-    """Manifest(backgrounds, report_format): the resolved backgrounds in order."""
+    """Manifest(backgrounds): the resolved backgrounds in order."""
 
-    __slots__ = ("backgrounds", "report_format")
+    __slots__ = ("backgrounds",)
 
 
 def _run_theorem(report, spec: BackgroundSpec) -> None:
@@ -155,11 +155,6 @@ def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
     if schema != 1:
         raise ManifestError(f"{source}: unsupported schema {schema!r}")
 
-    settings = _expect(raw.get("settings", {}), dict, f"{source}: settings")
-    report_format = settings.get("format", "text")
-    if report_format not in ("text", "json"):
-        raise ManifestError(f"settings.format must be 'text' or 'json', got {report_format!r}")
-
     built: Dict[str, dict] = {}
     for section, kind, build in _SECTIONS:
         table = built[section] = {}
@@ -179,7 +174,7 @@ def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
 
     if not built["backgrounds"]:
         raise ManifestError(f"{source}: manifest declares no backgrounds")
-    return Manifest(list(built["backgrounds"].values()), report_format)
+    return Manifest(list(built["backgrounds"].values()))
 
 
 # Each builder (name, entry, built) checks its entry's own fields and

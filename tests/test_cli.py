@@ -487,14 +487,50 @@ def test_bad_rational_flag_exits_2_with_one_line(capsys, flags, message):
 
 
 def test_set_flag_is_refused_by_the_argument_parser(capsys):
-    # case 3 reads its coupling constant off the flux, so no flag sets one
-    with pytest.raises(SystemExit) as exit_info:
-        main(["--manifest", str(MANIFESTS / "solution1.json"), "--set", "c=2"])
-    assert exit_info.value.code == EXIT_ERROR
+    # case 3 reads its coupling constant off the flux, so no flag sets one; main returns
+    # 2 with one error line, as for a bad manifest, and raises no SystemExit
+    assert main(["--manifest", str(MANIFESTS / "solution1.json"), "--set", "c=2"]) == EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: unrecognized arguments: --set c=2" in captured.err
-    assert "Traceback" not in captured.err
+    assert captured.err == "error: unrecognized arguments: --set c=2\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: --manifest"),
+        (["--manifest"], "argument --manifest: expected one argument"),
+        (
+            ["--manifest", str(MANIFESTS / "solution1.json"), "--format", "xml"],
+            "argument --format: invalid choice: 'xml' (choose from 'text', 'json')",
+        ),
+    ],
+    ids=["missing_manifest", "manifest_without_value", "unknown_format"],
+)
+def test_flag_error_returns_2_with_one_error_line(capsys, argv, message):
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_help_prints_usage_to_stdout_and_returns_0(capsys):
+    assert main(["--help"]) == EXIT_PASS
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: sugra11-verify ") and "--format {text,json}" in captured.out
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("settings", [{"format": "json"}, 5], ids=["format_json", "not_an_object"])
+def test_a_settings_block_is_ignored(tmp_path, capsys, settings):
+    # --format alone picks the report: a settings block, well formed or not, changes nothing
+    doc = json.loads((MANIFESTS / "solution1.json").read_text())
+    path = tmp_path / "settings.json"
+    path.write_text(json.dumps(dict(doc, settings=settings)))
+    assert main(["--manifest", str(path)]) == EXIT_PASS
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (ROOT / "tests" / "golden" / "solution1.text.stdout").read_text()
 
 
 def test_repeated_eval_name_exits_2_with_one_line(capsys):

@@ -6,7 +6,8 @@ standard error; <name>.stdout holds its standard output, and
 <script>.stdout holds what scripts/<script>.py prints.  Verdicts,
 residual strings and evaluated values must not change under an engine
 refactoring, so any difference here is a regression unless the output
-format itself was meant to change.
+format itself was meant to change.  The text and JSON reports of each
+invocation that runs must also say the same thing, read back line by line.
 """
 
 import json
@@ -31,6 +32,101 @@ def test_cli_output_matches_golden_bytes(case, capsys, monkeypatch):
     assert code == case["exit"]
     assert captured.err == case["stderr"]
     assert captured.out == (GOLDEN / f"{case['name']}.stdout").read_text()
+
+
+def _runs():
+    """(manifest, --eval flags) of each golden invocation that exits 0 or 1, once each."""
+    runs = []
+    for case in CASES:
+        flags = dict(zip(case["args"][::2], case["args"][1::2]))
+        run = (flags["--manifest"], ["--eval", flags["--eval"]] if "--eval" in flags else [])
+        if case["exit"] in (0, 1) and run not in runs:
+            runs.append(run)
+    return runs
+
+
+_TEXT_LINES = [  # (pattern, kind) for each line of a text report before its convention notes
+    (r"background (.*)", "background"),
+    (r"  eval\[(.*?)\] (.*) = (.*)", "evaluation"),
+    (r"  eval (.*) = (.*)", "point_value"),
+    (r"  (.*): (PASS|FAIL)", "check"),
+    (r"    residual (.*) = (.*)", "residual"),
+    (r"    note: (.*)", "note"),
+    (r"summary: (\d+) passed, (\d+) failed, (\d+) errored", "summary"),
+]
+
+
+def _read_text_report(text: str):
+    """(backgrounds, summary) in the shape of _read_json_report, parsed from the text.
+
+    Only reports of runs that exit 0 or 1 are read, so an ``ERROR:`` line fails the read."""
+    backgrounds, summary = [], None
+    lines = text.split("\n")
+    for line in lines[: lines.index("conventions:")]:
+        found = [(kind, m.groups()) for pattern, kind in _TEXT_LINES
+                 if (m := re.fullmatch(pattern, line))]
+        if not found:
+            pytest.fail(f"unreadable text report line {line!r}")
+        kind, groups = found[0]
+        if kind == "background":
+            bg = {"background": groups[0], "checks": [], "evaluations": [], "point_values": {}}
+            backgrounds.append(bg)
+        elif kind == "check":
+            bg["checks"].append((groups[0], groups[1].lower(), [], []))
+        elif kind == "residual":
+            bg["checks"][-1][2].append(groups)
+        elif kind == "note":
+            bg["checks"][-1][3].append(groups[0])
+        elif kind == "evaluation":
+            point = dict(pair.split("=") for pair in groups[0].split(", "))
+            if not bg["evaluations"] or bg["evaluations"][-1][0] != point:
+                bg["evaluations"].append((point, {}))
+            bg["evaluations"][-1][1][groups[1]] = groups[2]
+        elif kind == "point_value":
+            bg["point_values"][groups[0]] = groups[1]
+        else:
+            summary = dict(zip(("passed", "failed", "errored"), map(int, groups)))
+    for bg in backgrounds:  # the text prints no background verdict: it is the checks'
+        bg["verdict"] = "pass" if all(check[1] == "pass" for check in bg["checks"]) else "fail"
+    return backgrounds, summary
+
+
+def _read_json_report(text: str):
+    doc = json.loads(text)
+    backgrounds = [
+        {
+            "background": bg["background"],
+            "verdict": bg["verdict"],
+            "checks": [
+                (c["check"], c["verdict"],
+                 [(r["where"], r["value"]) for r in c["nonzero_residuals"]], c["notes"])
+                for c in bg["checks"]
+            ],
+            "evaluations": [(e["point"], e["values"]) for e in bg["evaluations"]
+                            if e["values"]],  # the text prints no line for an all-zero point
+            "point_values": doc.get("evaluations", {}).get(bg["background"]) or {},
+        }
+        for bg in doc["backgrounds"]
+    ]
+    return backgrounds, doc["summary"]
+
+
+@pytest.mark.parametrize(
+    "manifest, eval_flags", _runs(), ids=[Path(m).name.split(".")[0] + ("-eval" if e else "") for m, e in _runs()]
+)
+def test_text_and_json_reports_agree(manifest, eval_flags, capsys, monkeypatch):
+    """Same exit code, verdicts, (where, value) residual pairs in order, notes and
+    evaluated values, whichever --format prints them."""
+    monkeypatch.chdir(ROOT)
+    reports = {}
+    for fmt in ("text", "json"):
+        code = main(["--manifest", manifest, "--format", fmt, *eval_flags])
+        reports[fmt] = code, capsys.readouterr().out
+    (text_code, text), (json_code, json_text) = reports["text"], reports["json"]
+    assert text_code == json_code
+    backgrounds, summary = _read_text_report(text)
+    assert backgrounds and summary is not None
+    assert (backgrounds, summary) == _read_json_report(json_text)
 
 
 @pytest.mark.parametrize("script", ["verify_solution_families", "hodge_convention_table"])
