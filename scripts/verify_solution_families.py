@@ -102,7 +102,7 @@ def main():
         rho, DifferentialForm.monomial(rho.chart, ("x2", "x3", "x4"), x2), H
     )
     print(f"  computed partner 2-form: {literal.derived['omega2']}")
-    case = check_special_case(literal.background, 6)
+    case = check_special_case(literal.background)
     print(f"  coupled chain: {'PASS' if case.passed else 'FAIL'}")
     for note in case.notes:
         print(f"    note: {note}")
@@ -137,7 +137,7 @@ def main():
     bg = assemble_flux(build_product(product_base, lorentz, 1), FluxAnsatz(theta=theta))
     # d eta, d star eta = d theta and d star theta
     closed = all(d(form).is_zero() for form in (eta, theta, hodge_star(product_base, theta)))
-    identity = check_theorem_conditions(bg, "theta").hypotheses.residuals["base_ricci_identity"]
+    identity = check_theorem_conditions(bg).hypotheses.residuals["base_ricci_identity"]
     t = product_base.chart.index_of("t")
     print(f"  closure side: {'PASS' if closed else 'FAIL'}")
     print(

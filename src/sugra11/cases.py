@@ -1,5 +1,9 @@
 """Condition systems for the nine restricted flux shapes.
 
+The case is read off the flux: ``case_of`` names the one whose shape is
+exactly the pieces the ansatz supplies, and a flux that matches no shape
+raises CaseShapeError naming its pieces.
+
 Each case evaluates the closed-form conditions equivalent (for that flux
 shape) to closedness plus the gauge equation, as a list of named exact
 residuals.  Most of them are per piece and read ``fieldeqs.TYPES``: a
@@ -70,20 +74,13 @@ class CaseShapeError(ValueError):
     pass
 
 
-def _require_shape(ansatz: FluxAnsatz, case: int):
-    allowed = set(CASE_SHAPES[case])
-    present = set(ansatz.present())
-    if not present or not present <= allowed:
-        raise CaseShapeError(
-            f"case {case} expects pieces {sorted(allowed)}, ansatz has {sorted(present)}"
-        )
-    # cases 8 and 9 read an absent piece as zero; the others read all of theirs
-    missing = set() if case in (8, 9) else allowed - present
-    if missing:
-        raise CaseShapeError(
-            f"case {case} needs pieces {sorted(missing)} that the ansatz lacks "
-            f"(it has {sorted(present)})"
-        )
+def case_of(ansatz: FluxAnsatz) -> int:
+    """The case whose shape is exactly the pieces ansatz supplies."""
+    present = ansatz.present()
+    for case, shape in CASE_SHAPES.items():
+        if set(shape) == set(present):
+            return case
+    raise CaseShapeError(f"no special case has exactly the flux pieces {list(present)}")
 
 
 def proportionality(form: DifferentialForm, unit: DifferentialForm):
@@ -102,11 +99,9 @@ def proportionality(form: DifferentialForm, unit: DifferentialForm):
     return c, form - unit * c
 
 
-def check_special_case(bg: Background, case: int) -> CheckResult:
-    """The condition system of one of the nine flux shapes."""
-    if case not in CASE_SHAPES:
-        raise CaseShapeError(f"unknown case {case}")
-    _require_shape(bg.ansatz, case)
+def check_special_case(bg: Background) -> CheckResult:
+    """The condition system of the flux shape that bg's pieces make up."""
+    case = case_of(bg.ansatz)
     if case == 3 and bg.product.fiber.dim != 6:
         raise CaseShapeError(
             f"case 3 needs a 6-dimensional fiber, got a {bg.product.fiber.dim}-dimensional one"

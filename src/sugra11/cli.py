@@ -36,12 +36,12 @@ def run_background(
 
     Any exception, an evaluation point that misses a variable included,
     becomes this report's error; the other backgrounds are not affected.
-    A case that does not fit the flux is reported by its message alone.
+    A flux that fits no case or theorem is reported by its message alone.
     """
     report = VerificationReport(background=spec.name)
     try:
         for check in spec.checks:
-            CHECKS[check][1](report, spec)
+            CHECKS[check](report, spec)
         if report.error is None:
             for point in spec.eval_points:
                 values = evaluate_report_at_points(report, point)
@@ -50,7 +50,7 @@ def run_background(
                 )
             if eval_point is not None:
                 report.point_values = evaluate_report_at_points(report, eval_point)
-    except CaseShapeError as exc:  # a case that does not fit the flux: the message says why
+    except CaseShapeError as exc:  # a flux that fits no case or theorem: the message says why
         report.error = str(exc)
     except Exception as exc:  # noqa: BLE001 - carried into the report per background
         report.error = f"{type(exc).__name__}: {exc}"
@@ -124,8 +124,12 @@ def render_text(reports: List[VerificationReport]) -> str:
             point_str = ", ".join(f"{k}={v}" for k, v in record["point"].items())
             for key, value in record["values"].items():
                 lines.append(f"  eval[{point_str}] {key} = {value}")
+            if not record["values"]:
+                lines.append(f"  eval[{point_str}] no nonzero residual")
         for key, value in (report.point_values or {}).items():
             lines.append(f"  eval {key} = {value}")
+        if report.point_values == {}:
+            lines.append("  eval no nonzero residual")
     passed, failed, errored = _tally(reports)
     lines.append(f"summary: {passed} passed, {failed} failed, {errored} errored")
     lines.append("conventions:")

@@ -26,9 +26,9 @@ structure, so the 11-dimensional Ricci stays independent of the block-law
 audits; tests/oracles.py keeps the dense loops as its reference.
 
 The Christoffel symbols stay a sparse map {(k, i, j): Gamma^k_ij} of the
-nonzero symbols, both (i, j) orders included.  The pair (map, Ricci) is
-computed once per metric and kept on it; metrics are immutable, so it
-never goes stale.
+nonzero symbols, both (i, j) orders included.  ``curvature`` computes the
+pair (map, Ricci) once per metric and keeps it on the metric; metrics are
+immutable, so it never goes stale.
 """
 
 from __future__ import annotations
@@ -49,11 +49,6 @@ def curvature(m: ChartMetric) -> Tuple[Christoffel, Matrix]:
     if m._curvature is None:
         m._curvature = _compute_curvature(m)
     return m._curvature
-
-
-def christoffel(m: ChartMetric) -> Christoffel:
-    """{(k, i, j): Gamma^k_ij} over the nonzero symbols."""
-    return curvature(m)[0]
 
 
 def ricci(m: ChartMetric) -> Matrix:
@@ -125,7 +120,7 @@ def hessian(m: ChartMetric, f: Polynomial) -> Matrix:
     names = m.chart.coordinates
     df = [f.partial(v) for v in names]
     products: Dict[Tuple[int, int], list] = {}
-    for (k, i, j), value in christoffel(m).items():
+    for (k, i, j), value in curvature(m)[0].items():
         products.setdefault((i, j), []).append((-1, value, df[k]))
     return tuple(
         tuple(df[j].partial(names[i]) + sum_of_products(products.get((i, j), ())) for j in range(n))

@@ -7,8 +7,10 @@ backgrounds (a product reference, a flux ansatz of form references, and
 the checks to run, keys of ``CHECKS``, the table that also runs them).
 Every polynomial is a string in the exact rational grammar; nothing in
 the pipeline is floating point.  The parser keeps only what the CLI
-runs: the resolved backgrounds.  Keys it does not read, a ``settings``
-block included, are ignored; the CLI's ``--format`` picks the report.
+runs: the resolved backgrounds.  Keys it does not read are ignored: a
+``settings`` block, as the CLI's ``--format`` picks the report, and a
+background's ``case`` and ``theorem``, as both checks read their shape off
+the flux.
 
 The five sections are built in that order by one loop over ``_SECTIONS``.
 That loop alone refuses a duplicate name and turns an engine layer's
@@ -41,9 +43,9 @@ class ManifestError(ValueError):
 
 
 class BackgroundSpec(Frozen):
-    """BackgroundSpec(name, background, checks, case, theorem, eval_points)."""
+    """BackgroundSpec(name, background, checks, eval_points)."""
 
-    __slots__ = ("name", "background", "checks", "case", "theorem", "eval_points")
+    __slots__ = ("name", "background", "checks", "eval_points")
 
 
 class Manifest(Frozen):
@@ -55,23 +57,23 @@ class Manifest(Frozen):
 def _run_theorem(report, spec: BackgroundSpec) -> None:
     from .solutions import check_theorem_conditions  # only this check needs it
 
-    t_report = check_theorem_conditions(spec.background, spec.theorem)
+    t_report = check_theorem_conditions(spec.background)
     report.results.append(t_report.hypotheses)
     report.results.extend(t_report.equations or ())
     if not t_report.reproduced:
         report.error = "hypotheses hold but the field equations fail"
 
 
-# check name -> (what the background entry of that name must hold, or None; a runner
-# (report, spec) that adds the check's results to report).  A runner looks its
-# check up at call time, so a wrapper bound to the module attribute sees every call.
+# check name -> a runner (report, spec) that adds the check's results to report.  A
+# runner looks its check up at call time, so a wrapper bound to the module attribute
+# sees every call.
 CHECKS = {
-    "closedness": (None, lambda r, s: r.results.append(fieldeqs.check_closedness(s.background))),
-    "maxwell": (None, lambda r, s: r.results.append(fieldeqs.check_maxwell(s.background))),
-    "einstein": (None, lambda r, s: r.results.append(fieldeqs.check_einstein(s.background))),
-    "split": (None, lambda r, s: r.results.append(fieldeqs.split_einstein(s.background))),
-    "case": ("number", lambda r, s: r.results.append(cases.check_special_case(s.background, s.case))),
-    "theorem": ("shape", _run_theorem),
+    "closedness": lambda r, s: r.results.append(fieldeqs.check_closedness(s.background)),
+    "maxwell": lambda r, s: r.results.append(fieldeqs.check_maxwell(s.background)),
+    "einstein": lambda r, s: r.results.append(fieldeqs.check_einstein(s.background)),
+    "split": lambda r, s: r.results.append(fieldeqs.split_einstein(s.background)),
+    "case": lambda r, s: r.results.append(cases.check_special_case(s.background)),
+    "theorem": _run_theorem,
 }
 
 
@@ -266,12 +268,6 @@ def _background(name: str, entry: dict, built) -> BackgroundSpec:
     checks = list(_strings(entry.get("checks", []), f"background {name!r}: checks"))
     if not checks:
         raise ManifestError(f"background {name!r}: at least one check is required")
-    case = entry.get("case")
-    if case is not None and not _is_int(case):
-        raise ManifestError(f"background {name!r}: case must be an integer, got {case!r}")
-    theorem = entry.get("theorem")
-    if theorem is not None:
-        _expect(theorem, str, f"background {name!r}: theorem")
     for i, check in enumerate(checks):
         if check not in CHECKS:
             raise ManifestError(f"background {name!r}: unknown check {check!r}")
@@ -279,9 +275,6 @@ def _background(name: str, entry: dict, built) -> BackgroundSpec:
             raise ManifestError(f"background {name!r}: check {check!r} is listed twice")
         if check in ("closedness", "maxwell", "einstein") and "theorem" in checks:
             raise ManifestError(f"background {name!r}: check {check!r} is run by 'theorem'")
-    for check, (needs, _) in CHECKS.items():
-        if needs and check in checks and entry.get(check) in (None, ""):
-            raise ManifestError(f"background {name!r}: check {check!r} needs a {check!r} {needs}")
     eval_points = []
     where = f"background {name!r}: eval_points"
     for i, pt in enumerate(_expect(entry.get("eval_points", []), list, where)):
@@ -290,7 +283,7 @@ def _background(name: str, entry: dict, built) -> BackgroundSpec:
             raise ManifestError(f"{where} item {i}: empty variable name")
         eval_points.append({k: rational(v, f"background {name!r} eval point") for k, v in pt.items()})
     background = assemble_flux(pc, FluxAnsatz(**pieces))
-    return BackgroundSpec(name, background, checks, case, theorem, eval_points)
+    return BackgroundSpec(name, background, checks, eval_points)
 
 
 # (section, the kind of entry it lists, builder), each section after those it refers to

@@ -21,11 +21,13 @@ checkers then provide the end-to-end verdict.
 Theorem checkers evaluate hypothesis residuals for the five structural
 statements (one per flux shape) and re-run the full field equations when
 the hypotheses hold, reporting whether the implication is reproduced on
-that instance.  A shape's hypotheses are the condition system of its
-special case (alpha 1, beta_nu 2, varpi_epsilon 4, theta 5, alpha_beta_nu
-6: the closure and co-closure conditions and case 6's coupled chain), the
-nullity of its fiber pieces, and the HH and VV blocks of the Einstein split
-at f = 1, read over TYPES with an absent factor taken as the unit 0-form:
+that instance.  The shape is read off the flux, as its special case is
+(alpha 1, beta_nu 2, varpi_epsilon 4, theta 5, alpha_beta_nu 6); a flux of
+another case, or of none, has no theorem.  A shape's hypotheses are the
+condition system of its case (the closure and co-closure conditions and
+case 6's coupled chain), the nullity of its fiber pieces, and the HH and
+VV blocks of the Einstein split at f = +-1, read over TYPES with an absent
+factor taken as the unit 0-form:
 
     Ric_g  = 1/6 sum_t |t|^2 (|b|^2 g  - 3 C_b)
     Ric_gt = 1/6 sum_t |b|^2 (|t|^2 gt - 3 C_t)
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from .cases import CASE_SHAPES, check_special_case
+from .cases import CaseShapeError, case_of, check_special_case
 from .curvature import laplace_beltrami, ricci
 from .exterior import (
     Chart,
@@ -157,7 +159,7 @@ def _build_family(
          for t, b, _ in TYPES if t in transverse), P0)
     cond.residuals["rho_ricci_flat"] = ricci(rho)
     cond.residuals["base_ricci_flat"] = ricci(base)
-    case = check_special_case(bg, next(k for k, s in CASE_SHAPES.items() if set(s) == set(pieces)))
+    case = check_special_case(bg)
     cond.residuals.update(case.residuals)
     cond.notes.extend(case.notes)
     return FamilyBuild(bg, cond, pieces)
@@ -258,9 +260,9 @@ def build_alpha_beta_nu_background(
 # theorem checkers, one per flux shape
 # ---------------------------------------------------------------------------
 
-# the special case whose condition system holds each shape's closure and co-closure hypotheses
-_THEOREM_CASES = {"alpha": 1, "beta_nu": 2, "varpi_epsilon": 4, "alpha_beta_nu": 6, "theta": 5}
-THEOREM_SHAPES = tuple(_THEOREM_CASES)
+# the theorem shape of each special case whose condition system holds its closure
+# and co-closure hypotheses
+_THEOREM_CASES = {1: "alpha", 2: "beta_nu", 4: "varpi_epsilon", 5: "theta", 6: "alpha_beta_nu"}
 
 
 class TheoremReport(Frozen):
@@ -281,27 +283,23 @@ class TheoremReport(Frozen):
 _NORMALIZATIONS = {"beta_nu": ("nu", "beta_t", "-1"), "varpi_epsilon": ("epsilon", "varpi_t", "-2")}
 
 
-def check_theorem_conditions(bg: Background, shape: str) -> TheoremReport:
-    """The shape's hypotheses: the closure and co-closure conditions of its
-    special case, the nullity of its fiber pieces and the two factor Ricci
-    identities read over TYPES, plus alpha_beta_nu's nonzero coupling and
-    orthogonality and theta's constant norm."""
-    if shape not in THEOREM_SHAPES:
-        raise ValueError(f"unknown theorem shape {shape!r}; pick one of {THEOREM_SHAPES}")
+def check_theorem_conditions(bg: Background) -> TheoremReport:
+    """The hypotheses of the theorem of bg's flux shape: the closure and
+    co-closure conditions of its special case, the nullity of its fiber
+    pieces and the two factor Ricci identities read over TYPES, plus
+    alpha_beta_nu's nonzero coupling and orthogonality and theta's constant
+    norm."""
     a = bg.ansatz
     pc = bg.product
     g, gt = pc.base, pc.fiber
-    case = _THEOREM_CASES[shape]
-    expected_pieces = CASE_SHAPES[case]
-    if set(a.present()) != set(expected_pieces):
-        raise ValueError(
-            f"theorem shape {shape!r} expects exactly pieces {expected_pieces}, "
-            f"ansatz has {a.present()}"
-        )
-    if pc.warping != 1:
-        raise ValueError("the structural statements are for the direct product (f = 1)")
+    try:
+        shape = _THEOREM_CASES[case_of(a)]
+    except (CaseShapeError, KeyError):
+        raise CaseShapeError(f"no theorem for these pieces: {list(a.present())}") from None
+    if abs(pc.warping) != 1:  # h depends on f^2 only
+        raise ValueError("the structural statements are for the direct product (f = 1 or -1)")
 
-    conditions = check_special_case(bg, case)
+    conditions = check_special_case(bg)
     hyp = CheckResult(f"theorem_{shape}_hypotheses")
     hyp.residuals.update(conditions.residuals)
     hyp.notes.extend(conditions.notes)

@@ -273,7 +273,7 @@ def test_criterion_10_coupled_family_literal_and_corrected():
     # the co-dual pair is computed, not supplied, and the chain closes with
     # the recorded coupling -1 under the negative-definite dual convention
     assert literal.derived["omega2"] == DifferentialForm.monomial(rho.chart, ("x3", "x4"), -P1)
-    case = check_special_case(literal.background, 6)
+    case = check_special_case(literal.background)
     assert case.passed
     assert any("c = -1" in n for n in case.notes)
     assert check_closedness(literal.background).passed
@@ -314,7 +314,7 @@ def test_criterion_11_base_flux_equivalence_and_obstruction():
     theta = hodge_star(product_base, eta)
     pc = build_product(product_base, fiber, 1)
     bg = assemble_flux(pc, FluxAnsatz(theta=theta))
-    identity = check_theorem_conditions(bg, "theta").hypotheses.residuals["base_ricci_identity"]
+    identity = check_theorem_conditions(bg).hypotheses.residuals["base_ricci_identity"]
     t = product_base.chart.index_of("t")
     assert identity[t][t] == Polynomial.constant(Fraction(1, 6))
     for form in (eta, theta, hodge_star(product_base, theta)):

@@ -2,7 +2,9 @@
 
 Every case gets at least one satisfying and one violating fixture, and
 the test asserts the biconditional: case residuals all zero if and only
-if the direct closedness and gauge residuals are all zero.  Each fixture
+if the direct closedness and gauge residuals are all zero.  The case runs
+as the one its pieces make up, and the test checks that it is the case
+the fixture is written for.  Each fixture
 runs at every warping in WARPINGS, so the f-weights of the case systems
 are exercised; a coupled fixture scales its pieces by f to stay a solution.
 """
@@ -12,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from sugra11.cases import CaseShapeError, check_special_case
+from sugra11.cases import CaseShapeError, case_of, check_special_case
 from sugra11.exterior import Chart, DifferentialForm, exterior_derivative as ext_d, wedge
 from sugra11.fieldeqs import FluxAnsatz, assemble_flux, check_closedness, check_maxwell
 from sugra11.metric import hodge_star, volume_form
@@ -68,7 +70,8 @@ def line_product(H=None, f=1):
 
 
 def assert_case_matches_direct(bg, case, expect_pass):
-    result = check_special_case(bg, case)
+    result = check_special_case(bg)
+    assert result.name == f"case_{case}"
     direct = check_closedness(bg).passed and check_maxwell(bg).passed
     assert result.passed == direct, (
         case,
@@ -434,27 +437,32 @@ def test_a_zero_factor_constrains_neither_piece_of_its_type(f):
 # -- shape validation -------------------------------------------------------------
 
 def test_case_shape_mismatch_raises():
+    # gamma_t ^ delta + theta is the shape of no case
     pc = walker_product()
-    theta = mono(pc.base_chart, ("y1", "y2", "y3", "y4"))
-    bg = assemble_flux(pc, FluxAnsatz(theta=theta))
-    with pytest.raises(CaseShapeError):
-        check_special_case(bg, 1)
-    with pytest.raises(CaseShapeError):
-        check_special_case(bg, 10)
+    bg = assemble_flux(pc, FluxAnsatz(gamma_t=mono(pc.fiber_chart, ("x1", "x2")),
+                                      delta=mono(pc.base_chart, ("y1", "y2")),
+                                      theta=mono(pc.base_chart, ("y1", "y2", "y3", "y4"))))
+    message = re.escape("no special case has exactly the flux pieces ['gamma_t', 'delta', 'theta']")
+    with pytest.raises(CaseShapeError, match=message):
+        case_of(bg.ansatz)
+    with pytest.raises(CaseShapeError, match=message):
+        check_special_case(bg)
 
 
-@pytest.mark.parametrize("case, missing", [(6, "['beta_t', 'nu']"), (7, "['theta']")])
-def test_case_names_the_pieces_the_ansatz_lacks(case, missing):
+@pytest.mark.parametrize("coupled, case", [(6, 1), (7, 4)])
+def test_a_coupled_shape_short_of_a_type_is_the_case_of_its_pieces(coupled, case):
+    """alpha_t alone is case 1, not case 6 short of beta_t ^ nu; varpi_t ^ epsilon
+    alone is case 4, not case 7 short of theta."""
     pc, base, fiber = line_product()
-    if case == 6:
+    if coupled == 6:
         alpha_t = wedge(mono(fiber.chart, ("u",)), mono(fiber.chart, ("x2", "x3", "x4")))
         flux = FluxAnsatz(alpha_t=alpha_t)
     else:
         flux = FluxAnsatz(varpi_t=mono(fiber.chart, ("u",)),
                           epsilon=mono(base.chart, ("z1", "z2", "t")))
     bg = assemble_flux(pc, flux)
-    with pytest.raises(CaseShapeError, match=rf"case {case} needs pieces {re.escape(missing)}"):
-        check_special_case(bg, case)
+    assert case_of(bg.ansatz) == case
+    assert_case_matches_direct(bg, case, True)
 
 
 def test_case3_on_a_five_dimensional_fiber_names_the_dimension():
@@ -466,4 +474,4 @@ def test_case3_on_a_five_dimensional_fiber_names_the_dimension():
     delta = mono(base.chart, ("x1", "x2")) + mono(base.chart, ("x3", "x4"))
     bg = assemble_flux(pc, FluxAnsatz(gamma_t=gamma_t, delta=delta))
     with pytest.raises(CaseShapeError, match="case 3 needs a 6-dimensional fiber, got a 5-dimensional one"):
-        check_special_case(bg, 3)
+        check_special_case(bg)

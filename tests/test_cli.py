@@ -107,7 +107,6 @@ def test_exit_codes_through_main(capsys):
 def test_split_and_theorem_checks_through_runner():
     doc = json.loads((MANIFESTS / "solution1.json").read_text())
     doc["backgrounds"][0]["checks"] = ["split", "theorem"]
-    doc["backgrounds"][0]["theorem"] = "alpha"
     reports, code = run(parse_manifest_dict(doc))
     assert code == EXIT_PASS
     names = [result.name for result in reports[0].results]
@@ -117,26 +116,42 @@ def test_split_and_theorem_checks_through_runner():
     assert "einstein" in names
 
 
+def with_a_shapeless_background(doc, check):
+    """doc with a background named no_shape before its first, whose flux
+    gamma_t ^ delta + theta is the shape of no case, running check alone."""
+    doc["forms"] += [
+        {"name": "gamma2", "chart": "walker6", "degree": 2,
+         "terms": [{"indices": ["x1", "x2"], "coeff": "1"}]},
+        {"name": "delta2", "chart": "base5", "degree": 2,
+         "terms": [{"indices": ["y1", "y2"], "coeff": "1"}]},
+        {"name": "theta4", "chart": "base5", "degree": 4,
+         "terms": [{"indices": ["y1", "y2", "y3", "y4"], "coeff": "1"}]},
+    ]
+    shapeless = dict(doc["backgrounds"][0], name="no_shape", checks=[check],
+                     flux={"gamma_t": "gamma2", "delta": "delta2", "theta": "theta4"})
+    doc["backgrounds"].insert(0, shapeless)
+    return doc
+
+
 def test_engine_error_is_carried_per_background_without_aborting():
-    doc = json.loads((MANIFESTS / "solution1.json").read_text())
-    good = doc["backgrounds"][0]
-    bad = dict(good)
-    bad["name"] = "wrong_shape"
-    bad["checks"] = ["case"]
-    bad["case"] = 5  # the flux piece does not match this shape
-    doc["backgrounds"] = [bad, good]
+    doc = with_a_shapeless_background(json.loads((MANIFESTS / "solution1.json").read_text()), "case")
     reports, code = run(parse_manifest_dict(doc))
     assert code == EXIT_ERROR
-    assert [r.background for r in reports] == ["wrong_shape", "solution1"]
-    assert reports[0].error is not None and "case 5" in reports[0].error
+    assert [r.background for r in reports] == ["no_shape", "solution1"]
+    assert reports[0].error is not None and "no special case" in reports[0].error
     assert reports[1].passed
 
 
-def test_case_check_requires_case_number():
-    doc = json.loads((MANIFESTS / "solution1.json").read_text())
-    doc["backgrounds"][0]["checks"] = ["case"]
-    with pytest.raises(ManifestError, match="needs a 'case' number"):
-        parse_manifest_dict(doc)
+@pytest.mark.parametrize("stale", [{"case": 5}, {"theorem": "alpha"}, {"case": "6", "theorem": 5}],
+                         ids=["case", "theorem", "both_of_the_wrong_type"])
+def test_a_stale_case_or_theorem_key_is_ignored(stale):
+    # both checks read their shape off the flux: solution2's is case 2, the beta_nu theorem
+    doc = json.loads((MANIFESTS / "solution2.json").read_text())
+    doc["backgrounds"][0].update(stale, checks=["case", "theorem"])
+    (report,), code = run(parse_manifest_dict(doc))
+    assert code == EXIT_PASS
+    assert [r.name for r in report.results] == [
+        "case_2", "theorem_beta_nu_hypotheses", "closedness", "maxwell", "einstein"]
 
 
 def test_only_filter_and_unknown_name(capsys):
@@ -273,14 +288,8 @@ def _repeated_check(doc):
 
 def _theorem_with_its_equations(doc):
     # theorem runs closedness, maxwell and einstein itself once its hypotheses hold
-    doc["backgrounds"][0].update(theorem="alpha",
-                                 checks=["closedness", "maxwell", "einstein", "theorem"])
+    doc["backgrounds"][0].update(checks=["closedness", "maxwell", "einstein", "theorem"])
     return "background 'solution1': check 'closedness' is run by 'theorem'"
-
-
-def _string_case(doc):
-    doc["backgrounds"][0]["case"] = "6"
-    return "background 'solution1': case"
 
 
 def _zero_denominator(doc):
@@ -368,7 +377,6 @@ def _long_coefficient(doc):
         _repeated_check,
         _theorem_with_its_equations,
         _string_coordinates,
-        _string_case,
         _zero_denominator,
         _exponent_past_the_limit,
         _quotient_exponent,
@@ -599,17 +607,40 @@ def test_eval_point_missing_a_variable_is_that_background_error(tmp_path, capsys
     assert report["evaluations"] == {"closed_only": {}}
 
 
-def test_case_missing_flux_pieces_is_that_background_error(tmp_path, capsys):
-    doc = json.loads((MANIFESTS / "solution1.json").read_text())
-    doc["backgrounds"][0]["checks"] = ["case"]
-    doc["backgrounds"][0]["case"] = 6  # needs alpha_t, beta_t and nu; solution1 has alpha_t
-    path = tmp_path / "case6.json"
+@pytest.mark.parametrize("check, message", [
+    ("case", "no special case has exactly the flux pieces"),
+    ("theorem", "no theorem for these pieces:"),
+], ids=["case", "theorem"])
+def test_a_flux_of_no_shape_is_that_background_error(tmp_path, capsys, check, message):
+    doc = with_a_shapeless_background(json.loads((MANIFESTS / "solution1.json").read_text()), check)
+    path = tmp_path / "no_shape.json"
     path.write_text(json.dumps(doc))
     assert main(["--manifest", str(path)]) == EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.err == ""
-    assert "  ERROR: case 6 needs pieces ['beta_t', 'nu']" in captured.out
+    assert f"background no_shape\n  ERROR: {message} ['gamma_t', 'delta', 'theta']\n" in captured.out
     assert "Error" not in captured.out and "Traceback" not in captured.out
+    assert "background solution1\n" in captured.out
+    assert "summary: 1 passed, 0 failed, 1 errored" in captured.out
+
+
+def test_theorem_accepts_a_warping_of_minus_one(tmp_path, capsys):
+    # h depends on f^2 only, so f = -1 is the direct product the theorems are stated for
+    golden = ROOT / "tests" / "golden"
+    doc = json.loads((golden / "theorem_rescaled.manifest.json").read_text())
+    path = tmp_path / "theorem_rescaled_warped.json"
+    for warping, code in (("-1", EXIT_PASS), ("2", EXIT_ERROR)):
+        for product in doc["products"]:
+            product["warping"] = warping
+        path.write_text(json.dumps(doc))
+        assert main(["--manifest", str(path)]) == code
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if code == EXIT_PASS:
+            assert captured.out == (golden / "theorem_rescaled.stdout").read_text()
+        else:
+            assert captured.out.count("  ERROR: ValueError: the structural statements are for "
+                                      "the direct product (f = 1 or -1)\n") == 2
 
 
 def test_residual_past_the_int_digit_limit_is_printed_in_full(tmp_path, capsys):
@@ -667,7 +698,6 @@ def test_every_check_reaches_a_wrapper_bound_to_its_module_attributes(monkeypatc
                 monkeypatch.setattr(module, attr, hit[1])
 
     doc = json.loads((MANIFESTS / "solution1.json").read_text())
-    doc["backgrounds"][0].update(case=1, theorem="alpha")
 
     def count_calls(checks):
         calls.update(dict.fromkeys(calls, 0))
@@ -694,7 +724,6 @@ from pathlib import Path
 from sugra11.manifest import parse_manifest_dict
 doc = json.loads(Path("manifests/solution1.json").read_text())
 doc["backgrounds"][0]["checks"] = ["theorem"]
-doc["backgrounds"][0]["theorem"] = "alpha"
 report = sugra11.cli.run_background(parse_manifest_dict(doc).backgrounds[0])
 print(json.dumps({"imported": sorted(imported), "theorem_passed": report.passed,
                   "solutions_after_theorem": "sugra11.solutions" in sys.modules}))

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 from sugra11.curvature import (
-    christoffel,
+    curvature,
     grad_norm_sq,
     hessian,
     is_totally_ricci_isotropic,
@@ -31,14 +31,14 @@ def matrix_is_zero(mat):
 
 def test_flat_christoffel_vanishes():
     m = make_metric(Chart("F3", ("a", "b", "c")), diag(-1, -1, -1))
-    gamma = christoffel(m)
+    gamma = curvature(m)[0]
     assert all(gamma.get((k, i, j), P0).is_zero() for k in range(3) for i in range(3) for j in range(3))
     assert matrix_is_zero(ricci(m))
 
 
 def test_walker_christoffel_structure():
     m = walker_metric(H_EXAMPLE)
-    gamma = christoffel(m)
+    gamma = curvature(m)[0]
     names = m.chart.coordinates
     u = names.index("u")
     v = names.index("v")
@@ -106,7 +106,7 @@ def test_walker_ricci_single_entry_with_curvilinear_flat_block():
 
     rho = _sheared_block("x2")
     assert matrix_is_zero(ricci(rho))
-    gamma = christoffel(rho)
+    gamma = curvature(rho)[0]
     assert any(
         not gamma.get((k, i, j), P0).is_zero() for k in range(4) for i in range(4) for j in range(4)
     )
@@ -254,7 +254,7 @@ def test_flat_metric_is_trivially_ricci_isotropic():
 
 def _assert_matches_dense_reference(m):
     gamma, ric = dense_christoffel_ricci(m)
-    sparse = christoffel(m)
+    sparse = curvature(m)[0]
     assert not any(value.is_zero() for value in sparse.values())
     n = range(m.dim)
     assert tuple(tuple(tuple(sparse.get((k, i, j), P0) for j in n) for i in n) for k in n) == gamma
@@ -310,7 +310,7 @@ def test_contracted_christoffel_symbols_vanish_because_det_g_is_constant():
     for m in metrics:
         det = poly_det(m.g)
         assert det.is_constant() and not det.is_zero()
-        gamma = christoffel(m)
+        gamma = curvature(m)[0]
         assert any(not gamma.get((k, i, j), P0).is_zero()
                    for k in range(m.dim) for i in range(m.dim) for j in range(m.dim))
         for i in range(m.dim):

@@ -47,7 +47,9 @@ def _runs():
 
 _TEXT_LINES = [  # (pattern, kind) for each line of a text report before its convention notes
     (r"background (.*)", "background"),
+    (r"  eval\[(.*?)\] no nonzero residual", "empty_evaluation"),
     (r"  eval\[(.*?)\] (.*) = (.*)", "evaluation"),
+    (r"  eval no nonzero residual", "empty_point"),
     (r"  eval (.*) = (.*)", "point_value"),
     (r"  (.*): (PASS|FAIL)", "check"),
     (r"    residual (.*) = (.*)", "residual"),
@@ -77,13 +79,16 @@ def _read_text_report(text: str):
             bg["checks"][-1][2].append(groups)
         elif kind == "note":
             bg["checks"][-1][3].append(groups[0])
-        elif kind == "evaluation":
+        elif kind in ("evaluation", "empty_evaluation"):
             point = dict(pair.split("=") for pair in groups[0].split(", "))
             if not bg["evaluations"] or bg["evaluations"][-1][0] != point:
                 bg["evaluations"].append((point, {}))
-            bg["evaluations"][-1][1][groups[1]] = groups[2]
+            if kind == "evaluation":
+                bg["evaluations"][-1][1][groups[1]] = groups[2]
         elif kind == "point_value":
             bg["point_values"][groups[0]] = groups[1]
+        elif kind == "empty_point":
+            pass  # read as the JSON report's empty or absent evaluations entry
         else:
             summary = dict(zip(("passed", "failed", "errored"), map(int, groups)))
     for bg in backgrounds:  # the text prints no background verdict: it is the checks'
@@ -102,8 +107,7 @@ def _read_json_report(text: str):
                  [(r["where"], r["value"]) for r in c["nonzero_residuals"]], c["notes"])
                 for c in bg["checks"]
             ],
-            "evaluations": [(e["point"], e["values"]) for e in bg["evaluations"]
-                            if e["values"]],  # the text prints no line for an all-zero point
+            "evaluations": [(e["point"], e["values"]) for e in bg["evaluations"]],
             "point_values": doc.get("evaluations", {}).get(bg["background"]) or {},
         }
         for bg in doc["backgrounds"]
@@ -127,6 +131,29 @@ def test_text_and_json_reports_agree(manifest, eval_flags, capsys, monkeypatch):
     backgrounds, summary = _read_text_report(text)
     assert backgrounds and summary is not None
     assert (backgrounds, summary) == _read_json_report(json_text)
+
+
+@pytest.mark.parametrize("eval_flags", [[], ["--eval", "x1=1"]], ids=["eval_points", "eval_flag"])
+def test_a_point_with_no_nonzero_residual_prints_one_line(eval_flags, tmp_path, capsys):
+    """solution1 passes, so a point has no nonzero residual to evaluate: the
+    text says so in one line, and the JSON lists the point with no values."""
+    doc = json.loads((ROOT / "manifests" / "solution1.json").read_text())
+    if not eval_flags:
+        doc["backgrounds"][0]["eval_points"] = [{"x1": "1"}]
+    path = tmp_path / "solution1_eval.json"
+    path.write_text(json.dumps(doc))
+    reports = {}
+    for fmt in ("text", "json"):
+        assert main(["--manifest", str(path), "--format", fmt, *eval_flags]) == 0
+        reports[fmt] = capsys.readouterr().out
+    line = "  eval no nonzero residual" if eval_flags else "  eval[x1=1] no nonzero residual"
+    assert reports["text"].split("\n").count(line) == 1
+    if eval_flags:
+        assert json.loads(reports["json"])["evaluations"] == {"solution1": {}}
+    else:
+        assert json.loads(reports["json"])["backgrounds"][0]["evaluations"] == [
+            {"point": {"x1": "1"}, "values": {}}]
+    assert _read_text_report(reports["text"]) == _read_json_report(reports["json"])
 
 
 @pytest.mark.parametrize("script", ["verify_solution_families", "hodge_convention_table"])

@@ -1,6 +1,7 @@
 """Structural theorem checkers and the base-only flux theta = star eta."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -34,7 +35,7 @@ from sugra11.solutions import (
     walker_metric_from_rho,
 )
 
-from test_cases import mono, quadratic_H, rho_flat
+from test_cases import mono, quadratic_H, rho_flat, walker_product
 from test_exterior import random_polynomial
 from test_metric import diag
 
@@ -94,7 +95,8 @@ def test_theorem_hypotheses_hold_exactly_when_the_field_equations_do():
         bg = build.background
         # "alpha_beta_nu corrected" has omega2 = 0, so its flux has the alpha shape
         shape = "alpha" if bg.ansatz.present() == ("alpha_t",) else label.split()[0]
-        report = check_theorem_conditions(bg, shape)
+        report = check_theorem_conditions(bg)
+        assert report.hypotheses.name == f"theorem_{shape}_hypotheses"
         solves = all(check(bg).passed
                      for check in (check_closedness, check_maxwell, check_einstein))
         assert report.hypotheses.passed == solves, (label, report.hypotheses.nonzero_entries())
@@ -105,7 +107,7 @@ def test_theorem_alpha_reproduced_on_walker_family():
     build = build_alpha_background(
         rho_flat(), mono(rho_flat().chart, ("x2", "x3", "x4")), quadratic_H(Fraction(1, 8))
     )
-    report = check_theorem_conditions(build.background, "alpha")
+    report = check_theorem_conditions(build.background)
     assert report.hypotheses.passed
     assert report.reproduced
     assert all(r.passed for r in report.equations)
@@ -116,7 +118,7 @@ def test_theorem_alpha_hypothesis_failure_detected():
     build = build_alpha_background(
         rho_flat(), mono(rho_flat().chart, ("x2", "x3", "x4")), quadratic_H(Fraction(1, 4))
     )
-    report = check_theorem_conditions(build.background, "alpha")
+    report = check_theorem_conditions(build.background)
     assert not report.hypotheses.passed
     res = report.hypotheses.residuals["fiber_ricci_identity"]
     u = build.background.product.fiber.chart.index_of("u")
@@ -128,14 +130,14 @@ def test_theorem_beta_nu_reproduced():
     rho = rho_flat()
     omega = mono(rho.chart, ("x1", "x2")) + mono(rho.chart, ("x3", "x4"))
     build = build_beta_nu_background(rho, omega, quadratic_H(Fraction(1, 4)))
-    report = check_theorem_conditions(build.background, "beta_nu")
+    report = check_theorem_conditions(build.background)
     assert report.hypotheses.passed
     assert report.reproduced
 
 
 def test_theorem_varpi_epsilon_reproduced_and_ricci_isotropic():
     build = build_varpi_epsilon_background(rho_flat(), quadratic_H(Fraction(1, 4)))
-    report = check_theorem_conditions(build.background, "varpi_epsilon")
+    report = check_theorem_conditions(build.background)
     assert report.hypotheses.passed
     assert report.reproduced
     ok, _ = is_totally_ricci_isotropic(build.background.metric)
@@ -144,7 +146,7 @@ def test_theorem_varpi_epsilon_reproduced_and_ricci_isotropic():
 
 def test_theorem_varpi_epsilon_ricci_identity_needs_right_potential():
     build = build_varpi_epsilon_background(rho_flat(), quadratic_H(Fraction(1, 8)))
-    report = check_theorem_conditions(build.background, "varpi_epsilon")
+    report = check_theorem_conditions(build.background)
     res = report.hypotheses.residuals["fiber_ricci_identity"]
     u = build.background.product.fiber.chart.index_of("u")
     # Ric_uu = 1/2 here while the source demands 1: residual -1/2
@@ -157,7 +159,7 @@ def test_theorem_alpha_beta_nu_on_literal_family():
     omega3 = DifferentialForm.monomial(rho.chart, ("x2", "x3", "x4"), Polynomial.variable("x2"))
     H = (Polynomial.variable("x1") ** 4 + Polynomial.variable("x2") ** 4) * Fraction(1, 12)
     build = build_alpha_beta_nu_background(rho, omega3, H)
-    report = check_theorem_conditions(build.background, "alpha_beta_nu")
+    report = check_theorem_conditions(build.background)
     # the gauge-side hypotheses hold with extracted coupling -1; the fiber
     # Ricci identity cannot hold on the literal product chart
     assert any("c = -1" in n for n in report.hypotheses.notes)
@@ -181,18 +183,22 @@ def test_theorem_alpha_beta_nu_orthogonality_residual_per_fiber_coordinate():
         nu=DifferentialForm.coordinate_differential(base.chart, "y1"),
     )
     bg = assemble_flux(build_product(base, fiber, 1), ansatz)
-    entries = check_theorem_conditions(bg, "alpha_beta_nu").hypotheses.nonzero_entries()
+    entries = check_theorem_conditions(bg).hypotheses.nonzero_entries()
     assert [e for e in entries if e[0].startswith("alpha_beta_orthogonality")] == [
         ("alpha_beta_orthogonality.i_x2", "-x1")
     ]
 
 
 def test_theorem_shape_validation():
-    build = build_varpi_epsilon_background(rho_flat(), quadratic_H(Fraction(1, 4)))
-    with pytest.raises(ValueError):
-        check_theorem_conditions(build.background, "alpha")
-    with pytest.raises(ValueError):
-        check_theorem_conditions(build.background, "unknown")
+    # case 3 has no structural theorem, and gamma_t ^ delta + theta is no case at all
+    pc = walker_product()
+    gamma_t, delta = mono(pc.fiber_chart, ("x1", "x2")), mono(pc.base_chart, ("y1", "y2"))
+    theta = mono(pc.base_chart, ("y1", "y2", "y3", "y4"))
+    for flux, pieces in ((FluxAnsatz(gamma_t=gamma_t, delta=delta), "['gamma_t', 'delta']"),
+                         (FluxAnsatz(gamma_t=gamma_t, delta=delta, theta=theta),
+                          "['gamma_t', 'delta', 'theta']")):
+        with pytest.raises(ValueError, match=re.escape(f"no theorem for these pieces: {pieces}")):
+            check_theorem_conditions(assemble_flux(pc, flux))
 
 
 # -- base-only flux theta = star eta ------------------------------------------------------
@@ -244,7 +250,7 @@ def test_base_flux_harmonic_gradient_is_closed_and_coclosed():
     bg = theta_background(base, eta)
     assert check_closedness(bg).passed
     assert check_maxwell(bg).passed
-    hypotheses = check_theorem_conditions(bg, "theta").hypotheses.residuals
+    hypotheses = check_theorem_conditions(bg).hypotheses.residuals
     assert hypotheses["d_theta"].is_zero() and hypotheses["d_f6_star_theta"].is_zero()
 
 
@@ -254,7 +260,7 @@ def test_base_flux_unit_one_form_obstruction_is_one_sixth():
     base = append_line_factor(flat_negative_metric(Chart("b4", ("z1", "z2", "z3", "z4"))))
     eta = mono(base.chart, ("t",))
     theta = hodge_star(base, eta)
-    report = check_theorem_conditions(theta_background(base, eta), "theta")
+    report = check_theorem_conditions(theta_background(base, eta))
     t = base.chart.index_of("t")
     identity = report.hypotheses.residuals["base_ricci_identity"]
     assert identity[t][t] == Polynomial.constant(Fraction(1, 6))
