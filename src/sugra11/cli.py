@@ -177,6 +177,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="sugra11-verify",
         description="Verify 11-dimensional product backgrounds from a JSON manifest.",
+        allow_abbrev=False,
     )
     parser.error = _usage_error
     parser.add_argument("--manifest", required=True, help="path to the manifest JSON")

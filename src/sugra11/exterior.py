@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple
 
-from .polyring import Polynomial
+from .polyring import NAME, Polynomial
 
 Index = Tuple[int, ...]
 
@@ -44,7 +44,7 @@ class Frozen:
 
 
 class Chart(Frozen):
-    """Named coordinate chart; the listed order fixes the orientation.
+    """Named coordinate chart of ``polyring.NAME`` coordinates, whose order fixes the orientation.
 
     Two charts are equal, and hash alike, when name and coordinates agree."""
 
@@ -54,6 +54,9 @@ class Chart(Frozen):
         coordinates = tuple(coordinates)
         if len(set(coordinates)) != len(coordinates):
             raise ChartError(f"duplicate coordinates in chart {name!r}")
+        for c in coordinates:
+            if not NAME.fullmatch(c):
+                raise ChartError(f"coordinate {c!r} of chart {name!r} is not a variable name")
         super().__init__(name, coordinates)
 
     def __eq__(self, other) -> bool:

@@ -8,9 +8,10 @@ the checks to run, keys of ``CHECKS``, the table that also runs them).
 Every polynomial is a string in the exact rational grammar; nothing in
 the pipeline is floating point.  The parser keeps only what the CLI
 runs: the resolved backgrounds.  Keys it does not read are ignored: a
-``settings`` block, as the CLI's ``--format`` picks the report, and a
+``settings`` block, as the CLI's ``--format`` picks the report; a
 background's ``case`` and ``theorem``, as both checks read their shape off
-the flux.
+the flux; and a metric's ``inverse`` and ``sqrt_abs_det``, as
+``make_metric`` derives both from g.
 
 The five sections are built in that order by one loop over ``_SECTIONS``.
 That loop alone refuses a duplicate name and turns an engine layer's
@@ -154,7 +155,7 @@ def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
     if not isinstance(raw, dict):
         raise ManifestError(f"{source}: manifest must be a JSON object")
     schema = raw.get("schema", 1)
-    if schema != 1:
+    if not _is_int(schema) or schema != 1:
         raise ManifestError(f"{source}: unsupported schema {schema!r}")
 
     built: Dict[str, dict] = {}
@@ -191,8 +192,7 @@ def _chart(name: str, entry: dict, built) -> Chart:
 
 def _metric(name: str, entry: dict, built) -> ChartMetric:
     chart = _ref(entry.get("chart"), built["charts"], f"metric {name!r}: unresolved chart reference")
-    g = _symmetric_from_lower(entry, "lower_triangular", chart, name)
-    g_inv = _symmetric_from_lower(entry, "inverse", chart, name) if "inverse" in entry else None
+    g = _symmetric_from_lower(entry, chart, name)
     signature = entry.get("signature")
     if signature is None:
         raise ManifestError(f"metric {name!r}: a signature declaration is mandatory")
@@ -204,15 +204,12 @@ def _metric(name: str, entry: dict, built) -> ChartMetric:
         raise ManifestError(
             f"metric {name!r}: signature must be a list of two integers, got {signature!r}"
         )
-    sqrt_abs_det = entry.get("sqrt_abs_det")
-    if sqrt_abs_det is not None:
-        sqrt_abs_det = rational(sqrt_abs_det, f"metric {name!r} sqrt_abs_det")
-    return make_metric(chart, g, g_inv, tuple(signature), sqrt_abs_det)
+    return make_metric(chart, g, tuple(signature))
 
 
-def _symmetric_from_lower(entry: dict, key: str, chart: Chart, name: str):
-    """The symmetric matrix whose lower triangle metric name lists under key."""
-    lower, n, where = entry.get(key), chart.dim, f"metric {name!r}: {key}"
+def _symmetric_from_lower(entry: dict, chart: Chart, name: str):
+    """The symmetric matrix whose lower triangle metric name lists."""
+    lower, n, where = entry.get("lower_triangular"), chart.dim, f"metric {name!r}: lower_triangular"
     if not isinstance(lower, list) or len(lower) != n:
         raise ManifestError(f"{where} must have {n} rows")
     zero = Polynomial.zero()

@@ -34,9 +34,9 @@ for a block that some component meets.  Each
 ``ChartMetric`` keeps one table of minors of g, read and filled by
 ``_mask_minor``: a key of one int built from the row and column bitmasks,
 shared by a minor and its transpose, and on a miss a Laplace expansion
-along the lowest row.  ``make_metric`` fills that table while it
-validates (det g, and the cofactors when no inverse is supplied) and
-hands it to the metric it returns.  ``poly_det`` is the same expansion
+along the lowest row.  ``make_metric`` fills that table with det g, and
+with det g_K and the cofactors of g_K that give g_inv on each block K,
+and hands it to the metric it returns.  ``poly_det`` is the same expansion
 over a fresh table, with no engine caller: tests and perfbench/tracer.py
 read it, and ROADMAP items 4 and 11 move it to tests/ once the tracer drops it.
 
@@ -59,11 +59,12 @@ Metric inverses must be polynomial; the coefficient ring stays a ring
 and every residual stays exact.  ``make_metric`` is the one place that
 validates a metric and so the one place that establishes what follows:
 det g * det g_inv = 1 over the polynomials makes det g a nonzero rational
-constant, and |det g| must be the square of a rational.  Every entry of g
-names only coordinates of the chart, and so does g_inv = g^-1.  The
-signature is read off g at the origin, where each entry is its constant
-term; by Sylvester's law it is the signature at every point, as det g is
-a nonzero constant, and a declared signature must equal it.
+constant, so g_inv, its adjugate over det g, is polynomial, and |det g|
+must be the square of a rational.  Every entry of g names only
+coordinates of the chart, and so does g_inv = g^-1.  The signature is
+read off g at the origin, where each entry is its constant term; by
+Sylvester's law it is the signature at every point, as det g is a
+nonzero constant, and a declared signature must equal it.
 """
 
 from __future__ import annotations
@@ -96,10 +97,6 @@ class MetricError(ValueError):
 
 
 class NonPolynomialInverse(MetricError):
-    pass
-
-
-class InverseMismatch(MetricError):
     pass
 
 
@@ -167,32 +164,37 @@ class ChartMetric:
         self.inv_neighbors = tuple(
             frozenset(i for i in range(n) if not g_inv[i][j].is_zero()) for j in range(n)
         )
-        # bitmasks of the connected components of inv_neighbors: the g_inv blocks
-        blocks: list = []
-        for i, near in enumerate(self.inv_neighbors):
-            block = sum(1 << j for j in near | {i})
-            block |= sum(b for b in blocks if b & block)  # the blocks are disjoint
-            blocks = [b for b in blocks if not b & block] + [block]
-        self.blocks = tuple(blocks)
+        self.blocks = _components(g_inv)
 
     @property
     def dim(self) -> int:
         return self.chart.dim
 
 
+def _components(mat: Matrix) -> Tuple[int, ...]:
+    """The bitmasks of the connected components of the nonzero pattern of the
+    symmetric ``mat``, largest first: ``_block_raise`` took fewer term products
+    so than in discovery order.  g and g_inv have the same components, as g_inv
+    is g_K^-1 on each component K of g, and g_K^-1 splits only if g_K does."""
+    blocks: list = []
+    for i, row in enumerate(mat):
+        block = sum(1 << j for j, e in enumerate(row) if not e.is_zero()) | 1 << i
+        block |= sum(b for b in blocks if b & block)  # the blocks are disjoint
+        blocks = [b for b in blocks if not b & block] + [block]
+    return tuple(sorted(blocks, key=int.bit_count, reverse=True))
+
+
 def make_metric(
     chart: Chart,
     g_rows: Sequence[Sequence[Polynomial]],
-    g_inv_rows: Sequence[Sequence[Polynomial]] | None = None,
     signature: Tuple[int, int] | None = None,
-    sqrt_abs_det: Fraction | int | None = None,
 ) -> ChartMetric:
     """Build and validate a chart metric.
 
-    det g must be a nonzero constant, as a polynomial inverse requires; when
-    none is supplied it is computed by adjugate/determinant.  A supplied
-    sqrt_abs_det must be the positive rational whose square is |det g|, and
-    a supplied signature the signature of g.
+    det g must be a nonzero constant, as a polynomial inverse requires; the
+    inverse is then the adjugate over the determinant, block by block, and
+    sqrt|det g| the positive rational whose square is |det g|.  A supplied
+    signature must be the signature of g.
     """
     n = chart.dim
     g = _as_matrix(g_rows)
@@ -218,31 +220,11 @@ def make_metric(
         raise NonPolynomialInverse(f"det g = {det} is not a nonzero constant, "
                                    "so g has no polynomial inverse")
 
-    if g_inv_rows is None:
-        # inv[i][j] = C_ji / det, the cofactors from the same table over the symmetric g
-        scale = Fraction(1) / det.constant_value()
-        g_inv = tuple(tuple(_mask_minor(minors, g, n, full ^ (1 << j), full ^ (1 << i))
-                            * ((-1) ** (i + j) * scale) for j in range(n)) for i in range(n))
-    else:
-        g_inv = _as_matrix(g_inv_rows)
-        if len(g_inv) != n or any(len(row) != n for row in g_inv):
-            raise MetricError("inverse has wrong shape")
-
-    one, zero = Polynomial.constant(1), Polynomial.zero()
-    if any(sum_of_products((1, g[i][k], g_inv[k][j]) for k in range(n)) != (one if i == j else zero)
-           for i in range(n) for j in range(n)):
-        raise InverseMismatch("g * g_inv is not the identity")
-
     det_value = det.constant_value()
     root = _fraction_sqrt(abs(det_value))
     if root is None:
         raise VolumeNotPolynomial(
             f"|det g| = {format_rational(abs(det_value))} is not the square of a rational"
-        )
-    if sqrt_abs_det is not None and sqrt_abs_det != root:
-        raise VolumeNotPolynomial(
-            f"supplied sqrt_abs_det {format_rational(sqrt_abs_det)} is not {format_rational(root)},"
-            " the positive square root of |det g|"
         )
 
     inferred = _infer_signature(g)
@@ -250,7 +232,18 @@ def make_metric(
         raise MetricError(
             f"declared signature {tuple(signature)} is not {inferred}, the signature of g"
         )
-    return ChartMetric(chart, g, g_inv, inferred, root, minors)
+    # g_inv one component K of g at a time, from the cofactors of g_K in the same
+    # table: inv[r][c] = (-1)^(ranks of r and c in K) det g[K - c, K - r] / det g_K,
+    # with det g_K a constant, as it divides the constant det g
+    g_inv = [[Polynomial.zero()] * n for _ in range(n)]
+    for k in _components(g):
+        scale = 1 / _mask_minor(minors, g, n, k, k).constant_value()
+        members = [i for i in range(n) if k >> i & 1]
+        for a, r in enumerate(members):
+            for b, c in enumerate(members[a:], a):
+                cofactor = _mask_minor(minors, g, n, k ^ (1 << c), k ^ (1 << r))
+                g_inv[r][c] = g_inv[c][r] = cofactor * ((-1) ** (a + b) * scale)
+    return ChartMetric(chart, g, _as_matrix(g_inv), inferred, root, minors)
 
 
 def _infer_signature(g: Matrix) -> Tuple[int, int]:

@@ -421,7 +421,8 @@ def _coerce(value) -> Polynomial:
 # parsing / serialization
 # ---------------------------------------------------------------------------
 
-_FACTOR = r"[A-Za-z_][A-Za-z_0-9]*(?:\s*\^\s*\d+)?"
+NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")  # a variable, and so a chart coordinate
+_FACTOR = rf"{NAME.pattern}(?:\s*\^\s*\d+)?"
 # one term: an optional sign; an optional int or int/int coefficient, with a
 # '*' after it only when a factor follows; then name[^int] factors joined by '*'
 _TERM = re.compile(

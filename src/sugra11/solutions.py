@@ -92,7 +92,8 @@ def flat_negative_metric(chart: Chart) -> ChartMetric:
 
 
 def walker_metric_from_rho(rho: ChartMetric, H: Polynomial) -> ChartMetric:
-    """2 dv du + rho + H du^2 on (v, rho coordinates, u)."""
+    """2 dv du + rho + H du^2 on (v, rho coordinates, u); ``make_metric`` derives
+    its inverse, -H dv^2 + 2 dv du + rho_inv, and sqrt|det g| = sqrt|det rho|."""
     extra = set(H.variables) - set(rho.chart.coordinates) - {"u"}
     if extra:
         raise ChartError(f"H may depend only on the transverse block and u, got {sorted(extra)}")
@@ -100,16 +101,12 @@ def walker_metric_from_rho(rho: ChartMetric, H: Polynomial) -> ChartMetric:
     n = chart.dim
     k = rho.dim
     g = [[P0] * n for _ in range(n)]
-    g_inv = [[P0] * n for _ in range(n)]
     g[0][n - 1] = g[n - 1][0] = P1
-    g_inv[0][n - 1] = g_inv[n - 1][0] = P1
-    g_inv[0][0] = -H
     for i in range(k):
         for j in range(k):
             g[1 + i][1 + j] = rho.g[i][j]
-            g_inv[1 + i][1 + j] = rho.g_inv[i][j]
     g[n - 1][n - 1] = H
-    return make_metric(chart, g, g_inv, sqrt_abs_det=rho.sqrt_abs_det)
+    return make_metric(chart, g)
 
 
 def append_line_factor(p_metric: ChartMetric) -> ChartMetric:

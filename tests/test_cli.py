@@ -15,12 +15,16 @@ from sugra11.cli import (
     EXIT_PASS,
     evaluate_report_at_points,
     main,
+    render_json,
+    render_text,
     run,
     run_background,
 )
+from sugra11.exterior import Chart
 from sugra11.fieldeqs import flux_norm_sq
 from sugra11.manifest import ManifestError, parse_manifest, parse_manifest_dict
-from sugra11.polyring import Polynomial, format_rational
+from sugra11.metric import make_metric
+from sugra11.polyring import Polynomial, format_rational, parse_polynomial
 
 from test_polyring import from_decimal
 
@@ -224,11 +228,6 @@ def test_cli_eval_flag(capsys):
 
 # -- bad input exits 2 with one line ----------------------------------------------------
 
-def _wrong_inverse(doc):
-    doc["metrics"][1]["inverse"][0][0] = "7"
-    return "metric 'g_walker'"
-
-
 def _duplicate_coordinate(doc):
     doc["charts"][0]["coordinates"][1] = "y1"
     return "chart 'base5'"
@@ -248,7 +247,6 @@ def _declared_signature_of_the_wrong_kind(doc):
 
 def _metric_entry_outside_its_chart(doc):
     doc["metrics"][1]["lower_triangular"][5][5] += " + y1^2"
-    doc["metrics"][1]["inverse"][0][0] += " - y1^2"
     return "metric 'g_walker': y1 outside chart 'walker6', in entry "
 
 
@@ -327,16 +325,6 @@ def _nonconstant_warping(doc):
     return "product 'X11': warping must be a nonzero constant, got y1"
 
 
-def _nonconstant_sqrt_abs_det(doc):
-    doc["metrics"][0]["sqrt_abs_det"] = "y1"
-    return "metric 'g_base' sqrt_abs_det: bad rational 'y1'"
-
-
-def _wrong_sqrt_abs_det(doc):
-    doc["metrics"][0]["sqrt_abs_det"] = "-1"
-    return "metric 'g_base': supplied sqrt_abs_det -1 is not 1, the positive square root of"
-
-
 def _exponent_notation_eval_point(doc):
     doc["backgrounds"][0]["eval_points"] = [{"x1": "1e999999999"}]
     return "background 'solution1' eval point: bad rational"
@@ -362,10 +350,18 @@ def _long_coefficient(doc):
     return "form 'du_theta' term 0: bad polynomial"
 
 
+def _coordinate(label, text):
+    """A corruption that renames solution1's first base coordinate to text, which no polynomial can use."""
+    def corrupt(doc):
+        doc["charts"][0]["coordinates"][0] = text
+        return "chart 'base5': coordinate "
+    corrupt.__name__ = f"_coordinate_{label}"
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
-        _wrong_inverse,
         _duplicate_coordinate,
         _scalar_signature,
         _declared_signature_of_the_wrong_kind,
@@ -384,13 +380,16 @@ def _long_coefficient(doc):
         _signed_factor,
         _juxtaposed_factor,
         _nonconstant_warping,
-        _nonconstant_sqrt_abs_det,
-        _wrong_sqrt_abs_det,
         _exponent_notation_eval_point,
         _empty_eval_name,
         _long_coefficient,
         _metric_exponent_overflow,
         _metric_exponent_at_the_limit,
+        _coordinate("empty", ""),
+        _coordinate("leading_digit", "1x"),
+        _coordinate("caret", "x^2"),
+        _coordinate("space", "y 1"),
+        _coordinate("minus", "y-1"),
     ],
 )
 def test_bad_manifest_entry_exits_2_with_one_line(tmp_path, capsys, corrupt):
@@ -512,8 +511,21 @@ def test_set_flag_is_refused_by_the_argument_parser(capsys):
             ["--manifest", str(MANIFESTS / "solution1.json"), "--format", "xml"],
             "argument --format: invalid choice: 'xml' (choose from 'text', 'json')",
         ),
+        # no prefix of a flag stands for it: a second manifest does not replace the first
+        (
+            ["--manifest", str(MANIFESTS / "solution1.json"),
+             "--man", str(MANIFESTS / "solution4_literal.json")],
+            f"unrecognized arguments: --man {MANIFESTS / 'solution4_literal.json'}",
+        ),
+        (["--manifest", str(MANIFESTS / "solution1.json"), "--f", "json"],
+         "unrecognized arguments: --f json"),
+        (["--manifest", str(MANIFESTS / "solution1.json"), "--o", "solution1"],
+         "unrecognized arguments: --o solution1"),
+        (["--manifest", str(MANIFESTS / "solution1.json"), "--e", "x1=1"],
+         "unrecognized arguments: --e x1=1"),
     ],
-    ids=["missing_manifest", "manifest_without_value", "unknown_format"],
+    ids=["missing_manifest", "manifest_without_value", "unknown_format", "abbreviated_manifest",
+         "abbreviated_format", "abbreviated_only", "abbreviated_eval"],
 )
 def test_flag_error_returns_2_with_one_error_line(capsys, argv, message):
     assert main(argv) == EXIT_ERROR
@@ -527,6 +539,63 @@ def test_help_prints_usage_to_stdout_and_returns_0(capsys):
     captured = capsys.readouterr()
     assert captured.out.startswith("usage: sugra11-verify ") and "--format {text,json}" in captured.out
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("schema", [True, 1.0, "1", 2])
+def test_schema_must_be_the_json_integer_1(tmp_path, capsys, schema):
+    # true and 1.0 equal 1 in Python, but neither is the JSON integer 1
+    doc = json.loads((MANIFESTS / "solution1.json").read_text())
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(dict(doc, schema=schema)))
+    assert main(["--manifest", str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: unsupported schema {schema!r}\n"
+
+
+def _shipped_manifests():
+    """Every manifests/*.json and tests/golden/*.manifest.json that parses, as JSON."""
+    paths = sorted(MANIFESTS.glob("*.json")) + sorted((ROOT / "tests" / "golden").glob("*.manifest.json"))
+    docs = {}
+    for path in paths:
+        try:
+            parse_manifest(path)
+        except ManifestError:
+            continue
+        docs[path.name] = json.loads(path.read_text())
+    return docs
+
+
+def test_stripped_inverse_and_sqrt_abs_det_change_no_report():
+    # make_metric derives both, so the keys the shipped manifests carry are ignored
+    for name, doc in _shipped_manifests().items():
+        stripped = json.loads(json.dumps(doc))
+        for entry in stripped["metrics"]:
+            entry.pop("inverse", None)
+            entry.pop("sqrt_abs_det", None)
+        assert stripped != doc, name  # every one of them carries an inverse
+        reports = [run(parse_manifest_dict(d))[0] for d in (doc, stripped)]
+        assert render_text(reports[0]) == render_text(reports[1]), name
+        assert render_json(reports[0]) == render_json(reports[1]), name
+
+
+def test_each_carried_inverse_is_the_derived_inverse():
+    # perfbench/ladder.py reads the inverses the manifests carry; the engine no longer does
+    checked = 0
+    for name, doc in _shipped_manifests().items():
+        charts = {c["name"]: Chart(c["name"], c["coordinates"]) for c in doc["charts"]}
+        for entry in doc["metrics"]:
+            if "inverse" not in entry:
+                continue
+            chart = charts[entry["chart"]]
+            g = [[parse_polynomial(entry["lower_triangular"][max(i, j)][min(i, j)])
+                  for j in range(chart.dim)] for i in range(chart.dim)]
+            derived = make_metric(chart, g).g_inv
+            for i, row in enumerate(entry["inverse"]):
+                for j, text in enumerate(row):
+                    assert parse_polynomial(text) == derived[i][j], (name, entry["name"], i, j)
+            checked += 1
+    assert checked >= 12
 
 
 @pytest.mark.parametrize("settings", [{"format": "json"}, 5], ids=["format_json", "not_an_object"])

@@ -34,8 +34,7 @@ BACKGROUNDS = {
 
 
 def _scaled_metric(m, lam):
-    return make_metric(m.chart, [[e * lam ** 2 for e in row] for row in m.g],
-                       [[e * lam ** -2 for e in row] for row in m.g_inv], m.signature)
+    return make_metric(m.chart, [[e * lam ** 2 for e in row] for row in m.g], m.signature)
 
 
 def homothety(bg, lam):

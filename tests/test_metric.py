@@ -14,7 +14,6 @@ from sugra11.exterior import (
     wedge,
 )
 from sugra11.metric import (
-    InverseMismatch,
     MetricError,
     NonPolynomialInverse,
     _mask_minor,
@@ -65,12 +64,7 @@ def walker_metric(H):
     for i in range(1, 5):
         g[i][i] = -P1
     g[5][5] = H
-    ginv = [[P0] * n for _ in range(n)]
-    ginv[0][0] = -H
-    ginv[0][5] = ginv[5][0] = P1
-    for i in range(1, 5):
-        ginv[i][i] = -P1
-    return make_metric(W, g, ginv, signature=(1, 5))
+    return make_metric(W, g, signature=(1, 5))
 
 
 H_EXAMPLE = sum(
@@ -92,12 +86,14 @@ def test_walker_metric_validates_with_unit_abs_det():
 
 
 def test_walker_inverse_computed_by_adjugate_when_omitted():
-    # |det| = 1 is constant, so the adjugate route applies and reproduces
-    # the closed-form inverse with its polynomial H entry
-    given = walker_metric(H_EXAMPLE)
-    computed = make_metric(given.chart, given.g, signature=(1, 5))
-    assert computed.g_inv == given.g_inv
-    assert computed.g_inv[0][0] == -H_EXAMPLE
+    # |det| = 1 is constant, so the adjugate reproduces the closed-form
+    # inverse -H dv dv + 2 dv du - sum dx_i^2 with its polynomial H entry
+    ginv = [[P0] * 6 for _ in range(6)]
+    ginv[0][0] = -H_EXAMPLE
+    ginv[0][5] = ginv[5][0] = P1
+    for i in range(1, 5):
+        ginv[i][i] = -P1
+    assert walker_metric(H_EXAMPLE).g_inv == tuple(map(tuple, ginv))
 
 
 def test_euclidean_block_inverse_computed_automatically():
@@ -143,33 +139,6 @@ def test_non_constant_det_without_inverse_rejected():
     assert str(exc.value) == "det g = b^2 + 1 is not a nonzero constant, so g has no polynomial inverse"
 
 
-def test_non_constant_det_with_a_supplied_inverse_rejected_for_its_cause():
-    # det g * det g_inv = 1 forces det g constant, so no supplied inverse can be right
-    for g_inv in (NON_CONSTANT_DET, diag(-1, -1)):
-        with pytest.raises(NonPolynomialInverse) as exc:
-            make_metric(Chart("C2", ("a", "b")), NON_CONSTANT_DET, g_inv)
-        assert str(exc.value) == "det g = b^2 + 1 is not a nonzero constant, so g has no polynomial inverse"
-
-
-def test_wrong_inverse_rejected():
-    with pytest.raises(InverseMismatch):
-        make_metric(N4, diag(-1, -1, -1, -1), diag(1, 1, 1, 1))
-
-
-def test_supplied_sqrt_abs_det_is_validated():
-    from sugra11.metric import VolumeNotPolynomial
-
-    C = Chart("CS", ("a", "b"))
-    g = diag(-4, Fraction(-1, 9))  # det g = 4/9
-    for wrong in (2, Fraction(-2, 3), Fraction(4, 9)):
-        with pytest.raises(VolumeNotPolynomial, match="is not 2/3, the positive square root"):
-            make_metric(C, g, sqrt_abs_det=wrong)
-    for supplied in (Fraction(2, 3), None):
-        m = make_metric(C, g, sqrt_abs_det=supplied)
-        assert ((-1) ** m.signature[1], m.sqrt_abs_det) == (1, Fraction(2, 3))
-        assert type(m.sqrt_abs_det) is Fraction
-
-
 def test_abs_det_without_a_rational_root_is_refused():
     from sugra11.metric import VolumeNotPolynomial
 
@@ -178,6 +147,9 @@ def test_abs_det_without_a_rational_root_is_refused():
         make_metric(C, diag(-1, -2))
     m = make_metric(C, diag(2, -8), signature=(1, 1))
     assert ((-1) ** m.signature[1], m.sqrt_abs_det) == (-1, 4)
+    m = make_metric(C, diag(-4, Fraction(-1, 9)))  # det g = 4/9
+    assert ((-1) ** m.signature[1], m.sqrt_abs_det) == (1, Fraction(2, 3))
+    assert type(m.sqrt_abs_det) is Fraction
 
 
 # -- _raised on 1-forms -----------------------------------------------------------
@@ -366,10 +338,10 @@ def _transpose(x):
     return [list(row) for row in zip(*x)]
 
 
-def dense_metric(chart, shift):
-    """g = J^T D J for a unit upper-triangular polynomial J and a constant
-    diagonal D, so both g and g_inv = K D^-1 K^T, K = J^-1, are dense and
-    polynomial; K = sum_k (I - J)^k because I - J is nilpotent.  J has a
+def dense_pair(chart, shift):
+    """(g, g_inv): g = J^T D J for a unit upper-triangular polynomial J and a
+    constant diagonal D, so both g and g_inv = K D^-1 K^T, K = J^-1, are dense
+    and polynomial; K = sum_k (I - J)^k because I - J is nilpotent.  J has a
     coordinate on its superdiagonal and constants above it."""
     n = chart.dim
     xs = [Polynomial.variable(c) for c in chart.coordinates]
@@ -387,8 +359,12 @@ def dense_metric(chart, shift):
     values = (1, -1, -2, -1, -2, -1)[:n]
     g = _matmul(_matmul(_transpose(jac), diag(*values)), jac)
     d_inv = diag(*(Fraction(1, v) for v in values))
-    g_inv = _matmul(_matmul(inv_jac, d_inv), _transpose(inv_jac))
-    return make_metric(chart, g, g_inv, signature=(1, n - 1))
+    return g, _matmul(_matmul(inv_jac, d_inv), _transpose(inv_jac))
+
+
+def dense_metric(chart, shift):
+    """The metric g of ``dense_pair``, whose g_inv make_metric derives."""
+    return make_metric(chart, dense_pair(chart, shift)[0], signature=(1, chart.dim - 1))
 
 
 def dense_product():
@@ -567,7 +543,11 @@ def test_poly_det_matches_the_leibniz_sum_on_non_symmetric_matrices():
 
 
 def test_inverse_computed_from_cofactors_on_a_dense_metric():
-    given = dense_metric(D5, 1)
-    assert all(not e.is_zero() for row in given.g for e in row)
-    computed = make_metric(given.chart, given.g, signature=given.signature)
-    assert computed.g_inv == given.g_inv
+    # the derived inverse is the closed form K D^-1 K^T, and g g_inv = I,
+    # the product make_metric itself does not form
+    for chart, shift in ((D5, 1), (D5, 2), (F6, 3)):
+        m = dense_metric(chart, shift)
+        assert all(not e.is_zero() for row in m.g for e in row)
+        assert m.g_inv == tuple(map(tuple, dense_pair(chart, shift)[1]))
+        eye = [[P1 if i == j else P0 for j in range(m.dim)] for i in range(m.dim)]
+        assert _matmul(m.g, m.g_inv) == eye
