@@ -2,7 +2,8 @@
 
 The Laplacian is the divergence d_i (g^ik d_k f).  The Hessian, whose g-trace
 the tests compare with it, and |grad f|^2 have no engine caller: perfbench/tracer.py
-looks both up, and ROADMAP items 4 and 11 delete them once the tracer drops them.
+looks both up, and ROADMAP item 4 moves the Hessian to tests/ and deletes
+|grad f|^2 once the tracer drops them.
 
 The Ricci sign convention is
 
@@ -141,7 +142,7 @@ def laplace_beltrami(m: ChartMetric, f: Polynomial) -> Polynomial:
 
 def grad_norm_sq(m: ChartMetric, f: Polynomial) -> Polynomial:
     """g(grad f, grad f) = g^ij d_i f d_j f = <df, df>.  No engine caller: perfbench/tracer.py
-    looks it up, and ROADMAP items 4 and 11 delete it once the tracer drops it."""
+    looks it up, and ROADMAP item 4 deletes it once the tracer drops it."""
     return norm_sq(m, exterior_derivative(DifferentialForm.function(m.chart, f)))
 
 

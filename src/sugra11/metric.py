@@ -21,34 +21,34 @@ Every pairing, star and raised index above is a sum of Gram minors
 det g_inv[R, C].  g_inv, and so g, is block diagonal over the connected
 components K of the ``inv_neighbors`` graph (base and fiber of a product;
 {v, u} and interleaved singletons on a Walker fiber), which ``ChartMetric``
-finds once, at construction.  A raise works one block at a time, so every
-minor it takes has R and C inside one K, and by Jacobi's complementary-minor
-identity (Horn and Johnson, Matrix Analysis, 0.8.4)
+finds once, at construction.  A minor with R and C inside one K is, by
+Jacobi's complementary-minor identity (Horn and Johnson, Matrix Analysis,
+0.8.4),
 
     det g_inv[R, C] = (-1)^(ranks of R and C in K) det g[K - C, K - R] / det g_K,
 
 with det g_K a nonzero constant, as it divides det g, which ``make_metric``
-establishes to be a nonzero constant.  The raise keeps each signed
-numerator, divides by |det g_K| once per raised row, and takes det g_K only
-for a block that some component meets.  Each
-``ChartMetric`` keeps one table of minors of g, read and filled by
-``_mask_minor``: a key of one int built from the row and column bitmasks,
-shared by a minor and its transpose, and on a miss a Laplace expansion
-along the lowest row.  ``make_metric`` fills that table with det g, and
-with det g_K and the cofactors of g_K that give g_inv on each block K,
-and hands it to the metric it returns.  ``poly_det`` is the same expansion
-over a fresh table, with no engine caller: tests and perfbench/tracer.py
-read it, and ROADMAP items 4 and 11 move it to tests/ once the tracer drops it.
+establishes to be a nonzero constant.  ``_jacobi_numerators`` is the one
+route from g to these minors: the signed numerators of a column set C over
+row sets drawn from given rows, read from the one table of minors of g that
+each ``ChartMetric`` keeps.  ``_mask_minor`` reads and fills that table: a
+key of one int built from the row and column bitmasks, shared by a minor and
+its transpose, and on a miss a Laplace expansion along the lowest row.
+``poly_det`` is the same expansion over a fresh table, with no engine
+caller: tests and perfbench/tracer.py read it, and ROADMAP item 4 moves it
+to tests/ once the tracer drops it.
 
-One kernel raises indices: ``_block_raise`` maps a form to
-{R: sum_C a_C det g_inv[R, C]} over the row sets where that sum is
-nonzero, one block at a time, and each metric keeps the raises it made,
-for ``hodge_star``, ``inner_product_forms`` and ``contraction_matrix``
-alike.  It alone sets the signs that move a block's indices past those
-of the others.  A factor metric and the 11-dimensional product metric
-have separate tables and raises: the block-law audits, which work on the
-factors, never read an entry of the direct computation and stay
-independent checks.
+g_inv is the raise of one index: ``make_metric`` divides the numerators
+of each column c over every row of K by det g_K, and hands the table it
+filled, det g included, to the metric it returns.  Every other raise is
+``_block_raise``'s: a form goes to {R: sum_C a_C det g_inv[R, C]} over the
+row sets where that sum is nonzero, one block at a time, over the rows
+``inv_neighbors`` reaches, kept per form and metric for ``hodge_star``,
+``inner_product_forms`` and ``contraction_matrix`` alike.  It alone sets
+the signs that move a block's indices past those of the others.  A factor
+metric and the 11-dimensional product metric have separate tables and
+raises: the block-law audits, which work on the factors, never read an
+entry of the direct computation and stay independent checks.
 
 On a negative-definite factor this star differs from the
 Euclidean-signature star by (-1)^p on p-forms, which shows up as
@@ -71,7 +71,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Sequence, Tuple
 
 from .exterior import (
     Chart,
@@ -129,7 +129,7 @@ def poly_det(m: Matrix) -> Polynomial:
     suffix row sets and hence be the same minor, so the key that
     ``_mask_minor`` shares between a minor and its transpose stays exact
     for a non-symmetric matrix.  No engine caller: perfbench/tracer.py looks it
-    up, and ROADMAP items 4 and 11 move it to tests/ once the tracer drops it.
+    up, and ROADMAP item 4 moves it to tests/ once the tracer drops it.
     """
     n = len(m)
     full = (1 << n) - 1
@@ -157,8 +157,6 @@ class ChartMetric:
         # the table of minors of g, read and filled by _mask_minor only
         self._g_minors = g_minors
         self._raised: Dict[DifferentialForm, Dict[Tuple[int, ...], Polynomial]] = {}
-        # C_K: (1/|det g_K| or None, signed Jacobi numerators), filled by _block_column
-        self._columns: Dict[Tuple[int, ...], tuple] = {}
         n = chart.dim
         # for each index, the indices it pairs with under g_inv (sparsity)
         self.inv_neighbors = tuple(
@@ -191,10 +189,11 @@ def make_metric(
 ) -> ChartMetric:
     """Build and validate a chart metric.
 
-    det g must be a nonzero constant, as a polynomial inverse requires; the
-    inverse is then the adjugate over the determinant, block by block, and
-    sqrt|det g| the positive rational whose square is |det g|.  A supplied
-    signature must be the signature of g.
+    det g must be a nonzero constant, as a polynomial inverse requires, and
+    sqrt|det g| is the positive rational whose square is |det g|.  On each
+    component K of g, column c of g_inv is the raise of the one index c over
+    every row of K: ``_jacobi_numerators`` of c divided by det g_K.  A
+    supplied signature must be the signature of g.
     """
     n = chart.dim
     g = _as_matrix(g_rows)
@@ -232,17 +231,14 @@ def make_metric(
         raise MetricError(
             f"declared signature {tuple(signature)} is not {inferred}, the signature of g"
         )
-    # g_inv one component K of g at a time, from the cofactors of g_K in the same
-    # table: inv[r][c] = (-1)^(ranks of r and c in K) det g[K - c, K - r] / det g_K,
-    # with det g_K a constant, as it divides the constant det g
+    # det g_K is a constant, as it divides the constant det g
     g_inv = [[Polynomial.zero()] * n for _ in range(n)]
     for k in _components(g):
-        scale = 1 / _mask_minor(minors, g, n, k, k).constant_value()
+        det_k = _mask_minor(minors, g, n, k, k).constant_value()
         members = [i for i in range(n) if k >> i & 1]
-        for a, r in enumerate(members):
-            for b, c in enumerate(members[a:], a):
-                cofactor = _mask_minor(minors, g, n, k ^ (1 << c), k ^ (1 << r))
-                g_inv[r][c] = g_inv[c][r] = cofactor * ((-1) ** (a + b) * scale)
+        for c in members:
+            for (r,), sign, minor in _jacobi_numerators(minors, g, k, (c,), members):
+                g_inv[r][c] = minor * (sign / det_k)
     return ChartMetric(chart, g, _as_matrix(g_inv), inferred, root, minors)
 
 
@@ -341,51 +337,53 @@ def _block_raise(m: ChartMetric, a: DifferentialForm) -> Dict[Tuple[int, ...], P
     """The full raise of ``a``, one g_inv block K at a time: C = S u C_K goes
     to R = S u R_K with weight det g_inv[R_K, C_K] times the signs that move
     C_K and R_K past S, and a C without an index in K passes unchanged.  Each
-    row sums ``_block_column``'s signed numerators and is divided by |det g_K|
-    once, when that is not 1; a sum that cancels is not kept, so, like the
-    components of a form, every coefficient the next block meets is nonzero."""
+    row sums ``_jacobi_numerators`` over the rows C_K reaches, signed by det
+    g_K, taken only for a block some component meets, and is divided once by
+    |det g_K| when that is not 1.  A sum that cancels is not kept, so every
+    coefficient the next block meets is nonzero."""
     current = a.components
     for k in m.blocks:
         out: Dict[Tuple[int, ...], Polynomial] = {}
         products: Dict[Tuple[int, ...], list] = {}
+        det_k = None
         for cols, coeff in current.items():
             ck = tuple(c for c in cols if k >> c & 1)
             if not ck:
                 out[cols] = coeff
                 continue
+            if det_k is None:
+                det_k = _mask_minor(m._g_minors, m.g, m.dim, k, k).constant_value()
             rest = tuple(c for c in cols if not k >> c & 1)
             _, sign = _sort_with_sign(rest + ck)
-            scale, numerators = _block_column(m, k, ck)
-            for rk, jsign, minor in numerators:
+            sign *= -1 if det_k < 0 else 1
+            reach = frozenset().union(*(m.inv_neighbors[c] for c in ck))  # inside k, as ck is
+            for rk, jsign, minor in _jacobi_numerators(m._g_minors, m.g, k, ck, reach):
                 rows, rsign = _sort_with_sign(rest + rk)
                 products.setdefault(rows, []).append((rsign * sign * jsign, coeff, minor))
         for rows, terms in products.items():
             total = sum_of_products(terms)
             if not total.is_zero():
-                out[rows] = total if scale is None else total * scale
+                out[rows] = total if abs(det_k) == 1 else total * (1 / abs(det_k))
         current = out
     return current
 
 
-def _block_column(m: ChartMetric, k: int, ck: Tuple[int, ...]) -> tuple:
-    """(1/|det g_K|, None when it is 1, and [(R_K, sign, det g[K - C_K, K - R_K])])
-    over the nonzero det g_inv[R_K, C_K] on the columns C_K of block k, kept on
-    the metric; each Jacobi sign folds in that of det g_K.  Each row of R_K is
-    one that g_inv pairs with some column of C_K, as any other row is zero."""
-    hit = m._columns.get(ck)
-    if hit is None:
-        det_k = _mask_minor(m._g_minors, m.g, m.dim, k, k).constant_value()
-        reach = frozenset().union(*(m.inv_neighbors[c] for c in ck))  # inside k, as ck is
-        cmask = sum(1 << c for c in ck)
-        base = (-1) ** (_pairs_below(cmask, k) + (det_k < 0))
-        numerators = []
-        for rk in combinations(sorted(reach), len(ck)):
-            rmask = sum(1 << r for r in rk)
-            minor = _mask_minor(m._g_minors, m.g, m.dim, k ^ cmask, k ^ rmask)
-            if not minor.is_zero():
-                numerators.append((rk, base * (-1) ** _pairs_below(rmask, k), minor))
-        hit = m._columns[ck] = (None if abs(det_k) == 1 else 1 / abs(det_k), numerators)
-    return hit
+def _jacobi_numerators(
+    table: Dict[int, Polynomial], g: Matrix, k: int, ck: Tuple[int, ...], reach: Iterable[int]
+) -> list:
+    """[(R_K, sign, det g[K - C_K, K - R_K])] over the R_K in ``reach`` with
+    as many rows as C_K has columns and a nonzero minor, read from or added to
+    ``table``: by Jacobi's identity, det g_inv[R_K, C_K] is sign * minor /
+    det g_K on the block k, with sign (-1)^(ranks of R_K and C_K in k)."""
+    cmask = sum(1 << c for c in ck)
+    base = (-1) ** _pairs_below(cmask, k)
+    numerators = []
+    for rk in combinations(sorted(reach), len(ck)):
+        rmask = sum(1 << r for r in rk)
+        minor = _mask_minor(table, g, len(g), k ^ cmask, k ^ rmask)
+        if not minor.is_zero():
+            numerators.append((rk, base * (-1) ** _pairs_below(rmask, k), minor))
+    return numerators
 
 
 def inner_product_forms(m: ChartMetric, a: DifferentialForm, b: DifferentialForm) -> Polynomial:

@@ -38,7 +38,7 @@ pattern, and names the column where no term matches.
 polynomial inverse has a constant determinant (``metric.make_metric``
 establishes it), so no caller needs a polynomial root or quotient.  Neither,
 nor ``Polynomial.substitute``, has an engine caller: perfbench/tracer.py looks
-them up, and ROADMAP items 4 and 11 delete them once the tracer drops them.
+them up, and ROADMAP item 4 deletes them once the tracer drops them.
 """
 
 from __future__ import annotations
@@ -276,7 +276,7 @@ class Polynomial:
 
     def substitute(self, assignments: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Substitute polynomials for a subset of the variables.  No engine caller: perfbench/tracer.py
-        looks it up, and ROADMAP items 4 and 11 keep it only until item 2's tests call it."""
+        looks it up, and ROADMAP item 4 deletes it once item 6's pullback tests have landed."""
         names = self.variables
         out = _P_ZERO
         for e, c in self.terms.items():
@@ -519,7 +519,7 @@ def poly_sqrt(p: Polynomial) -> Polynomial:
 
     Raises NotAPerfectSquare for a non-constant p and for a constant that
     is not the square of a rational.  No engine caller: perfbench/tracer.py looks
-    it up, and ROADMAP items 4 and 11 delete it once the tracer drops it.
+    it up, and ROADMAP item 4 deletes it once the tracer drops it.
     """
     root = _fraction_sqrt(p.constant_value()) if p.is_constant() else None
     if root is None:
@@ -544,8 +544,8 @@ def _isqrt_exact(n: int) -> int | None:
 
 def poly_divexact(num: Polynomial, den: Polynomial) -> Polynomial:
     """num / den for a nonzero constant den; raises ValueError for a non-constant den.
-    No engine caller: perfbench/tracer.py looks it up, and ROADMAP items 4 and 11
-    delete it once the tracer drops it."""
+    No engine caller: perfbench/tracer.py looks it up, and ROADMAP item 4
+    deletes it once the tracer drops it."""
     num, den = _coerce(num), _coerce(den)
     if not den.is_constant():
         raise ValueError(f"division by the non-constant polynomial {den}")
