@@ -52,11 +52,11 @@ class Chart(Frozen):
 
     def __init__(self, name: str, coordinates: Iterable[str]):
         coordinates = tuple(coordinates)
-        if len(set(coordinates)) != len(coordinates):
-            raise ChartError(f"duplicate coordinates in chart {name!r}")
-        for c in coordinates:
+        for i, c in enumerate(coordinates):
+            if c in coordinates[:i]:
+                raise ChartError(f"duplicate coordinate {c!r}")
             if not NAME.fullmatch(c):
-                raise ChartError(f"coordinate {c!r} of chart {name!r} is not a variable name")
+                raise ChartError(f"coordinate {c!r} is not a variable name")
         super().__init__(name, coordinates)
 
     def __eq__(self, other) -> bool:
@@ -243,13 +243,9 @@ def wedge_all(*forms: DifferentialForm) -> DifferentialForm:
 def exterior_derivative(a: DifferentialForm) -> DifferentialForm:
     """d, computed component-wise with sorted-insertion signs.
 
-    For top-degree input the result is the empty form one degree up,
-    which is identically zero by dimension count.
+    From top degree up, d is the empty form one degree up: no component has a free index.
     """
     chart = a.chart
-    if a.degree >= chart.dim:
-        # trivially zero by dimension count; empty component map, degree p+1
-        return DifferentialForm.zero(chart, a.degree + 1)
     out: Dict[Index, Polynomial] = {}
     for idx, poly in a.components.items():
         occupied = set(idx)

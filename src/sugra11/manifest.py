@@ -14,9 +14,11 @@ the flux; and a metric's ``inverse`` and ``sqrt_abs_det``, as
 ``make_metric`` derives both from g.
 
 The five sections are built in that order by one loop over ``_SECTIONS``.
-That loop alone refuses a duplicate name and turns an engine layer's
-``ValueError`` into a ``ManifestError`` naming the entry; each builder
-checks only its entry's own fields.
+That loop alone refuses a duplicate name and names the entry: every
+``ValueError`` raised while building one, a builder's own ``ManifestError``
+included, becomes ``ManifestError("<kind> '<name>': <message>")``.  Each
+builder checks only its entry's own fields, and its messages name the field
+inside the entry (``term 0``, ``eval_points item 0: x1``), never the entry.
 """
 
 from __future__ import annotations
@@ -170,9 +172,7 @@ def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
                 raise ManifestError(f"duplicate {kind} {name!r}")
             try:
                 table[name] = build(name, entry, built)
-            except ManifestError:
-                raise
-            except ValueError as exc:  # the engine layers' errors, overflow included
+            except ValueError as exc:  # the builder's own and the engine's, overflow included
                 raise ManifestError(f"{kind} {name!r}: {exc}") from exc
 
     if not built["backgrounds"]:
@@ -184,32 +184,30 @@ def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
 # returns what the entry declares; built holds the sections built before it.
 
 def _chart(name: str, entry: dict, built) -> Chart:
-    coords = _strings(entry.get("coordinates"), f"chart {name!r}: coordinates")
+    coords = _strings(entry.get("coordinates"), "coordinates")
     if not coords:
-        raise ManifestError(f"chart {name!r}: coordinates must not be empty")
+        raise ManifestError("coordinates must not be empty")
     return Chart(name, tuple(coords))
 
 
 def _metric(name: str, entry: dict, built) -> ChartMetric:
-    chart = _ref(entry.get("chart"), built["charts"], f"metric {name!r}: unresolved chart reference")
-    g = _symmetric_from_lower(entry, chart, name)
+    chart = _ref(entry.get("chart"), built["charts"], "unresolved chart reference")
+    g = _symmetric_from_lower(entry, chart)
     signature = entry.get("signature")
     if signature is None:
-        raise ManifestError(f"metric {name!r}: a signature declaration is mandatory")
+        raise ManifestError("a signature declaration is mandatory")
     if not (
         isinstance(signature, list)
         and len(signature) == 2
         and all(_is_int(k) for k in signature)
     ):
-        raise ManifestError(
-            f"metric {name!r}: signature must be a list of two integers, got {signature!r}"
-        )
+        raise ManifestError(f"signature must be a list of two integers, got {signature!r}")
     return make_metric(chart, g, tuple(signature))
 
 
-def _symmetric_from_lower(entry: dict, chart: Chart, name: str):
-    """The symmetric matrix whose lower triangle metric name lists."""
-    lower, n, where = entry.get("lower_triangular"), chart.dim, f"metric {name!r}: lower_triangular"
+def _symmetric_from_lower(entry: dict, chart: Chart):
+    """The symmetric matrix whose lower triangle the metric entry lists."""
+    lower, n, where = entry.get("lower_triangular"), chart.dim, "lower_triangular"
     if not isinstance(lower, list) or len(lower) != n:
         raise ManifestError(f"{where} must have {n} rows")
     zero = Polynomial.zero()
@@ -225,60 +223,58 @@ def _symmetric_from_lower(entry: dict, chart: Chart, name: str):
 
 
 def _form(name: str, entry: dict, built) -> DifferentialForm:
-    chart = _ref(entry.get("chart"), built["charts"], f"form {name!r}: unresolved chart reference")
+    chart = _ref(entry.get("chart"), built["charts"], "unresolved chart reference")
     degree = entry.get("degree")
     if not _is_int(degree) or degree < 0:
-        raise ManifestError(f"form {name!r}: bad degree {degree!r}")
+        raise ManifestError(f"bad degree {degree!r}")
     total = DifferentialForm.zero(chart, degree)
-    for i, term in enumerate(_expect(entry.get("terms", []), list, f"form {name!r} terms")):
-        term = _expect(term, dict, f"form {name!r} term {i}")
-        indices = _strings(term.get("indices", []), f"form {name!r} term {i} indices")
+    for i, term in enumerate(_expect(entry.get("terms", []), list, "terms")):
+        term = _expect(term, dict, f"term {i}")
+        indices = _strings(term.get("indices", []), f"term {i} indices")
         if len(indices) != degree:
-            raise ManifestError(
-                f"form {name!r} term {i}: {len(indices)} indices for degree {degree}"
-            )
+            raise ManifestError(f"term {i}: {len(indices)} indices for degree {degree}")
         if len(set(indices)) != len(indices):
-            raise ManifestError(f"form {name!r} term {i}: repeated index in {indices!r}")
-        coeff = _poly(term.get("coeff", "1"), f"form {name!r} term {i}")
+            raise ManifestError(f"term {i}: repeated index in {indices!r}")
+        coeff = _poly(term.get("coeff", "1"), f"term {i}")
         try:
             total = total + DifferentialForm.monomial(chart, tuple(indices), coeff)
         except (ChartError, DegreeError) as exc:
-            raise ManifestError(f"form {name!r} term {i}: {exc}") from exc
+            raise ManifestError(f"term {i}: {exc}") from exc
     return total
 
 
 def _product(name: str, entry: dict, built) -> ProductChart:
     metrics = built["metrics"]
-    base = _ref(entry.get("base"), metrics, f"product {name!r}: unresolved base metric")
-    fiber = _ref(entry.get("fiber"), metrics, f"product {name!r}: unresolved fiber metric")
-    warping = _poly(entry.get("warping", "1"), f"product {name!r} warping")
+    base = _ref(entry.get("base"), metrics, "unresolved base metric")
+    fiber = _ref(entry.get("fiber"), metrics, "unresolved fiber metric")
+    warping = _poly(entry.get("warping", "1"), "warping")
     return build_product(base, fiber, warping)
 
 
 def _background(name: str, entry: dict, built) -> BackgroundSpec:
-    pc = _ref(entry.get("product"), built["products"], f"background {name!r}: unresolved product")
+    pc = _ref(entry.get("product"), built["products"], "unresolved product")
     pieces = {}
-    for key, ref in _expect(entry.get("flux", {}), dict, f"background {name!r}: flux").items():
+    for key, ref in _expect(entry.get("flux", {}), dict, "flux").items():
         if key not in FIBER_PIECES + BASE_PIECES:
-            raise ManifestError(f"background {name!r}: unknown flux piece {key!r}")
-        pieces[key] = _ref(ref, built["forms"], f"background {name!r}: unresolved form")
-    checks = list(_strings(entry.get("checks", []), f"background {name!r}: checks"))
+            raise ManifestError(f"unknown flux piece {key!r}")
+        pieces[key] = _ref(ref, built["forms"], "unresolved form")
+    checks = list(_strings(entry.get("checks", []), "checks"))
     if not checks:
-        raise ManifestError(f"background {name!r}: at least one check is required")
+        raise ManifestError("at least one check is required")
     for i, check in enumerate(checks):
         if check not in CHECKS:
-            raise ManifestError(f"background {name!r}: unknown check {check!r}")
+            raise ManifestError(f"unknown check {check!r}")
         if check in checks[:i]:
-            raise ManifestError(f"background {name!r}: check {check!r} is listed twice")
+            raise ManifestError(f"check {check!r} is listed twice")
         if check in ("closedness", "maxwell", "einstein") and "theorem" in checks:
-            raise ManifestError(f"background {name!r}: check {check!r} is run by 'theorem'")
+            raise ManifestError(f"check {check!r} is run by 'theorem'")
     eval_points = []
-    where = f"background {name!r}: eval_points"
-    for i, pt in enumerate(_expect(entry.get("eval_points", []), list, where)):
-        pt = _expect(pt, dict, f"{where} item {i}")
+    for i, pt in enumerate(_expect(entry.get("eval_points", []), list, "eval_points")):
+        where = f"eval_points item {i}"
+        pt = _expect(pt, dict, where)
         if "" in pt:
-            raise ManifestError(f"{where} item {i}: empty variable name")
-        eval_points.append({k: rational(v, f"background {name!r} eval point") for k, v in pt.items()})
+            raise ManifestError(f"{where}: empty variable name")
+        eval_points.append({k: rational(v, f"{where}: {k}") for k, v in pt.items()})
     background = assemble_flux(pc, FluxAnsatz(**pieces))
     return BackgroundSpec(name, background, checks, eval_points)
 

@@ -170,29 +170,24 @@ def build_alpha_background(
     rho: ChartMetric,
     theta_n: DifferentialForm,
     H: Polynomial,
-    base: Optional[ChartMetric] = None,
 ) -> FamilyBuild:
     """Flux du ^ theta_n with theta_n a 3-form on the transverse block:
     Lap_rho H = |theta_n|^2_rho."""
     if theta_n.chart != rho.chart or theta_n.degree != 3:
         raise ChartError("theta_n must be a 3-form on the transverse chart")
-    base = base if base is not None else standard_base()
-    return _build_family("alpha", rho, H, base, {"alpha_t": theta_n}, {})
+    return _build_family("alpha", rho, H, standard_base(), {"alpha_t": theta_n}, {})
 
 
 def build_beta_nu_background(
     rho: ChartMetric,
     omega_n: DifferentialForm,
     H: Polynomial,
-    p_metric: Optional[ChartMetric] = None,
 ) -> FamilyBuild:
     """Flux (du ^ omega_n) ^ dt on the product with base p x line:
     Lap_rho H = -|omega_n|^2_rho."""
     if omega_n.chart != rho.chart or omega_n.degree != 2:
         raise ChartError("omega_n must be a 2-form on the transverse chart")
-    if p_metric is None:
-        p_metric = flat_negative_metric(Chart("p4", ("z1", "z2", "z3", "z4")))
-    base = append_line_factor(p_metric)
+    base = append_line_factor(flat_negative_metric(Chart("p4", ("z1", "z2", "z3", "z4"))))
     nu = DifferentialForm.coordinate_differential(base.chart, "t")
     return _build_family("beta_nu", rho, H, base, {"beta_t": omega_n}, {"nu": nu})
 

@@ -231,12 +231,12 @@ def test_cli_eval_flag(capsys):
 
 def _duplicate_coordinate(doc):
     doc["charts"][0]["coordinates"][1] = "y1"
-    return "chart 'base5'"
+    return "chart 'base5': duplicate coordinate 'y1'"
 
 
 def _scalar_signature(doc):
     doc["metrics"][0]["signature"] = 5
-    return "metric 'g_base'"
+    return "metric 'g_base': signature must be a list of two integers, got 5"
 
 
 def _declared_signature_of_the_wrong_kind(doc):
@@ -262,12 +262,12 @@ def _flux_coefficient_outside_its_chart(doc):
 
 def _repeated_index(doc):
     doc["forms"][0]["terms"][0]["indices"] = ["u", "u", "x3", "x4"]
-    return "form 'du_theta' term 0"
+    return "form 'du_theta': term 0"
 
 
 def _scalar_term(doc):
     doc["forms"][0]["terms"] = [5]
-    return "form 'du_theta' term 0"
+    return "form 'du_theta': term 0"
 
 
 def _string_checks(doc):
@@ -293,32 +293,32 @@ def _theorem_with_its_equations(doc):
 
 def _zero_denominator(doc):
     doc["forms"][0]["terms"][0]["coeff"] = "1/0"
-    return "form 'du_theta' term 0"
+    return "form 'du_theta': term 0"
 
 
 def _exponent_past_the_limit(doc):
     doc["forms"][0]["terms"][0]["coeff"] = "x2^2147483648"
-    return "form 'du_theta' term 0: bad polynomial"
+    return "form 'du_theta': term 0: bad polynomial"
 
 
 def _quotient_exponent(doc):
     doc["forms"][0]["terms"][0]["coeff"] = "x1^4/2"
-    return "form 'du_theta' term 0: bad polynomial"
+    return "form 'du_theta': term 0: bad polynomial"
 
 
 def _long_exponent(doc):
     doc["forms"][0]["terms"][0]["coeff"] = "x2^" + "9" * 5000
-    return "form 'du_theta' term 0: bad polynomial"
+    return "form 'du_theta': term 0: bad polynomial"
 
 
 def _signed_factor(doc):
     doc["forms"][0]["terms"][0]["coeff"] = "x2*-x3"
-    return "form 'du_theta' term 0: bad polynomial"
+    return "form 'du_theta': term 0: bad polynomial"
 
 
 def _juxtaposed_factor(doc):
     doc["forms"][0]["terms"][0]["coeff"] = "2 3"
-    return "form 'du_theta' term 0: bad polynomial"
+    return "form 'du_theta': term 0: bad polynomial"
 
 
 def _nonconstant_warping(doc):
@@ -328,7 +328,8 @@ def _nonconstant_warping(doc):
 
 def _exponent_notation_eval_point(doc):
     doc["backgrounds"][0]["eval_points"] = [{"x1": "1e999999999"}]
-    return "background 'solution1' eval point: bad rational"
+    return ("background 'solution1': eval_points item 0: x1: "
+            "bad rational '1e999999999': expected int or int/int")
 
 
 def _empty_eval_name(doc):
@@ -348,14 +349,14 @@ def _metric_exponent_at_the_limit(doc):
 
 def _long_coefficient(doc):
     doc["forms"][0]["terms"][0]["coeff"] = "1" * 5000
-    return "form 'du_theta' term 0: bad polynomial"
+    return "form 'du_theta': term 0: bad polynomial"
 
 
 def _coordinate(label, text):
     """A corruption that renames solution1's first base coordinate to text, which no polynomial can use."""
     def corrupt(doc):
         doc["charts"][0]["coordinates"][0] = text
-        return f"chart 'base5': coordinate {text!r} of chart 'base5' is not a variable name"
+        return f"chart 'base5': coordinate {text!r} is not a variable name"
     corrupt.__name__ = f"_coordinate_{label}"
     return corrupt
 
@@ -396,8 +397,13 @@ def _coordinate(label, text):
 def test_bad_manifest_entry_exits_2_with_one_line(tmp_path, capsys, corrupt):
     doc = json.loads((MANIFESTS / "solution1.json").read_text())
     entry = corrupt(doc)
-    with pytest.raises(ManifestError, match=re.escape(entry)):
+    # every row names the corrupted entry first, and the message names it only there
+    prefix = re.match(r"(chart|metric|form|product|background) ('[^']+'): ", entry)
+    assert prefix is not None
+    with pytest.raises(ManifestError, match=re.escape(entry)) as info:
         parse_manifest_dict(doc)
+    message = str(info.value)
+    assert message.startswith(prefix[0]) and message.count(prefix[2]) == 1
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert main(["--manifest", str(path)]) == EXIT_ERROR

@@ -722,7 +722,7 @@ def test_records_keep_value_equality_and_stay_immutable():
     assert chart == twin and hash(chart) == hash(twin) and twin.coordinates == ("a", "b", "c")
     assert chart != Chart("c3", ("a", "c", "b")) and chart != Chart("d3", ("a", "b", "c"))
     assert len({chart, twin}) == 1
-    with pytest.raises(ChartError, match="duplicate coordinates"):
+    with pytest.raises(ChartError, match="duplicate coordinate 'a'"):
         Chart("dup", ("a", "a"))
 
     bg = full_ansatz_background()
