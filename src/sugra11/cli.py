@@ -5,7 +5,9 @@ Usage:
     sugra11-verify --manifest m.json --only name --format json
     sugra11-verify --manifest m.json --eval "x1=1,x2=0,y1=0"
 
-The report is text unless ``--format json``.  Exit codes: 0 all verdicts
+The report is text unless ``--format json``.  Both formats print one
+document, built by ``report_document`` alone: the JSON report dumps it and
+the text report prints its entries line by line.  Exit codes: 0 all verdicts
 pass or ``--help``, 1 some verdict fails, 2 engine, manifest or usage error
 (one ``error:`` line).  One background failing never aborts the batch.
 """
@@ -16,7 +18,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .cases import CaseShapeError
 from .manifest import CHECKS, BackgroundSpec, Manifest, ManifestError, parse_manifest, rational
@@ -101,55 +103,76 @@ def evaluate_report_at_points(
     return values
 
 
-def _tally(reports: List[VerificationReport]) -> Tuple[int, int, int]:
-    """(passed, failed, errored): the reports by verdict."""
-    errored = sum(1 for r in reports if r.error)
-    passed = sum(1 for r in reports if r.passed)
-    return passed, len(reports) - passed - errored, errored
-
-
-def render_text(reports: List[VerificationReport]) -> str:
-    lines = []
+def report_document(reports: List[VerificationReport], with_eval: bool = False) -> dict:
+    """The report's content, which render_json dumps and render_text prints line by
+    line; with_eval adds the CLI point's values by background name, which is unique."""
+    backgrounds = []
     for report in reports:
-        lines.append(f"background {report.background}")
-        if report.error:
-            lines.append(f"  ERROR: {report.error}")
+        checks = []
         for result in report.results:
-            lines.append(f"  {result.name}: {'PASS' if result.passed else 'FAIL'}")
-            for where, value in result.nonzero_entries():
-                lines.append(f"    residual {where} = {value}")
-            for note in result.notes:
-                lines.append(f"    note: {note}")
-        for record in report.evaluations:
-            point_str = ", ".join(f"{k}={v}" for k, v in record["point"].items())
-            for key, value in record["values"].items():
-                lines.append(f"  eval[{point_str}] {key} = {value}")
-            if not record["values"]:
-                lines.append(f"  eval[{point_str}] no nonzero residual")
-        for key, value in (report.point_values or {}).items():
-            lines.append(f"  eval {key} = {value}")
-        if report.point_values == {}:
-            lines.append("  eval no nonzero residual")
-    passed, failed, errored = _tally(reports)
-    lines.append(f"summary: {passed} passed, {failed} failed, {errored} errored")
-    lines.append("conventions:")
-    for note in CONVENTION_NOTES:
-        lines.append(f"  - {note}")
-    return "\n".join(lines)
-
-
-def render_json(reports: List[VerificationReport], with_eval: bool = False) -> str:
-    """The JSON report; with_eval adds the CLI point's values per background."""
+            entries = result.nonzero_entries()
+            checks.append({
+                "check": result.name,
+                "verdict": "fail" if entries else "pass",
+                "skipped": False,  # schema 1 keeps the key; no check is ever skipped
+                "nonzero_residuals": [{"where": w, "value": v} for w, v in entries],
+                "notes": list(result.notes),
+            })
+        backgrounds.append({
+            "background": report.background,
+            "verdict": "error" if report.error else ("pass" if report.passed else "fail"),
+            "error": report.error,
+            "checks": checks,
+            "evaluations": list(report.evaluations),
+            "convention_notes": list(CONVENTION_NOTES),
+        })
+    verdicts = [b["verdict"] for b in backgrounds]
     doc = {
         "schema": 1,
-        "backgrounds": [r.to_dict() for r in reports],
-        "summary": dict(zip(("passed", "failed", "errored"), _tally(reports))),
+        "backgrounds": backgrounds,
+        "summary": {"passed": verdicts.count("pass"), "failed": verdicts.count("fail"),
+                    "errored": verdicts.count("error")},
     }
     if with_eval:
         doc["evaluations"] = {
             r.background: r.point_values for r in reports if r.point_values is not None
         }
-    return json.dumps(doc, indent=2)
+    return doc
+
+
+def _eval_lines(label: str, values: Dict[str, str]) -> List[str]:
+    """A line per residual value at one point, or one line saying there is none."""
+    return [f"  {label} {k} = {v}" for k, v in values.items()] or [f"  {label} no nonzero residual"]
+
+
+def render_text(reports: List[VerificationReport]) -> str:
+    """The lines of report_document, with the CLI point's values under their background."""
+    doc = report_document(reports, with_eval=True)
+    lines = []
+    for background in doc["backgrounds"]:
+        lines.append(f"background {background['background']}")
+        if background["error"]:
+            lines.append(f"  ERROR: {background['error']}")
+        for check in background["checks"]:
+            lines.append(f"  {check['check']}: {check['verdict'].upper()}")
+            lines += [f"    residual {r['where']} = {r['value']}"
+                      for r in check["nonzero_residuals"]]
+            lines += [f"    note: {note}" for note in check["notes"]]
+        for record in background["evaluations"]:
+            point = ", ".join(f"{k}={v}" for k, v in record["point"].items())
+            lines += _eval_lines(f"eval[{point}]", record["values"])
+        if background["background"] in doc["evaluations"]:
+            lines += _eval_lines("eval", doc["evaluations"][background["background"]])
+    summary = "summary: {passed} passed, {failed} failed, {errored} errored"
+    lines.append(summary.format(**doc["summary"]))
+    lines.append("conventions:")
+    lines += [f"  - {note}" for note in CONVENTION_NOTES]
+    return "\n".join(lines)
+
+
+def render_json(reports: List[VerificationReport], with_eval: bool = False) -> str:
+    """The JSON report; with_eval adds the CLI point's values per background."""
+    return json.dumps(report_document(reports, with_eval), indent=2)
 
 
 def _parse_point(spec: str) -> Dict[str, Fraction]:
@@ -191,7 +214,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         except SystemExit:  # --help printed the usage: the one exit left to argparse
             return EXIT_PASS
         manifest = parse_manifest(args.manifest)
-        eval_point = _parse_point(args.eval_spec) if args.eval_spec else None
+        eval_point = _parse_point(args.eval_spec) if args.eval_spec is not None else None
         reports, code = run(manifest, only=args.only, eval_point=eval_point)
         if args.format == "json":
             print(render_json(reports, with_eval=eval_point is not None))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple
 
-from .polyring import NAME, Polynomial
+from .polyring import NAME, Polynomial, sum_of_products
 
 Index = Tuple[int, ...]
 
@@ -218,19 +218,13 @@ def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
         raise DegreeError(
             f"wedge degree {a.degree}+{b.degree} exceeds dim {a.chart.dim} of chart {a.chart.name}"
         )
-    out: Dict[Index, Polynomial] = {}
+    products: Dict[Index, list] = {}
     for ia, pa in a.components.items():
-        sa = set(ia)
         for ib, pb in b.components.items():
-            if sa & set(ib):
-                continue
             idx, sign = _sort_with_sign(ia + ib)
-            term = pa * pb
-            if sign < 0:
-                term = -term
-            prev = out.get(idx)
-            out[idx] = term if prev is None else prev + term
-    return DifferentialForm(a.chart, degree, out)
+            if sign:  # 0 when ia and ib share an index
+                products.setdefault(idx, []).append((sign, pa, pb))
+    return DifferentialForm(a.chart, degree, {i: sum_of_products(p) for i, p in products.items()})
 
 
 def wedge_all(*forms: DifferentialForm) -> DifferentialForm:

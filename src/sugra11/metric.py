@@ -437,9 +437,6 @@ def hodge_star(m: ChartMetric, a: DifferentialForm) -> DifferentialForm:
         raise ChartError("chart mismatch")
     n = m.dim
     p = a.degree
-    if p > n:
-        # only identically-zero forms carry degree > dim
-        return DifferentialForm.zero(m.chart, 0)
     out: Dict[Tuple[int, ...], Polynomial] = {}
     for rows, coeff in _raised(m, a).items():
         complement = tuple(i for i in range(n) if i not in rows)

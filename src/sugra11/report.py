@@ -2,7 +2,8 @@
 
 A residual is exact data: a Polynomial, a DifferentialForm or a matrix of
 polynomials.  A check passes iff every residual it reports is identically
-zero.
+zero.  These are records only: ``cli.report_document`` builds the one
+report document, which the text and JSON reports both print, from them.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Tuple
 
 from .exterior import DifferentialForm
-from .metric import CONVENTION_NOTES
 from .polyring import Polynomial
 
 
@@ -62,20 +62,9 @@ class CheckResult:
             for where, poly in residual_entries(k, v)
         ]
 
-    def to_dict(self) -> dict:
-        return {
-            "check": self.name,
-            "verdict": "pass" if self.passed else "fail",
-            "skipped": False,  # schema 1 keeps the key; no check is ever skipped
-            "nonzero_residuals": [
-                {"where": where, "value": value} for where, value in self.nonzero_entries()
-            ],
-            "notes": list(self.notes),
-        }
-
 
 class VerificationReport:
-    """All check results for one background; its JSON form adds the convention notes."""
+    """All check results for one background, its evaluations and its error."""
 
     __slots__ = ("background", "results", "evaluations", "error", "point_values")
 
@@ -90,13 +79,3 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return self.error is None and all(r.passed for r in self.results)
-
-    def to_dict(self) -> dict:
-        return {
-            "background": self.background,
-            "verdict": "error" if self.error else ("pass" if self.passed else "fail"),
-            "error": self.error,
-            "checks": [r.to_dict() for r in self.results],
-            "evaluations": list(self.evaluations),
-            "convention_notes": list(CONVENTION_NOTES),
-        }

@@ -203,14 +203,9 @@ def build_varpi_epsilon_background(
     if p_metric is None:
         p_metric = flat_negative_metric(Chart("p4", ("z1", "z2", "z3", "z4")))
     if kaehler_omega is None:
-        c = p_metric.chart.coordinates
-        kaehler_omega = wedge(
-            DifferentialForm.coordinate_differential(p_metric.chart, c[0]),
-            DifferentialForm.coordinate_differential(p_metric.chart, c[1]),
-        ) + wedge(
-            DifferentialForm.coordinate_differential(p_metric.chart, c[2]),
-            DifferentialForm.coordinate_differential(p_metric.chart, c[3]),
-        )
+        chart, c = p_metric.chart, p_metric.chart.coordinates
+        kaehler_omega = (DifferentialForm.monomial(chart, c[:2], P1)
+                         + DifferentialForm.monomial(chart, c[2:4], P1))
     if kaehler_omega.chart != p_metric.chart or kaehler_omega.degree != 2:
         raise ChartError("kaehler_omega must be a 2-form on the p-chart")
     base = append_line_factor(p_metric)

@@ -26,6 +26,7 @@ from sugra11.fieldeqs import flux_norm_sq
 from sugra11.manifest import ManifestError, parse_manifest, parse_manifest_dict
 from sugra11.metric import make_metric
 from sugra11.polyring import Polynomial, format_rational, parse_polynomial
+from sugra11.report import CheckResult
 
 from test_polyring import from_decimal
 
@@ -234,6 +235,11 @@ def _duplicate_coordinate(doc):
     return "chart 'base5': duplicate coordinate 'y1'"
 
 
+def _empty_coordinates(doc):
+    doc["charts"][0]["coordinates"] = []
+    return "chart 'base5': coordinates must not be empty"
+
+
 def _scalar_signature(doc):
     doc["metrics"][0]["signature"] = 5
     return "metric 'g_base': signature must be a list of two integers, got 5"
@@ -278,6 +284,11 @@ def _string_checks(doc):
 def _string_coordinates(doc):
     doc["charts"][0]["coordinates"] = "y1"
     return "chart 'base5': coordinates"
+
+
+def _unknown_flux_piece(doc):
+    doc["backgrounds"][0]["flux"]["zeta"] = "du_theta"
+    return "background 'solution1': unknown flux piece 'zeta'"
 
 
 def _repeated_check(doc):
@@ -332,6 +343,12 @@ def _exponent_notation_eval_point(doc):
             "bad rational '1e999999999': expected int or int/int")
 
 
+def _bool_eval_value(doc):
+    # true is a JSON bool, not the integer 1
+    doc["backgrounds"][0]["eval_points"] = [{"x1": True, "y1": 0}]
+    return "background 'solution1': eval_points item 0: x1: bad rational True"
+
+
 def _empty_eval_name(doc):
     doc["backgrounds"][0]["eval_points"] = [{"": "5", "x1": "1", "x2": "0", "y1": "0"}]
     return "background 'solution1': eval_points item 0: empty variable name"
@@ -365,6 +382,7 @@ def _coordinate(label, text):
     "corrupt",
     [
         _duplicate_coordinate,
+        _empty_coordinates,
         _scalar_signature,
         _declared_signature_of_the_wrong_kind,
         _metric_entry_outside_its_chart,
@@ -372,6 +390,7 @@ def _coordinate(label, text):
         _repeated_index,
         _scalar_term,
         _string_checks,
+        _unknown_flux_piece,
         _repeated_check,
         _theorem_with_its_equations,
         _string_coordinates,
@@ -383,6 +402,7 @@ def _coordinate(label, text):
         _juxtaposed_factor,
         _nonconstant_warping,
         _exponent_notation_eval_point,
+        _bool_eval_value,
         _empty_eval_name,
         _long_coefficient,
         _metric_exponent_overflow,
@@ -491,6 +511,9 @@ def test_undecodable_manifest_exits_2_with_one_line(tmp_path, capsys, content):
         (["--eval", "x1=1e999999999"], "--eval x1: bad rational"),
         (["--eval", "x1=1/2,y1=0.5"], "--eval y1: bad rational"),
         (["--eval", " = 3 ,x1=1,x2=0,y1=0"], "bad point assignment '= 3'"),
+        (["--eval", ""], "empty evaluation point"),
+        (["--eval", " "], "empty evaluation point"),
+        (["--eval", ","], "empty evaluation point"),
     ],
 )
 def test_bad_rational_flag_exits_2_with_one_line(capsys, flags, message):
@@ -659,6 +682,52 @@ def test_bad_eval_point_is_that_background_error(tmp_path, capsys):
     assert main(["--manifest", str(path)]) == EXIT_ERROR
     out = capsys.readouterr().out
     assert "background no_eval" in out and "summary: 0 passed, 1 failed, 1 errored" in out
+
+
+def test_an_eval_point_value_may_be_a_json_integer(tmp_path, capsys):
+    doc = json.loads((MANIFESTS / "solution4_literal.json").read_text())
+    doc["backgrounds"][0]["eval_points"] = [{"x1": 1, "y1": 0}]
+    path = tmp_path / "int_point.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--manifest", str(path)]) == EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "  eval[x1=1, y1=0] einstein:einstein_residual[10,10] = 1/2\n" in captured.out
+
+
+def test_a_manifest_that_is_a_json_list_exits_2(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([json.loads((MANIFESTS / "solution1.json").read_text())]))
+    assert main(["--manifest", str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: manifest must be a JSON object\n"
+
+
+def test_a_theorem_counterexample_is_that_background_error(tmp_path, capsys, monkeypatch):
+    # hypotheses that hold while an equation fails would refute the theorem: the report says so
+    import sugra11.solutions as solutions
+
+    def failing_einstein(bg):
+        result = CheckResult("einstein")
+        result.residuals["einstein_residual"] = Polynomial.constant(1)
+        return result
+
+    monkeypatch.setattr(solutions, "check_einstein", failing_einstein)
+    doc = json.loads((MANIFESTS / "solution1.json").read_text())
+    doc["backgrounds"][0]["checks"] = ["theorem"]
+    path = tmp_path / "theorem.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--manifest", str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith(
+        "background solution1\n"
+        "  ERROR: hypotheses hold but the field equations fail\n"
+        "  theorem_alpha_hypotheses: PASS\n"
+    )
+    assert "  einstein: FAIL\n    residual einstein_residual = 1\n" in captured.out
+    assert "summary: 0 passed, 0 failed, 1 errored\n" in captured.out
 
 
 def test_eval_point_missing_a_variable_is_that_background_error(tmp_path, capsys):

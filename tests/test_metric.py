@@ -8,6 +8,7 @@ import pytest
 
 from sugra11.exterior import (
     Chart,
+    DegreeError,
     DifferentialForm,
     exterior_derivative as d,
     interior_product,
@@ -245,6 +246,13 @@ def test_star_top_and_bottom():
     assert hodge_star(RHO, DifferentialForm.function(N4, P1)) == vol
     starred_vol = hodge_star(RHO, vol)
     assert starred_vol == DifferentialForm.function(N4, Polynomial.constant((-1) ** RHO.signature[1]))
+
+
+def test_star_of_a_form_above_the_dimension_is_a_degree_error():
+    # only the zero form carries degree dim + 1; its star would have degree -1, as a wedge
+    # overflow would, and raises rather than returning a 0-form
+    with pytest.raises(DegreeError, match="negative form degree"):
+        hodge_star(RHO, DifferentialForm.zero(N4, RHO.dim + 1))
 
 
 def test_star_of_du_wedge_two_form_equals_du_wedge_rho_star():
