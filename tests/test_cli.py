@@ -266,6 +266,18 @@ def _flux_coefficient_outside_its_chart(doc):
     return "background 'solution2': x1 outside chart 'pline5', in a coefficient of nu"
 
 
+def _alpha_t_on_the_base(doc):
+    doc["forms"].append({"name": "y_form", "chart": "base5", "degree": 4,
+                         "terms": [{"indices": ["y1", "y2", "y3", "y4"], "coeff": "1"}]})
+    doc["backgrounds"][0]["flux"]["alpha_t"] = "y_form"
+    return "background 'solution1': alpha_t must live on chart 'walker6', got 'base5'"
+
+
+def _alpha_t_of_degree_3(doc):
+    doc["forms"][0].update(degree=3, terms=[{"indices": ["u", "x2", "x3"], "coeff": "1"}])
+    return "background 'solution1': alpha_t must have degree 4, got 3"
+
+
 def _repeated_index(doc):
     doc["forms"][0]["terms"][0]["indices"] = ["u", "u", "x3", "x4"]
     return "form 'du_theta': term 0"
@@ -387,6 +399,8 @@ def _coordinate(label, text):
         _declared_signature_of_the_wrong_kind,
         _metric_entry_outside_its_chart,
         _flux_coefficient_outside_its_chart,
+        _alpha_t_on_the_base,
+        _alpha_t_of_degree_3,
         _repeated_index,
         _scalar_term,
         _string_checks,

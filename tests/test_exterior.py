@@ -251,3 +251,21 @@ def test_component_index_out_of_range_rejected():
 def test_monomial_with_repeated_coordinate_is_zero():
     f = DifferentialForm.monomial(M5, ("y1", "y1"), Polynomial.constant(3))
     assert f.is_zero()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: DifferentialForm(M5, 6, {(0, 1, 2, 3, 4, 4): Polynomial.constant(1)}),
+                 DegreeError, "degree 6 exceeds dim 5", id="degree_above_dim"),
+    pytest.param(lambda: DifferentialForm(M5, 2, {(0,): Polynomial.constant(1)}),
+                 DegreeError, "index tuple (0,) has wrong length for degree 2", id="short_index"),
+    pytest.param(lambda: dx(M5, "y1") + dx(N4, "x1"), ChartError, "chart mismatch: M5 vs N4",
+                 id="sum_across_charts"),
+    pytest.param(lambda: dx(M5, "y1") + wedge(dx(M5, "y1"), dx(M5, "y2")), DegreeError,
+                 "degree mismatch: 1 vs 2", id="sum_across_degrees"),
+    pytest.param(lambda: wedge(dx(M5, "y1"), dx(N4, "x1")), ChartError, "chart mismatch: M5 vs N4",
+                 id="wedge_across_charts"),
+])
+def test_form_input_guard_raises_its_error(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

@@ -1,18 +1,21 @@
-"""The CLI's bytes on the bundled manifests and the README --eval example,
-the bytes the two scripts print, and the README library example.
+"""The golden entries: the CLI's bytes on the bundled manifests and the README
+--eval example, the bytes each scripts/*.py prints, and the README library example.
 
-tests/golden/cases.json lists each invocation with its exit code and
-standard error; <name>.stdout holds its standard output, and
-<script>.stdout holds what scripts/<script>.py prints.  Verdicts,
-residual strings and evaluated values must not change under an engine
-refactoring, so any difference here is a regression unless the output
-format itself was meant to change.  The text and JSON reports of each
-invocation that runs must also say the same thing, read back line by line.
+tests/golden/cases.json lists each CLI invocation with its exit code and standard
+error, and <name>.stdout holds each entry's standard output.  Verdicts, residual
+strings and evaluated values must not change under an engine refactoring, so any
+difference here is a regression unless the output format itself was meant to
+change.  Each entry also runs in a fresh interpreter, since polyring's per-process
+variable registry here already holds the names earlier tests saw.  The text and
+JSON reports of each invocation that runs must say the same thing, line by line.
 """
 
 import json
+import os
 import re
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,16 +25,38 @@ from sugra11.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
+# (name, argv after the interpreter, exit code, stderr) of each golden entry, with its name as id
+RUNS = [pytest.param(c["name"], ["-m", "sugra11", *c["args"]], c["exit"], c["stderr"], id=c["name"]) for c in CASES]
+RUNS += [pytest.param(p.stem, [f"scripts/{p.name}"], 0, "", id=p.stem) for p in sorted(ROOT.glob("scripts/*.py"))]
 
 
-@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
-def test_cli_output_matches_golden_bytes(case, capsys, monkeypatch):
+@pytest.mark.parametrize("name, argv, code, stderr", [r for r in RUNS if r.values[1][0] == "-m"])
+def test_cli_output_matches_golden_bytes(name, argv, code, stderr, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)  # manifest paths, as printed in messages, are relative to the repo
-    code = main(case["args"])
-    captured = capsys.readouterr()
-    assert code == case["exit"]
-    assert captured.err == case["stderr"]
-    assert captured.out == (GOLDEN / f"{case['name']}.stdout").read_text()
+    assert main(argv[2:]) == code
+    assert capsys.readouterr() == ((GOLDEN / f"{name}.stdout").read_text(), stderr)
+
+
+@pytest.mark.parametrize("name, argv, code, stderr", [r for r in RUNS if r.values[1][0] != "-m"])
+def test_script_output_matches_golden_bytes(name, argv, code, stderr, capsys):
+    runpy.run_path(str(ROOT / argv[0]), run_name="__main__")
+    assert capsys.readouterr() == ((GOLDEN / f"{name}.stdout").read_text(), stderr)
+
+
+@pytest.mark.parametrize("name, argv, code, stderr", RUNS)
+def test_fresh_interpreter_output_matches_golden_bytes(name, argv, code, stderr):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.getenv("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True)
+    want = (code, stderr.encode(), (GOLDEN / f"{name}.stdout").read_bytes())
+    assert (done.returncode, done.stderr, done.stdout) == want, f"{name} differs"
+
+
+def test_each_golden_file_belongs_to_one_entry():
+    """A stale or missing <name>.stdout, or a golden manifest no entry runs, fails by name."""
+    names = [run.id for run in RUNS]
+    assert sorted(set(names) ^ {p.stem for p in GOLDEN.glob("*.stdout")}) == [] and len(set(names)) == len(names)
+    args = {arg for run in RUNS for arg in run.values[1]}
+    assert [p.name for p in GOLDEN.glob("*.manifest.json") if f"tests/golden/{p.name}" not in args] == []
 
 
 def _runs():
@@ -154,12 +179,6 @@ def test_a_point_with_no_nonzero_residual_prints_one_line(eval_flags, tmp_path, 
         assert json.loads(reports["json"])["backgrounds"][0]["evaluations"] == [
             {"point": {"x1": "1"}, "values": {}}]
     assert _read_text_report(reports["text"]) == _read_json_report(reports["json"])
-
-
-@pytest.mark.parametrize("script", ["verify_solution_families", "hodge_convention_table"])
-def test_script_output_matches_golden_bytes(script, capsys):
-    runpy.run_path(str(ROOT / "scripts" / f"{script}.py"), run_name="__main__")
-    assert capsys.readouterr().out == (GOLDEN / f"{script}.stdout").read_text()
 
 
 def test_readme_library_example_runs():

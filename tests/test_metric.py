@@ -8,6 +8,7 @@ import pytest
 
 from sugra11.exterior import (
     Chart,
+    ChartError,
     DegreeError,
     DifferentialForm,
     exterior_derivative as d,
@@ -129,6 +130,24 @@ def test_non_symmetric_metric_rejected():
     bad = const_matrix([[1, 2], [0, 1]])
     with pytest.raises(MetricError):
         make_metric(Chart("C2", ("a", "b")), bad)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: make_metric(M5, diag(-1, -1, -1, -1)), MetricError,
+                 "metric must be 5x5 on chart 'M5'", id="wrong_size"),
+    pytest.param(lambda: inner_product_forms(G5, dx(N4, "x1"), dx(M5, "y1")), ChartError,
+                 "chart mismatch", id="inner_product_across_charts"),
+    pytest.param(lambda: inner_product_forms(G5, dx(M5, "y1"), wedge(dx(M5, "y1"), dx(M5, "y2"))),
+                 DegreeError, "degree mismatch: 1 vs 2", id="inner_product_across_degrees"),
+    pytest.param(lambda: contraction_matrix(G5, dx(N4, "x1")), ChartError, "chart mismatch",
+                 id="contraction_matrix_across_charts"),
+    pytest.param(lambda: hodge_star(G5, dx(N4, "x1")), ChartError, "chart mismatch",
+                 id="hodge_star_across_charts"),
+])
+def test_metric_input_guard_raises_its_error(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
 
 
 NON_CONSTANT_DET = [[-P1 - Polynomial.variable("b") ** 2, P0], [P0, -P1]]

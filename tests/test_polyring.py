@@ -165,6 +165,18 @@ def test_polynomials_are_made_by_the_named_constructors_only():
         Polynomial(("x",), {(1,): 2})
 
 
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: (x + 1).constant_value(), ValueError, "not a constant polynomial: x + 1",
+                 id="constant_value_of_a_variable"),
+    pytest.param(lambda: x ** -1, ValueError, "negative power of a polynomial", id="negative_power"),
+    pytest.param(lambda: x + 0.5, TypeError, "cannot interpret 0.5 as a polynomial", id="float_summand"),
+])
+def test_polynomial_input_guard_raises_its_error(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
 # -- calculus ----------------------------------------------------------------
 
 @settings(max_examples=40, deadline=None)

@@ -9,6 +9,7 @@ import pytest
 from sugra11.curvature import is_totally_ricci_isotropic
 from sugra11.exterior import (
     Chart,
+    ChartError,
     DifferentialForm,
     exterior_derivative as ext_d,
 )
@@ -86,6 +87,28 @@ def test_family_conditions_hold_exactly_when_the_field_equations_do():
     assert [label for label, solves in verdicts.items() if solves] == [
         "alpha", "beta_nu", "varpi_epsilon", "varpi_epsilon doubled", "alpha_beta_nu corrected",
         "beta_nu rescaled"]
+
+
+# a 2-form and a 3-form on the transverse chart
+W2, W3 = mono(rho_flat().chart, ("x1", "x2")), mono(rho_flat().chart, ("x2", "x3", "x4"))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: walker_metric_from_rho(rho_flat(), Polynomial.variable("y1")),
+                 "H may depend only on the transverse block and u, got ['y1']", id="H_off_the_fiber"),
+    pytest.param(lambda: build_alpha_background(rho_flat(), W2, quadratic_H(1)),
+                 "theta_n must be a 3-form on the transverse chart", id="alpha_theta_of_degree_2"),
+    pytest.param(lambda: build_beta_nu_background(rho_flat(), W3, quadratic_H(1)),
+                 "omega_n must be a 2-form on the transverse chart", id="beta_nu_omega_of_degree_3"),
+    pytest.param(lambda: build_varpi_epsilon_background(rho_flat(), quadratic_H(1), kaehler_omega=W2),
+                 "kaehler_omega must be a 2-form on the p-chart", id="varpi_epsilon_kaehler_off_the_p_chart"),
+    pytest.param(lambda: build_alpha_beta_nu_background(rho_flat(), W2, quadratic_H(1)),
+                 "the 3-form piece must live on the transverse chart", id="alpha_beta_nu_W_of_degree_2"),
+])
+def test_family_builder_input_guard_raises_chart_error(call, message):
+    with pytest.raises(ChartError) as info:
+        call()
+    assert type(info.value) is ChartError and str(info.value) == message
 
 
 # -- theorem checkers ---------------------------------------------------------------
