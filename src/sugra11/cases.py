@@ -63,6 +63,7 @@ CASE_SHAPES: Dict[int, Tuple[str, ...]] = {
     8: ("alpha_t", "theta"),
     9: ("beta_t", "nu", "varpi_t", "epsilon"),
 }
+_CASE_OF_SHAPE = {frozenset(shape): case for case, shape in CASE_SHAPES.items()}
 
 # pieces whose co-closedness a case couples to another piece: they keep only d piece = 0
 _CLOSED_ONLY = {6: ("alpha_t", "nu"), 7: ("varpi_t", "theta")}
@@ -77,10 +78,10 @@ class CaseShapeError(ValueError):
 def case_of(ansatz: FluxAnsatz) -> int:
     """The case whose shape is exactly the pieces ansatz supplies."""
     present = ansatz.present()
-    for case, shape in CASE_SHAPES.items():
-        if set(shape) == set(present):
-            return case
-    raise CaseShapeError(f"no special case has exactly the flux pieces {list(present)}")
+    case = _CASE_OF_SHAPE.get(frozenset(present))
+    if case is None:
+        raise CaseShapeError(f"no special case has exactly the flux pieces {list(present)}")
+    return case
 
 
 def proportionality(form: DifferentialForm, unit: DifferentialForm):
@@ -118,7 +119,7 @@ def check_special_case(bg: Background) -> CheckResult:
             live.update(names)
         else:
             dead.append(" ^ ".join(names))
-    system = next((k for k, shape in CASE_SHAPES.items() if set(shape) == live), None)
+    system = _CASE_OF_SHAPE.get(frozenset(live))
     if dead:
         result.notes.append(_zero_type_note(bg, case, dead, system))
     if system is None:
@@ -241,6 +242,7 @@ def _case7(bg: Background, result: CheckResult) -> None:
 # a coupled case left with its 4-form piece alone is in its degenerate branch:
 # (the case of that piece, the piece whose d star carries the coupling, the 4-form piece)
 _ANCHORS = {6: (1, "nu", "the 4-form piece"), 7: (5, "varpi_t", "the base 4-form")}
+_DEGENERATE = "{}: degenerate branch, {} must be co-closed on its own"  # (why, the 4-form piece)
 
 
 def _zero_type_note(bg: Background, case: int, dead, system: Optional[int]) -> str:
@@ -251,7 +253,7 @@ def _zero_type_note(bg: Background, case: int, dead, system: Optional[int]) -> s
         _, source, piece = anchor
         if _d_star(bg.product, source, bg.ansatz.piece(source))[1].is_zero():
             zero = f"d star {source.removesuffix('_t')} = 0"
-        return f"{zero}: degenerate branch, {piece} must be co-closed on its own"
+        return _DEGENERATE.format(zero, piece)
     then = f"the conditions are those of case {system}" if system else "nothing is imposed"
     return f"{zero} and adds nothing to F: {then}"
 
@@ -260,7 +262,7 @@ def _degenerate_note(name: str, d_star: DifferentialForm, piece: str) -> str:
     """The note when no coupling constant was extracted: d_star, the d star
     of name, either vanishes (the degenerate branch) or is not c vol."""
     if d_star.is_zero():
-        return f"d star {name} = 0: degenerate branch, {piece} must be co-closed on its own"
+        return _DEGENERATE.format(f"d star {name} = 0", piece)
     return (f"d star {name} is not a constant multiple of vol: no coupling constant, "
             f"{piece} is checked co-closed on its own")
 

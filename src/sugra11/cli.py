@@ -7,9 +7,11 @@ Usage:
 
 The report is text unless ``--format json``.  Both formats print one
 document, built by ``report_document`` alone: the JSON report dumps it and
-the text report prints its entries line by line.  Exit codes: 0 all verdicts
-pass or ``--help``, 1 some verdict fails, 2 engine, manifest or usage error
-(one ``error:`` line).  One background failing never aborts the batch.
+the text report prints its entries line by line.  ``--eval`` is split here
+and read by ``manifest.evaluation_point``, as a manifest's points are.  Exit
+codes: 0 all verdicts pass or ``--help``, 1 some verdict fails, 2 engine,
+manifest or usage error (one ``error:`` line).  One background failing never
+aborts the batch.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .cases import CaseShapeError
-from .manifest import CHECKS, BackgroundSpec, Manifest, ManifestError, parse_manifest, rational
+from .manifest import CHECKS, BackgroundSpec, ManifestError, evaluation_point, parse_manifest
 from .metric import CONVENTION_NOTES
 from .polyring import format_rational
 from .report import VerificationReport, residual_entries
@@ -60,17 +62,16 @@ def run_background(
 
 
 def run(
-    manifest: Manifest,
+    specs: List[BackgroundSpec],
     only: Optional[str] = None,
     eval_point: Optional[Dict[str, Fraction]] = None,
 ):
-    """Verify each background in manifest order; returns (reports, exit code).
+    """Verify each background of specs in order; returns (reports, exit code).
 
     Backgrounds run one after another: the work is pure Python under the
     interpreter lock, so threads would not overlap it, and backgrounds
     share metrics whose curvature caches fill lazily.
     """
-    specs = manifest.backgrounds
     if only is not None:
         specs = [s for s in specs if s.name == only]
         if not specs:
@@ -176,20 +177,14 @@ def render_json(reports: List[VerificationReport], with_eval: bool = False) -> s
 
 
 def _parse_point(spec: str) -> Dict[str, Fraction]:
-    point = {}
-    for piece in spec.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
+    """The point of --eval: spec's var=value pieces, read as a manifest's points are."""
+    pairs = []
+    for piece in filter(None, map(str.strip, spec.split(","))):
         name, eq, value = (part.strip() for part in piece.partition("="))
         if not (name and eq):
             raise ManifestError(f"bad point assignment {piece!r}; expected var=value")
-        if name in point:
-            raise ManifestError(f"--eval names {name!r} twice")
-        point[name] = rational(value, f"--eval {name}")
-    if not point:
-        raise ManifestError("empty evaluation point")
-    return point
+        pairs.append((name, value))
+    return evaluation_point(pairs, "--eval")
 
 
 def _usage_error(message: str):  # argparse's error hook, in place of usage and SystemExit(2)
@@ -213,9 +208,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             args = parser.parse_args(argv)
         except SystemExit:  # --help printed the usage: the one exit left to argparse
             return EXIT_PASS
-        manifest = parse_manifest(args.manifest)
+        specs = parse_manifest(args.manifest)
         eval_point = _parse_point(args.eval_spec) if args.eval_spec is not None else None
-        reports, code = run(manifest, only=args.only, eval_point=eval_point)
+        reports, code = run(specs, only=args.only, eval_point=eval_point)
         if args.format == "json":
             print(render_json(reports, with_eval=eval_point is not None))
         else:

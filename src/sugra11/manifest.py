@@ -6,19 +6,22 @@ lower-triangular polynomial strings with a mandatory signature), forms
 backgrounds (a product reference, a flux ansatz of form references, and
 the checks to run, keys of ``CHECKS``, the table that also runs them).
 Every polynomial is a string in the exact rational grammar; nothing in
-the pipeline is floating point.  The parser keeps only what the CLI
-runs: the resolved backgrounds.  Keys it does not read are ignored: a
-``settings`` block, as the CLI's ``--format`` picks the report; a
+the pipeline is floating point.  ``parse_manifest`` returns what the CLI
+runs, the list of resolved backgrounds.  Keys it does not read are ignored:
+a ``settings`` block, as the CLI's ``--format`` picks the report; a
 background's ``case`` and ``theorem``, as both checks read their shape off
 the flux; and a metric's ``inverse`` and ``sqrt_abs_det``, as
 ``make_metric`` derives both from g.
 
 The five sections are built in that order by one loop over ``_SECTIONS``.
-That loop alone refuses a duplicate name and names the entry: every
-``ValueError`` raised while building one, a builder's own ``ManifestError``
-included, becomes ``ManifestError("<kind> '<name>': <message>")``.  Each
-builder checks only its entry's own fields, and its messages name the field
-inside the entry (``term 0``, ``eval_points item 0: x1``), never the entry.
+That loop alone refuses a duplicate name, or one that is not a nonempty
+printable string (the text report prints it on a line of its own), and names
+the entry: every ``ValueError`` raised while building one, a builder's own
+``ManifestError`` included, becomes ``ManifestError("<kind> '<name>': <message>")``.
+Each builder checks only its entry's own fields, and its messages name the
+field inside the entry (``term 0``, ``eval_points item 0 x1``), never the
+entry.  A point of ``eval_points`` names coordinates of its background, and
+``evaluation_point`` alone reads it and the CLI's ``--eval``.
 """
 
 from __future__ import annotations
@@ -26,13 +29,14 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict
+from typing import Dict, Iterable, List, Tuple
 
 from . import cases, fieldeqs
 from .exterior import Chart, ChartError, DegreeError, DifferentialForm, Frozen
 from .fieldeqs import BASE_PIECES, FIBER_PIECES, FluxAnsatz, assemble_flux
 from .metric import ChartMetric, make_metric
 from .polyring import (
+    NAME,
     ExponentOverflow,
     Polynomial,
     PolynomialGrammarError,
@@ -51,10 +55,9 @@ class BackgroundSpec(Frozen):
     __slots__ = ("name", "background", "checks", "eval_points")
 
 
-class Manifest(Frozen):
-    """Manifest(backgrounds): the resolved backgrounds in order."""
-
-    __slots__ = ("backgrounds",)
+class _Backgrounds(list):
+    """parse_manifest's list; its ``backgrounds``, itself, stays while perfbench's tests read it."""
+    backgrounds = property(lambda self: self)
 
 
 def _run_theorem(report, spec: BackgroundSpec) -> None:
@@ -89,16 +92,25 @@ def _poly(text, where: str) -> Polynomial:
         raise ManifestError(f"{where}: bad polynomial {text!r}: {exc}") from exc
 
 
-def rational(text, where: str) -> Fraction:
-    """A JSON integer, or a string ``[-]int`` or ``[-]int/int``, as a Fraction."""
-    if _is_int(text):
-        return Fraction(text)
-    if not isinstance(text, str):
-        raise ManifestError(f"{where}: bad rational {text!r}")
-    try:
-        return parse_rational(text)
-    except PolynomialGrammarError as exc:
-        raise ManifestError(f"{where}: bad rational {text!r}: {exc}") from exc
+def evaluation_point(pairs: Iterable[Tuple[str, object]], where: str) -> Dict[str, Fraction]:
+    """The point the (name, value) pairs assign: each name is a ``polyring.NAME``
+    given once, each value a JSON integer or a string ``[-]int`` or ``[-]int/int``,
+    and the point is not empty."""
+    point = {}
+    for name, value in pairs:
+        if not NAME.fullmatch(name):
+            raise ManifestError(f"{where}: {name!r} is not a variable name")
+        if name in point:
+            raise ManifestError(f"{where} names {name!r} twice")
+        if not (_is_int(value) or isinstance(value, str)):
+            raise ManifestError(f"{where} {name}: bad rational {value!r}")
+        try:
+            point[name] = Fraction(value) if _is_int(value) else parse_rational(value)
+        except PolynomialGrammarError as exc:
+            raise ManifestError(f"{where} {name}: bad rational {value!r}: {exc}") from exc
+    if not point:
+        raise ManifestError(f"{where}: empty evaluation point")
+    return point
 
 
 _JSON_TYPES = {list: "a list", dict: "an object", str: "a string"}
@@ -139,7 +151,7 @@ def _unique_keys(pairs) -> dict:
     return obj
 
 
-def parse_manifest(path) -> Manifest:
+def parse_manifest(path) -> List[BackgroundSpec]:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
@@ -152,8 +164,8 @@ def parse_manifest(path) -> Manifest:
     return parse_manifest_dict(raw, str(path))
 
 
-def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
-    """The manifest raw describes."""
+def parse_manifest_dict(raw: dict, source: str = "<memory>") -> List[BackgroundSpec]:
+    """The backgrounds of the manifest raw describes, in its order."""
     if not isinstance(raw, dict):
         raise ManifestError(f"{source}: manifest must be a JSON object")
     schema = raw.get("schema", 1)
@@ -166,8 +178,8 @@ def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
         where = f"{source}: {section}"
         for i, entry in enumerate(_expect(raw.get(section, []), list, where)):
             name = _expect(entry, dict, f"{where} entry {i}").get("name")
-            if not isinstance(name, str) or not name:
-                raise ManifestError(f"{where} entry {i} needs a string 'name'")
+            if not isinstance(name, str) or not name or not name.isprintable():
+                raise ManifestError(f"{where} entry {i} needs a nonempty printable string 'name'")
             if name in table:
                 raise ManifestError(f"duplicate {kind} {name!r}")
             try:
@@ -177,7 +189,7 @@ def parse_manifest_dict(raw: dict, source: str = "<memory>") -> Manifest:
 
     if not built["backgrounds"]:
         raise ManifestError(f"{source}: manifest declares no backgrounds")
-    return Manifest(list(built["backgrounds"].values()))
+    return _Backgrounds(built["backgrounds"].values())
 
 
 # Each builder (name, entry, built) checks its entry's own fields and
@@ -271,10 +283,10 @@ def _background(name: str, entry: dict, built) -> BackgroundSpec:
     eval_points = []
     for i, pt in enumerate(_expect(entry.get("eval_points", []), list, "eval_points")):
         where = f"eval_points item {i}"
-        pt = _expect(pt, dict, where)
-        if "" in pt:
-            raise ManifestError(f"{where}: empty variable name")
-        eval_points.append({k: rational(v, f"{where}: {k}") for k, v in pt.items()})
+        eval_points.append(evaluation_point(_expect(pt, dict, where).items(), where))
+        for var in eval_points[-1]:
+            if var not in pc.chart.coordinates:
+                raise ManifestError(f"{where}: {var!r} is not a coordinate of the background")
     background = assemble_flux(pc, FluxAnsatz(**pieces))
     return BackgroundSpec(name, background, checks, eval_points)
 

@@ -113,7 +113,7 @@ BACKGROUNDS = [
 @lru_cache(maxsize=None)
 def flux_bianchi_sides(path, name):
     """(div S, [-1/2 <i_b F, star M> - 1/2 <i_b dF, F> for each coordinate b])."""
-    bg = next(spec for spec in parse_manifest(path).backgrounds if spec.name == name).background
+    bg = next(spec for spec in parse_manifest(path) if spec.name == name).background
     h, flux = bg.metric, bg.flux
     e = check_einstein(bg).residuals["einstein_residual"]
     star_m = hodge_star(h, check_maxwell(bg).residuals["d_star_F_minus_half_FF"])

@@ -41,9 +41,9 @@ def load(name):
 # -- parsing -------------------------------------------------------------------
 
 def test_parse_bundled_solution_manifest():
-    m = load("solution1.json")
-    assert len(m.backgrounds) == 1
-    spec = m.backgrounds[0]
+    specs = load("solution1.json")
+    assert isinstance(specs, list) and len(specs) == 1
+    spec = specs[0]
     assert spec.name == "solution1"
     assert spec.checks == ["closedness", "maxwell", "einstein"]
     assert spec.background.product.chart.dim == 11
@@ -351,19 +351,36 @@ def _nonconstant_warping(doc):
 
 def _exponent_notation_eval_point(doc):
     doc["backgrounds"][0]["eval_points"] = [{"x1": "1e999999999"}]
-    return ("background 'solution1': eval_points item 0: x1: "
+    return ("background 'solution1': eval_points item 0 x1: "
             "bad rational '1e999999999': expected int or int/int")
 
 
 def _bool_eval_value(doc):
     # true is a JSON bool, not the integer 1
     doc["backgrounds"][0]["eval_points"] = [{"x1": True, "y1": 0}]
-    return "background 'solution1': eval_points item 0: x1: bad rational True"
+    return "background 'solution1': eval_points item 0 x1: bad rational True"
 
 
 def _empty_eval_name(doc):
     doc["backgrounds"][0]["eval_points"] = [{"": "5", "x1": "1", "x2": "0", "y1": "0"}]
-    return "background 'solution1': eval_points item 0: empty variable name"
+    return "background 'solution1': eval_points item 0: '' is not a variable name"
+
+
+def _eval_name_forging_a_summary(doc):
+    # printed as it is, this name would put a summary line of its own in the text report
+    name = "q]\nsummary: 1 passed, 0 failed, 0 errored\n  eval[z"
+    doc["backgrounds"][0]["eval_points"] = [{name: "1", "x1": "1", "x2": "0", "y1": "0"}]
+    return f"background 'solution1': eval_points item 0: {name!r} is not a variable name"
+
+
+def _eval_name_off_the_chart(doc):
+    doc["backgrounds"][0]["eval_points"] = [{"zz": "1"}]
+    return "background 'solution1': eval_points item 0: 'zz' is not a coordinate of the background"
+
+
+def _empty_eval_point(doc):
+    doc["backgrounds"][0]["eval_points"] = [{"x1": "1"}, {}]
+    return "background 'solution1': eval_points item 1: empty evaluation point"
 
 
 def _metric_exponent_overflow(doc):
@@ -418,6 +435,9 @@ def _coordinate(label, text):
         _exponent_notation_eval_point,
         _bool_eval_value,
         _empty_eval_name,
+        _eval_name_forging_a_summary,
+        _eval_name_off_the_chart,
+        _empty_eval_point,
         _long_coefficient,
         _metric_exponent_overflow,
         _metric_exponent_at_the_limit,
@@ -464,6 +484,20 @@ def test_duplicate_entry_name_exits_2_naming_it(tmp_path, capsys, section, kind)
     assert captured.err == f"error: duplicate {kind} {name!r}\n"
 
 
+@pytest.mark.parametrize("section", ["charts", "metrics", "forms", "products", "backgrounds"])
+def test_unprintable_entry_name_exits_2_naming_section_and_index(tmp_path, capsys, section):
+    # printed as it is, this background name would put a summary line of its own in the text report
+    doc = json.loads((MANIFESTS / "solution4_literal.json").read_text())
+    doc[section][-1]["name"] = "ok\n  einstein: PASS\nsummary: 1 passed, 0 failed, 0 errored\nbackground shadow"
+    path = tmp_path / "unprintable.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--manifest", str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    index = len(doc[section]) - 1
+    assert captured.err == f"error: {path}: {section} entry {index} needs a nonempty printable string 'name'\n"
+
+
 NULL_THETA = ["u", "x2", "x3", "x4"]  # the flux of solution1, null: |F|^2 = 0
 UNIT_THETA = ["x1", "x2", "x3", "x4"]  # |F|^2 = 1, so a sign of f reaching the norm would show
 ALL_FOUR = ["closedness", "maxwell", "einstein", "split"]
@@ -493,7 +527,7 @@ def test_negative_warp_on_an_odd_fiber_reports_as_its_absolute_value(
         captured = capsys.readouterr()
         assert captured.err == ""
         outputs.append(captured.out)
-        norms.append(flux_norm_sq(parse_manifest(path).backgrounds[0].background))
+        norms.append(flux_norm_sq(parse_manifest(path)[0].background))
     assert outputs[0] == outputs[1]
     assert norms[0] == norms[1]
     if code == EXIT_PASS:
@@ -525,9 +559,11 @@ def test_undecodable_manifest_exits_2_with_one_line(tmp_path, capsys, content):
         (["--eval", "x1=1e999999999"], "--eval x1: bad rational"),
         (["--eval", "x1=1/2,y1=0.5"], "--eval y1: bad rational"),
         (["--eval", " = 3 ,x1=1,x2=0,y1=0"], "bad point assignment '= 3'"),
-        (["--eval", ""], "empty evaluation point"),
-        (["--eval", " "], "empty evaluation point"),
-        (["--eval", ","], "empty evaluation point"),
+        (["--eval", ""], "--eval: empty evaluation point"),
+        (["--eval", " "], "--eval: empty evaluation point"),
+        (["--eval", ","], "--eval: empty evaluation point"),
+        (["--eval", "x1=1,x2"], "bad point assignment 'x2'; expected var=value"),
+        (["--eval", "x1=1,x2=0,y1=0,a b=2"], "--eval: 'a b' is not a variable name"),
     ],
 )
 def test_bad_rational_flag_exits_2_with_one_line(capsys, flags, message):
@@ -861,7 +897,7 @@ def test_every_check_reaches_a_wrapper_bound_to_its_module_attributes(monkeypatc
     def count_calls(checks):
         calls.update(dict.fromkeys(calls, 0))
         doc["backgrounds"][0]["checks"] = checks
-        report = run_background(parse_manifest_dict(doc).backgrounds[0])
+        report = run_background(parse_manifest_dict(doc)[0])
         assert report.passed, report.error
         return dict(calls)
 
@@ -883,7 +919,7 @@ from pathlib import Path
 from sugra11.manifest import parse_manifest_dict
 doc = json.loads(Path("manifests/solution1.json").read_text())
 doc["backgrounds"][0]["checks"] = ["theorem"]
-report = sugra11.cli.run_background(parse_manifest_dict(doc).backgrounds[0])
+report = sugra11.cli.run_background(parse_manifest_dict(doc)[0])
 print(json.dumps({"imported": sorted(imported), "theorem_passed": report.passed,
                   "solutions_after_theorem": "sugra11.solutions" in sys.modules}))
 """

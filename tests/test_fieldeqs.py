@@ -680,7 +680,7 @@ def test_maxwell_raises_each_form_once_per_metric(monkeypatch):
     # star_flux_block and typed_gauge_system star the same factor pieces; the
     # raise behind each star is kept on the metric, so it runs once
     golden = Path(__file__).resolve().parent / "golden"
-    spec = parse_manifest(golden / "ladder_mixed_solution4_literal_d1.manifest.json").backgrounds[0]
+    spec = parse_manifest(golden / "ladder_mixed_solution4_literal_d1.manifest.json")[0]
     bg = spec.background
     original = metric._block_raise
     calls = []
@@ -705,7 +705,7 @@ def test_maxwell_raises_each_form_once_per_metric(monkeypatch):
 def test_raises_keep_nonzero_components_only():
     # on this background most sums of a raise cancel (77 of the 89 of F on h)
     golden = Path(__file__).resolve().parent / "golden"
-    spec = parse_manifest(golden / "ladder_mixed_solution4_literal_d1.manifest.json").backgrounds[0]
+    spec = parse_manifest(golden / "ladder_mixed_solution4_literal_d1.manifest.json")[0]
     bg = spec.background
     check_maxwell(bg)
     check_einstein(bg)

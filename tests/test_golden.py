@@ -86,10 +86,14 @@ _TEXT_LINES = [  # (pattern, kind) for each line of a text report before its con
 def _read_text_report(text: str):
     """(backgrounds, summary) in the shape of _read_json_report, parsed from the text.
 
-    Only reports of runs that exit 0 or 1 are read, so an ``ERROR:`` line fails the read."""
+    Only reports of runs that exit 0 or 1 are read, so an ``ERROR:`` line fails the read,
+    and so does any line between the summary and the convention notes: a second summary
+    or a background after the summary is what a name that forges report lines prints."""
     backgrounds, summary = [], None
     lines = text.split("\n")
     for line in lines[: lines.index("conventions:")]:
+        if summary is not None:
+            pytest.fail(f"text report line {line!r} after the summary")
         found = [(kind, m.groups()) for pattern, kind in _TEXT_LINES
                  if (m := re.fullmatch(pattern, line))]
         if not found:
@@ -119,6 +123,13 @@ def _read_text_report(text: str):
     for bg in backgrounds:  # the text prints no background verdict: it is the checks'
         bg["verdict"] = "pass" if all(check[1] == "pass" for check in bg["checks"]) else "fail"
     return backgrounds, summary
+
+
+def test_the_text_report_reader_refuses_a_line_after_the_summary():
+    forged = ("background ok\n  einstein: PASS\nsummary: 1 passed, 0 failed, 0 errored\n"
+              "background shadow\n  einstein: FAIL\nsummary: 0 passed, 1 failed, 0 errored\nconventions:\n")
+    with pytest.raises(pytest.fail.Exception, match="'background shadow' after the summary"):
+        _read_text_report(forged)
 
 
 def _read_json_report(text: str):

@@ -25,7 +25,7 @@ from test_fieldeqs import full_ansatz_background
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 BUNDLED = ("solution1", "solution2", "solution3", "solution4_corrected", "solution4_literal")
 BACKGROUNDS = {
-    **{name: lambda name=name: parse_manifest(MANIFESTS / f"{name}.json").backgrounds[0].background
+    **{name: lambda name=name: parse_manifest(MANIFESTS / f"{name}.json")[0].background
        for name in BUNDLED},
     # a non-solution: all three residuals are nonzero, so every relation has teeth
     "full_ansatz_f1": lambda: full_ansatz_background(monomial=False, seed=3),
@@ -81,7 +81,7 @@ def warped_against_fiber(bg, mu):
 # and the 6+5 product of a Walker base over a 5-dimensional fiber at f = 2
 SWAPPED = Path(__file__).resolve().parent / "golden" / "solution1_swapped_f2.manifest.json"
 WARPED = {**BACKGROUNDS,
-          "solution1_swapped_f2": lambda: parse_manifest(SWAPPED).backgrounds[0].background}
+          "solution1_swapped_f2": lambda: parse_manifest(SWAPPED)[0].background}
 
 
 @pytest.mark.parametrize("name", WARPED)

@@ -5,7 +5,10 @@ Each example changes one path of one of the five valid bundled manifests:
 it replaces the value there from a fixed pool, deletes it, or duplicates a
 list item, and runs ``cli.main`` in process on the result.  The exit code is
 0, 1 or 2; exit 2 is one ``error:`` line on stderr, or a report that holds a
-background's error; a report without one leaves stderr empty.
+background's error; a report without one leaves stderr empty.  The text report
+of a run that exits 0 or 1 has one ``background`` line per background and one
+``summary:`` line, right before ``conventions:``, whatever names the manifest
+gives: the pool holds a name, and a point key, that would forge report lines.
 """
 
 import copy
@@ -15,7 +18,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sugra11.cli import EXIT_ERROR, main
@@ -24,14 +27,17 @@ MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 VALID = ("solution1", "solution2", "solution3", "solution4_corrected", "solution4_literal")
 DOCS = {name: json.loads((MANIFESTS / f"{name}.json").read_text()) for name in VALID}
 
-# values of every JSON type, and strings each field of a manifest reads
+# a name that, printed as it is, would start lines of a report of its own
+FORGED = "q]\nsummary: 1 passed, 0 failed, 0 errored\nbackground shadow\n  eval[z"
+FORGED_POINT = {FORGED: "1", "x1": "1", "x2": "0", "y1": "0"}
+# values of every JSON type, strings each field of a manifest reads, and forged names
 POOL = (
     None, True, False, 0, 1, -1, 3, 7, 2 ** 70, 1.5, "", "0", "1", "-1", "1/2", "1/0", "2 3",
     "y1", "x1^2 + u", "2*v", "x2^2147483648", "x1*-y1", "1e5", "text", "json", "u", "x1",
     "base5", "walker6", "g_base", "g_walker", "X11", "du_theta", "closedness", "maxwell",
     "einstein", "split", "case", "theorem", "alpha", "theta", "nu",
     [], ["u"], ["u", "x2", "x3", "x4"], ["x1", "x1"], [["1"]], [1, 2], [5, 0], {}, {"name": "x"},
-    {"theta": "du_theta"}, {"x1": "1"},
+    {"theta": "du_theta"}, {"x1": "1"}, FORGED, FORGED_POINT,
 )
 
 
@@ -87,7 +93,7 @@ def _report_errors(out):
     return [line for line in out.splitlines() if line.startswith("  ERROR: ")]
 
 
-def _assert_outcome(code, out, err):
+def _assert_outcome(doc, code, out, err):
     assert code in (0, 1, 2), code
     assert "Traceback" not in out and "Traceback" not in err
     if code == EXIT_ERROR and err:
@@ -95,6 +101,11 @@ def _assert_outcome(code, out, err):
     else:
         assert err == "", err
         assert bool(_report_errors(out)) == (code == EXIT_ERROR), out
+    if code != EXIT_ERROR:
+        lines = out.splitlines()
+        summaries = [i for i, line in enumerate(lines) if line.startswith("summary:")]
+        assert len(summaries) == 1 and lines[summaries[0] + 1] == "conventions:", out
+        assert sum(line.startswith("background ") for line in lines) == len(doc["backgrounds"]), out
 
 
 def _background_lines(out, name):
@@ -111,10 +122,12 @@ MUTATIONS = [(name,) + m for name, doc in DOCS.items() for m in _mutations(doc)]
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(st.sampled_from(MUTATIONS), st.sampled_from(POOL))
+@example(("solution4_literal", ("backgrounds", 0, "name"), "replace"), FORGED)
+@example(("solution4_literal", ("backgrounds", 0, "eval_points", 0), "replace"), FORGED_POINT)
 def test_a_changed_path_exits_0_1_or_2_without_a_traceback(tmp_path_factory, mutation, value):
     name, path, operation = mutation
     doc = _mutate(DOCS[name], path, operation, value)
-    _assert_outcome(*_run(doc, tmp_path_factory.getbasetemp() / "fuzz.json"))
+    _assert_outcome(doc, *_run(doc, tmp_path_factory.getbasetemp() / "fuzz.json"))
 
 
 # solution1's background twice, under two names
@@ -133,12 +146,13 @@ def first_report(tmp_path_factory):
 
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(st.sampled_from(SECOND), st.sampled_from(POOL))
+@example((("backgrounds", 1, "name"), "replace"), FORGED)
 def test_a_changed_second_background_leaves_the_first_report_unchanged(
     tmp_path_factory, first_report, mutation, value
 ):
     path, operation = mutation
     doc = _mutate(PAIR, path, operation, value)
     code, out, err = _run(doc, tmp_path_factory.getbasetemp() / "pair.json")
-    _assert_outcome(code, out, err)
+    _assert_outcome(doc, code, out, err)
     if out:
         assert _background_lines(out, "solution1") == first_report

@@ -197,7 +197,7 @@ def _products():
     paths = sorted((ROOT / "manifests").glob("solution*.json"))
     paths.append(ROOT / "tests" / "golden" / "ladder_solution4_corrected_d2.manifest.json")
     for path in paths:
-        for spec in parse_manifest(path).backgrounds:
+        for spec in parse_manifest(path):
             yield f"{path.name}:{spec.name}", spec.background.product
     yield "negative_warp", _odd_fiber_product(-2)
 
