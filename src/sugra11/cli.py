@@ -6,12 +6,13 @@ Usage:
     sugra11-verify --manifest m.json --eval "x1=1,x2=0,y1=0"
 
 The report is text unless ``--format json``.  Both formats print one
-document, built by ``report_document`` alone: the JSON report dumps it and
-the text report prints its entries line by line.  ``--eval`` is split here
-and read by ``manifest.evaluation_point``, as a manifest's points are.  Exit
-codes: 0 all verdicts pass or ``--help``, 1 some verdict fails, 2 engine,
-manifest or usage error (one ``error:`` line).  One background failing never
-aborts the batch.
+document, built by ``report_document`` alone, the one place that prints a
+residual, a value or a point of the reports' exact objects: the JSON report
+dumps it and the text report prints its entries line by line.  ``--eval``
+is split here and read by ``manifest.evaluation_point``, as a manifest's
+points are.  Exit codes: 0 all verdicts pass or ``--help``, 1 some verdict
+fails, 2 engine, manifest or usage error (one ``error:`` line).  One
+background failing never aborts the batch.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .cases import CaseShapeError
 from .manifest import CHECKS, BackgroundSpec, ManifestError, evaluation_point, parse_manifest
 from .metric import CONVENTION_NOTES
 from .polyring import format_rational
-from .report import VerificationReport, residual_entries
+from .report import VerificationReport
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -46,14 +47,10 @@ def run_background(
     try:
         for check in spec.checks:
             CHECKS[check](report, spec)
-        if report.error is None:
-            for point in spec.eval_points:
-                values = evaluate_report_at_points(report, point)
-                report.evaluations.append(
-                    {"point": {k: str(v) for k, v in point.items()}, "values": values}
-                )
-            if eval_point is not None:
-                report.point_values = evaluate_report_at_points(report, eval_point)
+        for point in spec.eval_points:
+            report.evaluations.append((point, evaluate_report_at_points(report, point)))
+        if eval_point is not None:
+            report.point_values = evaluate_report_at_points(report, eval_point)
     except CaseShapeError as exc:  # a flux that fits no case or theorem: the message says why
         report.error = str(exc)
     except Exception as exc:  # noqa: BLE001 - carried into the report per background
@@ -67,6 +64,7 @@ def run(
     eval_point: Optional[Dict[str, Fraction]] = None,
 ):
     """Verify each background of specs in order; returns (reports, exit code).
+    Each name of eval_point must be a coordinate of a background that runs.
 
     Backgrounds run one after another: the work is pure Python under the
     interpreter lock, so threads would not overlap it, and backgrounds
@@ -76,6 +74,10 @@ def run(
         specs = [s for s in specs if s.name == only]
         if not specs:
             raise ManifestError(f"no background named {only!r} in the manifest")
+    coordinates = {c for s in specs for c in s.background.product.chart.coordinates}
+    for name in eval_point or ():
+        if name not in coordinates:
+            raise ManifestError(f"--eval: {name!r} is not a coordinate of any background")
     reports = [run_background(spec, eval_point) for spec in specs]
     if any(r.error for r in reports):
         code = EXIT_ERROR
@@ -88,20 +90,20 @@ def run(
 
 def evaluate_report_at_points(
     report: VerificationReport, point: Dict[str, Fraction]
-) -> Dict[str, str]:
+) -> Dict[str, Fraction]:
     """Exact rational spot values of every nonzero residual polynomial."""
     values = {}
     for result in report.results:
-        for name, residual in result.residuals.items():
-            for where, poly in residual_entries(name, residual):
-                try:
-                    value = poly.evaluate(point)
-                except KeyError as exc:
-                    raise ManifestError(
-                        f"evaluation point misses a variable for {where}: {exc}"
-                    ) from exc
-                values[f"{result.name}:{where}"] = format_rational(value)
+        for where, poly in result.nonzero_entries():
+            key = f"{result.name}:{where}"
+            if missing := ", ".join(repr(v) for v in poly.variables if v not in point):
+                raise ManifestError(f"evaluation point misses a variable for {key}: {missing}")
+            values[key] = poly.evaluate(point)
     return values
+
+
+def _printed(values: Dict[str, Fraction]) -> Dict[str, str]:
+    return {k: format_rational(v) for k, v in values.items()}
 
 
 def report_document(reports: List[VerificationReport], with_eval: bool = False) -> dict:
@@ -116,15 +118,16 @@ def report_document(reports: List[VerificationReport], with_eval: bool = False) 
                 "check": result.name,
                 "verdict": "fail" if entries else "pass",
                 "skipped": False,  # schema 1 keeps the key; no check is ever skipped
-                "nonzero_residuals": [{"where": w, "value": v} for w, v in entries],
+                "nonzero_residuals": [{"where": w, "value": str(p)} for w, p in entries],
                 "notes": list(result.notes),
             })
+        failed = any(c["verdict"] == "fail" for c in checks)
         backgrounds.append({
             "background": report.background,
-            "verdict": "error" if report.error else ("pass" if report.passed else "fail"),
+            "verdict": "error" if report.error else ("fail" if failed else "pass"),
             "error": report.error,
             "checks": checks,
-            "evaluations": list(report.evaluations),
+            "evaluations": [{"point": _printed(p), "values": _printed(v)} for p, v in report.evaluations],
             "convention_notes": list(CONVENTION_NOTES),
         })
     verdicts = [b["verdict"] for b in backgrounds]
@@ -136,7 +139,7 @@ def report_document(reports: List[VerificationReport], with_eval: bool = False) 
     }
     if with_eval:
         doc["evaluations"] = {
-            r.background: r.point_values for r in reports if r.point_values is not None
+            r.background: _printed(r.point_values) for r in reports if r.point_values is not None
         }
     return doc
 

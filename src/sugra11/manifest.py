@@ -44,6 +44,7 @@ from .polyring import (
     parse_rational,
 )
 from .product import ProductChart, build_product
+from .report import EngineInconsistency
 
 class ManifestError(ValueError):
     pass
@@ -66,8 +67,8 @@ def _run_theorem(report, spec: BackgroundSpec) -> None:
     t_report = check_theorem_conditions(spec.background)
     report.results.append(t_report.hypotheses)
     report.results.extend(t_report.equations or ())
-    if not t_report.reproduced:
-        report.error = "hypotheses hold but the field equations fail"
+    if not t_report.reproduced:  # a refuted theorem is an exact identity the engine missed
+        raise EngineInconsistency("theorem hypotheses hold but the field equations fail")
 
 
 # check name -> a runner (report, spec) that adds the check's results to report.  A

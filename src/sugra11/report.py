@@ -2,12 +2,13 @@
 
 A residual is exact data: a Polynomial, a DifferentialForm or a matrix of
 polynomials.  A check passes iff every residual it reports is identically
-zero.  These are records only: ``cli.report_document`` builds the one
-report document, which the text and JSON reports both print, from them.
+zero.  These are records of exact objects: ``cli.report_document`` alone
+turns them into the text that the text and JSON reports both print.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Dict, Iterator, List, Tuple
 
 from .exterior import DifferentialForm
@@ -22,7 +23,7 @@ class EngineInconsistency(AssertionError):
 def residual_entries(name: str, value) -> Iterator[Tuple[str, Polynomial]]:
     """Flatten a residual into (label, polynomial) pairs, nonzero only.
 
-    The one dispatch over residual types, read by reports and fieldeqs._audit.
+    The one dispatch over residual types, read by ``CheckResult`` and fieldeqs._audit.
     A label is built only for an entry that is yielded, so ``CheckResult.passed``,
     which stops at the first entry, builds no string for a passing check."""
     if isinstance(value, Polynomial):
@@ -54,13 +55,9 @@ class CheckResult:
     def passed(self) -> bool:
         return not any(True for k, v in self.residuals.items() for _ in residual_entries(k, v))
 
-    def nonzero_entries(self) -> List[Tuple[str, str]]:
-        """(label, polynomial string) for every nonzero residual entry."""
-        return [
-            (where, str(poly))
-            for k, v in self.residuals.items()
-            for where, poly in residual_entries(k, v)
-        ]
+    def nonzero_entries(self) -> List[Tuple[str, Polynomial]]:
+        """(label, polynomial) for every nonzero residual entry."""
+        return [entry for k, v in self.residuals.items() for entry in residual_entries(k, v)]
 
 
 class VerificationReport:
@@ -71,10 +68,10 @@ class VerificationReport:
     def __init__(self, background: str):
         self.background = background
         self.results: List[CheckResult] = []
-        self.evaluations: List[dict] = []
+        self.evaluations: List[Tuple[Dict[str, Fraction], Dict[str, Fraction]]] = []  # (point, values)
         self.error: str | None = None
         # residual values at the CLI's --eval point; None when there is none or on error
-        self.point_values: Dict[str, str] | None = None
+        self.point_values: Dict[str, Fraction] | None = None
 
     @property
     def passed(self) -> bool:

@@ -96,7 +96,7 @@ def test_run_literal_manifest_fails_with_uu_entry():
         for where, value in result.nonzero_entries()
     )
     assert "einstein_residual[10,10]" in entries
-    assert entries["einstein_residual[10,10]"] == "1/2*x1^2 - 1/2*y1^2"
+    assert entries["einstein_residual[10,10]"] == parse_polynomial("1/2*x1^2 - 1/2*y1^2")
 
 
 def test_exit_codes_through_main(capsys):
@@ -193,10 +193,20 @@ def test_evaluate_report_at_points():
     values = evaluate_report_at_points(
         reports[0], {"x1": Fraction(1), "x2": Fraction(0), "y1": Fraction(0)}
     )
-    assert values == {"einstein:einstein_residual[10,10]": "1/2"}
+    assert values == {"einstein:einstein_residual[10,10]": Fraction(1, 2)}
     # zero residuals evaluate to nothing anywhere
     reports_ok, _ = run(load("solution1.json"))
     assert evaluate_report_at_points(reports_ok[0], {"x1": Fraction(7)}) == {}
+
+
+def test_reports_hold_exact_objects_until_the_document_prints_them():
+    report = run_background(load("solution4_literal.json")[0])
+    entries = [entry for result in report.results for entry in result.nonzero_entries()]
+    assert entries and all(isinstance(poly, Polynomial) for _, poly in entries)
+    assert report.evaluations == [(
+        {"x1": Fraction(1), "x2": Fraction(0), "y1": Fraction(0)},
+        {"einstein:einstein_residual[10,10]": Fraction(1, 2)},
+    )]
 
 
 def test_evaluate_missing_variable_errors():
@@ -564,6 +574,7 @@ def test_undecodable_manifest_exits_2_with_one_line(tmp_path, capsys, content):
         (["--eval", ","], "--eval: empty evaluation point"),
         (["--eval", "x1=1,x2"], "bad point assignment 'x2'; expected var=value"),
         (["--eval", "x1=1,x2=0,y1=0,a b=2"], "--eval: 'a b' is not a variable name"),
+        (["--eval", "x1=1,x2=0,y1=0,zz=2"], "--eval: 'zz' is not a coordinate of any background"),
     ],
 )
 def test_bad_rational_flag_exits_2_with_one_line(capsys, flags, message):
@@ -571,6 +582,16 @@ def test_bad_rational_flag_exits_2_with_one_line(capsys, flags, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("only, err", [
+    ([], ""),  # five_types_f2 lives on the l6 fiber, whose coordinates are w0..w5
+    (["--only", "theorem_alpha"], "error: --eval: 'w0' is not a coordinate of any background\n"),
+], ids=["every_background", "only_one_off_the_l6_chart"])
+def test_an_eval_name_is_a_coordinate_of_a_background_that_runs(capsys, only, err):
+    manifest = ROOT / "tests" / "golden" / "conditions_nonsolution.manifest.json"
+    main(["--manifest", str(manifest), "--eval", "w0=1,y1=0", *only])
+    assert capsys.readouterr().err == err
 
 
 def test_set_flag_is_refused_by_the_argument_parser(capsys):
@@ -755,7 +776,8 @@ def test_a_manifest_that_is_a_json_list_exits_2(tmp_path, capsys):
 
 
 def test_a_theorem_counterexample_is_that_background_error(tmp_path, capsys, monkeypatch):
-    # hypotheses that hold while an equation fails would refute the theorem: the report says so
+    # hypotheses that hold while an equation fails would refute the theorem, an exact identity:
+    # the report names it an engine inconsistency
     import sugra11.solutions as solutions
 
     def failing_einstein(bg):
@@ -773,7 +795,7 @@ def test_a_theorem_counterexample_is_that_background_error(tmp_path, capsys, mon
     assert captured.err == ""
     assert captured.out.startswith(
         "background solution1\n"
-        "  ERROR: hypotheses hold but the field equations fail\n"
+        "  ERROR: EngineInconsistency: theorem hypotheses hold but the field equations fail\n"
         "  theorem_alpha_hypotheses: PASS\n"
     )
     assert "  einstein: FAIL\n    residual einstein_residual = 1\n" in captured.out
@@ -792,8 +814,9 @@ def test_eval_point_missing_a_variable_is_that_background_error(tmp_path, capsys
     captured = capsys.readouterr()
     assert captured.err == ""
     out = captured.out
-    error = "ERROR: ManifestError: evaluation point misses a variable"
-    assert f"background {failing['name']}\n  {error}" in out
+    error = ("ERROR: ManifestError: evaluation point misses a variable for "
+             "einstein:einstein_residual[10,10]: 'y1'")
+    assert f"background {failing['name']}\n  {error}\n" in out
     assert "background closed_only\n  closedness: PASS" in out
     assert "summary: 1 passed, 0 failed, 1 errored" in out
     assert main(["--manifest", str(path), "--eval", "x1=1", "--format", "json"]) == EXIT_ERROR

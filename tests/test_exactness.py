@@ -1,4 +1,5 @@
-"""The engine stays exact: no float literal and no float() call in its source.
+"""The engine stays exact: no float literal and no float() call in its source,
+nor in the helpers, scripts/ and the oracles of tests/oracles.py.
 It also stays lean: every module-level function and every method and
 property of a class has a caller, every field a record class lists in
 ``__slots__`` has a reader, and every module-level import of the engine,
@@ -35,10 +36,11 @@ def test_scanner_finds_float_literals_and_calls():
 
 
 def test_engine_source_has_no_float_literal_or_call():
-    files = sorted(SRC.glob("*.py"))
-    assert files
-    offenders = [f"{path.name}:{line}: {text}"
-                 for path in files for line, text in _float_uses(path.read_text())]
+    engine, scripts = sorted(SRC.glob("*.py")), sorted((ROOT / "scripts").glob("*.py"))
+    assert engine and scripts
+    offenders = [f"{path.relative_to(ROOT)}:{line}: {text}"
+                 for path in [*engine, *scripts, ROOT / "tests" / "oracles.py"]
+                 for line, text in _float_uses(path.read_text())]
     assert offenders == []
 
 

@@ -21,7 +21,7 @@ from sugra11.fieldeqs import (
     check_maxwell,
 )
 from sugra11.metric import hodge_star, make_metric, norm_sq
-from sugra11.polyring import Polynomial
+from sugra11.polyring import Polynomial, parse_polynomial
 from sugra11.product import build_product
 from sugra11.solutions import (
     _build_family,
@@ -208,7 +208,7 @@ def test_theorem_alpha_beta_nu_orthogonality_residual_per_fiber_coordinate():
     bg = assemble_flux(build_product(base, fiber, 1), ansatz)
     entries = check_theorem_conditions(bg).hypotheses.nonzero_entries()
     assert [e for e in entries if e[0].startswith("alpha_beta_orthogonality")] == [
-        ("alpha_beta_orthogonality.i_x2", "-x1")
+        ("alpha_beta_orthogonality.i_x2", parse_polynomial("-x1"))
     ]
 
 
