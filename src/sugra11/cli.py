@@ -6,13 +6,13 @@ Usage:
     sugra11-verify --manifest m.json --eval "x1=1,x2=0,y1=0"
 
 The report is text unless ``--format json``.  Both formats print one
-document, built by ``report_document`` alone, the one place that prints a
-residual, a value or a point of the reports' exact objects: the JSON report
-dumps it and the text report prints its entries line by line.  ``--eval``
-is split here and read by ``manifest.evaluation_point``, as a manifest's
-points are.  Exit codes: 0 all verdicts pass or ``--help``, 1 some verdict
-fails, 2 engine, manifest or usage error (one ``error:`` line).  One
-background failing never aborts the batch.
+document, built once per request by ``report_document``, the one place that
+prints the reports' exact objects and decides the verdicts: the JSON report
+dumps it, the text report prints it line by line, and ``exit_code`` reads its
+summary: 2 if a background errored, else 1 if one failed, else 0.  ``--help``
+exits 0; a usage or manifest error exits 2 with one ``error:`` line.
+``--eval`` is read by ``manifest.evaluation_point``, as a manifest's points
+are.  One background failing never aborts the batch.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ def run(
     specs: List[BackgroundSpec],
     only: Optional[str] = None,
     eval_point: Optional[Dict[str, Fraction]] = None,
-):
-    """Verify each background of specs in order; returns (reports, exit code).
+) -> List[VerificationReport]:
+    """Verify each background of specs in order; returns their reports.
     Each name of eval_point must be a coordinate of a background that runs.
 
     Backgrounds run one after another: the work is pure Python under the
@@ -78,14 +78,7 @@ def run(
     for name in eval_point or ():
         if name not in coordinates:
             raise ManifestError(f"--eval: {name!r} is not a coordinate of any background")
-    reports = [run_background(spec, eval_point) for spec in specs]
-    if any(r.error for r in reports):
-        code = EXIT_ERROR
-    elif all(r.passed for r in reports):
-        code = EXIT_PASS
-    else:
-        code = EXIT_FAIL
-    return reports, code
+    return [run_background(spec, eval_point) for spec in specs]
 
 
 def evaluate_report_at_points(
@@ -107,8 +100,8 @@ def _printed(values: Dict[str, Fraction]) -> Dict[str, str]:
 
 
 def report_document(reports: List[VerificationReport], with_eval: bool = False) -> dict:
-    """The report's content, which render_json dumps and render_text prints line by
-    line; with_eval adds the CLI point's values by background name, which is unique."""
+    """The report's content and the run's one outcome record, which render_* prints and
+    exit_code reads; with_eval adds the CLI point's values by (unique) background name."""
     backgrounds = []
     for report in reports:
         checks = []
@@ -144,14 +137,22 @@ def report_document(reports: List[VerificationReport], with_eval: bool = False) 
     return doc
 
 
+def exit_code(doc: dict) -> int:
+    """2 when doc's summary counts an errored background, 1 a failed one, else 0."""
+    summary = doc["summary"]
+    if summary["errored"]:
+        return EXIT_ERROR
+    return EXIT_FAIL if summary["failed"] else EXIT_PASS
+
+
 def _eval_lines(label: str, values: Dict[str, str]) -> List[str]:
     """A line per residual value at one point, or one line saying there is none."""
     return [f"  {label} {k} = {v}" for k, v in values.items()] or [f"  {label} no nonzero residual"]
 
 
-def render_text(reports: List[VerificationReport]) -> str:
-    """The lines of report_document, with the CLI point's values under their background."""
-    doc = report_document(reports, with_eval=True)
+def render_text(doc: dict) -> str:
+    """The lines of a report_document, with the CLI point's values under their background."""
+    point_values = doc.get("evaluations", {})
     lines = []
     for background in doc["backgrounds"]:
         lines.append(f"background {background['background']}")
@@ -165,8 +166,8 @@ def render_text(reports: List[VerificationReport]) -> str:
         for record in background["evaluations"]:
             point = ", ".join(f"{k}={v}" for k, v in record["point"].items())
             lines += _eval_lines(f"eval[{point}]", record["values"])
-        if background["background"] in doc["evaluations"]:
-            lines += _eval_lines("eval", doc["evaluations"][background["background"]])
+        if background["background"] in point_values:
+            lines += _eval_lines("eval", point_values[background["background"]])
     summary = "summary: {passed} passed, {failed} failed, {errored} errored"
     lines.append(summary.format(**doc["summary"]))
     lines.append("conventions:")
@@ -174,9 +175,9 @@ def render_text(reports: List[VerificationReport]) -> str:
     return "\n".join(lines)
 
 
-def render_json(reports: List[VerificationReport], with_eval: bool = False) -> str:
-    """The JSON report; with_eval adds the CLI point's values per background."""
-    return json.dumps(report_document(reports, with_eval), indent=2)
+def render_json(doc: dict) -> str:
+    """The JSON report: a report_document, dumped."""
+    return json.dumps(doc, indent=2)
 
 
 def _parse_point(spec: str) -> Dict[str, Fraction]:
@@ -213,12 +214,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             return EXIT_PASS
         specs = parse_manifest(args.manifest)
         eval_point = _parse_point(args.eval_spec) if args.eval_spec is not None else None
-        reports, code = run(specs, only=args.only, eval_point=eval_point)
-        if args.format == "json":
-            print(render_json(reports, with_eval=eval_point is not None))
-        else:
-            print(render_text(reports))
-        return code
+        doc = report_document(run(specs, only=args.only, eval_point=eval_point),
+                              with_eval=eval_point is not None)
+        print(render_json(doc) if args.format == "json" else render_text(doc))
+        return exit_code(doc)
     except (argparse.ArgumentError, ManifestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -3,7 +3,8 @@
 A residual is exact data: a Polynomial, a DifferentialForm or a matrix of
 polynomials.  A check passes iff every residual it reports is identically
 zero.  These are records of exact objects: ``cli.report_document`` alone
-turns them into the text that the text and JSON reports both print.
+turns them into the text that the text and JSON reports both print, and
+decides each background's verdict and the summary that the exit code reads.
 """
 
 from __future__ import annotations
@@ -72,7 +73,3 @@ class VerificationReport:
         self.error: str | None = None
         # residual values at the CLI's --eval point; None when there is none or on error
         self.point_values: Dict[str, Fraction] | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.error is None and all(r.passed for r in self.results)

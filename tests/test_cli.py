@@ -15,9 +15,9 @@ from sugra11.cli import (
     EXIT_FAIL,
     EXIT_PASS,
     evaluate_report_at_points,
+    exit_code,
     main,
-    render_json,
-    render_text,
+    report_document,
     run,
     run_background,
 )
@@ -36,6 +36,16 @@ MANIFESTS = ROOT / "manifests"
 
 def load(name):
     return parse_manifest(MANIFESTS / name)
+
+
+def run_document(specs, **kwargs):
+    """run's reports and the document main builds from them."""
+    reports = run(specs, **kwargs)
+    return reports, report_document(reports)
+
+
+def verdicts(document):
+    return [background["verdict"] for background in document["backgrounds"]]
 
 
 # -- parsing -------------------------------------------------------------------
@@ -81,14 +91,14 @@ def test_parse_background_needs_checks():
 
 def test_run_solution_manifests_pass():
     for name in ("solution1.json", "solution2.json", "solution3.json", "solution4_corrected.json"):
-        reports, code = run(load(name))
-        assert code == EXIT_PASS, name
-        assert all(r.passed for r in reports)
+        _, document = run_document(load(name))
+        assert exit_code(document) == EXIT_PASS, name
+        assert verdicts(document) == ["pass"], name
 
 
 def test_run_literal_manifest_fails_with_uu_entry():
-    reports, code = run(load("solution4_literal.json"))
-    assert code == EXIT_FAIL
+    reports, document = run_document(load("solution4_literal.json"))
+    assert exit_code(document) == EXIT_FAIL
     report = reports[0]
     entries = dict(
         (where, value)
@@ -113,8 +123,8 @@ def test_exit_codes_through_main(capsys):
 def test_split_and_theorem_checks_through_runner():
     doc = json.loads((MANIFESTS / "solution1.json").read_text())
     doc["backgrounds"][0]["checks"] = ["split", "theorem"]
-    reports, code = run(parse_manifest_dict(doc))
-    assert code == EXIT_PASS
+    reports, document = run_document(parse_manifest_dict(doc))
+    assert exit_code(document) == EXIT_PASS
     names = [result.name for result in reports[0].results]
     assert "einstein_blocks" in names
     assert "theorem_alpha_hypotheses" in names
@@ -141,11 +151,11 @@ def with_a_shapeless_background(doc, check):
 
 def test_engine_error_is_carried_per_background_without_aborting():
     doc = with_a_shapeless_background(json.loads((MANIFESTS / "solution1.json").read_text()), "case")
-    reports, code = run(parse_manifest_dict(doc))
-    assert code == EXIT_ERROR
+    reports, document = run_document(parse_manifest_dict(doc))
+    assert exit_code(document) == EXIT_ERROR
     assert [r.background for r in reports] == ["no_shape", "solution1"]
     assert reports[0].error is not None and "no special case" in reports[0].error
-    assert reports[1].passed
+    assert verdicts(document) == ["error", "pass"]
 
 
 @pytest.mark.parametrize("stale", [{"case": 5}, {"theorem": "alpha"}, {"case": "6", "theorem": 5}],
@@ -154,16 +164,16 @@ def test_a_stale_case_or_theorem_key_is_ignored(stale):
     # both checks read their shape off the flux: solution2's is case 2, the beta_nu theorem
     doc = json.loads((MANIFESTS / "solution2.json").read_text())
     doc["backgrounds"][0].update(stale, checks=["case", "theorem"])
-    (report,), code = run(parse_manifest_dict(doc))
-    assert code == EXIT_PASS
+    (report,), document = run_document(parse_manifest_dict(doc))
+    assert exit_code(document) == EXIT_PASS
     assert [r.name for r in report.results] == [
         "case_2", "theorem_beta_nu_hypotheses", "closedness", "maxwell", "einstein"]
 
 
 def test_only_filter_and_unknown_name(capsys):
     m = load("solution1.json")
-    reports, code = run(m, only="solution1")
-    assert len(reports) == 1 and code == EXIT_PASS
+    reports, document = run_document(m, only="solution1")
+    assert len(reports) == 1 and exit_code(document) == EXIT_PASS
     with pytest.raises(ManifestError):
         run(m, only="missing")
     # --only <name> reports exactly that background's entry of the full run
@@ -178,24 +188,30 @@ def test_only_filter_and_unknown_name(capsys):
 
 
 def test_exit_code_is_a_function_of_verdicts():
-    reports_pass, code_pass = run(load("solution1.json"))
-    assert code_pass == EXIT_PASS and all(r.passed for r in reports_pass)
-    reports_fail, code_fail = run(load("solution4_literal.json"))
-    assert code_fail == EXIT_FAIL
-    assert any(not r.passed for r in reports_fail)
-    assert not any(r.error for r in reports_fail)
+    # the code reads the summary alone: an errored background outranks a failed one
+    for passed, failed, errored, code in ((1, 0, 0, EXIT_PASS), (0, 1, 0, EXIT_FAIL),
+                                          (1, 1, 0, EXIT_FAIL), (0, 0, 1, EXIT_ERROR),
+                                          (1, 1, 1, EXIT_ERROR), (0, 0, 0, EXIT_PASS)):
+        summary = {"passed": passed, "failed": failed, "errored": errored}
+        assert exit_code({"summary": summary}) == code, summary
+    # and the summary counts the verdicts of the document's backgrounds
+    for name, verdict, counts, code in (("solution1.json", "pass", (1, 0, 0), EXIT_PASS),
+                                        ("solution4_literal.json", "fail", (0, 1, 0), EXIT_FAIL)):
+        _, document = run_document(load(name))
+        assert verdicts(document) == [verdict] and exit_code(document) == code
+        assert document["summary"] == dict(zip(("passed", "failed", "errored"), counts))
 
 
 # -- evaluation --------------------------------------------------------------------
 
 def test_evaluate_report_at_points():
-    reports, _ = run(load("solution4_literal.json"))
+    reports = run(load("solution4_literal.json"))
     values = evaluate_report_at_points(
         reports[0], {"x1": Fraction(1), "x2": Fraction(0), "y1": Fraction(0)}
     )
     assert values == {"einstein:einstein_residual[10,10]": Fraction(1, 2)}
     # zero residuals evaluate to nothing anywhere
-    reports_ok, _ = run(load("solution1.json"))
+    reports_ok = run(load("solution1.json"))
     assert evaluate_report_at_points(reports_ok[0], {"x1": Fraction(7)}) == {}
 
 
@@ -210,7 +226,7 @@ def test_reports_hold_exact_objects_until_the_document_prints_them():
 
 
 def test_evaluate_missing_variable_errors():
-    reports, _ = run(load("solution4_literal.json"))
+    reports = run(load("solution4_literal.json"))
     with pytest.raises(ManifestError, match="misses a variable"):
         evaluate_report_at_points(reports[0], {"x1": Fraction(1)})
 
@@ -675,9 +691,8 @@ def test_stripped_inverse_and_sqrt_abs_det_change_no_report():
             entry.pop("inverse", None)
             entry.pop("sqrt_abs_det", None)
         assert stripped != doc, name  # every one of them carries an inverse
-        reports = [run(parse_manifest_dict(d))[0] for d in (doc, stripped)]
-        assert render_text(reports[0]) == render_text(reports[1]), name
-        assert render_json(reports[0]) == render_json(reports[1]), name
+        documents = [report_document(run(parse_manifest_dict(d))) for d in (doc, stripped)]
+        assert documents[0] == documents[1], name  # what both formats print and the exit code reads
 
 
 def test_each_carried_inverse_is_the_derived_inverse():
@@ -744,8 +759,8 @@ def test_bad_eval_point_is_that_background_error(tmp_path, capsys):
     good = dict(bad, name="no_eval")
     del good["eval_points"]
     doc["backgrounds"] = [bad, good]
-    reports, code = run(parse_manifest_dict(doc))
-    assert code == EXIT_ERROR
+    reports, document = run_document(parse_manifest_dict(doc))
+    assert exit_code(document) == EXIT_ERROR
     assert "misses a variable" in reports[0].error
     assert reports[1].error is None and reports[1].results
     path = tmp_path / "eval.json"
@@ -866,7 +881,7 @@ def test_residual_past_the_int_digit_limit_is_printed_in_full(tmp_path, capsys):
     doc["forms"][0]["terms"][0]["coeff"] = "3" * 2500
     path = tmp_path / "long.json"
     path.write_text(json.dumps(doc))
-    (report,), _ = run(parse_manifest_dict(doc))
+    (report,) = run(parse_manifest_dict(doc))
     residual = report.results[-1].residuals["einstein_residual"][10][10]
     assert residual.is_constant() and len(format_rational(residual.constant_value())) > 4300
     point = "x1=1,x2=0,x3=0,x4=0,y1=0,y2=0,y3=0,y4=0,y5=0,u=0,v=0"
@@ -921,7 +936,7 @@ def test_every_check_reaches_a_wrapper_bound_to_its_module_attributes(monkeypatc
         calls.update(dict.fromkeys(calls, 0))
         doc["backgrounds"][0]["checks"] = checks
         report = run_background(parse_manifest_dict(doc)[0])
-        assert report.passed, report.error
+        assert verdicts(report_document([report])) == ["pass"], report.error
         return dict(calls)
 
     # each check, run on its own, calls its function once through the wrapper
@@ -943,7 +958,8 @@ from sugra11.manifest import parse_manifest_dict
 doc = json.loads(Path("manifests/solution1.json").read_text())
 doc["backgrounds"][0]["checks"] = ["theorem"]
 report = sugra11.cli.run_background(parse_manifest_dict(doc)[0])
-print(json.dumps({"imported": sorted(imported), "theorem_passed": report.passed,
+verdict = sugra11.cli.report_document([report])["backgrounds"][0]["verdict"]
+print(json.dumps({"imported": sorted(imported), "theorem_passed": verdict == "pass",
                   "solutions_after_theorem": "sugra11.solutions" in sys.modules}))
 """
 

@@ -10,7 +10,7 @@ import pytest
 
 from sugra11.curvature import is_totally_ricci_isotropic
 from sugra11.exterior import Chart, ChartError, DifferentialForm, wedge
-from sugra11.cli import run
+from sugra11.cli import EXIT_PASS, exit_code, report_document, run
 import sugra11.fieldeqs as fieldeqs
 from sugra11.fieldeqs import (
     AnsatzError,
@@ -191,8 +191,8 @@ def test_a_type_with_a_zero_factor_adds_no_closedness_condition():
         {"name": "nu", "chart": "base5", "degree": 1, "terms": []},
     ]
     doc["backgrounds"][0]["flux"].update(beta_t="beta", nu="nu")
-    reports, code = run(parse_manifest_dict(doc))
-    assert code == 0
+    reports = run(parse_manifest_dict(doc))
+    assert exit_code(report_document(reports)) == EXIT_PASS
     result = reports[0].results[0]
     assert result.name == "closedness" and "d_beta_t" not in result.residuals
 
@@ -294,8 +294,8 @@ def test_hv_block_is_even_in_a_negative_warp(f):
 
 
 def _verdicts(doc):
-    reports, code = run(parse_manifest_dict(doc))
-    return code, [(r.background, r.error, [(c.name, c.passed) for c in r.results]) for r in reports]
+    reports = run(parse_manifest_dict(doc))
+    return exit_code(report_document(reports)), [(r.background, r.error, [(c.name, c.passed) for c in r.results]) for r in reports]
 
 
 @pytest.mark.parametrize("name", ["solution2", "solution3", "solution4_literal", "solution4_corrected"])

@@ -7,7 +7,8 @@ strings and evaluated values must not change under an engine refactoring, so any
 difference here is a regression unless the output format itself was meant to
 change.  Each entry also runs in a fresh interpreter, since polyring's per-process
 variable registry here already holds the names earlier tests saw.  The text and
-JSON reports of each invocation that runs must say the same thing, line by line.
+JSON reports of each invocation that runs must say the same thing, line by line,
+and each value they print at a point is their printed residual's value there.
 """
 
 import json
@@ -21,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from sugra11.cli import main
+from sugra11.polyring import parse_polynomial, parse_rational
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -110,7 +112,9 @@ def _read_text_report(text: str):
             bg["checks"][-1][3].append(groups[0])
         elif kind in ("evaluation", "empty_evaluation"):
             point = dict(pair.split("=") for pair in groups[0].split(", "))
-            if not bg["evaluations"] or bg["evaluations"][-1][0] != point:
+            last = bg["evaluations"][-1] if bg["evaluations"] else None
+            # a point's lines run on until a key repeats: a manifest may list a point twice
+            if kind == "empty_evaluation" or last is None or last[0] != point or groups[1] in last[1]:
                 bg["evaluations"].append((point, {}))
             if kind == "evaluation":
                 bg["evaluations"][-1][1][groups[1]] = groups[2]
@@ -167,6 +171,40 @@ def test_text_and_json_reports_agree(manifest, eval_flags, capsys, monkeypatch):
     backgrounds, summary = _read_text_report(text)
     assert backgrounds and summary is not None
     assert (backgrounds, summary) == _read_json_report(json_text)
+
+
+def _evaluating():
+    """(name, flags) of each golden invocation that exits 0 or 1 and evaluates its
+    residuals, at the --eval point or at a manifest's eval_points."""
+    found = []
+    for case in CASES:
+        flags = dict(zip(case["args"][::2], case["args"][1::2]))
+        if case["exit"] not in (0, 1):
+            continue
+        manifest = json.loads((ROOT / flags["--manifest"]).read_text())
+        if "--eval" in flags or any("eval_points" in bg for bg in manifest["backgrounds"]):
+            found.append(pytest.param(case["name"], flags, id=case["name"]))
+    return found
+
+
+@pytest.mark.parametrize("name, flags", _evaluating())
+def test_each_printed_eval_value_is_the_printed_residual_at_its_point(name, flags):
+    """Parsed back from the golden bytes, each printed residual evaluated at each printed
+    manifest point, and at the --eval point, is the value printed for it there."""
+    out = (GOLDEN / f"{name}.stdout").read_text()
+    backgrounds, _ = (_read_json_report if flags.get("--format") == "json" else _read_text_report)(out)
+    eval_point = dict(pair.split("=") for pair in flags["--eval"].split(",")) if "--eval" in flags else None
+    evaluated = 0
+    for bg in backgrounds:
+        residuals = {f"{check}:{where}": parse_polynomial(value)
+                     for check, _, pairs, _ in bg["checks"] for where, value in pairs}
+        points = bg["evaluations"] + ([(eval_point, bg["point_values"])] if eval_point else [])
+        for point, values in points:
+            exact = {k: parse_rational(v) for k, v in point.items()}
+            want = {key: poly.evaluate(exact) for key, poly in residuals.items()}
+            assert {key: parse_rational(v) for key, v in values.items()} == want, (bg["background"], point)
+            evaluated += len(values)
+    assert evaluated > 0
 
 
 @pytest.mark.parametrize("eval_flags", [[], ["--eval", "x1=1"]], ids=["eval_points", "eval_flag"])

@@ -5,15 +5,19 @@ Each example changes one path of one of the five valid bundled manifests:
 it replaces the value there from a fixed pool, deletes it, or duplicates a
 list item, and runs ``cli.main`` in process on the result.  The exit code is
 0, 1 or 2; exit 2 is one ``error:`` line on stderr, or a report that holds a
-background's error; a report without one leaves stderr empty.  The text report
-of a run that exits 0 or 1 has one ``background`` line per background and one
-``summary:`` line, right before ``conventions:``, whatever names the manifest
-gives: the pool holds a name, and a point key, that would forge report lines.
+background's error; a report without one leaves stderr empty.  A report's
+summary decides the code: 2 when it counts an errored background, else 1 when
+it counts a failed one, else 0.  The text report of a run that exits 0 or 1 has
+one ``background`` line per background and one ``summary:`` line, right before
+``conventions:``, whatever names the manifest gives: the pool holds a name, and
+a point key, that would forge report lines.  That run's JSON report says what
+its text report says, read by the readers of tests/test_golden.py.
 """
 
 import copy
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -21,7 +25,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sugra11.cli import EXIT_ERROR, main
+from sugra11.cli import EXIT_ERROR, EXIT_FAIL, EXIT_PASS, main
+
+from test_golden import _read_json_report, _read_text_report
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 VALID = ("solution1", "solution2", "solution3", "solution4_corrected", "solution4_literal")
@@ -78,11 +84,11 @@ def _mutate(doc, path, operation, value):
     return doc
 
 
-def _run(doc, path):
+def _run(doc, path, *flags):
     path.write_text(json.dumps(doc))
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(["--manifest", str(path)])
+        code = main(["--manifest", str(path), *flags])
     return code, out.getvalue(), err.getvalue()
 
 
@@ -93,7 +99,19 @@ def _report_errors(out):
     return [line for line in out.splitlines() if line.startswith("  ERROR: ")]
 
 
-def _assert_outcome(doc, code, out, err):
+def _summary(out):
+    """The summary counts of a text or JSON report."""
+    if out.startswith("{"):
+        return json.loads(out)["summary"]
+    lines = out.splitlines()
+    line = lines[lines.index("conventions:") - 1]
+    found = re.fullmatch(r"summary: (\d+) passed, (\d+) failed, (\d+) errored", line)
+    assert found, out
+    return dict(zip(("passed", "failed", "errored"), map(int, found.groups())))
+
+
+def _assert_outcome(runs, code, out, err):
+    """The outcome of a run of runs backgrounds."""
     assert code in (0, 1, 2), code
     assert "Traceback" not in out and "Traceback" not in err
     if code == EXIT_ERROR and err:
@@ -101,11 +119,28 @@ def _assert_outcome(doc, code, out, err):
     else:
         assert err == "", err
         assert bool(_report_errors(out)) == (code == EXIT_ERROR), out
+        summary = _summary(out)
+        assert sum(summary.values()) == runs, out
+        want = EXIT_ERROR if summary["errored"] else EXIT_FAIL if summary["failed"] else EXIT_PASS
+        assert code == want, summary
     if code != EXIT_ERROR:
         lines = out.splitlines()
         summaries = [i for i, line in enumerate(lines) if line.startswith("summary:")]
         assert len(summaries) == 1 and lines[summaries[0] + 1] == "conventions:", out
-        assert sum(line.startswith("background ") for line in lines) == len(doc["backgrounds"]), out
+        assert sum(line.startswith("background ") for line in lines) == runs, out
+
+
+def _check(doc, path, *flags):
+    """(code, text report) of doc's run; a run that exits 0 or 1 runs again with
+    --format json, to the same code and a report that says the same."""
+    code, out, err = _run(doc, path, *flags)
+    runs = 1 if "--only" in flags else len(doc["backgrounds"])
+    _assert_outcome(runs, code, out, err)
+    if code != EXIT_ERROR:
+        json_code, json_out, json_err = _run(doc, path, *flags, "--format", "json")
+        assert (json_code, json_err) == (code, ""), json_err
+        assert _read_text_report(out) == _read_json_report(json_out)
+    return code, out
 
 
 def _background_lines(out, name):
@@ -124,10 +159,11 @@ MUTATIONS = [(name,) + m for name, doc in DOCS.items() for m in _mutations(doc)]
 @given(st.sampled_from(MUTATIONS), st.sampled_from(POOL))
 @example(("solution4_literal", ("backgrounds", 0, "name"), "replace"), FORGED)
 @example(("solution4_literal", ("backgrounds", 0, "eval_points", 0), "replace"), FORGED_POINT)
+@example(("solution4_literal", ("backgrounds", 0, "eval_points", 0), "duplicate"), None)
 def test_a_changed_path_exits_0_1_or_2_without_a_traceback(tmp_path_factory, mutation, value):
     name, path, operation = mutation
     doc = _mutate(DOCS[name], path, operation, value)
-    _assert_outcome(doc, *_run(doc, tmp_path_factory.getbasetemp() / "fuzz.json"))
+    _check(doc, tmp_path_factory.getbasetemp() / "fuzz.json")
 
 
 # solution1's background twice, under two names
@@ -152,7 +188,10 @@ def test_a_changed_second_background_leaves_the_first_report_unchanged(
 ):
     path, operation = mutation
     doc = _mutate(PAIR, path, operation, value)
-    code, out, err = _run(doc, tmp_path_factory.getbasetemp() / "pair.json")
-    _assert_outcome(doc, code, out, err)
+    file = tmp_path_factory.getbasetemp() / "pair.json"
+    _, out = _check(doc, file)
     if out:
         assert _background_lines(out, "solution1") == first_report
+        # --only <name> reports that background's entry of the full run
+        code, only_out = _check(doc, file, "--only", "solution1")
+        assert code == EXIT_PASS and _background_lines(only_out, "solution1") == first_report
